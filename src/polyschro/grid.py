@@ -16,9 +16,12 @@ from scipy import fft as sfft
 from .errors import GridError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SpatialGrid:
     """Uniform periodic grid on [-L, L)^d together with its FFT dual.
+
+    A hashable value: two grids built separately from the same (d, L, N)
+    compare equal.
 
     Parameters
     ----------
@@ -158,11 +161,11 @@ class WaveFunction:
         return l2_inner_product(self, other)
 
     def __add__(self, other):
-        _check_same_grid(self, other)
+        _check_same_grid(self.grid, other.grid)
         return WaveFunction(self.grid, self.values + other.values)
 
     def __sub__(self, other):
-        _check_same_grid(self, other)
+        _check_same_grid(self.grid, other.grid)
         return WaveFunction(self.grid, self.values - other.values)
 
     def __mul__(self, scalar):
@@ -174,9 +177,10 @@ class WaveFunction:
         return WaveFunction(self.grid, self.values / scalar)
 
 
-def _check_same_grid(a: WaveFunction, b: WaveFunction):
-    if a.grid is not b.grid and (a.grid.d, a.grid.L, a.grid.N) != (b.grid.d, b.grid.L, b.grid.N):
-        raise GridError("wavefunctions live on different grids")
+def _check_same_grid(a: SpatialGrid, b: SpatialGrid, error=GridError):
+    """Raise ``error`` unless the two grids have the same (d, L, N)."""
+    if a != b:
+        raise error(f"fields live on different grids: {a} and {b}")
 
 
 def _values_of(f):
@@ -188,8 +192,8 @@ def l2_inner_product(f, g, grid: SpatialGrid | None = None) -> complex:
 
     Linear in the first slot, conjugate-linear in the second.
     """
-    if isinstance(f, WaveFunction) and isinstance(g, WaveFunction) and f.grid != g.grid:
-        raise GridError(f"inner product needs one grid, got {f.grid} and {g.grid}")
+    if isinstance(f, WaveFunction) and isinstance(g, WaveFunction):
+        _check_same_grid(f.grid, g.grid)
     if grid is None:
         grid = f.grid if isinstance(f, WaveFunction) else g.grid
     fv, gv = _values_of(f), _values_of(g)

@@ -5,7 +5,8 @@ Two schemes share the record-keeping harness:
 * crank_nicolson_midpoint: the Cayley step
   (I + i dt/2 H(t_mid)) u_next = (I - i dt/2 H(t_mid)) u, solved
   iteratively; exactly norm-preserving up to the solver tolerance.
-* lanczos_expmid: Krylov approximation of exp(-i dt H(t_mid)) u.
+* lanczos_expmid: Krylov approximation of exp(-i dt H(t_mid)) u, sized
+  by an a-posteriori error estimate.
 
 The inner solve runs GMRES with a split preconditioner built from the
 exact inverses of the kinetic-only and potential-only Cayley factors
@@ -17,14 +18,14 @@ are bounded anyway).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigError, SolverError
-from .grid import WaveFunction, l2_norm
+from .grid import WaveFunction, _check_same_grid, l2_norm
 from .operators import solve_hermitian_cg
 from .symbols import CutoffSpec
 
@@ -36,7 +37,11 @@ class PropagatorConfig:
     """Stepper parameters.
 
     t_final must be an integer number of steps; eps switches the run to the
-    mollified Hamiltonian with the given cutoff strength.
+    mollified Hamiltonian with the given cutoff strength.  solver_tol is the
+    relative residual target of the Cayley solve and the target of the
+    Lanczos error estimate; krylov_dim caps the Lanczos basis, and a step
+    that reaches the cap keeps its result and reports its estimate as the
+    step residual.
     """
 
     scheme: str = "crank_nicolson_midpoint"
@@ -70,6 +75,8 @@ class PropagatorConfig:
             )
         if self.save_every < 1:
             raise ConfigError("save_every must be >= 1")
+        if self.krylov_dim < 1:
+            raise ConfigError("krylov_dim must be >= 1")
         if self.eps is not None and not (0 < self.eps <= 1):
             raise ConfigError("eps must lie in (0, 1]")
 
@@ -156,6 +163,9 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
         callback_type="legacy",
     )
     true_res = np.linalg.norm(a_matvec(x) - b) / b_norm
+    if not np.isfinite(true_res):
+        # a blow-up, which no fallback mends: the stepping loop reports it
+        return np.full(shape, np.nan, dtype=complex), StepReport(iters, np.nan)
     if info != 0 or true_res > 50 * cfg.solver_tol:
         # normal-equation CG fallback: A*A = I + tau^2 Op^2 is Hermitian PD
         def n_matvec(v):
@@ -178,34 +188,44 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
     return x.reshape(shape), StepReport(iterations=iters, residual=float(true_res))
 
 
-def _lanczos_expm(op: _Operator, t_mid: float, dt: float, u: np.ndarray, m: int):
-    """Krylov exp(-i dt Op) u with full reorthogonalization."""
+def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorConfig):
+    """Krylov exp(-i dt Op) u by the three-term Lanczos recurrence.
+
+    Stops at the first k whose a-posteriori estimate
+    beta_k |e_k^T exp(-i dt T_k) e_1| (Saad 1992; Hochbruck and Lubich
+    1997) is at most solver_tol, or at k = krylov_dim.  The estimate is
+    relative to ||u|| and is returned as the step residual, also when the
+    cap stops the recurrence first.  No reorthogonalization: Lanczos
+    without it still computes f(A)b accurately (Druskin, Greenbaum and
+    Knizhnerman 1998).
+    """
+    shape = u.shape
     norm_u = np.linalg.norm(u.ravel())
     if norm_u == 0.0:
         return u.copy(), StepReport()
-    basis = [u / norm_u]
-    alphas, betas = [], []
+    m = cfg.krylov_dim
+    basis = np.empty((m, u.size), dtype=complex)
+    alphas, betas = np.empty(m), np.empty(m)
+    basis[0] = u.ravel() / norm_u
     for j in range(m):
-        w = op.apply(t_mid, basis[j])
-        a = np.vdot(basis[j].ravel(), w.ravel()).real
-        alphas.append(a)
-        w = w - a * basis[j]
+        w = op.apply(t_mid, basis[j].reshape(shape)).ravel()
+        alphas[j] = np.vdot(basis[j], w).real
+        w = w - alphas[j] * basis[j]
         if j > 0:
-            w = w - betas[-1] * basis[j - 1]
-        # full reorthogonalization; Krylov dims stay small
-        for v in basis:
-            w = w - np.vdot(v.ravel(), w.ravel()) * v
-        beta = np.linalg.norm(w.ravel())
-        if beta < 1e-13 * max(1.0, abs(a)) or j == m - 1:
+            w -= betas[j - 1] * basis[j - 1]
+        betas[j] = np.sqrt(np.vdot(w, w).real)
+        k = j + 1
+        if not np.isfinite(betas[j]):
+            # a blow-up: the stepping loop reports the non-finite state
+            return np.full(shape, np.nan, dtype=complex), StepReport(k, np.nan)
+        theta, S = eigh_tridiagonal(alphas[:k], betas[:j], check_finite=False)
+        coeff = S @ (np.exp(-1j * cfg.dt * theta) * S[0, :])
+        estimate = betas[j] * abs(coeff[-1])
+        if estimate <= cfg.solver_tol or k == m:
             break
-        betas.append(beta)
-        basis.append(w / beta)
-    theta, S = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
-    coeff = S @ (np.exp(-1j * dt * theta) * S[0, :]) * norm_u
-    out = np.zeros_like(u)
-    for c, v in zip(coeff, basis):
-        out = out + c * v
-    return out, StepReport(iterations=len(basis), residual=0.0)
+        np.multiply(w, 1.0 / betas[j], out=basis[k])
+    out = (norm_u * coeff) @ basis[:k]
+    return out.reshape(shape), StepReport(iterations=k, residual=float(estimate))
 
 
 def step(cfg: PropagatorConfig, handle, t: float, u: WaveFunction,
@@ -223,7 +243,7 @@ def _advance(op: _Operator, cfg: PropagatorConfig, t: float, u: np.ndarray,
     if cfg.scheme == "lanczos_expmid":
         if source_mid is not None:
             raise ConfigError("inhomogeneous runs need the crank_nicolson_midpoint scheme")
-        return _lanczos_expm(op, t_mid, cfg.dt, u, cfg.krylov_dim)
+        return _lanczos_expm(op, t_mid, u, cfg)
     if source_mid is None:
         # u_next = 2 (I + i tau H)^{-1} u - u
         v, rep = _cayley_solve(op, t_mid, tau, u, cfg, guess)
@@ -293,8 +313,15 @@ class _Recorder:
         self.handle = handle
         self.mask = boundary_mask
         self.rows = []
+        self.iterations, self.residual = 0, 0.0
 
-    def record(self, t, u_vals, rep: StepReport):
+    def tally(self, rep: StepReport):
+        """Add one step's solver effort to the interval since the last record."""
+        self.iterations += rep.iterations
+        self.residual = max(self.residual, rep.residual)
+
+    def record(self, t, u_vals):
+        """One row; its solver columns cover the steps since the previous row."""
         wf = WaveFunction(self.run.grid, u_vals)
         total = np.sum(np.abs(u_vals) ** 2)
         edge = float(np.sum(np.abs(u_vals[self.mask]) ** 2) / total) if total > 0 else 0.0
@@ -302,9 +329,10 @@ class _Recorder:
             "t": t,
             "l2": l2_norm(wf),
             "boundary_mass": edge,
-            "solver_iterations": rep.iterations,
-            "solver_residual": rep.residual,
+            "solver_iterations": self.iterations,
+            "solver_residual": self.residual,
         }
+        self.iterations, self.residual = 0, 0.0
         for order in self.run.norm_orders:
             row[f"norm_a{order.a}"] = order.norm(wf)
         self.rows.append(row)
@@ -336,8 +364,7 @@ def propagate_inhomogeneous(cfg: PropagatorConfig, handle, u0: WaveFunction,
 
 
 def _propagate_impl(cfg, handle, u0, norm_orders, source):
-    if u0.grid is not handle.grid and u0.grid.shape != handle.grid.shape:
-        raise ConfigError("initial state and handle live on different grids")
+    _check_same_grid(u0.grid, handle.grid, error=ConfigError)
     norm_orders = tuple(
         o if hasattr(o, "a") else handle.norm_order(int(o)) for o in norm_orders
     )
@@ -348,7 +375,7 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source):
     started = time.perf_counter()
     u = u0.values.astype(complex)
     t = cfg.t0
-    rec.record(t, u, StepReport())
+    rec.record(t, u)
     for n in range(cfg.n_steps):
         t = cfg.t0 + n * cfg.dt
         src_mid = None
@@ -358,8 +385,11 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source):
         guess = u if cfg.scheme == "crank_nicolson_midpoint" else None
         u, rep = _advance(op, cfg, t, u, source_mid=src_mid, guess=guess)
         t = cfg.t0 + (n + 1) * cfg.dt
+        if not np.isfinite(u).all():
+            raise SolverError(f"state became non-finite at step {n + 1} (t={t:.6g})")
+        rec.tally(rep)
         if (n + 1) % cfg.save_every == 0 or n + 1 == cfg.n_steps:
-            rec.record(t, u, rep)
+            rec.record(t, u)
     rec.finalize()
     run.final = WaveFunction(handle.grid, u)
     run.wall_time = time.perf_counter() - started
@@ -387,10 +417,6 @@ def energy_estimate_check(run: PropagationRun, a: int = 0) -> EnergyFit:
     return EnergyFit(a=a, growth_rate=c, passed=bool(np.isfinite(c)))
 
 
-def refine_dt(cfg: PropagatorConfig, factor: int = 2) -> PropagatorConfig:
-    return replace(cfg, dt=cfg.dt / factor)
-
-
 __all__ = [
     "PropagatorConfig",
     "PropagationRun",
@@ -401,5 +427,4 @@ __all__ = [
     "propagate",
     "propagate_inhomogeneous",
     "energy_estimate_check",
-    "refine_dt",
 ]

@@ -98,29 +98,41 @@ class TwoParticleHandle:
         self._pot_cache: dict = {}
         self._rho_cache: dict = {}
 
-    @property
-    def has_magnetic(self) -> bool:
-        return any(self._magnetic)
-
     @cached_property
     def kinetic_multiplier(self) -> np.ndarray:
         xi = self.grid.dual_axis
         m1, m2 = self.masses
         return (xi[:, None] ** 2) / (2.0 * m1) + (xi[None, :] ** 2) / (2.0 * m2)
 
+    @cached_property
+    def _dual_axes(self) -> tuple:
+        """Per particle (xi, xi / 2m_k), broadcast along axis k."""
+        xi = self.grid.dual_axis
+        return tuple(
+            (_axis_broadcast(xi, k), _axis_broadcast(xi / (2.0 * m), k))
+            for k, m in enumerate(self.masses)
+        )
+
     def _axis_fields(self, t: float):
-        """Per-particle V and A samples on the shared axis, cached per t."""
+        """Fields at time t, cached per t.
+
+        The composite potential multiplier, and per particle
+        (A_k, A_k / 2m_k) broadcast along axis k.
+        """
         hit = self._pot_cache.get(t)
         if hit is None:
             axis = self.grid.axis
-            vs, a_s = [], []
-            for fam in (self.system.fam1, self.system.fam2):
-                vs.append(ex.evaluate(fam.v, out_shape=axis.shape,
-                                      t=t, rho=self.rho, x=axis))
-                a_s.append(ex.evaluate(fam.a[0], out_shape=axis.shape,
-                                       t=t, rho=self.rho, x=axis))
             w = self.system.interaction.on(t, self.rho, self.system.relative_coordinate)
-            hit = (tuple(vs), tuple(a_s), w)
+            pot = w.astype(float)
+            a_s = []
+            for k, fam in enumerate((self.system.fam1, self.system.fam2)):
+                v = ex.evaluate(fam.v, out_shape=axis.shape, t=t, rho=self.rho, x=axis)
+                a = ex.evaluate(fam.a[0], out_shape=axis.shape, t=t, rho=self.rho, x=axis)
+                mk = self.masses[k]
+                pot += _axis_broadcast(v + a**2 / (2.0 * mk), k)
+                a_s.append((_axis_broadcast(a, k), _axis_broadcast(a / (2.0 * mk), k)))
+            pot.setflags(write=False)
+            hit = (pot, tuple(a_s))
             if len(self._pot_cache) >= _CACHE_SLOTS:
                 self._pot_cache.clear()
             self._pot_cache[t] = hit
@@ -128,29 +140,28 @@ class TwoParticleHandle:
 
     def potential_multiplier(self, t: float) -> np.ndarray:
         """V1 + V2 + |A1|^2/2m1 + |A2|^2/2m2 + W, on the composite grid."""
-        vs, a_s, w = self._axis_fields(t)
-        out = w.astype(float)
-        for k in (0, 1):
-            part = vs[k] + a_s[k] ** 2 / (2.0 * self.masses[k])
-            out += _axis_broadcast(part, k)
-        return out
+        return self._axis_fields(t)[0]
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
-        """(H1 + H2 + W) f in the expanded symmetric form."""
+        """(H1 + H2 + W) f in the expanded symmetric form.
+
+        Along axis k the kinetic and magnetic terms share the one-axis
+        transforms G = F_k f and H = F_k (A_k f):
+        (p^2 - A p - p A) f / 2m = F_k^-1(xi (xi G - H)) / 2m - A F_k^-1(xi G) / 2m,
+        four one-axis passes, or two when A_k vanishes.
+        """
         f = np.asarray(f, dtype=complex)
-        out = self.grid.ifft(self.kinetic_multiplier * self.grid.fft(f))
-        out = out + self.potential_multiplier(t) * f
-        if self.has_magnetic:
-            _, a_s, _ = self._axis_fields(t)
-            xi = self.grid.dual_axis
-            for k in (0, 1):
-                if not self._magnetic[k]:
-                    continue
-                ak = _axis_broadcast(a_s[k], k)
-                xik = _axis_broadcast(xi, k)
-                pf = sfft.ifft(xik * sfft.fft(f, axis=k), axis=k)
-                p_af = sfft.ifft(xik * sfft.fft(ak * f, axis=k), axis=k)
-                out = out - (ak * pf + p_af) / (2.0 * self.masses[k])
+        pot, a_s = self._axis_fields(t)
+        out = pot * f
+        for k in (0, 1):
+            xi, xi_2m = self._dual_axes[k]
+            xi_g = xi * sfft.fft(f, axis=k)
+            if self._magnetic[k]:
+                a, a_2m = a_s[k]
+                out += sfft.ifft(xi_2m * (xi_g - sfft.fft(a * f, axis=k)), axis=k)
+                out -= a_2m * sfft.ifft(xi_g, axis=k)
+            else:
+                out += sfft.ifft(xi_2m * xi_g, axis=k)
         return out
 
     def apply_rho_derivative(self, t: float, f: np.ndarray) -> np.ndarray:

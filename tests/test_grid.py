@@ -201,3 +201,15 @@ def test_wavefunction_rejects_non_finite_any_layout(layout, bad, grid_1d, grid_2
     assert not np.all(np.isfinite(values))
     with pytest.raises(GridError, match="finite"):
         WaveFunction(grid, values)
+
+
+def test_grids_compare_by_value():
+    """Grids built separately from the same (d, L, N) are one grid."""
+    a, b = make_grid(1, 10.0, 64), make_grid(1, 10.0, 64)
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != make_grid(1, 8.0, 64)
+    f, g = gaussian_packet(a), gaussian_packet(b)
+    assert f.inner(g) == pytest.approx(1.0, abs=1e-12)
+    assert (f - g).norm() == 0.0
+    assert (f + g).norm() == pytest.approx(2.0, abs=1e-12)

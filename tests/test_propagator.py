@@ -1,10 +1,13 @@
 """Time stepping: unitarity, convergence order, sources, and diagnostics."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from polyschro import propagator
 from polyschro import (
     HamiltonianHandle,
     PotentialFamily,
@@ -19,7 +22,7 @@ from polyschro import (
     propagate_inhomogeneous,
     step,
 )
-from polyschro.errors import ConfigError
+from polyschro.errors import ConfigError, SolverError
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +53,8 @@ def test_config_validation():
         PropagatorConfig(dt=1e-3, t_final=1.0005)
     with pytest.raises(ConfigError):
         PropagatorConfig(scheme="strang_split")
+    with pytest.raises(ConfigError, match="krylov_dim"):
+        PropagatorConfig(krylov_dim=0)
 
 
 def test_single_step_is_scalar_cayley(harmonic_256):
@@ -289,3 +294,111 @@ def test_csv_round_trip_17_digits(tmp_path, quartic_reference_run):
     np.testing.assert_array_equal(parsed, run.norm_series(0))
     times = np.array([float(r[0]) for r in rows])
     np.testing.assert_array_equal(times, run.times)
+
+
+@pytest.fixture(scope="module")
+def quartic_dense_step(quartic_256):
+    """exp(-i dt H(t_mid)) as a dense matrix built from the operator's columns."""
+    g, handle = quartic_256
+    t_mid, dt = 0.3, 1e-3
+    H = np.column_stack([handle.apply(t_mid, e) for e in np.eye(g.N, dtype=complex)])
+    return t_mid, dt, expm(-1j * dt * H)
+
+
+def _krylov_step(handle, u, t_mid, dt, krylov_dim):
+    cfg = PropagatorConfig(scheme="lanczos_expmid", dt=dt, t_final=dt, krylov_dim=krylov_dim)
+    out, rep = propagator._lanczos_expm(propagator._Operator(handle, cfg), t_mid, u, cfg)
+    return cfg, out, rep
+
+
+def test_lanczos_stops_early_on_a_smooth_packet(quartic_256, quartic_dense_step):
+    g, handle = quartic_256
+    t_mid, dt, exact = quartic_dense_step
+    u = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5).values
+    cfg, out, rep = _krylov_step(handle, u, t_mid, dt, krylov_dim=40)
+    err = np.linalg.norm(out - exact @ u) / np.linalg.norm(u)
+    assert rep.iterations < cfg.krylov_dim
+    assert rep.residual <= cfg.solver_tol
+    assert err <= 10 * cfg.solver_tol
+
+
+def test_lanczos_cap_reports_its_miss(quartic_256, quartic_dense_step):
+    """A rough state needs more than the cap; the estimate says so."""
+    g, handle = quartic_256
+    t_mid, dt, exact = quartic_dense_step
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+    cfg, out, rep = _krylov_step(handle, u, t_mid, dt, krylov_dim=24)
+    err = np.linalg.norm(out - exact @ u) / np.linalg.norm(u)
+    assert rep.iterations == cfg.krylov_dim
+    assert rep.residual > cfg.solver_tol
+    assert rep.residual >= err / 10
+
+
+def test_solver_columns_cover_the_save_interval(quartic_256):
+    """Each record sums the iterations and keeps the worst residual since the last."""
+    g, handle = quartic_256
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    cfg = PropagatorConfig(scheme="lanczos_expmid", dt=1e-3, t_final=0.02,
+                           keep_states=False, krylov_dim=40)
+    fine = propagate(cfg, handle, u0)
+    coarse = propagate(replace(cfg, save_every=5), handle, u0)
+    iters = fine.data["solver_iterations"][1:].reshape(4, 5)
+    resid = fine.data["solver_residual"][1:].reshape(4, 5)
+    assert coarse.data["solver_iterations"][1:].tolist() == iters.sum(axis=1).tolist()
+    assert coarse.data["solver_residual"][1:].tolist() == resid.max(axis=1).tolist()
+    # the Krylov estimate, not a placeholder zero
+    assert 0.0 < coarse.data["solver_residual"].max() <= cfg.solver_tol
+
+
+def test_cg_fallback_meets_solver_tolerance(monkeypatch):
+    """One unpreconditioned GMRES iteration falls short; normal-equation CG finishes."""
+    calls = []
+    cg = propagator.solve_hermitian_cg
+
+    def counting_cg(*args, **kwargs):
+        calls.append(1)
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(propagator, "solve_hermitian_cg", counting_cg)
+    g = make_grid(1, 10.0, 64)
+    handle = HamiltonianHandle(get_family("harmonic"), g)
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    cfg = PropagatorConfig(dt=1e-3, t_final=1e-3, use_preconditioner=False,
+                           max_solver_iter=1)
+    run = propagate(cfg, handle, u0)
+    assert calls
+    # the Cayley solution v of (I + i tau H) v = u0, recovered from u1 = 2v - u0
+    tau = 0.5 * cfg.dt
+    v = 0.5 * (run.final.values + u0.values)
+    residual = np.linalg.norm(v + 1j * tau * handle.apply(tau, v) - u0.values)
+    assert residual <= cfg.solver_tol * np.linalg.norm(u0.values)
+    assert run.data["solver_residual"][-1] <= cfg.solver_tol
+
+
+class _BlowUpHandle(HamiltonianHandle):
+    """Harmonic operator that returns NaN from t = 0.005 on."""
+
+    def apply(self, t, f):
+        out = super().apply(t, f)
+        return out * np.nan if t > 0.005 else out
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("scheme", propagator.SCHEMES)
+def test_blow_up_names_step_and_time(scheme):
+    g = make_grid(1, 10.0, 64)
+    handle = _BlowUpHandle(get_family("harmonic"), g)
+    cfg = PropagatorConfig(scheme=scheme, dt=1e-3, t_final=0.01)
+    # step 6 is the first whose midpoint 0.0055 lies past 0.005
+    with pytest.raises(SolverError, match=r"step 6 \(t=0\.006\)"):
+        propagate(cfg, handle, gaussian_packet(g))
+
+
+def test_initial_state_must_share_the_handle_grid():
+    handle = HamiltonianHandle(get_family("harmonic"), make_grid(1, 10.0, 64))
+    cfg = PropagatorConfig(dt=1e-3, t_final=1e-3)
+    # a separately built equal grid is the same grid
+    propagate(cfg, handle, gaussian_packet(make_grid(1, 10.0, 64)))
+    with pytest.raises(ConfigError, match="different grids"):
+        propagate(cfg, handle, gaussian_packet(make_grid(1, 8.0, 64)))

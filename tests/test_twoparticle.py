@@ -1,5 +1,7 @@
 """Composite two-particle systems: operator, norms, propagation."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -208,3 +210,57 @@ def test_interaction_strength_sensitivity(pair_64):
     sweep = sensitivity_sweep(system, u0, 0.5, (1e-1, 1e-2), cfg, a=0, central=True)
     assert sweep.discrepancies[0] > sweep.discrepancies[1]
     assert sweep.observed_orders()[0] >= 1.8
+
+
+HEAVY_MAGNETIC = PotentialFamily(name="heavy_magnetic", v="(1 + x^2)^2",
+                                 a=("sin(t) * x",), growth_order=1, delta=1.0, mass=2.0)
+
+FAMILY_PAIRS = {
+    "plain": ("harmonic", "harmonic"),
+    "magnetic": ("confined_quartic", "confined_quartic"),
+    "mixed": ("confined_quartic", "harmonic"),
+    "heavy": ("harmonic", "heavy_magnetic"),
+}
+
+
+def _family(name):
+    return HEAVY_MAGNETIC if name == HEAVY_MAGNETIC.name else get_family(name)
+
+
+def _dense(apply, shape):
+    """Matrix of a linear map on arrays of the given shape, column by column."""
+    n = int(np.prod(shape))
+    return np.column_stack([apply(e.reshape(shape)).ravel()
+                            for e in np.eye(n, dtype=complex)])
+
+
+@pytest.mark.parametrize("pair", sorted(FAMILY_PAIRS))
+def test_composite_apply_matches_tensor_sum_oracle(pair):
+    """H = H1 (x) I + I (x) H2 + W, with H1, H2 from the single-particle operator."""
+    fams = [_family(name) for name in FAMILY_PAIRS[pair]]
+    g1, g2 = make_grid(1, 6.0, 16), make_grid(2, 6.0, 16)
+    system = TwoParticleSystem(*fams, get_interaction("soft_pair"), g2)
+    t, rho = 0.7, 0.5
+    handle = TwoParticleHandle(system, rho=rho)
+    h1, h2 = (_dense(partial(HamiltonianHandle(fam, g1, rho=rho).apply, t), g1.shape)
+              for fam in fams)
+    eye = np.eye(g1.N)
+    w = system.interaction.on(t, rho, system.relative_coordinate)
+    oracle = np.kron(h1, eye) + np.kron(eye, h2) + np.diag(w.ravel())
+    got = _dense(partial(handle.apply, t), g2.shape)
+    assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("pair", sorted(FAMILY_PAIRS))
+def test_composite_apply_is_symmetric_on_rough_states(pair):
+    fams = [_family(name) for name in FAMILY_PAIRS[pair]]
+    g2 = make_grid(2, 6.0, 32)
+    handle = TwoParticleHandle(TwoParticleSystem(*fams, get_interaction("soft_pair"), g2),
+                               rho=0.5)
+    rng = np.random.default_rng(11)
+    f, g = (WaveFunction(g2, rng.standard_normal(g2.shape) + 1j * rng.standard_normal(g2.shape))
+            for _ in range(2))
+    t = 0.7
+    lhs = g.inner(f.with_values(handle.apply(t, f.values)))
+    rhs = g.with_values(handle.apply(t, g.values)).inner(f)
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
