@@ -387,29 +387,6 @@ def is_zero(expr: Expr) -> bool:
     return isinstance(expr, Const) and expr.value == 0.0
 
 
-def constant_fold(expr: Expr) -> Expr:
-    """Reduce an expression without free variables to a Const."""
-    if expr.free_vars():
-        return expr
-    return Const(float(expr.eval({})))
-
-
-def ensure_math_finite(expr: Expr, probe_env: dict) -> None:
-    """Cheap smoke evaluation used by family constructors."""
-    val = expr.eval(probe_env)
-    if not np.all(np.isfinite(np.asarray(val, dtype=float))):
-        raise ExpressionError(f"expression {expr} is non-finite at probe point")
-
-
-def angle_bracket(x):
-    """sqrt(1 + x^2) for arrays; the weight all growth bounds refer to."""
-    return np.sqrt(1.0 + np.square(x))
-
-
-def angle_bracket_sq(x):
-    return 1.0 + np.square(x)
-
-
 __all__ = [
     "Expr",
     "Const",
@@ -420,9 +397,5 @@ __all__ = [
     "parse",
     "evaluate",
     "differentiate",
-    "constant_fold",
     "is_zero",
-    "angle_bracket",
-    "angle_bracket_sq",
-    "ensure_math_finite",
 ]

@@ -242,12 +242,22 @@ def multi_indices(d: int, max_total: int):
     return [(i, j) for i in range(max_total + 1) for j in range(max_total + 1 - i)]
 
 
-def apply_multi_derivative(values: np.ndarray, grid: SpatialGrid, alpha) -> np.ndarray:
-    out = np.asarray(values, dtype=complex)
-    for axis, order in enumerate(alpha):
-        if order:
-            out = spectral_derivative_array(out, grid, axis=axis, order=order)
-    return out
+def derivative_norm_sum(values: np.ndarray, grid: SpatialGrid, max_order: int) -> float:
+    """Sum of ||d^alpha f|| over all multi-indices |alpha| <= max_order.
+
+    By Parseval ||d^alpha f|| = sqrt(dx^d / N^d) ||xi^alpha F f||, so one
+    transform serves every alpha: each term contracts |F f|^2 with the
+    squared frequency powers, one axis at a time.
+    """
+    power = np.abs(grid.fft(values)) ** 2
+    xi_sq = grid.dual_axis**2
+    total = 0.0
+    for alpha in multi_indices(grid.d, max_order):
+        moment = power
+        for order in reversed(alpha):
+            moment = moment @ xi_sq**order  # contracts the last remaining axis
+        total += np.sqrt(moment)
+    return float(np.sqrt(grid.dx**grid.d / grid.size) * total)
 
 
 def gaussian_packet(grid: SpatialGrid, center=0.0, width: float = 1.0, momentum=0.0) -> WaveFunction:
@@ -273,6 +283,6 @@ __all__ = [
     "spectral_derivative",
     "spectral_derivative_array",
     "multi_indices",
-    "apply_multi_derivative",
+    "derivative_norm_sum",
     "gaussian_packet",
 ]

@@ -6,37 +6,106 @@ three-term form
     p^2 f / 2m  -  (A . p f + p . (A f)) / 2m  +  (|A|^2 / 2m + V) f,
 
 with p realized spectrally, which is Hermitian on the periodic grid in
-exact arithmetic.  The mollified operator sandwiches H between a quantized
+exact arithmetic.  One kernel, ``apply_expanded``, evaluates that form
+axis by axis for every handle: the single-particle H and dH/drho here,
+and the composite ones in ``twoparticle``.  dH/drho has the same form
+with (A, V) replaced by (dA/drho, dV/drho + A . dA/drho / m) and no
+kinetic term.  The mollified operator sandwiches H between a quantized
 low-energy cutoff and its exact discrete adjoint, so it is Hermitian by
 construction whatever the quantization error.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
 
 from .errors import SolverError
-from .grid import (
-    SpatialGrid,
-    WaveFunction,
-    apply_multi_derivative,
-    l2_norm,
-    multi_indices,
-)
+from .grid import SpatialGrid, WaveFunction, derivative_norm_sum, l2_norm
 from .potentials import PotentialFamily, eval_potential, partial_rho
 from .symbols import CutoffSpec, adjoint_quantize_symbol, eval_symbol, quantize_symbol
 
-_CACHE_SLOTS = 8
+_CACHE_SLOTS = 4
+
+
+class Memo(dict):
+    """``memo[key]`` builds ``build(key)`` once, for a handle's per-time fields.
+
+    Iterative solvers apply an operator many times at one frozen time, so
+    a few slots suffice; the memo is cleared whenever it is full.  ``build``
+    is a bound method of the owning handle, held weakly: a strong reference
+    would make handle and memo a cycle that keeps the fields alive until
+    the cyclic garbage collector runs.
+    """
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = weakref.WeakMethod(build)
+
+    def __missing__(self, key):
+        hit = self._build()(key)
+        if len(self) >= _CACHE_SLOTS:
+            self.clear()
+        self[key] = hit
+        return hit
+
+
+def axis_terms(grid: SpatialGrid, k: int, mass: float, a) -> tuple:
+    """Kernel data of axis k: (k, xi_k, xi_k/2m, xi_k^2/2m, A_k, A_k/2m).
+
+    xi_k is the dual axis broadcast along axis k of the grid; A_k must
+    broadcast against the grid's shape.  A field whose samples are all
+    zero is stored as None, so the kernel skips its transforms.
+    """
+    shape = [1] * grid.d
+    shape[k] = grid.N
+    xi = grid.dual_axis.reshape(shape)
+    xi_2m = xi / (2.0 * mass)
+    if not np.any(a):
+        return (k, xi, xi_2m, xi * xi_2m, None, None)
+    return (k, xi, xi_2m, xi * xi_2m, a, a / (2.0 * mass))
+
+
+def apply_expanded(f: np.ndarray, diag: np.ndarray, axes, kinetic: bool = True) -> np.ndarray:
+    """diag f plus, per axis k, (p_k^2 - A_k p_k - p_k A_k) f / 2m_k.
+
+    With G = F_k f and H = F_k(A_k f) on each axis (F_k the one-axis
+    transform) this is
+
+        F_k^-1(xi_k/2m_k (xi_k G - H)) - (A_k/2m_k) F_k^-1(xi_k G),
+
+    four one-axis passes, or F_k^-1(xi_k^2/2m_k G), two passes, when A_k
+    is None.  kinetic=False drops the p_k^2 term, which dH/drho does not
+    have.  ``axes`` holds ``axis_terms`` tuples.
+    """
+    f = np.asarray(f, dtype=complex)
+    out = diag * f
+    # the axis goes in positionally (n=None): keyword dispatch costs about
+    # half a microsecond per transform, a few percent of a 1-D apply
+    for k, xi, xi_2m, kin, a, a_2m in axes:
+        if a is None:
+            if kinetic:
+                out += sfft.ifft(kin * sfft.fft(f, None, k), None, k)
+            continue
+        xi_g = xi * sfft.fft(f, None, k)
+        # unnamed temporaries: numpy reuses their buffers on composite grids
+        if kinetic:
+            out += sfft.ifft(xi_2m * (xi_g - sfft.fft(a * f, None, k)), None, k)
+        else:
+            out -= sfft.ifft(xi_2m * sfft.fft(a * f, None, k), None, k)
+        out -= a_2m * sfft.ifft(xi_g, None, k)
+    return out
 
 
 class HamiltonianHandle:
     """Bound (family, grid, rho) triple exposing matrix-free applications.
 
-    Potential samples are cached per time value, since iterative solvers
-    apply the operator many times at a frozen midpoint time.
+    The fields of each time are sampled once and memoized, since iterative
+    solvers apply the operator many times at a frozen midpoint time.
     """
 
     def __init__(self, fam: PotentialFamily, grid: SpatialGrid, rho: float = 0.0):
@@ -45,98 +114,54 @@ class HamiltonianHandle:
         self.grid = grid
         self.rho = rho
         self.mass = fam.mass
-        self.has_magnetic = any(len(c.free_vars()) > 0 or c.eval({}) != 0.0 for c in fam.a)
-        self._pot_cache: dict = {}
-        self._rho_cache: dict = {}
-        self._chi_cache: dict = {}
+        self._fields = Memo(self._hamiltonian_fields)
+        self._rho_fields = Memo(self._derivative_fields)
+        self._chi = Memo(self._cutoff_symbol)
 
-    @property
+    @cached_property
     def kinetic_multiplier(self) -> np.ndarray:
         """|xi|^2 / 2m on the dual grid."""
-        try:
-            return self._kin
-        except AttributeError:
-            self._kin = self.grid.dual_radius_sq / (2.0 * self.mass)
-            return self._kin
+        return self.grid.dual_radius_sq / (2.0 * self.mass)
 
-    def _potentials(self, t: float):
-        hit = self._pot_cache.get(t)
-        if hit is None:
-            V, A = eval_potential(self.fam, t, self.rho, self.grid)
-            a_sq = np.zeros(self.grid.shape)
-            for comp in A:
-                a_sq = a_sq + comp**2
-            hit = (V, A, V + a_sq / (2.0 * self.mass))
-            if len(self._pot_cache) >= _CACHE_SLOTS:
-                self._pot_cache.clear()
-            self._pot_cache[t] = hit
-        return hit
+    def _hamiltonian_fields(self, t: float):
+        """(V + |A|^2/2m, kernel axis data of A) at time t."""
+        V, A = eval_potential(self.fam, t, self.rho, self.grid)
+        a_sq = np.zeros(self.grid.shape)
+        for comp in A:
+            a_sq = a_sq + comp**2
+        axes = tuple(axis_terms(self.grid, k, self.mass, comp) for k, comp in enumerate(A))
+        return V + a_sq / (2.0 * self.mass), axes
+
+    def _derivative_fields(self, t: float):
+        """(dV + A . dA / m, kernel axis data of dA) at time t."""
+        dV, dA = partial_rho(self.fam, t, self.rho, self.grid)
+        _, axes = self._fields[t]
+        cross = np.zeros(self.grid.shape)
+        for (*_, a, _), da in zip(axes, dA):
+            if a is not None:
+                cross = cross + a * da
+        dA_axes = tuple(axis_terms(self.grid, k, self.mass, da) for k, da in enumerate(dA))
+        return dV + cross / self.mass, dA_axes
 
     def potential_multiplier(self, t: float) -> np.ndarray:
         """V + |A|^2/2m: the x-diagonal part of the expanded form."""
-        return self._potentials(t)[2]
+        return self._fields[t][0]
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
         """H(t) f for a raw complex array."""
-        grid = self.grid
-        V, A, w = self._potentials(t)
-        F = grid.fft(f)
-        out = grid.ifft(self.kinetic_multiplier * F)
-        out += w * f
-        if self.has_magnetic:
-            inv2m = 1.0 / (2.0 * self.mass)
-            for axis in range(grid.d):
-                shape = [1] * grid.d
-                shape[axis] = grid.N
-                xi = grid.dual_axis.reshape(shape)
-                pf = grid.ifft(xi * F)  # p = -i d/dx is the real multiplier xi
-                p_af = grid.ifft(xi * grid.fft(A[axis] * f))
-                out -= inv2m * (A[axis] * pf + p_af)
-        return out
+        return apply_expanded(f, *self._fields[t])
 
     def apply_rho_derivative(self, t: float, f: np.ndarray) -> np.ndarray:
         """(dH/drho)(t) f: the operator driving the variational equation."""
-        hit = self._rho_cache.get(t)
-        if hit is None:
-            dV, dA = partial_rho(self.fam, t, self.rho, self.grid)
-            _, A, _ = self._potentials(t)
-            cross = np.zeros(self.grid.shape)
-            for a_c, da_c in zip(A, dA):
-                cross = cross + a_c * da_c
-            hit = (dV + cross / self.mass, dA)
-            if len(self._rho_cache) >= _CACHE_SLOTS:
-                self._rho_cache.clear()
-            self._rho_cache[t] = hit
-        mult, dA = hit
-        out = mult * f
-        if any(np.any(c != 0.0) for c in dA):
-            grid = self.grid
-            inv2m = 1.0 / (2.0 * self.mass)
-            F = grid.fft(f)
-            for axis in range(grid.d):
-                shape = [1] * grid.d
-                shape[axis] = grid.N
-                xi = grid.dual_axis.reshape(shape)
-                pf = grid.ifft(xi * F)
-                p_af = grid.ifft(xi * grid.fft(dA[axis] * f))
-                out -= inv2m * (dA[axis] * pf + p_af)
-        return out
+        return apply_expanded(f, *self._rho_fields[t], kinetic=False)
 
-    def cutoff_field(self, t: float, cutoff: CutoffSpec):
-        key = (t, cutoff.eps, cutoff.mu, cutoff.profile)
-        hit = self._chi_cache.get(key)
-        if hit is None:
-            hit = eval_symbol(
-                "chi_eps", self.fam, self.grid, t=t, rho=self.rho, cutoff=cutoff
-            )
-            if len(self._chi_cache) >= 4:
-                self._chi_cache.clear()
-            self._chi_cache[key] = hit
-        return hit
+    def _cutoff_symbol(self, key):
+        t, cutoff = key
+        return eval_symbol("chi_eps", self.fam, self.grid, t=t, rho=self.rho, cutoff=cutoff)
 
     def apply_mollified(self, t: float, f: np.ndarray, cutoff: CutoffSpec) -> np.ndarray:
         """X* H X f with X the quantized cutoff at the same time."""
-        X = self.cutoff_field(t, cutoff)
+        X = self._chi[t, cutoff]
         xf = quantize_symbol(X, f)
         hxf = self.apply(t, xf)
         return adjoint_quantize_symbol(X, hxf)
@@ -285,15 +310,16 @@ def weighted_norm(order: NormOrder, f: WaveFunction) -> float:
         return l2_norm(f)
     if a < 0:
         return l2_norm(apply_lambdaM_power(order, f))
-    total = 0.0
-    for alpha in multi_indices(grid.d, 2 * a):
-        total += l2_norm(apply_multi_derivative(f.values, grid, alpha), grid)
+    total = derivative_norm_sum(f.values, grid, 2 * a)
     total += l2_norm(grid.bracket_weight(order.weight_exponent) * f.values, grid)
     return float(total)
 
 
 __all__ = [
     "HamiltonianHandle",
+    "Memo",
+    "apply_expanded",
+    "axis_terms",
     "NormOrder",
     "apply_hamiltonian",
     "apply_mollified",

@@ -27,6 +27,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import ConfigError, SolverError
 from .grid import WaveFunction, _check_same_grid, l2_norm
 from .operators import solve_hermitian_cg
+from .report import write_csv
 from .symbols import CutoffSpec
 
 SCHEMES = ("crank_nicolson_midpoint", "lanczos_expmid")
@@ -284,14 +285,12 @@ class PropagationRun:
         return WaveFunction(self.grid, vals)
 
     def to_csv(self, path):
+        """The trajectory table: t, the norms, boundary mass, solver columns."""
         cols = ["t", "l2"]
         cols += [f"norm_a{o.a}" for o in self.norm_orders]
         cols += ["boundary_mass", "solver_iterations", "solver_residual"]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for i in range(len(self.times)):
-                row = [self.data[c][i] if c != "t" else self.times[i] for c in cols]
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        series = [self.times] + [self.data[c] for c in cols[1:]]
+        write_csv(path, cols, zip(*series))
 
     def summary(self) -> str:
         return (
@@ -299,12 +298,6 @@ class PropagationRun:
             f"norm drift {self.max_norm_drift:.3e}, "
             f"boundary mass {self.max_boundary_mass:.3e}"
         )
-
-
-def _fmt(v):
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 class _Recorder:
@@ -383,8 +376,12 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source):
             sv = source(t + 0.5 * cfg.dt)
             src_mid = sv.values if isinstance(sv, WaveFunction) else np.asarray(sv)
         guess = u if cfg.scheme == "crank_nicolson_midpoint" else None
-        u, rep = _advance(op, cfg, t, u, source_mid=src_mid, guess=guess)
-        t = cfg.t0 + (n + 1) * cfg.dt
+        t_next = cfg.t0 + (n + 1) * cfg.dt
+        try:
+            u, rep = _advance(op, cfg, t, u, source_mid=src_mid, guess=guess)
+        except SolverError as exc:
+            raise SolverError(f"{exc} at step {n + 1} (t={t_next:.6g})") from exc
+        t = t_next
         if not np.isfinite(u).all():
             raise SolverError(f"state became non-finite at step {n + 1} (t={t:.6g})")
         rec.tally(rep)

@@ -1,7 +1,9 @@
 """Deterministic experiment reports: verdicts plus a hashed file manifest.
 
 The report carries no timestamps or host data, so identical seeded runs
-produce byte-identical report files.
+produce byte-identical report files.  The CSV tables it lists are written
+by ``write_csv`` with 17 significant digits, so they repeat byte for byte
+as well.
 """
 
 from __future__ import annotations
@@ -10,9 +12,29 @@ import hashlib
 import json
 import os
 
+import numpy as np
+
 from .errors import ConfigError
 
 REPORT_NAME = "report.json"
+
+
+def _fmt(v) -> str:
+    if isinstance(v, bool):
+        return str(v)
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def write_csv(path, header, rows) -> None:
+    """One header line, then one comma-separated line per row."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _sha256(path: str) -> str:

@@ -27,6 +27,7 @@ from .potentials import (
     validate_interaction,
 )
 from .propagator import PropagatorConfig, propagate
+from .report import write_csv
 from .sensitivity import continuity_modulus, sensitivity_sweep, solve_variational
 from .symbols import commutator_probe, parametrix_residual
 from .twoparticle import TwoParticleSystem, product_state, propagate_two_particle
@@ -44,22 +45,13 @@ CONSTANT_SPREAD_LIMIT = 1.5
 FACTORIZATION_TOL = 1e-6
 
 
-def _fmt(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def _write_csv(out_dir: str, name: str, header, rows) -> str:
-    path = os.path.join(out_dir, name)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_csv(os.path.join(out_dir, name), header, rows)
+    return name
+
+
+def _write_run(out_dir: str, name: str, run) -> str:
+    run.to_csv(os.path.join(out_dir, name))
     return name
 
 
@@ -109,10 +101,8 @@ def suite_propagate(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
         handle, u0, norm_orders=orders,
     )
 
-    files = [_write_csv(out_dir, "propagate_run.csv",
-                        *_run_table(run, orders)),
-             _write_csv(out_dir, "propagate_run_half_dt.csv",
-                        *_run_table(half, orders))]
+    files = [_write_run(out_dir, "propagate_run.csv", run),
+             _write_run(out_dir, "propagate_run_half_dt.csv", half)]
 
     ratios, ratios_half, stable = {}, {}, True
     for a in orders:
@@ -136,21 +126,6 @@ def suite_propagate(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
         "max_boundary_mass": run.max_boundary_mass,
         "files": files,
     }
-
-
-def _run_table(run, orders):
-    header = ["t", "l2"]
-    header += [f"norm_a{a}" for a in orders]
-    header += ["boundary_mass", "solver_iterations", "solver_residual"]
-    rows = []
-    for i, t in enumerate(run.times):
-        row = [t, run.data["l2"][i]]
-        row += [run.data[f"norm_a{a}"][i] for a in orders]
-        row += [run.data["boundary_mass"][i],
-                run.data["solver_iterations"][i],
-                run.data["solver_residual"][i]]
-        rows.append(row)
-    return header, rows
 
 
 def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
@@ -370,8 +345,7 @@ def suite_two_particle(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
     fact_err = WaveFunction(grid2, free.final.values - tensor).norm()
 
     n1 = run.norm_series(1)
-    files = [_write_csv(out_dir, "two_particle_run.csv",
-                        *_run_table(run, (1,)))]
+    files = [_write_run(out_dir, "two_particle_run.csv", run)]
     drift_ok = run.max_norm_drift <= DRIFT_TOL
     fact_ok = fact_err <= FACTORIZATION_TOL
     return {

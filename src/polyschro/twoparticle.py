@@ -3,7 +3,10 @@
 The composite state lives on the square tensor grid; the Hamiltonian is
 the sum of two single-particle operators, each acting along its own
 axis, plus multiplication by the pair interaction evaluated at the
-periodically wrapped relative coordinate.  Weighted norms carry one
+periodically wrapped relative coordinate.  H and dH/drho run through the
+single-particle kernel ``operators.apply_expanded``: particle k is axis k
+of the composite grid, with its fields broadcast along that axis and W
+(or dW/drho) folded into the diagonal.  Weighted norms carry one
 polynomial weight per particle, calibrated to that particle's growth
 order.
 """
@@ -14,23 +17,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import fft as sfft
 
 from . import expressions as ex
 from .errors import ConfigError, GridError
-from .grid import (
-    SpatialGrid,
-    WaveFunction,
-    apply_multi_derivative,
-    l2_norm,
-    multi_indices,
-)
+from .grid import SpatialGrid, WaveFunction, derivative_norm_sum, l2_norm
+from .operators import Memo, apply_expanded, axis_terms
 from .potentials import InteractionFamily, PotentialFamily
 from .propagator import PropagatorConfig, PropagationRun, propagate
 
 MAX_AXIS_POINTS = 256
-
-_CACHE_SLOTS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,12 +86,8 @@ class TwoParticleHandle:
         self.grid = system.grid
         self.rho = rho
         self.masses = (system.fam1.mass, system.fam2.mass)
-        self._magnetic = tuple(
-            any(len(c.free_vars()) > 0 or c.eval({}) != 0.0 for c in fam.a)
-            for fam in (system.fam1, system.fam2)
-        )
-        self._pot_cache: dict = {}
-        self._rho_cache: dict = {}
+        self._fields = Memo(self._hamiltonian_fields)
+        self._rho_fields = Memo(self._derivative_fields)
 
     @cached_property
     def kinetic_multiplier(self) -> np.ndarray:
@@ -104,108 +95,49 @@ class TwoParticleHandle:
         m1, m2 = self.masses
         return (xi[:, None] ** 2) / (2.0 * m1) + (xi[None, :] ** 2) / (2.0 * m2)
 
-    @cached_property
-    def _dual_axes(self) -> tuple:
-        """Per particle (xi, xi / 2m_k), broadcast along axis k."""
-        xi = self.grid.dual_axis
-        return tuple(
-            (_axis_broadcast(xi, k), _axis_broadcast(xi / (2.0 * m), k))
-            for k, m in enumerate(self.masses)
-        )
+    def _particle_fields(self, expr_of, t: float):
+        """One expression per particle, sampled on the axis at time t."""
+        axis = self.grid.axis
+        return [ex.evaluate(expr_of(fam), out_shape=axis.shape, t=t, rho=self.rho, x=axis)
+                for fam in (self.system.fam1, self.system.fam2)]
 
-    def _axis_fields(self, t: float):
-        """Fields at time t, cached per t.
+    def _hamiltonian_fields(self, t: float):
+        """(W + sum_k V_k + A_k^2/2m_k, kernel axis data of the A_k) at time t."""
+        w = self.system.interaction.on(t, self.rho, self.system.relative_coordinate)
+        pot = w.astype(float)
+        vs = self._particle_fields(lambda fam: fam.v, t)
+        a_s = self._particle_fields(lambda fam: fam.a[0], t)
+        axes = []
+        for k, (v, a, m) in enumerate(zip(vs, a_s, self.masses)):
+            pot += _axis_broadcast(v + a**2 / (2.0 * m), k)
+            axes.append(axis_terms(self.grid, k, m, _axis_broadcast(a, k)))
+        pot.setflags(write=False)
+        return pot, tuple(axes)
 
-        The composite potential multiplier, and per particle
-        (A_k, A_k / 2m_k) broadcast along axis k.
-        """
-        hit = self._pot_cache.get(t)
-        if hit is None:
-            axis = self.grid.axis
-            w = self.system.interaction.on(t, self.rho, self.system.relative_coordinate)
-            pot = w.astype(float)
-            a_s = []
-            for k, fam in enumerate((self.system.fam1, self.system.fam2)):
-                v = ex.evaluate(fam.v, out_shape=axis.shape, t=t, rho=self.rho, x=axis)
-                a = ex.evaluate(fam.a[0], out_shape=axis.shape, t=t, rho=self.rho, x=axis)
-                mk = self.masses[k]
-                pot += _axis_broadcast(v + a**2 / (2.0 * mk), k)
-                a_s.append((_axis_broadcast(a, k), _axis_broadcast(a / (2.0 * mk), k)))
-            pot.setflags(write=False)
-            hit = (pot, tuple(a_s))
-            if len(self._pot_cache) >= _CACHE_SLOTS:
-                self._pot_cache.clear()
-            self._pot_cache[t] = hit
-        return hit
+    def _derivative_fields(self, t: float):
+        """(dW + sum_k dV_k + A_k dA_k/m_k, kernel axis data of the dA_k) at time t."""
+        dw = self.system.interaction.rho_partial_on(t, self.rho, self.system.relative_coordinate)
+        diag = dw.astype(float)
+        dvs = self._particle_fields(lambda fam: fam.v_rho, t)
+        das = self._particle_fields(lambda fam: fam.a_rho[0], t)
+        a_s = self._particle_fields(lambda fam: fam.a[0], t)
+        axes = []
+        for k, (dv, da, a, m) in enumerate(zip(dvs, das, a_s, self.masses)):
+            diag += _axis_broadcast(dv + a * da / m, k)
+            axes.append(axis_terms(self.grid, k, m, _axis_broadcast(da, k)))
+        return diag, tuple(axes)
 
     def potential_multiplier(self, t: float) -> np.ndarray:
         """V1 + V2 + |A1|^2/2m1 + |A2|^2/2m2 + W, on the composite grid."""
-        return self._axis_fields(t)[0]
+        return self._fields[t][0]
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
-        """(H1 + H2 + W) f in the expanded symmetric form.
-
-        Along axis k the kinetic and magnetic terms share the one-axis
-        transforms G = F_k f and H = F_k (A_k f):
-        (p^2 - A p - p A) f / 2m = F_k^-1(xi (xi G - H)) / 2m - A F_k^-1(xi G) / 2m,
-        four one-axis passes, or two when A_k vanishes.
-        """
-        f = np.asarray(f, dtype=complex)
-        pot, a_s = self._axis_fields(t)
-        out = pot * f
-        for k in (0, 1):
-            xi, xi_2m = self._dual_axes[k]
-            xi_g = xi * sfft.fft(f, axis=k)
-            if self._magnetic[k]:
-                a, a_2m = a_s[k]
-                out += sfft.ifft(xi_2m * (xi_g - sfft.fft(a * f, axis=k)), axis=k)
-                out -= a_2m * sfft.ifft(xi_g, axis=k)
-            else:
-                out += sfft.ifft(xi_2m * xi_g, axis=k)
-        return out
+        """(H1 + H2 + W) f in the expanded symmetric form."""
+        return apply_expanded(f, *self._fields[t])
 
     def apply_rho_derivative(self, t: float, f: np.ndarray) -> np.ndarray:
         """(dH/drho) f: per-particle derivative terms plus dW/drho."""
-        f = np.asarray(f, dtype=complex)
-        hit = self._rho_cache.get(t)
-        if hit is None:
-            axis = self.grid.axis
-            parts = []
-            for fam in (self.system.fam1, self.system.fam2):
-                if fam.is_rho_dependent:
-                    dv = ex.evaluate(fam.v_rho, out_shape=axis.shape,
-                                     t=t, rho=self.rho, x=axis)
-                    da = ex.evaluate(fam.a_rho[0], out_shape=axis.shape,
-                                     t=t, rho=self.rho, x=axis)
-                    a = ex.evaluate(fam.a[0], out_shape=axis.shape,
-                                    t=t, rho=self.rho, x=axis)
-                else:
-                    dv = da = a = None
-                parts.append((dv, da, a))
-            dw = self.system.interaction.rho_partial_on(
-                t, self.rho, self.system.relative_coordinate
-            )
-            hit = (tuple(parts), dw)
-            if len(self._rho_cache) >= _CACHE_SLOTS:
-                self._rho_cache.clear()
-            self._rho_cache[t] = hit
-        parts, dw = hit
-
-        out = dw * f
-        xi = self.grid.dual_axis
-        for k in (0, 1):
-            dv, da, a = parts[k]
-            if dv is None:
-                continue
-            mk = self.masses[k]
-            out = out + _axis_broadcast(dv + a * da / mk, k) * f
-            if np.any(da):
-                dak = _axis_broadcast(da, k)
-                xik = _axis_broadcast(xi, k)
-                pf = sfft.ifft(xik * sfft.fft(f, axis=k), axis=k)
-                p_df = sfft.ifft(xik * sfft.fft(dak * f, axis=k), axis=k)
-                out = out - (dak * pf + p_df) / (2.0 * mk)
-        return out
+        return apply_expanded(f, *self._rho_fields[t], kinetic=False)
 
     def apply_mollified(self, t, f, cutoff):
         raise ConfigError("mollified propagation is single-particle only")
@@ -249,9 +181,7 @@ def weighted_norm_primed(order: PrimedNormOrder, f: WaveFunction) -> float:
         raise GridError("primed norms are defined on composite grids")
     if order.a == 0:
         return f.norm()
-    total = 0.0
-    for alpha in multi_indices(2, 2 * order.a):
-        total += l2_norm(apply_multi_derivative(f.values, grid, alpha), grid)
+    total = derivative_norm_sum(f.values, grid, 2 * order.a)
     axis_weight = 1.0 + grid.axis**2
     for k in (0, 1):
         wk = axis_weight ** (order.weight_exponent(k) / 2.0)

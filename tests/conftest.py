@@ -8,9 +8,21 @@ which would contaminate comparisons that are exact for smooth data.
 import numpy as np
 import pytest
 
-from polyschro import WaveFunction, gaussian_packet, make_grid
+from polyschro import PotentialFamily, WaveFunction, gaussian_packet, make_grid
 
 ACCEPTANCE_LINES = []
+
+# A magnetic family whose fields both move with rho.  H is quadratic in
+# rho (A is linear, |A|^2 quadratic), so a central difference in rho of H
+# equals dH/drho up to rounding.
+RHO_MAGNETIC = PotentialFamily(
+    name="rho_magnetic",
+    v="(1 + x^2)^2 + rho * x^2",
+    a=("rho * cos(t) * (1 + x^2)^(1/2)",),
+    growth_order=1,
+    delta=1.0,
+    rho_interval=(-2.0, 2.0),
+)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -14,6 +14,7 @@ from polyschro import (
     spectral_derivative,
 )
 from polyschro.errors import GridError
+from polyschro.grid import derivative_norm_sum, multi_indices, spectral_derivative_array
 
 from conftest import band_limited_state
 
@@ -213,3 +214,18 @@ def test_grids_compare_by_value():
     assert f.inner(g) == pytest.approx(1.0, abs=1e-12)
     assert (f - g).norm() == 0.0
     assert (f + g).norm() == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_derivative_norm_sum_matches_per_index_derivatives(d, rng):
+    """Parseval against one spectral derivative per multi-index."""
+    g = make_grid(d, 6.0, 32)
+    f = band_limited_state(g, rng)
+    for max_order in (0, 2, 6):
+        want = 0.0
+        for alpha in multi_indices(d, max_order):
+            vals = f.values
+            for axis, order in enumerate(alpha):
+                vals = spectral_derivative_array(vals, g, axis=axis, order=order)
+            want += l2_norm(vals, g)
+        assert derivative_norm_sum(f.values, g, max_order) == pytest.approx(want, rel=1e-12)

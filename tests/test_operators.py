@@ -1,5 +1,8 @@
 """Matrix-free Hamiltonian application, weight-operator powers, and norms."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from polyschro import (
     apply_lambdaM_power,
     apply_mollified,
     apply_rho_derivative,
+    eval_potential,
     gaussian_packet,
     get_family,
     l2_inner_product,
@@ -21,7 +25,7 @@ from polyschro import (
 )
 from polyschro.operators import resolve_mu_prime
 
-from conftest import band_limited_state
+from conftest import RHO_MAGNETIC, band_limited_state
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +230,70 @@ def test_rho_derivative_hermitian(rng):
     lhs = l2_inner_product(apply_rho_derivative(handle, 0.0, f), h)
     rhs = l2_inner_product(f, apply_rho_derivative(handle, 0.0, h))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-30)
+
+
+@pytest.mark.parametrize("fam", [get_family("parametric_quartic"), RHO_MAGNETIC],
+                         ids=lambda fam: fam.name)
+def test_rho_derivative_matches_central_difference(fam, rng):
+    """H is at most quadratic in rho, so the central difference is exact."""
+    g = make_grid(1, 8.0, 64)
+    rho, h, t = 1.0, 0.25, 0.7
+    f, _ = random_pair(g, rng)
+    plus = HamiltonianHandle(fam, g, rho=rho + h).apply(t, f.values)
+    minus = HamiltonianHandle(fam, g, rho=rho - h).apply(t, f.values)
+    want = (plus - minus) / (2.0 * h)
+    got = HamiltonianHandle(fam, g, rho=rho).apply_rho_derivative(t, f.values)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(plus) / h
+
+
+MAGNETIC_2D = PotentialFamily(
+    name="magnetic_2d", v="(1 + x1^2 + x2^2)^2",
+    a=("sin(t) * x2", "cos(t) * x1 * (1 + x2^2)^(1/2)"),
+    growth_order=1, delta=1.0, mass=2.0, dim=2,
+)
+
+
+def _momentum_matrices(grid):
+    """Dense p_k = F^-1 xi_k F on the row-major ravel of the grid, one per axis."""
+    dft = np.fft.fft(np.eye(grid.N), axis=0)
+    p = np.fft.ifft(grid.dual_axis[:, None] * dft, axis=0)
+    if grid.d == 1:
+        return [p]
+    eye = np.eye(grid.N)
+    return [np.kron(p, eye), np.kron(eye, p)]
+
+
+@pytest.mark.parametrize("fam", [get_family("confined_quartic"), MAGNETIC_2D],
+                         ids=lambda fam: fam.name)
+def test_magnetic_apply_matches_dense_oracle(fam):
+    """H = sum_k (p_k - A_k)^2 / 2m + V with dense DFT momentum matrices."""
+    g = make_grid(fam.dim, 6.0, 16)
+    t = 0.7
+    V, A = eval_potential(fam, t, 0.0, g)
+    oracle = np.diag(V.ravel()).astype(complex)
+    for p, a in zip(_momentum_matrices(g), A):
+        kinetic_momentum = p - np.diag(a.ravel())
+        oracle += kinetic_momentum @ kinetic_momentum / (2.0 * fam.mass)
+    handle = HamiltonianHandle(fam, g)
+    got = np.column_stack([handle.apply(t, e.reshape(g.shape)).ravel()
+                           for e in np.eye(g.size, dtype=complex)])
+    assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_dropped_handle_is_freed_without_the_cycle_collector():
+    """The field memos hold their builders weakly, so handle and memo form no cycle."""
+    g = make_grid(1, 8.0, 64)
+    handle = HamiltonianHandle(RHO_MAGNETIC, g, rho=1.0)
+    f = np.ones(g.shape, dtype=complex)
+    handle.apply_rho_derivative(0.0, f)
+    handle.apply_mollified(0.0, f, CutoffSpec(eps=0.5))
+    ref = weakref.ref(handle)
+    gc.disable()
+    try:
+        del handle
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_handle_rejects_rho_outside_interval():

@@ -376,6 +376,17 @@ def test_cg_fallback_meets_solver_tolerance(monkeypatch):
     assert run.data["solver_residual"][-1] <= cfg.solver_tol
 
 
+def test_solver_failure_names_step_and_time():
+    """A solve that fails inside a step says which step and time it was."""
+    g = make_grid(1, 10.0, 128)
+    handle = HamiltonianHandle(get_family("confined_quartic"), g)
+    cfg = PropagatorConfig(dt=1e-3, t_final=5e-3, use_preconditioner=False,
+                           max_solver_iter=1)
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    with pytest.raises(SolverError, match=r"CG did not reach .* at step 1 \(t=0\.001\)"):
+        propagate(cfg, handle, u0)
+
+
 class _BlowUpHandle(HamiltonianHandle):
     """Harmonic operator that returns NaN from t = 0.005 on."""
 

@@ -1,5 +1,7 @@
 """Composite two-particle systems: operator, norms, propagation."""
 
+import gc
+import weakref
 from functools import partial
 
 import numpy as np
@@ -25,7 +27,7 @@ from polyschro import (
     sensitivity_sweep,
 )
 from polyschro.errors import ConfigError, FamilyError, GridError
-from conftest import band_limited_state
+from conftest import RHO_MAGNETIC, band_limited_state
 
 
 @pytest.fixture(scope="module")
@@ -220,11 +222,14 @@ FAMILY_PAIRS = {
     "magnetic": ("confined_quartic", "confined_quartic"),
     "mixed": ("confined_quartic", "harmonic"),
     "heavy": ("harmonic", "heavy_magnetic"),
+    "rho_magnetic": ("rho_magnetic", "confined_quartic"),
 }
+
+_TEST_FAMILIES = {fam.name: fam for fam in (HEAVY_MAGNETIC, RHO_MAGNETIC)}
 
 
 def _family(name):
-    return HEAVY_MAGNETIC if name == HEAVY_MAGNETIC.name else get_family(name)
+    return _TEST_FAMILIES.get(name) or get_family(name)
 
 
 def _dense(apply, shape):
@@ -264,3 +269,34 @@ def test_composite_apply_is_symmetric_on_rough_states(pair):
     lhs = g.inner(f.with_values(handle.apply(t, f.values)))
     rhs = g.with_values(handle.apply(t, g.values)).inner(f)
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+@pytest.mark.parametrize("pair", sorted(FAMILY_PAIRS))
+def test_composite_rho_derivative_matches_central_difference(pair):
+    """H is at most quadratic in rho, so the central difference is exact."""
+    fams = [_family(name) for name in FAMILY_PAIRS[pair]]
+    g2 = make_grid(2, 6.0, 16)
+    system = TwoParticleSystem(*fams, get_interaction("soft_pair"), g2)
+    rho, h, t = 0.5, 0.25, 0.7
+    rng = np.random.default_rng(12)
+    f = rng.standard_normal(g2.shape) + 1j * rng.standard_normal(g2.shape)
+    plus = TwoParticleHandle(system, rho=rho + h).apply(t, f)
+    minus = TwoParticleHandle(system, rho=rho - h).apply(t, f)
+    want = (plus - minus) / (2.0 * h)
+    got = TwoParticleHandle(system, rho=rho).apply_rho_derivative(t, f)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(plus) / h
+
+
+def test_dropped_composite_handle_is_freed_without_the_cycle_collector(pair_64):
+    g1, g2, system = pair_64
+    handle = TwoParticleHandle(system, rho=0.5)
+    f = np.ones(g2.shape, dtype=complex)
+    handle.apply(0.0, f)
+    handle.apply_rho_derivative(0.0, f)
+    ref = weakref.ref(handle)
+    gc.disable()
+    try:
+        del handle
+        assert ref() is None
+    finally:
+        gc.enable()
