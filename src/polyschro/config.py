@@ -13,14 +13,7 @@ import yaml
 
 from .errors import ConfigError, FamilyError
 from .grid import SpatialGrid
-from .potentials import (
-    BUILTIN_FAMILIES,
-    BUILTIN_INTERACTIONS,
-    InteractionFamily,
-    PotentialFamily,
-    get_family,
-    get_interaction,
-)
+from .potentials import InteractionFamily, PotentialFamily, get_family, get_interaction
 
 SUITE_NAMES = (
     "propagate",
@@ -62,16 +55,17 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _resolve_family(value, path: str) -> PotentialFamily:
-    if isinstance(value, PotentialFamily):
+def _resolve_potential(value, path: str, cls, lookup, keys):
+    """A cls instance, a builtin name for lookup, or an inline block of keys."""
+    if isinstance(value, cls):
         return value
     if isinstance(value, str):
         try:
-            return get_family(value)
+            return lookup(value)
         except FamilyError as err:
             raise ConfigError(f"{path}: {err}") from err
     data = _require_mapping(value, path)
-    unknown = set(data) - _FAMILY_KEYS
+    unknown = set(data) - keys
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     try:
@@ -82,30 +76,7 @@ def _resolve_family(value, path: str) -> PotentialFamily:
         if kwargs.get("rho_interval") is not None:
             lo, hi = kwargs["rho_interval"]
             kwargs["rho_interval"] = (float(lo), float(hi))
-        return PotentialFamily(**kwargs)
-    except (FamilyError, TypeError, ValueError) as err:
-        raise ConfigError(f"{path}: {err}") from err
-
-
-def _resolve_interaction(value, path: str) -> InteractionFamily:
-    if isinstance(value, InteractionFamily):
-        return value
-    if isinstance(value, str):
-        try:
-            return get_interaction(value)
-        except FamilyError as err:
-            raise ConfigError(f"{path}: {err}") from err
-    data = _require_mapping(value, path)
-    unknown = set(data) - _INTERACTION_KEYS
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    try:
-        kwargs = dict(data)
-        kwargs.setdefault("name", "custom")
-        if kwargs.get("rho_interval") is not None:
-            lo, hi = kwargs["rho_interval"]
-            kwargs["rho_interval"] = (float(lo), float(hi))
-        return InteractionFamily(**kwargs)
+        return cls(**kwargs)
     except (FamilyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from err
 
@@ -129,8 +100,10 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
     """Build a validated config from a parsed mapping (None = all defaults)."""
     data = dict(data or {})
 
-    family = _resolve_family(data.pop("family", "confined_quartic"), "family")
-    interaction = _resolve_interaction(data.pop("interaction", "soft_pair"), "interaction")
+    family = _resolve_potential(data.pop("family", "confined_quartic"), "family",
+                                PotentialFamily, get_family, _FAMILY_KEYS)
+    interaction = _resolve_potential(data.pop("interaction", "soft_pair"), "interaction",
+                                     InteractionFamily, get_interaction, _INTERACTION_KEYS)
     grid = _resolve_grid(data.pop("grid", {}), "grid")
 
     propagator = _require_mapping(data.pop("propagator", {}), "propagator")

@@ -130,7 +130,9 @@ class HamiltonianHandle:
         for comp in A:
             a_sq = a_sq + comp**2
         axes = tuple(axis_terms(self.grid, k, self.mass, comp) for k, comp in enumerate(A))
-        return V + a_sq / (2.0 * self.mass), axes
+        pot = V + a_sq / (2.0 * self.mass)
+        pot.setflags(write=False)
+        return pot, axes
 
     def _derivative_fields(self, t: float):
         """(dV + A . dA / m, kernel axis data of dA) at time t."""
@@ -144,7 +146,7 @@ class HamiltonianHandle:
         return dV + cross / self.mass, dA_axes
 
     def potential_multiplier(self, t: float) -> np.ndarray:
-        """V + |A|^2/2m: the x-diagonal part of the expanded form."""
+        """V + |A|^2/2m: the x-diagonal part of the expanded form (read-only)."""
         return self._fields[t][0]
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:

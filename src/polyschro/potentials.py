@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import FamilyError
-from .grid import SpatialGrid
+from .grid import SpatialGrid, multi_indices
 
 _STENCILS = {
     1: np.array([-0.5, 0.0, 0.5]),
@@ -147,13 +147,6 @@ class PotentialFamily:
         for name, arr in zip(self.coord_names, coords):
             env[name] = arr
         return env
-
-    def potential_on(self, t: float, rho: float, coords) -> np.ndarray:
-        return ex.evaluate(self.v, **self._env(t, rho, coords))
-
-    def vector_potential_on(self, t: float, rho: float, coords):
-        env = self._env(t, rho, coords)
-        return tuple(ex.evaluate(c, **env) for c in self.a)
 
 
 def eval_potential(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid):
@@ -351,8 +344,6 @@ class BoundCheck:
 class ValidationReport:
     family: str
     checks: tuple
-    t_samples: tuple
-    rho_samples: tuple
 
     @property
     def passed(self) -> bool:
@@ -362,23 +353,8 @@ class ValidationReport:
     def failures(self):
         return [c for c in self.checks if not c.passed]
 
-    def constant(self, label: str) -> float:
-        for c in self.checks:
-            if c.label == label:
-                return c.constant
-        raise KeyError(label)
-
     def rows(self):
         return [c.row() for c in self.checks]
-
-    def summary(self) -> str:
-        lines = [f"{self.family}: {'PASS' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            mark = "ok  " if c.passed else "FAIL"
-            lines.append(
-                f"  [{mark}] {c.label:<24} C={c.constant:.6g} slope={c.slope:+.3f}"
-            )
-        return "\n".join(lines)
 
 
 def _finite_difference(values: np.ndarray, order: int, h: float, axis: int = 0) -> np.ndarray:
@@ -390,23 +366,19 @@ def _finite_difference(values: np.ndarray, order: int, h: float, axis: int = 0) 
     return np.moveaxis(out, -1, axis)
 
 
-def _fd_multi(values: np.ndarray, alpha, h: float):
-    """Mixed central differences; returns (array, trim per axis)."""
+def _fd_multi(values: np.ndarray, alpha, h: float) -> np.ndarray:
+    """Mixed central differences, trimmed by the stencil radius on each axis."""
     out = np.asarray(values, dtype=float)
-    trims = []
     for axis, order in enumerate(alpha):
-        if order == 0:
-            trims.append(0)
-            continue
-        radius = len(_STENCILS[order]) // 2
-        out = _finite_difference(out, order, h, axis=axis)
-        trims.append(radius)
-    return out, trims
+        if order:
+            out = _finite_difference(out, order, h, axis=axis)
+    return out
 
 
-def _trim_like(arr: np.ndarray, trims):
-    slicer = tuple(slice(k, arr.shape[i] - k) if k else slice(None) for i, k in enumerate(trims))
-    return arr[slicer]
+def _stencil_window(alpha, shape):
+    """Slices picking the points where the differences of order alpha exist."""
+    radii = [len(_STENCILS[k]) // 2 if k else 0 for k in alpha]
+    return tuple(slice(r, n - r) for r, n in zip(radii, shape))
 
 
 def _shell_edges(bracket: np.ndarray):
@@ -442,8 +414,9 @@ def _loglog_slope(centers, stats, tail: int | None = None):
     return float(np.polyfit(np.log(centers), np.log(stats), 1)[0])
 
 
-def _argmax_witness(t, rho, coords, ratio):
-    idx = np.unravel_index(np.argmax(ratio), ratio.shape)
+def _witness(t, rho, coords, ratio, pick):
+    """The sample point where pick (np.argmax or np.argmin) lands on ratio."""
+    idx = np.unravel_index(pick(ratio), ratio.shape)
     xs = [float(c[idx]) for c in coords]
     return {"t": t, "rho": rho, "x": xs[0] if len(xs) == 1 else tuple(xs)}
 
@@ -451,10 +424,9 @@ def _argmax_witness(t, rho, coords, ratio):
 class _BoundAccumulator:
     """Tracks one inequality across (t, rho) samples."""
 
-    def __init__(self, label: str, exponent: float, grow_limit: float = SLOPE_TOL):
+    def __init__(self, label: str, exponent: float):
         self.label = label
         self.exponent = exponent
-        self.grow_limit = grow_limit
         self.constant = 0.0
         self.worst_slope = -np.inf
         self.witness = {}
@@ -464,7 +436,7 @@ class _BoundAccumulator:
         peak = float(ratio.max())
         if peak >= self.constant:
             self.constant = peak
-            self.witness = _argmax_witness(t, rho, coords, ratio)
+            self.witness = _witness(t, rho, coords, ratio, np.argmax)
         if peak <= RATIO_FLOOR:
             return  # identically-small field: nothing to fit
         centers, stats = _shell_reduce(bracket, ratio, "max")
@@ -476,13 +448,13 @@ class _BoundAccumulator:
 
     def finish(self) -> BoundCheck:
         slope = 0.0 if not np.isfinite(self.worst_slope) else self.worst_slope
-        passed = np.isfinite(self.constant) and slope <= self.grow_limit
+        passed = np.isfinite(self.constant) and slope <= SLOPE_TOL
         return BoundCheck(
             label=self.label,
             exponent=self.exponent,
             constant=self.constant,
             slope=slope,
-            slope_limit=self.grow_limit,
+            slope_limit=SLOPE_TOL,
             passed=passed,
             witness=self.witness,
         )
@@ -496,9 +468,8 @@ class _LowerGrowthAccumulator:
     V / <x>^p must not fall off toward the box edge.
     """
 
-    def __init__(self, exponent: float, decay_limit: float = SLOPE_TOL):
+    def __init__(self, exponent: float):
         self.exponent = exponent
-        self.decay_limit = decay_limit
         self.c0 = np.inf
         self.worst_slope = np.inf
         self.witness = {}
@@ -515,41 +486,71 @@ class _LowerGrowthAccumulator:
         if np.isfinite(slope) and slope < self.worst_slope:
             self.worst_slope = slope
         if bad or not self.witness:
-            idx = np.unravel_index(np.argmin(ratio), ratio.shape)
-            xs = [float(c[idx]) for c in coords]
-            self.witness = {"t": t, "rho": rho, "x": xs[0] if len(xs) == 1 else tuple(xs)}
+            self.witness = _witness(t, rho, coords, ratio, np.argmin)
         self.c0 = min(self.c0, outer)
 
     def finish(self) -> BoundCheck:
         slope = 0.0 if not np.isfinite(self.worst_slope) else self.worst_slope
-        passed = self.min_outer_ratio > RATIO_FLOOR and slope >= -self.decay_limit
+        passed = self.min_outer_ratio > RATIO_FLOOR and slope >= -SLOPE_TOL
         return BoundCheck(
             label="growth_lower",
             exponent=self.exponent,
             constant=float(self.c0),
             slope=slope,
-            slope_limit=-self.decay_limit,
+            slope_limit=-SLOPE_TOL,
             passed=passed,
             witness=self.witness,
         )
 
 
 def _alpha_label(alpha):
-    if len(alpha) == 1:
-        return f"dx^{alpha[0]}"
     return "dx^" + "".join(str(k) for k in alpha)
 
 
-def _default_t_samples():
-    # covers a full period of the oscillatory builtins, includes t = 0
-    return tuple(np.linspace(0.0, 2.0 * np.pi, 9))
+def _samples(t_samples, rho_samples, interval):
+    """(t, rho) pairs, t outermost; by default a full period of the
+    oscillatory builtins (t = 0 included) and the quartiles of the
+    parameter interval."""
+    if t_samples is None:
+        t_samples = np.linspace(0.0, 2.0 * np.pi, 9)
+    if rho_samples is None:
+        if interval is None:
+            rho_samples = (0.0,)
+        else:
+            lo, hi = interval
+            rho_samples = lo + np.array([0.25, 0.5, 0.75]) * (hi - lo)
+    rho_samples = tuple(rho_samples)
+    return [(t, rho) for t in t_samples for rho in rho_samples]
 
 
-def _default_rho_samples(interval):
-    if interval is None:
-        return (0.0,)
-    lo, hi = interval
-    return tuple(lo + np.array([0.25, 0.5, 0.75]) * (hi - lo))
+def _scan_bounds(groups, alphas, samples, names, coords, bracket, h, lower=None):
+    """Check |d^alpha g| <= C <x>^p for every group and alpha over the samples.
+
+    A group is (prefix, g, p, zero_label, zero_p).  The check of alpha is
+    labelled prefix_dx^alpha with exponent p; a group with a zero_label
+    checks order zero under that label with exponent zero_p instead.  The
+    differences of order alpha are compared on the points where their
+    stencils fit.  ``lower`` also sees the first group's samples.  Returns
+    the checks group by group in ``alphas`` order, ``lower`` first.
+    """
+    windows = [_stencil_window(alpha, bracket.shape) for alpha in alphas]
+    frames = [(alpha, [c[w] for c in coords], bracket[w]) for alpha, w in zip(alphas, windows)]
+    checks = []
+    for i, (prefix, expr, p, zero_label, zero_p) in enumerate(groups):
+        accs = [_BoundAccumulator(f"{prefix}_{_alpha_label(alpha)}", p) for alpha in alphas]
+        if zero_label is not None:
+            accs[0] = _BoundAccumulator(zero_label, zero_p)
+        pairs = list(zip(frames, accs))
+        if i == 0 and lower is not None:
+            pairs.insert(0, (frames[0], lower))
+        for t, rho in samples:
+            env = dict(zip(names, coords), t=t, rho=rho)
+            values = ex.evaluate(expr, out_shape=bracket.shape, **env)
+            for (alpha, coords_a, bracket_a), acc in pairs:
+                deriv = _fd_multi(values, alpha, h) if sum(alpha) else values
+                acc.update(t, rho, coords_a, bracket_a, deriv)
+        checks += [acc.finish() for _, acc in pairs]
+    return checks
 
 
 def validate_assumption(
@@ -570,119 +571,25 @@ def validate_assumption(
     """
     if alpha_max < 1 or alpha_max > 4:
         raise FamilyError("alpha_max must be between 1 and 4")
-    t_samples = tuple(t_samples) if t_samples is not None else _default_t_samples()
-    if rho_samples is None:
-        rho_samples = _default_rho_samples(fam.rho_interval)
-    rho_samples = tuple(rho_samples)
-
     if fam.dim != grid.d:
         raise FamilyError("grid dimension does not match the family")
-    coords = grid.mesh
-    bracket = np.sqrt(1.0 + grid.radius_sq)
-    h = grid.dx
     p_full = fam.weight_exponent  # 2(M+1)
     p_mag = fam.growth_order + 1.0  # M+1
-
-    alphas = [a for a in _iter_alphas(fam.dim, alpha_max) if sum(a) >= 1]
-
-    lower = _LowerGrowthAccumulator(p_full)
-    upper = _BoundAccumulator("growth_upper", p_full)
-    dv_checks = {a: _BoundAccumulator(f"V_{_alpha_label(a)}", p_full) for a in alphas}
-    vt_checks = {
-        a: _BoundAccumulator(f"Vt_{_alpha_label(a)}", p_full)
-        for a in _iter_alphas(fam.dim, alpha_max)
-    }
-    a0_checks = [
-        _BoundAccumulator(f"A{j+1}_size", p_mag - fam.delta) for j in range(fam.dim)
-    ]
-    da_checks = [
-        {a: _BoundAccumulator(f"A{j+1}_{_alpha_label(a)}", p_mag) for a in alphas}
-        for j in range(fam.dim)
-    ]
-    at_checks = [
-        {
-            a: _BoundAccumulator(f"A{j+1}t_{_alpha_label(a)}", p_mag)
-            for a in _iter_alphas(fam.dim, alpha_max)
-        }
-        for j in range(fam.dim)
-    ]
+    groups = [("V", fam.v, p_full, "growth_upper", p_full),
+              ("Vt", fam.v_t, p_full, None, None)]
+    for j, (a, a_t) in enumerate(zip(fam.a, fam.a_t), start=1):
+        groups += [(f"A{j}", a, p_mag, f"A{j}_size", p_mag - fam.delta),
+                   (f"A{j}t", a_t, p_mag, None, None)]
     if fam.is_rho_dependent:
-        vr_checks = {
-            a: _BoundAccumulator(f"Vrho_{_alpha_label(a)}", p_full)
-            for a in _iter_alphas(fam.dim, alpha_max)
-        }
-        ar_checks = [
-            {
-                a: _BoundAccumulator(f"A{j+1}rho_{_alpha_label(a)}", p_mag)
-                for a in _iter_alphas(fam.dim, alpha_max)
-            }
-            for j in range(fam.dim)
-        ]
-    else:
-        vr_checks, ar_checks = {}, []
-
-    for t in t_samples:
-        for rho in rho_samples:
-            env = fam._env(t, rho, coords)
-            V = ex.evaluate(fam.v, out_shape=grid.shape, **env)
-            Vt = ex.evaluate(fam.v_t, out_shape=grid.shape, **env)
-            As = [ex.evaluate(c, out_shape=grid.shape, **env) for c in fam.a]
-            Ats = [ex.evaluate(c, out_shape=grid.shape, **env) for c in fam.a_t]
-
-            lower.update(t, rho, coords, bracket, V)
-            upper.update(t, rho, coords, bracket, V)
-            _update_fd_family(dv_checks, V, h, t, rho, coords, bracket)
-            _update_fd_family(vt_checks, Vt, h, t, rho, coords, bracket)
-            for j in range(fam.dim):
-                a0_checks[j].update(t, rho, coords, bracket, As[j])
-                _update_fd_family(da_checks[j], As[j], h, t, rho, coords, bracket)
-                _update_fd_family(at_checks[j], Ats[j], h, t, rho, coords, bracket)
-            if fam.is_rho_dependent:
-                Vr = ex.evaluate(fam.v_rho, out_shape=grid.shape, **env)
-                Ars = [ex.evaluate(c, out_shape=grid.shape, **env) for c in fam.a_rho]
-                _update_fd_family(vr_checks, Vr, h, t, rho, coords, bracket)
-                for j in range(fam.dim):
-                    _update_fd_family(ar_checks[j], Ars[j], h, t, rho, coords, bracket)
-
-    checks = [lower.finish(), upper.finish()]
-    checks += [acc.finish() for acc in dv_checks.values()]
-    checks += [acc.finish() for acc in vt_checks.values()]
-    for j in range(fam.dim):
-        checks.append(a0_checks[j].finish())
-        checks += [acc.finish() for acc in da_checks[j].values()]
-        checks += [acc.finish() for acc in at_checks[j].values()]
-    checks += [acc.finish() for acc in vr_checks.values()]
-    for group in ar_checks:
-        checks += [acc.finish() for acc in group.values()]
-
-    return ValidationReport(
-        family=fam.name,
-        checks=tuple(checks),
-        t_samples=t_samples,
-        rho_samples=rho_samples,
+        groups.append(("Vrho", fam.v_rho, p_full, None, None))
+        groups += [(f"A{j}rho", c, p_mag, None, None) for j, c in enumerate(fam.a_rho, start=1)]
+    checks = _scan_bounds(
+        groups, multi_indices(fam.dim, alpha_max),
+        _samples(t_samples, rho_samples, fam.rho_interval),
+        fam.coord_names, grid.mesh, np.sqrt(1.0 + grid.radius_sq), grid.dx,
+        lower=_LowerGrowthAccumulator(p_full),
     )
-
-
-def _iter_alphas(d: int, alpha_max: int):
-    if d == 1:
-        return [(k,) for k in range(alpha_max + 1)]
-    return [
-        (i, j)
-        for i in range(alpha_max + 1)
-        for j in range(alpha_max + 1 - i)
-        if i <= 4 and j <= 4
-    ]
-
-
-def _update_fd_family(checks, values, h, t, rho, coords, bracket):
-    for alpha, acc in checks.items():
-        if sum(alpha) == 0:
-            acc.update(t, rho, coords, bracket, values)
-            continue
-        deriv, trims = _fd_multi(values, alpha, h)
-        coords_t = [_trim_like(c, trims) for c in coords]
-        bracket_t = _trim_like(bracket, trims)
-        acc.update(t, rho, coords_t, bracket_t, deriv)
+    return ValidationReport(family=fam.name, checks=tuple(checks))
 
 
 def validate_interaction(
@@ -698,48 +605,19 @@ def validate_interaction(
     Order zero carries the margin: |W| <= C <r>^(2(M0+1)-delta); all
     r-derivatives and the t-/rho-partials only need the full exponent.
     """
-    t_samples = tuple(t_samples) if t_samples is not None else _default_t_samples()
-    if rho_samples is None:
-        rho_samples = _default_rho_samples(inter.rho_interval)
-    rho_samples = tuple(rho_samples)
-
+    if alpha_max < 0 or alpha_max > 4:
+        raise FamilyError("alpha_max must be between 0 and 4")
     r = np.linspace(-2.0 * L, 2.0 * L, n)
-    h = r[1] - r[0]
-    bracket = np.sqrt(1.0 + r**2)
     p_full = 2.0 * (inter.growth_order + 1)
-
-    size = _BoundAccumulator("W_size", p_full - inter.delta)
-    dw = {
-        (k,): _BoundAccumulator(f"W_dx^{k}", p_full) for k in range(1, alpha_max + 1)
-    }
-    wt = {
-        (k,): _BoundAccumulator(f"Wt_dx^{k}", p_full) for k in range(alpha_max + 1)
-    }
-    wr = {
-        (k,): _BoundAccumulator(f"Wrho_dx^{k}", p_full) for k in range(alpha_max + 1)
-    }
-
-    for t in t_samples:
-        for rho in rho_samples:
-            env = {"t": t, "rho": rho, "r": r}
-            W = ex.evaluate(inter.w, out_shape=r.shape, **env)
-            Wt = ex.evaluate(inter.w_t, out_shape=r.shape, **env)
-            Wr = ex.evaluate(inter.w_rho, out_shape=r.shape, **env)
-            size.update(t, rho, (r,), bracket, W)
-            _update_fd_family(dw, W, h, t, rho, (r,), bracket)
-            _update_fd_family(wt, Wt, h, t, rho, (r,), bracket)
-            _update_fd_family(wr, Wr, h, t, rho, (r,), bracket)
-
-    checks = [size.finish()]
-    checks += [acc.finish() for acc in dw.values()]
-    checks += [acc.finish() for acc in wt.values()]
-    checks += [acc.finish() for acc in wr.values()]
-    return ValidationReport(
-        family=inter.name,
-        checks=tuple(checks),
-        t_samples=t_samples,
-        rho_samples=rho_samples,
+    groups = [("W", inter.w, p_full, "W_size", p_full - inter.delta),
+              ("Wt", inter.w_t, p_full, None, None),
+              ("Wrho", inter.w_rho, p_full, None, None)]
+    checks = _scan_bounds(
+        groups, multi_indices(1, alpha_max),
+        _samples(t_samples, rho_samples, inter.rho_interval),
+        ("r",), (r,), np.sqrt(1.0 + r**2), r[1] - r[0],
     )
+    return ValidationReport(family=inter.name, checks=tuple(checks))
 
 
 __all__ = [

@@ -17,7 +17,6 @@ are bounded anyway).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,7 +264,6 @@ class PropagationRun:
     states: list = field(default_factory=list)
     final: WaveFunction = None
     flags: list = field(default_factory=list)
-    wall_time: float = 0.0
 
     def norm_series(self, a: int) -> np.ndarray:
         key = "l2" if a == 0 else f"norm_a{a}"
@@ -279,10 +277,6 @@ class PropagationRun:
     @property
     def max_boundary_mass(self) -> float:
         return float(np.max(self.data["boundary_mass"]))
-
-    def state_at(self, index: int) -> WaveFunction:
-        t, vals = self.states[index]
-        return WaveFunction(self.grid, vals)
 
     def to_csv(self, path):
         """The trajectory table: t, the norms, boundary mass, solver columns."""
@@ -365,7 +359,6 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source):
     run = PropagationRun(grid=handle.grid, cfg=cfg, norm_orders=norm_orders)
     rec = _Recorder(run, handle, handle.grid.boundary_mask(cfg.boundary_fraction))
 
-    started = time.perf_counter()
     u = u0.values.astype(complex)
     t = cfg.t0
     rec.record(t, u)
@@ -389,7 +382,6 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source):
             rec.record(t, u)
     rec.finalize()
     run.final = WaveFunction(handle.grid, u)
-    run.wall_time = time.perf_counter() - started
     return run
 
 

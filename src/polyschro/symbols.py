@@ -27,7 +27,7 @@ from .potentials import PotentialFamily, divergence_a, eval_potential
 
 MAX_FIELD_ENTRIES = 2**24  # symbol storage is O(N^2d); keep it desk-sized
 
-SYMBOL_KINDS = ("h", "h_s", "lambda", "lambda_M", "p_mu", "chi_eps")
+SYMBOL_KINDS = ("h", "h_s", "p_mu", "chi_eps")
 
 
 def _gaussian_profile(s):
@@ -111,24 +111,21 @@ def _dft_kernel(N: int) -> np.ndarray:
     return np.exp(2j * np.pi * jk / N)
 
 
-def _phase_space(grid: SpatialGrid):
-    """Broadcastable (x_parts, xi_parts) covering grid.shape + grid.shape."""
+def _dual_parts(grid: SpatialGrid):
+    """The dual axes, each broadcastable over grid.shape + grid.shape."""
     d, N = grid.d, grid.N
-    xs, xis = [], []
+    xis = []
     for axis in range(d):
-        sx = [1] * (2 * d)
-        sx[axis] = N
-        xs.append(grid.axis.reshape(sx))
         sxi = [1] * (2 * d)
         sxi[d + axis] = N
         xis.append(grid.dual_axis.reshape(sxi))
-    return xs, xis
+    return xis
 
 
 def _base_symbol(fam: PotentialFamily, grid: SpatialGrid, t: float, rho: float):
     """h = |xi - A(x)|^2 / 2m + V(x) on phase space (real array)."""
     V, A = eval_potential(fam, t, rho, grid)
-    _, xis = _phase_space(grid)
+    xis = _dual_parts(grid)
     d = grid.d
     extra = (np.newaxis,) * d
     kin = np.zeros(grid.shape + grid.shape)
@@ -151,24 +148,12 @@ def eval_symbol(
     kind:
         "h"        kinetic-plus-potential symbol
         "h_s"      h + (i/2m) div A, the x-left symbol of the Hamiltonian
-        "lambda"   mu + h_s
-        "lambda_M" mu + |xi|^2/2m + <x>^(2(M+1)), the weight symbol
         "p_mu"     1/(mu + h_s), admissible only when mu + h > 0 on the grid
         "chi_eps"  cutoff(eps * (cutoff.mu + h))
     """
     if kind not in SYMBOL_KINDS:
         raise SymbolDomainError(f"unknown symbol kind {kind!r}; known: {SYMBOL_KINDS}")
     _check_field_budget(grid)
-
-    if kind == "lambda_M":
-        _, xis = _phase_space(grid)
-        kin = np.zeros(grid.shape + grid.shape)
-        for xi in xis:
-            kin = kin + xi**2
-        weight = grid.bracket_weight(fam.weight_exponent)
-        extra = (np.newaxis,) * grid.d
-        vals = mu + kin / (2.0 * fam.mass) + weight[(...,) + extra]
-        return SymbolField(grid, vals, kind, t, rho)
 
     h = _base_symbol(fam, grid, t, rho)
     if kind == "h":
@@ -185,8 +170,6 @@ def eval_symbol(
     h_s = h + 1j * div[(...,) + extra] / (2.0 * fam.mass)
     if kind == "h_s":
         return SymbolField(grid, h_s, kind, t, rho)
-    if kind == "lambda":
-        return SymbolField(grid, mu + h_s, kind, t, rho)
 
     # p_mu
     shifted = mu + h
@@ -262,7 +245,6 @@ class EllipticityScan:
     c0: float
     c1: float
     theta_max: float
-    t_samples: tuple
 
     @property
     def mu_min(self) -> float:
@@ -277,7 +259,7 @@ def ellipticity_constants(
     rho: float = 0.0,
 ) -> EllipticityScan:
     _check_field_budget(grid)
-    _, xis = _phase_space(grid)
+    xis = _dual_parts(grid)
     xi_sq = np.zeros(grid.shape + grid.shape)
     for xi in xis:
         xi_sq = xi_sq + xi**2
@@ -302,9 +284,7 @@ def ellipticity_constants(
         h = _base_symbol(fam, grid, t, rho)
         c1 = max(c1, float((c0 * theta - h).max()))
     c1 = max(c1, 0.0)
-    return EllipticityScan(
-        c0=c0, c1=c1, theta_max=float(theta.max()), t_samples=tuple(t_samples)
-    )
+    return EllipticityScan(c0=c0, c1=c1, theta_max=float(theta.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -344,15 +324,13 @@ def parametrix_residual(
     rho: float = 0.0,
     mu_values=None,
     n_probe: int = 16,
-    power_iters: int = 0,
     rng=None,
 ) -> ParametrixResult:
     """Residual norm of (mu + H) Op(1/(mu + h_s)) - I over a range of mu.
 
     The residual is the largest image norm over n_probe random unit
-    probes, optionally sharpened by power iterations on R*R; its decay
-    against (mu - c1) is fitted on a log-log scale.  First-order symbol
-    calculus predicts a -1/2 slope.
+    probes; its decay against (mu - c1) is fitted on a log-log scale.
+    First-order symbol calculus predicts a -1/2 slope.
     """
     from .operators import HamiltonianHandle
 
@@ -376,27 +354,7 @@ def parametrix_residual(
             w = quantize_symbol(p_field, v)
             return mu * w + handle.apply(t, w) - v
 
-        def resid_adj(v):
-            w = mu * v + handle.apply(t, v)
-            return adjoint_quantize_symbol(p_field, w) - v
-
-        best, best_v = 0.0, None
-        for v in probes:
-            r = l2_norm(resid(v), grid)
-            if r > best:
-                best, best_v = r, v
-        est = best
-        if power_iters and best_v is not None:
-            w = best_v
-            for _ in range(power_iters):
-                y = resid(w)
-                z = resid_adj(y)
-                nz = l2_norm(z, grid)
-                if nz == 0.0:
-                    break
-                w = z / nz
-            est = max(est, l2_norm(resid(w), grid))
-        residuals[i] = est
+        residuals[i] = max([0.0, *(l2_norm(resid(v), grid) for v in probes)])
 
     excess = mu_values - scan.c1
     good = residuals > 1e-12

@@ -24,6 +24,14 @@ RHO_MAGNETIC = PotentialFamily(
     rho_interval=(-2.0, 2.0),
 )
 
+# A 2-D magnetic family with a non-unit mass.  A2 grows like |x|^2 along
+# the diagonal, so it breaks the declared margin |A| <= C <x>^(M+1-delta).
+MAGNETIC_2D = PotentialFamily(
+    name="magnetic_2d", v="(1 + x1^2 + x2^2)^2",
+    a=("sin(t) * x2", "cos(t) * x1 * (1 + x2^2)^(1/2)"),
+    growth_order=1, delta=1.0, mass=2.0, dim=2,
+)
+
 
 def pytest_terminal_summary(terminalreporter):
     """Echo the per-criterion verdict lines past the capture plugin."""

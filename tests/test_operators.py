@@ -25,7 +25,7 @@ from polyschro import (
 )
 from polyschro.operators import resolve_mu_prime
 
-from conftest import RHO_MAGNETIC, band_limited_state
+from conftest import MAGNETIC_2D, RHO_MAGNETIC, band_limited_state
 
 
 @pytest.fixture(scope="module")
@@ -246,13 +246,6 @@ def test_rho_derivative_matches_central_difference(fam, rng):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(plus) / h
 
 
-MAGNETIC_2D = PotentialFamily(
-    name="magnetic_2d", v="(1 + x1^2 + x2^2)^2",
-    a=("sin(t) * x2", "cos(t) * x1 * (1 + x2^2)^(1/2)"),
-    growth_order=1, delta=1.0, mass=2.0, dim=2,
-)
-
-
 def _momentum_matrices(grid):
     """Dense p_k = F^-1 xi_k F on the row-major ravel of the grid, one per axis."""
     dft = np.fft.fft(np.eye(grid.N), axis=0)
@@ -300,3 +293,19 @@ def test_handle_rejects_rho_outside_interval():
     g = make_grid(1, 8.0, 64)
     with pytest.raises(Exception):
         HamiltonianHandle(get_family("parametric_quartic"), g, rho=100.0)
+
+
+@pytest.mark.parametrize("fam", [get_family("confined_quartic"), MAGNETIC_2D],
+                         ids=lambda fam: fam.name)
+def test_potential_multiplier_is_read_only(fam):
+    """The memoized diagonal is shared by every apply at its time."""
+    g = make_grid(fam.dim, 6.0, 16)
+    handle = HamiltonianHandle(fam, g)
+    f = np.ones(g.shape, dtype=complex)
+    before = handle.apply(0.7, f)
+    pot = handle.potential_multiplier(0.7)
+    with pytest.raises(ValueError):
+        pot[...] = 0.0
+    with pytest.raises(ValueError):
+        pot += 1.0
+    np.testing.assert_array_equal(handle.apply(0.7, f), before)

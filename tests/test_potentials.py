@@ -18,6 +18,8 @@ from polyschro import (
 )
 from polyschro.errors import FamilyError
 
+from conftest import MAGNETIC_2D
+
 
 @pytest.fixture(scope="module")
 def validation_grid():
@@ -107,6 +109,64 @@ def test_validation_report_rows_have_witnesses(validation_grid):
     report = validate_assumption(get_family("confined_quartic"), validation_grid)
     for row in report.rows():
         assert set(row) >= {"check", "constant", "slope", "passed", "witness_x"}
+
+
+# 2-D derivative orders in check order: first axis outer, total order <= 4
+ORDERS_2D = ["00", "01", "02", "03", "04", "10", "11", "12", "13",
+             "20", "21", "22", "30", "31", "40"]
+ORDERS_1D = ["0", "1", "2", "3", "4"]
+
+
+def _labels(prefix, orders, zero_label=None):
+    labels = [f"{prefix}_dx^{k}" for k in orders]
+    if zero_label is not None:
+        labels[0] = zero_label
+    return labels
+
+
+def test_validate_2d_family_pins_labels_and_verdict():
+    g = make_grid(2, 10.0, 32)
+    report = validate_assumption(MAGNETIC_2D, g)
+    want = ["growth_lower"] + _labels("V", ORDERS_2D, "growth_upper") + _labels("Vt", ORDERS_2D)
+    for j in (1, 2):
+        want += _labels(f"A{j}", ORDERS_2D, f"A{j}_size") + _labels(f"A{j}t", ORDERS_2D)
+    assert [c.label for c in report.checks] == want
+    assert len(want) == 91
+    assert not report.passed
+    assert [c.label for c in report.failures] == ["A2_size"]
+    exponents = {c.label: c.exponent for c in report.checks}
+    assert exponents["growth_lower"] == exponents["Vt_dx^00"] == exponents["V_dx^40"] == 4.0
+    assert exponents["A1_size"] == exponents["A2_size"] == 1.0
+    assert exponents["A1t_dx^00"] == exponents["A2_dx^11"] == 2.0
+    # the mixed difference of V = (1 + |x|^2)^2 is exactly 8 x1 x2 on the grid
+    x1, x2 = g.mesh
+    ratio = np.abs(8.0 * x1 * x2) / (1.0 + x1**2 + x2**2) ** 2
+    checks = {c.label: c for c in report.checks}
+    assert checks["V_dx^11"].constant == pytest.approx(ratio.max(), rel=1e-9)
+    assert len(checks["A2_size"].witness["x"]) == 2
+
+
+def test_validate_rho_family_pins_labels(validation_grid):
+    report = validate_assumption(get_family("parametric_quartic"), validation_grid)
+    want = (["growth_lower"] + _labels("V", ORDERS_1D, "growth_upper") + _labels("Vt", ORDERS_1D)
+            + _labels("A1", ORDERS_1D, "A1_size") + _labels("A1t", ORDERS_1D)
+            + _labels("Vrho", ORDERS_1D) + _labels("A1rho", ORDERS_1D))
+    assert [c.label for c in report.checks] == want
+    assert report.passed
+
+
+def test_validate_interaction_pins_labels():
+    report = validate_interaction(get_interaction("soft_pair"), L=10.0)
+    orders = ORDERS_1D[:3]
+    want = _labels("W", orders, "W_size") + _labels("Wt", orders) + _labels("Wrho", orders)
+    assert [c.label for c in report.checks] == want
+    assert [c.exponent for c in report.checks] == [2.0] + [4.0] * 8
+
+
+@pytest.mark.parametrize("alpha_max", [-1, 5])
+def test_validate_interaction_rejects_orders_without_a_stencil(alpha_max):
+    with pytest.raises(FamilyError, match="alpha_max"):
+        validate_interaction(get_interaction("soft_pair"), L=10.0, alpha_max=alpha_max)
 
 
 def test_partial_rho_closed_form():
