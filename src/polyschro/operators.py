@@ -18,11 +18,12 @@ construction whatever the quantization error.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sfft
+from scipy.linalg import cho_factor, cho_solve, circulant
 
 from .errors import SolverError
 from .grid import SpatialGrid, WaveFunction, derivative_norm_sum, l2_norm
@@ -30,6 +31,8 @@ from .potentials import PotentialFamily, eval_potential, partial_rho
 from .symbols import CutoffSpec, adjoint_quantize_symbol, eval_symbol, quantize_symbol
 
 _CACHE_SLOTS = 4
+# an N=512 factor holds 2 MB, and no 1-D grid in use is larger
+_FACTOR_SLOTS = 4
 
 
 class Memo(dict):
@@ -276,25 +279,49 @@ def solve_hermitian_cg(apply_op, b, tol: float = 1e-12, maxiter: int = 20000, x0
     )
 
 
-def apply_lambdaM_power(order: NormOrder, f: WaveFunction, cg_tol: float = 1e-12) -> WaveFunction:
+@lru_cache(maxsize=_FACTOR_SLOTS)
+def _lambda_m_factor(order: NormOrder, grid: SpatialGrid):
+    """Cholesky factor of the real symmetric N x N matrix of Lambda_M on a 1-D grid.
+
+    The kinetic part F^-1 diag(|xi|^2/2m) F is the circulant matrix of the
+    inverse transform of its multiplier, which is real because the
+    multiplier is even.  ``order`` carries a resolved mu', so the cache
+    key is (grid, growth_order, mass, mu').
+    """
+    mu_p, kin, weight = _lambda_m_parts(order, grid)
+    mat = circulant(sfft.ifft(kin).real)
+    mat.flat[:: grid.N + 1] += mu_p + weight
+    # mat is symmetric: its F-ordered transpose reaches LAPACK without a copy
+    return cho_factor(mat.T, overwrite_a=True)
+
+
+def apply_lambdaM_power(order: NormOrder, f: WaveFunction) -> WaveFunction:
     """Integer power of the weight operator mu' + p^2/2m + <x>^(2(M+1)).
 
-    Negative powers invert by conjugate gradients on the (Hermitian,
-    positive-definite) operator itself.
+    Negative powers solve Lambda_M x = f: in 1-D with the cached Cholesky
+    factor of its matrix, the real and imaginary parts as two right-hand
+    sides; in 2-D by conjugate gradients on the (Hermitian,
+    positive-definite) operator itself, to 1e-12 relative residual.
     """
     grid = f.grid
-    mu_p, kin, weight = _lambda_m_parts(order, grid)
     vals = f.values.astype(complex)
     n = int(order.a)
     if n == 0:
         return f.with_values(vals)
+    if n < 0 and grid.d == 1:
+        factor = _lambda_m_factor(replace(order, a=-1, mu_prime=resolve_mu_prime(order, grid)), grid)
+        for _ in range(-n):
+            x = cho_solve(factor, np.stack([vals.real, vals.imag], axis=-1), check_finite=False)
+            vals = x[:, 0] + 1j * x[:, 1]
+        return f.with_values(vals)
+    mu_p, kin, weight = _lambda_m_parts(order, grid)
     op = lambda g: _lambda_m_apply(mu_p, kin, weight, grid, g)
     if n > 0:
         for _ in range(n):
             vals = op(vals)
         return f.with_values(vals)
     for _ in range(-n):
-        vals, _ = solve_hermitian_cg(op, vals, tol=cg_tol)
+        vals, _ = solve_hermitian_cg(op, vals)
     return f.with_values(vals)
 
 
@@ -303,8 +330,10 @@ def weighted_norm(order: NormOrder, f: WaveFunction) -> float:
 
     a = 0 is the plain L2 norm.  For a >= 1 the norm is the sum of all
     derivative norms up to order 2a plus the norm of <x>^(2a(M+1)) f.
-    Negative orders are measured through the inverse weight operator:
-    ||Lambda_M^a f||.
+    Negative orders are measured through the inverse weight operator,
+    ||Lambda_M^a f||: in 1-D by a Cholesky factor of the matrix of
+    Lambda_M, built on the first call for each (grid, M, mass, mu') and
+    cached; in 2-D by conjugate gradients to 1e-12 relative residual.
     """
     grid = f.grid
     a = int(order.a)

@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import GridError, SymbolDomainError
+from .errors import GridError, SolverError, SymbolDomainError
 from .grid import SpatialGrid, WaveFunction, l2_norm
 from .potentials import PotentialFamily, divergence_a, eval_potential
 
@@ -354,7 +354,10 @@ def parametrix_residual(
             w = quantize_symbol(p_field, v)
             return mu * w + handle.apply(t, w) - v
 
-        residuals[i] = max([0.0, *(l2_norm(resid(v), grid) for v in probes)])
+        norms = [l2_norm(resid(v), grid) for v in probes]
+        if np.isnan(norms).any():
+            raise SolverError(f"parametrix residual is NaN at mu={mu:g}")
+        residuals[i] = max([0.0, *norms])
 
     excess = mu_values - scan.c1
     good = residuals > 1e-12

@@ -23,6 +23,7 @@ from polyschro import (
     make_grid,
     weighted_norm,
 )
+from polyschro import operators
 from polyschro.operators import resolve_mu_prime
 
 from conftest import MAGNETIC_2D, RHO_MAGNETIC, band_limited_state
@@ -198,6 +199,55 @@ def test_negative_order_norm_uses_inverse(rng):
     f = band_limited_state(g, rng)
     direct = apply_lambdaM_power(NormOrder(a=-1, growth_order=1), f).norm()
     assert weighted_norm(NormOrder(a=-1, growth_order=1), f) == pytest.approx(direct, rel=1e-8)
+
+
+def dense_lambda_m(order, grid):
+    """Lambda_M as a dense matrix, its kinetic part from DFT matrices."""
+    eye = np.eye(grid.N)
+    kin = grid.dual_radius_sq / (2.0 * order.mass)
+    kinetic = np.fft.ifft(eye, axis=0) @ (kin[:, None] * np.fft.fft(eye, axis=0))
+    weight = grid.bracket_weight(2.0 * (order.growth_order + 1))
+    return kinetic + np.diag(resolve_mu_prime(order, grid) + weight)
+
+
+@pytest.mark.parametrize("N", [64, 512])
+def test_lambda_inverse_matches_dense_solve(N, rng):
+    g = make_grid(1, 10.0, N)
+    order = HamiltonianHandle(get_family("confined_quartic"), g).norm_order(-1)
+    f = band_limited_state(g, rng)
+    want = np.linalg.solve(dense_lambda_m(order, g), f.values)
+    got = apply_lambdaM_power(order, f).values
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_lambda_factor_cached_per_grid_value(rng):
+    order = NormOrder(a=-1, growth_order=1)
+    factor = operators._lambda_m_factor
+    factor.cache_clear()
+    for L in (8.0, 8.0, 9.0):
+        # a fresh grid each time: the cache must key on the grid's value
+        apply_lambdaM_power(order, band_limited_state(make_grid(1, L, 64), rng))
+    info = factor.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+
+
+def test_lambda_inverse_round_trip_2d(grid_2d, rng, monkeypatch):
+    cg_calls = []
+    cg = operators.solve_hermitian_cg
+    monkeypatch.setattr(operators, "solve_hermitian_cg",
+                        lambda *a, **k: cg_calls.append(1) or cg(*a, **k))
+    f = band_limited_state(grid_2d, rng)
+    up = apply_lambdaM_power(NormOrder(a=1, growth_order=1), f)
+    back = apply_lambdaM_power(NormOrder(a=-1, growth_order=1), up)
+    assert cg_calls == [1]
+    assert np.max(np.abs(back.values - f.values)) <= 1e-8
+
+
+def test_negative_order_norm_uses_inverse_2d(grid_2d, rng):
+    order = NormOrder(a=-1, growth_order=1)
+    f = band_limited_state(grid_2d, rng)
+    direct = apply_lambdaM_power(order, f).norm()
+    assert weighted_norm(order, f) == pytest.approx(direct, rel=1e-12)
 
 
 def test_norm_equivalence_band(rng):

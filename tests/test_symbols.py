@@ -24,7 +24,8 @@ from polyschro import (
     parametrix_residual,
     quantize_symbol,
 )
-from polyschro.errors import SymbolDomainError
+from polyschro import symbols
+from polyschro.errors import SolverError, SymbolDomainError
 from polyschro.operators import HamiltonianHandle
 from polyschro.symbols import SymbolField
 
@@ -211,6 +212,20 @@ def test_parametrix_residual_decay_confined_quartic(rng):
     assert np.all(np.diff(res.residuals) < 0.0)
     assert res.residuals[-1] < res.residuals[0]
     assert res.slope == pytest.approx(-0.5, abs=0.15)
+
+
+def test_parametrix_residual_nan_probe_raises(flat_family, rng, monkeypatch):
+    calls = []
+    quantize = symbols.quantize_symbol
+
+    def nan_on_second_probe(field, v):
+        calls.append(1)
+        return quantize(field, v) * (np.nan if len(calls) == 2 else 1.0)
+
+    monkeypatch.setattr(symbols, "quantize_symbol", nan_on_second_probe)
+    g = make_grid(1, 8.0, 64)
+    with pytest.raises(SolverError, match="mu=2"):
+        parametrix_residual(flat_family, g, mu_values=(2.0, 4.0), n_probe=4, rng=rng)
 
 
 def test_parametrix_rows_expose_curve(rng):
