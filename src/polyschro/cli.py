@@ -25,8 +25,9 @@ def run_experiment(cfg: ExperimentConfig, suites=None, out_dir=None,
                    seed=None, workers: int = 1) -> tuple:
     """Run the selected suites, emit the report, and return (exit_code, report).
 
-    A suite that raises is recorded as a failed verdict with the error
-    message; it never aborts its siblings.
+    `seed` is accepted for compatibility and ignored: no suite draws
+    random numbers.  A suite that raises is recorded as a failed verdict
+    with the error message; it never aborts its siblings.
     """
     chosen = tuple(suites) if suites else cfg.suites
     for name in chosen:
@@ -35,12 +36,11 @@ def run_experiment(cfg: ExperimentConfig, suites=None, out_dir=None,
                 f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
             )
     out_dir = out_dir if out_dir is not None else cfg.output_dir
-    seed = seed if seed is not None else cfg.seed
     os.makedirs(out_dir, exist_ok=True)
 
     def job(name):
         try:
-            return run_suite(name, cfg, out_dir, seed)
+            return run_suite(name, cfg, out_dir)
         except Exception as err:
             return {
                 "suite": name,
@@ -65,7 +65,7 @@ def _common_options(fn):
     fn = click.option("--output-dir", type=click.Path(), default=None,
                       help="Artifact directory (overrides the config).")(fn)
     fn = click.option("--seed", type=int, default=None,
-                      help="Probe seed (overrides the config).")(fn)
+                      help="Accepted and ignored: no suite output depends on it.")(fn)
     fn = click.option("--workers", type=int, default=1, show_default=True,
                       help="Concurrent suite jobs.")(fn)
     return fn

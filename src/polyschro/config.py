@@ -42,7 +42,7 @@ class ExperimentConfig:
     rho: float
     suites: tuple
     output_dir: str
-    seed: int
+    seed: int  # accepted; no suite reads it
     options: dict = field(default_factory=dict)
 
     def suite_options(self, name: str) -> dict:

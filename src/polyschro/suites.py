@@ -5,8 +5,8 @@ returns a verdict.
 Default parameters are frozen so that a bare run reproduces the
 acceptance thresholds; every default can be overridden through the
 config's per-suite options section.  All floats serialize with 17
-significant digits and randomness flows from one per-suite seeded
-generator, so fixed seeds give byte-identical artifacts.
+significant digits and no suite draws random numbers, so a fixed config
+gives byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -55,10 +55,6 @@ def _write_run(out_dir: str, name: str, run) -> str:
     return name
 
 
-def _suite_rng(seed: int, name: str) -> np.random.Generator:
-    return np.random.default_rng([seed, SUITE_NAMES.index(name)])
-
-
 def _initial_state(grid: SpatialGrid, opts: dict) -> WaveFunction:
     return gaussian_packet(
         grid,
@@ -85,7 +81,7 @@ def _propagator_cfg(base: dict, **overrides) -> PropagatorConfig:
 # suites
 
 
-def suite_propagate(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
+def suite_propagate(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Norm conservation and weighted-norm stability of one propagation."""
     opts = cfg.suite_options("propagate")
     prop = _propagator_cfg(cfg.propagator, **opts.get("propagator", {}))
@@ -128,7 +124,7 @@ def suite_propagate(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
     }
 
 
-def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
+def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Mollified-flow convergence: the gap to the plain flow shrinks in eps."""
     opts = cfg.suite_options("eps_sweep")
     fam = get_family(opts.get("family", "harmonic"))
@@ -167,7 +163,7 @@ def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
     }
 
 
-def suite_parametrix(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
+def suite_parametrix(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Residual decay of the approximate resolvent against the spectral shift."""
     opts = cfg.suite_options("parametrix")
     fam = get_family(opts.get("family", "confined_quartic"))
@@ -176,14 +172,11 @@ def suite_parametrix(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
         fam, grid,
         t=opts.get("t", 0.0),
         rho=opts.get("rho", 0.0),
-        n_probe=opts.get("n_probe", 16),
-        rng=_suite_rng(seed, "parametrix"),
     )
     files = [_write_csv(
         out_dir, "parametrix_residuals.csv",
-        ["mu", "excess", "residual", "n_probe"],
-        [[m, e, r, result.n_probe]
-         for m, e, r in zip(result.mu_values, result.excess, result.residuals)],
+        ["mu", "excess", "residual"],
+        list(zip(result.mu_values, result.excess, result.residuals)),
     )]
     slope_ok = abs(result.slope - SLOPE_TARGET) <= SLOPE_TOL
     monotone = result.residuals[-1] < result.residuals[0]
@@ -201,7 +194,7 @@ def suite_parametrix(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
     }
 
 
-def suite_commutator(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
+def suite_commutator(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Uniform-in-eps bound of the cutoff/operator commutator."""
     opts = cfg.suite_options("commutator")
     fam = get_family(opts.get("family", "confined_quartic"))
@@ -210,14 +203,11 @@ def suite_commutator(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
         fam, grid,
         t=opts.get("t", 3.0 * np.pi / 2.0),
         mu=opts.get("mu", 0.5),
-        n_probe=opts.get("n_probe", 16),
-        rng=_suite_rng(seed, "commutator"),
     )
     files = [_write_csv(
         out_dir, "commutator_bounds.csv",
-        ["eps", "bound", "n_probe"],
-        [[e, b, result.n_probe]
-         for e, b in zip(result.eps_values, result.bounds)],
+        ["eps", "bound"],
+        list(zip(result.eps_values, result.bounds)),
     )]
     return {
         "suite": "commutator",
@@ -230,7 +220,7 @@ def suite_commutator(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
     }
 
 
-def suite_sensitivity(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
+def suite_sensitivity(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Difference quotients versus the variational equation, plus constants."""
     opts = cfg.suite_options("sensitivity")
     fam = get_family(opts.get("family", "parametric_quartic"))
@@ -287,7 +277,7 @@ def suite_sensitivity(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
     }
 
 
-def suite_continuity(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
+def suite_continuity(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Continuity of the flow in the family parameter."""
     opts = cfg.suite_options("continuity")
     fam = get_family(opts.get("family", "parametric_quartic"))
@@ -314,7 +304,7 @@ def suite_continuity(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
     }
 
 
-def suite_two_particle(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
+def suite_two_particle(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Composite-grid propagation: drift, primed norms, and factorization."""
     opts = cfg.suite_options("two_particle")
     fam = get_family(opts.get("family", "confined_quartic"))
@@ -362,7 +352,7 @@ def suite_two_particle(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
     }
 
 
-def suite_validate(cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
+def suite_validate(cfg: ExperimentConfig, out_dir: str) -> dict:
     """Growth-assumption certificates for every builtin family."""
     opts = cfg.suite_options("validate")
     grid = make_grid(1, opts.get("L", 10.0), opts.get("N", 256))
@@ -402,7 +392,7 @@ _SUITE_FUNCTIONS = {
 }
 
 
-def run_suite(name: str, cfg: ExperimentConfig, out_dir: str, seed: int) -> dict:
+def run_suite(name: str, cfg: ExperimentConfig, out_dir: str) -> dict:
     """Dispatch one suite by name; see SUITE_NAMES for the catalog."""
     try:
         fn = _SUITE_FUNCTIONS[name]
@@ -411,4 +401,4 @@ def run_suite(name: str, cfg: ExperimentConfig, out_dir: str, seed: int) -> dict
             f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
         ) from None
     os.makedirs(out_dir, exist_ok=True)
-    return fn(cfg, out_dir, seed)
+    return fn(cfg, out_dir)

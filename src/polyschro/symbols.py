@@ -9,20 +9,23 @@ which on the periodic grid reduces *exactly* to a Fourier multiplier for
 s = b(xi) and to pointwise multiplication for s = a(x).  The adjoint is the
 conjugate-transpose action, applied through the reversed factorization
 (x-weighted forward transform, then inverse FFT), never by materializing
-the operator matrix in the position basis.
+the operator matrix in the position basis.  Only the parametrix and
+commutator checks form dense matrices, column by column, to take exact
+operator 2-norms; a matrix has as many entries as the symbol field, so
+the field budget bounds both.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy import fft as sfft
 
 from .errors import GridError, SolverError, SymbolDomainError
-from .grid import SpatialGrid, WaveFunction, l2_norm
+from .grid import SpatialGrid, WaveFunction
 from .potentials import PotentialFamily, divergence_a, eval_potential
 
 MAX_FIELD_ENTRIES = 2**24  # symbol storage is O(N^2d); keep it desk-sized
@@ -90,7 +93,8 @@ class SymbolField:
 
     @cached_property
     def _forward_matrix(self):
-        # d=1 fast path: combined kernel*symbol matrix, reused across probes
+        # d=1 fast path: combined kernel*symbol matrix, reused across the
+        # states it is applied to
         if self.grid.d != 1:
             return None
         return _dft_kernel(self.grid.N) * self.values
@@ -288,16 +292,19 @@ def ellipticity_constants(
 
 
 # ---------------------------------------------------------------------------
-# probes
+# exact operator norms
 
 
-def random_probes(grid: SpatialGrid, n: int, rng) -> list:
-    """Unit-norm complex white-noise states."""
-    out = []
-    for _ in range(n):
-        v = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-        out.append(v / l2_norm(v, grid))
-    return out
+def _matrix(apply, grid: SpatialGrid) -> np.ndarray:
+    """The grid.size x grid.size matrix of a linear map on raw state arrays."""
+    cols = [apply(e.reshape(grid.shape)).ravel() for e in np.eye(grid.size, dtype=complex)]
+    return np.stack(cols, axis=1)
+
+
+def _finite_norm(mat: np.ndarray, what: str) -> float:
+    if not np.isfinite(mat).all():
+        raise SolverError(f"{what} is not finite")
+    return float(np.linalg.norm(mat, 2))
 
 
 @dataclass(frozen=True)
@@ -307,14 +314,6 @@ class ParametrixResult:
     residuals: np.ndarray
     slope: float
     scan: EllipticityScan
-    n_probe: int
-
-    def rows(self):
-        return [
-            {"mu": float(m), "mu_excess": float(e), "residual": float(r),
-             "n_probe": self.n_probe}
-            for m, e, r in zip(self.mu_values, self.excess, self.residuals)
-        ]
 
 
 def parametrix_residual(
@@ -323,18 +322,16 @@ def parametrix_residual(
     t: float = 0.0,
     rho: float = 0.0,
     mu_values=None,
-    n_probe: int = 16,
-    rng=None,
 ) -> ParametrixResult:
-    """Residual norm of (mu + H) Op(1/(mu + h_s)) - I over a range of mu.
+    """Operator 2-norm of (mu + H) Op(1/(mu + h_s)) - I over a range of mu.
 
-    The residual is the largest image norm over n_probe random unit
-    probes; its decay against (mu - c1) is fitted on a log-log scale.
-    First-order symbol calculus predicts a -1/2 slope.
+    Each residual is the exact 2-norm of the dense grid.size x grid.size
+    residual matrix; its decay against (mu - c1) is fitted on a log-log
+    scale.  First-order symbol calculus predicts a -1/2 slope.  A
+    non-finite residual matrix raises SolverError naming its mu.
     """
     from .operators import HamiltonianHandle
 
-    rng = np.random.default_rng(rng)
     scan = ellipticity_constants(fam, grid, (t,), rho)
     if mu_values is None:
         # one decade, starting where the maximizing phase-space shell
@@ -345,19 +342,14 @@ def parametrix_residual(
     mu_values = np.asarray(mu_values, dtype=float)
 
     handle = HamiltonianHandle(fam, grid, rho=rho)
-    probes = random_probes(grid, n_probe, rng)
+    h_mat = _matrix(partial(handle.apply, t), grid)
+    eye = np.eye(grid.size)
     residuals = np.empty(mu_values.shape)
     for i, mu in enumerate(mu_values):
         p_field = eval_symbol("p_mu", fam, grid, t=t, rho=rho, mu=mu)
-
-        def resid(v):
-            w = quantize_symbol(p_field, v)
-            return mu * w + handle.apply(t, w) - v
-
-        norms = [l2_norm(resid(v), grid) for v in probes]
-        if np.isnan(norms).any():
-            raise SolverError(f"parametrix residual is NaN at mu={mu:g}")
-        residuals[i] = max([0.0, *norms])
+        p_mat = _matrix(partial(quantize_symbol, p_field), grid)
+        residuals[i] = _finite_norm(mu * p_mat + h_mat @ p_mat - eye,
+                                    f"parametrix residual at mu={mu:g}")
 
     excess = mu_values - scan.c1
     good = residuals > 1e-12
@@ -372,7 +364,6 @@ def parametrix_residual(
         residuals=residuals,
         slope=slope,
         scan=scan,
-        n_probe=n_probe,
     )
 
 
@@ -380,7 +371,6 @@ def parametrix_residual(
 class CommutatorProbeResult:
     eps_values: np.ndarray
     bounds: np.ndarray
-    n_probe: int
 
     @property
     def max_min_ratio(self) -> float:
@@ -393,24 +383,6 @@ class CommutatorProbeResult:
         """Growth by more than 10x across the eps range."""
         return bool(self.max_min_ratio > 10.0)
 
-    def rows(self):
-        return [
-            {"eps": float(e), "bound": float(b), "n_probe": self.n_probe}
-            for e, b in zip(self.eps_values, self.bounds)
-        ]
-
-
-def commutator_bound(x_field: SymbolField, handle, t: float, probes) -> float:
-    """max over probes of ||[Op(x_field), H] v|| with unit-norm v."""
-    grid = x_field.grid
-    best = 0.0
-    for v in probes:
-        xv = quantize_symbol(x_field, v)
-        hv = handle.apply(t, v)
-        comm = quantize_symbol(x_field, hv) - handle.apply(t, xv)
-        best = max(best, l2_norm(comm, grid))
-    return best
-
 
 def commutator_probe(
     fam: PotentialFamily,
@@ -419,34 +391,33 @@ def commutator_probe(
     rho: float = 0.0,
     mu: float = 0.0,
     eps_values=None,
-    n_probe: int = 16,
-    rng=None,
-    profile: str = "gaussian",
 ) -> CommutatorProbeResult:
-    """Probe the commutator of the quantized cutoff with mu + H over eps.
+    """Operator 2-norm of [Op(chi_eps), mu + H] over eps.
 
-    The shift mu cancels in the commutator, but it still enters the cutoff
-    argument.  A bound curve that grows as eps decreases contradicts the
-    uniform bound the cutoff calculus guarantees, so the result carries a
-    divergence flag on a 10x spread.
+    Each bound is the exact 2-norm of the dense commutator matrix of the
+    quantized gaussian cutoff with H.  The shift mu cancels in the
+    commutator, but it still enters the cutoff argument.  A bound curve
+    that grows as eps decreases contradicts the uniform bound the cutoff
+    calculus guarantees, so the result carries a divergence flag on a 10x
+    spread.  A non-finite commutator matrix raises SolverError naming its
+    eps.
     """
     from .operators import HamiltonianHandle
 
-    rng = np.random.default_rng(rng)
     if eps_values is None:
         eps_values = 1.0 / 2 ** np.arange(7)  # 1 .. 1/64
     eps_values = np.asarray(eps_values, dtype=float)
 
     handle = HamiltonianHandle(fam, grid, rho=rho)
-    probes = random_probes(grid, n_probe, rng)
+    h_mat = _matrix(partial(handle.apply, t), grid)
     bounds = np.empty(eps_values.shape)
     for i, eps in enumerate(eps_values):
-        spec = CutoffSpec(eps=float(eps), mu=mu, profile=profile)
+        spec = CutoffSpec(eps=float(eps), mu=mu)
         x_field = eval_symbol("chi_eps", fam, grid, t=t, rho=rho, cutoff=spec)
-        bounds[i] = commutator_bound(x_field, handle, t, probes)
-    return CommutatorProbeResult(
-        eps_values=eps_values, bounds=bounds, n_probe=n_probe
-    )
+        x_mat = _matrix(partial(quantize_symbol, x_field), grid)
+        bounds[i] = _finite_norm(x_mat @ h_mat - h_mat @ x_mat,
+                                 f"commutator at eps={eps:g}")
+    return CommutatorProbeResult(eps_values=eps_values, bounds=bounds)
 
 
 __all__ = [
@@ -463,6 +434,4 @@ __all__ = [
     "parametrix_residual",
     "CommutatorProbeResult",
     "commutator_probe",
-    "commutator_bound",
-    "random_probes",
 ]

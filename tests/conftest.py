@@ -41,6 +41,37 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
+def dense_quantization_matrix(grid, symbol_values):
+    """The Kohn-Nirenberg operator as an explicit matrix.
+
+    (Sf)(x_j) = N^{-d} sum_k e^{i x_j . xi_k} s(x_j, xi_k) sum_l e^{-i xi_k . x_l} f(x_l)
+    """
+    if grid.d == 1:
+        x, xi = grid.axis, grid.dual_axis
+        phase_out = np.exp(1j * np.outer(x, xi))
+        phase_in = np.exp(-1j * np.outer(xi, x))
+        return (phase_out * symbol_values) @ phase_in / grid.N
+    x, xi = grid.axis, grid.dual_axis
+    e_out = np.exp(1j * np.outer(x, xi))
+    s = symbol_values.reshape(grid.N, grid.N, grid.N, grid.N)
+    mat = np.einsum("ak,bl,abkl,ck,dl->abcd", e_out, e_out, s,
+                    np.conj(e_out), np.conj(e_out), optimize=True)
+    return mat.reshape(grid.size, grid.size) / grid.N**2
+
+
+def dense_confined_quartic_hamiltonian(grid, t):
+    """H of `confined_quartic` at time t on a 1-D grid, as a dense matrix
+    assembled from its closed-form fields and DFT momentum matrices."""
+    x, xi = grid.axis, grid.dual_axis
+    v_field = (2.0 + np.sin(t)) * (1.0 + x**2) ** 2
+    a_field = np.cos(t) * np.sqrt(1.0 + x**2)
+    ones = np.ones_like(x)
+    momentum = dense_quantization_matrix(grid, np.outer(ones, xi))
+    kinetic = dense_quantization_matrix(grid, np.outer(ones, xi**2 / 2.0))
+    return (kinetic + np.diag(v_field + a_field**2 / 2.0)
+            - (np.diag(a_field) @ momentum + momentum @ np.diag(a_field)) / 2.0)
+
+
 def band_limited_state(grid, rng, keep=0.25):
     """Random smooth state: random spectrum with the outer modes zeroed."""
     spectrum = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)

@@ -137,8 +137,7 @@ def test_criterion_04_parametrix_residual_slope():
     grid = make_grid(1, 10.0, 128)
     started = time.perf_counter()
     result = parametrix_residual(get_family("confined_quartic"), grid,
-                                 t=0.0, rho=0.0, n_probe=16,
-                                 rng=default_rng(SEED))
+                                 t=0.0, rho=0.0)
     wall = time.perf_counter() - started
     ok = abs(result.slope - (-0.5)) <= 0.15 and wall <= 120.0
     line = _verdict(4, ok, f"residual decay slope {result.slope:.4f} in "
@@ -149,15 +148,14 @@ def test_criterion_04_parametrix_residual_slope():
 def test_criterion_05_commutator_uniform_in_eps():
     grid = make_grid(1, 10.0, 128)
     result = commutator_probe(get_family("confined_quartic"), grid,
-                              t=1.5 * np.pi, mu=0.5, n_probe=16,
-                              rng=default_rng(SEED))
+                              t=1.5 * np.pi, mu=0.5)
     ladder_ok = (len(result.eps_values) == 7
                  and result.eps_values[0] == 1.0
                  and result.eps_values[-1] == 1.0 / 64.0)
     ratio = result.max_min_ratio
     ok = ladder_ok and ratio <= 10.0 and not result.diverged
     line = _verdict(5, ok, f"commutator bound spread {ratio:.3f} <= 10 over "
-                           "eps in {1 .. 1/64}, 16 probes")
+                           "eps in {1 .. 1/64}, exact operator 2-norms")
     assert ok, line
 
 
@@ -243,11 +241,8 @@ def test_criterion_10_quantization_and_operator_dense_oracles():
     rng = default_rng(SEED)
 
     # dense Kohn-Nirenberg matrix straight from the defining double sum
-    x, xi = grid.axis, grid.dual_axis
-    phase_out = np.exp(1j * np.outer(x, xi))
-    phase_in = np.exp(-1j * np.outer(xi, x))
     sym = eval_symbol("h_s", fam, grid, t=t)
-    dense_op = (phase_out * sym.values) @ phase_in / grid.N
+    dense_op = conftest.dense_quantization_matrix(grid, sym.values)
 
     q_err = 0.0
     for _ in range(20):
@@ -257,12 +252,7 @@ def test_criterion_10_quantization_and_operator_dense_oracles():
                     / np.linalg.norm(v))
 
     # dense Hamiltonian assembled from closed-form fields and DFT matrices
-    v_field = (2.0 + np.sin(t)) * (1.0 + x**2) ** 2
-    a_field = np.cos(t) * np.sqrt(1.0 + x**2)
-    momentum = (phase_out * xi) @ phase_in / grid.N
-    kinetic = (phase_out * (xi**2 / 2.0)) @ phase_in / grid.N
-    dense_h = (kinetic + np.diag(v_field + a_field**2 / 2.0)
-               - (np.diag(a_field) @ momentum + momentum @ np.diag(a_field)) / 2.0)
+    dense_h = conftest.dense_confined_quartic_hamiltonian(grid, t)
 
     handle = HamiltonianHandle(fam, grid)
     h_err = 0.0

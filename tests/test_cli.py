@@ -58,7 +58,7 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
         "options": {
             "eps_sweep": {"N": 64, "t_final": 0.05, "dt": 2.5e-3,
                           "eps_values": [1.0, 0.5]},
-            "parametrix": {"N": 64, "n_probe": 2},
+            "parametrix": {"N": 64},
         },
     }
     cfg = load_config(_write_yaml(tmp_path, doc))
@@ -69,6 +69,20 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
     report = _read_report(out1)
     for name in report["files"]:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_outputs_do_not_depend_on_the_seed(tmp_path):
+    cfg = load_config(_write_yaml(tmp_path, {"suites": ["parametrix", "commutator"]}))
+    out1, out52 = tmp_path / "seed1", tmp_path / "seed52"
+    run_experiment(cfg, out_dir=str(out1), seed=1, workers=1)
+    run_experiment(cfg, out_dir=str(out52), seed=52, workers=1)
+    assert (out1 / "report.json").read_bytes() == (out52 / "report.json").read_bytes()
+    for name in ("parametrix_residuals.csv", "commutator_bounds.csv"):
+        assert (out1 / name).read_bytes() == (out52 / name).read_bytes()
+    rows = (out52 / "parametrix_residuals.csv").read_text().splitlines()
+    assert rows[0] == "mu,excess,residual"
+    assert len(rows) == 1 + 8
+    assert _read_report(out52)["suites"]["parametrix"]["passed"] is True
 
 
 def test_unknown_family_exits_2_and_names_field(tmp_path):

@@ -113,8 +113,8 @@ def test_initial_state_keys_validated():
 
 
 def test_suite_options_sections_validated():
-    cfg = from_mapping({"options": {"parametrix": {"n_probe": 4}}})
-    assert cfg.suite_options("parametrix") == {"n_probe": 4}
+    cfg = from_mapping({"options": {"parametrix": {"N": 64}}})
+    assert cfg.suite_options("parametrix") == {"N": 64}
     assert cfg.suite_options("commutator") == {}
     with pytest.raises(ConfigError, match="options"):
         from_mapping({"options": {"spectra": {}}})

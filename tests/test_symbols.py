@@ -1,7 +1,9 @@
-"""Phase-space symbols, quantization, and the probe experiments.
+"""Phase-space symbols, quantization, and the parametrix and commutator
+norms.
 
-The dense quantization oracle below is built directly from the defining
-exponential sums, independent of the FFT-based fast path it checks.
+The dense quantization oracle (conftest.py) is built directly from the
+defining exponential sums, independent of the FFT-based fast path it
+checks.
 """
 
 import numpy as np
@@ -29,25 +31,11 @@ from polyschro.errors import SolverError, SymbolDomainError
 from polyschro.operators import HamiltonianHandle
 from polyschro.symbols import SymbolField
 
-from conftest import band_limited_state
-
-
-def dense_quantization_matrix(grid, symbol_values):
-    """The Kohn-Nirenberg operator as an explicit matrix.
-
-    (Sf)(x_j) = N^{-d} sum_k e^{i x_j . xi_k} s(x_j, xi_k) sum_l e^{-i xi_k . x_l} f(x_l)
-    """
-    if grid.d == 1:
-        x, xi = grid.axis, grid.dual_axis
-        phase_out = np.exp(1j * np.outer(x, xi))
-        phase_in = np.exp(-1j * np.outer(xi, x))
-        return (phase_out * symbol_values) @ phase_in / grid.N
-    x, xi = grid.axis, grid.dual_axis
-    e_out = np.exp(1j * np.outer(x, xi))
-    s = symbol_values.reshape(grid.N, grid.N, grid.N, grid.N)
-    mat = np.einsum("ak,bl,abkl,ck,dl->abcd", e_out, e_out, s,
-                    np.conj(e_out), np.conj(e_out), optimize=True)
-    return mat.reshape(grid.size, grid.size) / grid.N**2
+from conftest import (
+    band_limited_state,
+    dense_confined_quartic_hamiltonian,
+    dense_quantization_matrix,
+)
 
 
 @pytest.fixture(scope="module")
@@ -199,54 +187,90 @@ def test_ellipticity_sandwich_all_builtins():
             assert np.all(h >= scan.c0 * theta - scan.c1 - 1e-9), name
 
 
-def test_parametrix_residual_constant_potential_exact(flat_family, rng):
+def test_parametrix_residual_constant_potential_exact(flat_family):
     g = make_grid(1, 8.0, 64)
     with pytest.warns(UserWarning, match="noise floor"):
-        res = parametrix_residual(flat_family, g, mu_values=(2.0, 4.0, 8.0), n_probe=4, rng=rng)
+        res = parametrix_residual(flat_family, g, mu_values=(2.0, 4.0, 8.0))
     assert np.max(res.residuals) <= 1e-10
 
 
-def test_parametrix_residual_decay_confined_quartic(rng):
+def test_parametrix_residual_decay_confined_quartic():
     g = make_grid(1, 10.0, 128)
-    res = parametrix_residual(get_family("confined_quartic"), g, t=0.0, n_probe=8, rng=rng)
+    res = parametrix_residual(get_family("confined_quartic"), g, t=0.0)
     assert np.all(np.diff(res.residuals) < 0.0)
     assert res.residuals[-1] < res.residuals[0]
     assert res.slope == pytest.approx(-0.5, abs=0.15)
 
 
-def test_parametrix_residual_nan_probe_raises(flat_family, rng, monkeypatch):
+def _nan_on_second_call(monkeypatch):
     calls = []
     quantize = symbols.quantize_symbol
 
-    def nan_on_second_probe(field, v):
+    def nan_on_second_call(field, v):
         calls.append(1)
         return quantize(field, v) * (np.nan if len(calls) == 2 else 1.0)
 
-    monkeypatch.setattr(symbols, "quantize_symbol", nan_on_second_probe)
+    monkeypatch.setattr(symbols, "quantize_symbol", nan_on_second_call)
+
+
+def test_parametrix_residual_nan_probe_raises(flat_family, monkeypatch):
+    _nan_on_second_call(monkeypatch)
     g = make_grid(1, 8.0, 64)
     with pytest.raises(SolverError, match="mu=2"):
-        parametrix_residual(flat_family, g, mu_values=(2.0, 4.0), n_probe=4, rng=rng)
+        parametrix_residual(flat_family, g, mu_values=(2.0, 4.0))
 
 
-def test_parametrix_rows_expose_curve(rng):
-    g = make_grid(1, 10.0, 128)
-    res = parametrix_residual(get_family("confined_quartic"), g, t=0.0, n_probe=4, rng=rng)
-    rows = res.rows()
-    assert len(rows) == len(res.mu_values)
-    assert all(row["n_probe"] == 4 for row in rows)
-
-
-def test_commutator_constant_potential_commutes(flat_family, rng):
+def test_commutator_probe_nan_raises(flat_family, monkeypatch):
+    _nan_on_second_call(monkeypatch)
     g = make_grid(1, 8.0, 64)
-    probe = commutator_probe(flat_family, g, mu=2.0, eps_values=(1.0, 0.5, 0.25), n_probe=4, rng=rng)
+    with pytest.raises(SolverError, match="eps=0.5"):
+        commutator_probe(flat_family, g, mu=2.0, eps_values=(0.5, 0.25))
+
+
+def test_exact_norms_match_dense_oracle():
+    """Both norms equal the 2-norms of matrices built from the defining
+    double sum and the closed-form Hamiltonian."""
+    g = make_grid(1, 10.0, 64)
+    fam = get_family("confined_quartic")
+    t, mu_values = 0.7, (5.0, 20.0, 80.0)
+    dense_h = dense_confined_quartic_hamiltonian(g, t)
+    eye = np.eye(g.N)
+
+    res = parametrix_residual(fam, g, t=t, mu_values=mu_values)
+    want = []
+    for mu in mu_values:
+        p = dense_quantization_matrix(g, eval_symbol("p_mu", fam, g, t=t, mu=mu).values)
+        want.append(np.linalg.norm(mu * p + dense_h @ p - eye, 2))
+    np.testing.assert_allclose(res.residuals, want, rtol=1e-10)
+
+    eps_values = (1.0, 0.25)
+    probe = commutator_probe(fam, g, t=t, mu=0.5, eps_values=eps_values)
+    want = []
+    for eps in eps_values:
+        chi = eval_symbol("chi_eps", fam, g, t=t, cutoff=CutoffSpec(eps=eps, mu=0.5))
+        x = dense_quantization_matrix(g, chi.values)
+        want.append(np.linalg.norm(x @ dense_h - dense_h @ x, 2))
+    np.testing.assert_allclose(probe.bounds, want, rtol=1e-10)
+
+
+def test_commutator_constant_potential_commutes(flat_family):
+    g = make_grid(1, 8.0, 64)
+    probe = commutator_probe(flat_family, g, mu=2.0, eps_values=(1.0, 0.5, 0.25))
     assert np.max(probe.bounds) <= 1e-10
 
 
-def test_commutator_uniform_in_eps(rng):
+def test_commutator_constant_potential_commutes_2d():
+    flat_2d = PotentialFamily(name="flat_2d", v="3/2", a=("0", "0"),
+                              growth_order=0, delta=1.0, dim=2)
+    g = make_grid(2, 8.0, 16)
+    probe = commutator_probe(flat_2d, g, mu=2.0)
+    assert len(probe.bounds) == 7
+    assert np.max(probe.bounds) <= 1e-10
+
+
+def test_commutator_uniform_in_eps():
     g = make_grid(1, 10.0, 128)
-    probe = commutator_probe(
-        get_family("confined_quartic"), g, t=3 * np.pi / 2, mu=0.5, n_probe=8, rng=rng
-    )
+    probe = commutator_probe(get_family("confined_quartic"), g, t=3 * np.pi / 2, mu=0.5)
     assert probe.max_min_ratio < 10.0
     assert not probe.diverged
 
