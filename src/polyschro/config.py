@@ -14,6 +14,7 @@ import yaml
 from .errors import ConfigError, FamilyError
 from .grid import SpatialGrid
 from .potentials import InteractionFamily, PotentialFamily, get_family, get_interaction
+from .propagator import PropagatorConfig
 
 SUITE_NAMES = (
     "propagate",
@@ -107,6 +108,10 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
     grid = _resolve_grid(data.pop("grid", {}), "grid")
 
     propagator = _require_mapping(data.pop("propagator", {}), "propagator")
+    try:
+        PropagatorConfig(**propagator)
+    except (ConfigError, TypeError) as err:
+        raise ConfigError(f"propagator: {err}") from err
     initial_state = _require_mapping(data.pop("initial_state", {}), "initial_state")
     for key in initial_state:
         if key not in {"center", "width", "momentum"}:

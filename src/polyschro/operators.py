@@ -248,18 +248,19 @@ def _lambda_m_apply(mu_p, kin, weight, grid, f):
     return mu_p * f + grid.ifft(kin * grid.fft(f)) + weight * f
 
 
-def solve_hermitian_cg(apply_op, b, tol: float = 1e-12, maxiter: int = 20000, x0=None):
+def solve_hermitian_cg(apply_op, b, tol: float = 1e-12, maxiter: int = 20000):
     """Conjugate gradients for a Hermitian positive-definite operator.
 
-    Plain complex CG on raw arrays; tolerance is relative to ||b||.
+    Plain complex CG on raw arrays, started from zero; tolerance is
+    relative to ||b||.
     """
-    x = np.zeros_like(b) if x0 is None else x0.astype(complex).copy()
-    r = b - apply_op(x) if x0 is not None else b.copy()
+    x = np.zeros_like(b)
+    r = b.copy()
     p = r.copy()
     rs = np.vdot(r, r).real
     b_norm = np.linalg.norm(b.ravel())
     if b_norm == 0.0:
-        return np.zeros_like(b), 0
+        return x, 0
     threshold = (tol * b_norm) ** 2
     for k in range(maxiter):
         if rs <= threshold:

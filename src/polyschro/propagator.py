@@ -8,11 +8,12 @@ Two schemes share the record-keeping harness:
 * lanczos_expmid: Krylov approximation of exp(-i dt H(t_mid)) u, sized
   by an a-posteriori error estimate.
 
-The inner solve runs GMRES with a split preconditioner built from the
-exact inverses of the kinetic-only and potential-only Cayley factors
-(each diagonal in one basis).  A normal-equation CG fallback is kept for
-operators the preconditioner does not fit (e.g. mollified flows, which
-are bounded anyway).
+The Cayley step is one GMRES solve, seeded with the current state.  Plain
+flows precondition it with the split preconditioner built from the exact
+inverses of the kinetic-only and potential-only Cayley factors (each
+diagonal in one basis); mollified flows, whose operator is bounded, run
+it unpreconditioned.  A solve that misses its tolerance raises
+SolverError; there is no fallback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigError, SolverError
 from .grid import WaveFunction, _check_same_grid, l2_norm
-from .operators import solve_hermitian_cg
+from .operators import solve_hermitian_cg  # unused here; perfbench/tracer.py wraps this name
 from .report import write_csv
 from .symbols import CutoffSpec
 
@@ -39,9 +40,10 @@ class PropagatorConfig:
     t_final must be an integer number of steps; eps switches the run to the
     mollified Hamiltonian with the given cutoff strength.  solver_tol is the
     relative residual target of the Cayley solve and the target of the
-    Lanczos error estimate; krylov_dim caps the Lanczos basis, and a step
-    that reaches the cap keeps its result and reports its estimate as the
-    step residual.
+    Lanczos error estimate; a Cayley solve that misses it raises
+    SolverError.  krylov_dim caps the Lanczos basis, and a step that
+    reaches the cap keeps its result and reports its estimate as the step
+    residual.
     """
 
     scheme: str = "crank_nicolson_midpoint"
@@ -53,12 +55,9 @@ class PropagatorConfig:
     krylov_dim: int = 24
     eps: float | None = None
     cutoff_mu: float = 0.0
-    cutoff_profile: str = "gaussian"
     boundary_tol: float = 1e-6
-    boundary_fraction: float = 0.1
     save_every: int = 1
     keep_states: bool = True
-    use_preconditioner: bool = True
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -73,6 +72,10 @@ class PropagatorConfig:
             raise ConfigError(
                 f"t_final - t0 = {span} is not an integer multiple of dt = {self.dt}"
             )
+        if not (np.isfinite(self.solver_tol) and self.solver_tol > 0):
+            raise ConfigError("solver_tol must be finite and positive")
+        if self.max_solver_iter < 1:
+            raise ConfigError("max_solver_iter must be >= 1")
         if self.save_every < 1:
             raise ConfigError("save_every must be >= 1")
         if self.krylov_dim < 1:
@@ -87,7 +90,7 @@ class PropagatorConfig:
     def cutoff(self) -> CutoffSpec | None:
         if self.eps is None:
             return None
-        return CutoffSpec(eps=self.eps, mu=self.cutoff_mu, profile=self.cutoff_profile)
+        return CutoffSpec(eps=self.eps, mu=self.cutoff_mu)
 
 
 @dataclass
@@ -103,7 +106,7 @@ class _Operator:
         self.handle = handle
         self.grid = handle.grid
         self.cutoff = cfg.cutoff()
-        self.precondition = cfg.use_preconditioner and self.cutoff is None
+        self.precondition = self.cutoff is None
 
     def apply(self, t, f):
         if self.cutoff is None:
@@ -112,8 +115,8 @@ class _Operator:
 
 
 def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
-                  cfg: PropagatorConfig, guess: np.ndarray | None) -> tuple:
-    """Solve (I + i tau Op(t_mid)) x = rhs."""
+                  cfg: PropagatorConfig, guess: np.ndarray) -> tuple:
+    """Solve (I + i tau Op(t_mid)) x = rhs by GMRES from guess."""
     grid = op.grid
     shape = grid.shape
     size = grid.size
@@ -143,7 +146,6 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
         M = None
 
     A = LinearOperator((size, size), matvec=a_matvec, dtype=complex)
-    x0 = None if guess is None else guess.ravel()
     iters = 0
 
     def count(_):
@@ -153,7 +155,7 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
     x, info = gmres(
         A,
         b,
-        x0=x0,
+        x0=guess.ravel(),
         rtol=cfg.solver_tol,
         atol=0.0,
         restart=40,
@@ -164,27 +166,13 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
     )
     true_res = np.linalg.norm(a_matvec(x) - b) / b_norm
     if not np.isfinite(true_res):
-        # a blow-up, which no fallback mends: the stepping loop reports it
+        # a blow-up: the stepping loop reports the non-finite state
         return np.full(shape, np.nan, dtype=complex), StepReport(iters, np.nan)
     if info != 0 or true_res > 50 * cfg.solver_tol:
-        # normal-equation CG fallback: A*A = I + tau^2 Op^2 is Hermitian PD
-        def n_matvec(v):
-            w = op.apply(t_mid, v)
-            return v + tau * tau * op.apply(t_mid, w)
-
-        rhs_n = rhs - 1j * tau * op.apply(t_mid, rhs)
-        x_arr, cg_iters = solve_hermitian_cg(
-            n_matvec, rhs_n, tol=cfg.solver_tol, maxiter=10 * cfg.max_solver_iter,
-            x0=None if guess is None else guess,
+        raise SolverError(
+            f"Cayley solve stalled at relative residual {true_res:.3e} "
+            f"(target {cfg.solver_tol:g}) at t_mid={t_mid}"
         )
-        x = x_arr.ravel()
-        iters += cg_iters
-        true_res = np.linalg.norm(a_matvec(x) - b) / b_norm
-        if true_res > 100 * cfg.solver_tol:
-            raise SolverError(
-                f"Cayley solve stalled at relative residual {true_res:.3e} "
-                f"(target {cfg.solver_tol:g}) at t_mid={t_mid}"
-            )
     return x.reshape(shape), StepReport(iterations=iters, residual=float(true_res))
 
 
@@ -228,28 +216,25 @@ def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorCon
     return out.reshape(shape), StepReport(iterations=k, residual=float(estimate))
 
 
-def step(cfg: PropagatorConfig, handle, t: float, u: WaveFunction,
-         guess: np.ndarray | None = None) -> WaveFunction:
-    """Advance one step from time t; the operator is frozen at t + dt/2."""
+def step(cfg: PropagatorConfig, handle, t: float, u: WaveFunction) -> WaveFunction:
+    """Advance one step from time t, as propagate does; the operator is frozen at t + dt/2."""
     op = _Operator(handle, cfg)
-    new_vals, _ = _advance(op, cfg, t, u.values, guess=guess)
+    new_vals, _ = _advance(op, cfg, t, u.values.astype(complex))
     return u.with_values(new_vals)
 
 
 def _advance(op: _Operator, cfg: PropagatorConfig, t: float, u: np.ndarray,
-             source_mid: np.ndarray | None = None, guess=None):
+             source_mid: np.ndarray | None = None):
     t_mid = t + 0.5 * cfg.dt
     tau = 0.5 * cfg.dt
     if cfg.scheme == "lanczos_expmid":
-        if source_mid is not None:
-            raise ConfigError("inhomogeneous runs need the crank_nicolson_midpoint scheme")
         return _lanczos_expm(op, t_mid, u, cfg)
     if source_mid is None:
         # u_next = 2 (I + i tau H)^{-1} u - u
-        v, rep = _cayley_solve(op, t_mid, tau, u, cfg, guess)
+        v, rep = _cayley_solve(op, t_mid, tau, u, cfg, u)
         return 2.0 * v - u, rep
     rhs = u - 1j * tau * op.apply(t_mid, u) - 1j * cfg.dt * source_mid
-    return _cayley_solve(op, t_mid, tau, rhs, cfg, guess if guess is not None else u)
+    return _cayley_solve(op, t_mid, tau, rhs, cfg, u)
 
 
 @dataclass
@@ -357,7 +342,7 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source):
     )
     op = _Operator(handle, cfg)
     run = PropagationRun(grid=handle.grid, cfg=cfg, norm_orders=norm_orders)
-    rec = _Recorder(run, handle, handle.grid.boundary_mask(cfg.boundary_fraction))
+    rec = _Recorder(run, handle, handle.grid.boundary_mask())
 
     u = u0.values.astype(complex)
     t = cfg.t0
@@ -368,10 +353,9 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source):
         if source is not None:
             sv = source(t + 0.5 * cfg.dt)
             src_mid = sv.values if isinstance(sv, WaveFunction) else np.asarray(sv)
-        guess = u if cfg.scheme == "crank_nicolson_midpoint" else None
         t_next = cfg.t0 + (n + 1) * cfg.dt
         try:
-            u, rep = _advance(op, cfg, t, u, source_mid=src_mid, guess=guess)
+            u, rep = _advance(op, cfg, t, u, source_mid=src_mid)
         except SolverError as exc:
             raise SolverError(f"{exc} at step {n + 1} (t={t_next:.6g})") from exc
         t = t_next

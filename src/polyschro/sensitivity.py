@@ -180,7 +180,6 @@ class VariationalTrajectory:
     times: np.ndarray
     values: list
     norms: np.ndarray
-    base_run: object
 
     @property
     def max_norm(self) -> float:
@@ -202,8 +201,7 @@ def solve_variational(system, u0: WaveFunction, rho: float,
     order = handle.norm_order(a)
 
     dense = replace(cfg, save_every=1, keep_states=True)
-    base = propagate(dense, handle, u0)
-    _, base_states = _recorded_states(base)
+    _, base_states = _recorded_states(propagate(dense, handle, u0))
 
     def source(t_mid):
         pos = (t_mid - cfg.t0) / cfg.dt - 0.5
@@ -215,9 +213,7 @@ def solve_variational(system, u0: WaveFunction, rho: float,
     w_run = propagate_inhomogeneous(_trajectory_cfg(cfg), handle, zero, source)
     times, values = _recorded_states(w_run)
     norms = np.array([order.norm(WaveFunction(grid, v)) for v in values])
-    return VariationalTrajectory(
-        rho=rho, a=a, times=times, values=values, norms=norms, base_run=base,
-    )
+    return VariationalTrajectory(rho=rho, a=a, times=times, values=values, norms=norms)
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,16 @@ def test_unknown_family_exits_2_and_names_field(tmp_path):
     assert "family" in err_text
 
 
+def test_unknown_propagator_key_exits_2(tmp_path):
+    cfg = _write_yaml(tmp_path, {"propagator": {"dtt": 1.0e-3}, "suites": ["propagate"]})
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["all", "--config", cfg, "--output-dir", str(out)])
+    assert result.exit_code == 2
+    err_text = result.stderr if result.stderr else result.output
+    assert "propagator: " in err_text and "dtt" in err_text
+    assert not (out / "report.json").exists()
+
+
 def test_failing_suite_exits_1(tmp_path):
     # reversed offsets make the continuity curve non-decreasing on purpose
     doc = {

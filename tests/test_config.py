@@ -45,6 +45,17 @@ def test_bad_grid_values_reported_under_grid():
         from_mapping({"grid": {"N": 7}})
 
 
+@pytest.mark.parametrize("block", [
+    {"dtt": 1.0e-3},                  # misspelled field
+    {"use_preconditioner": False},    # a field that no longer exists
+    {"solver_tol": 0},
+    {"dt": 1.0e-3, "t_final": 1.0005},
+])
+def test_bad_propagator_block_rejected_at_load(block):
+    with pytest.raises(ConfigError, match="^propagator: "):
+        from_mapping({"propagator": block})
+
+
 def test_inline_family_block():
     cfg = from_mapping({
         "family": {

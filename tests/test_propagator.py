@@ -55,6 +55,11 @@ def test_config_validation():
         PropagatorConfig(scheme="strang_split")
     with pytest.raises(ConfigError, match="krylov_dim"):
         PropagatorConfig(krylov_dim=0)
+    for tol in (0.0, -1e-11, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="solver_tol"):
+            PropagatorConfig(solver_tol=tol)
+    with pytest.raises(ConfigError, match="max_solver_iter"):
+        PropagatorConfig(max_solver_iter=0)
 
 
 def test_single_step_is_scalar_cayley(harmonic_256):
@@ -66,6 +71,15 @@ def test_single_step_is_scalar_cayley(harmonic_256):
     factor = (1 - 0.5j * dt * energy) / (1 + 0.5j * dt * energy)
     assert abs(abs(factor) - 1.0) < 1e-15
     assert np.max(np.abs(out.values - factor * u.values)) <= 1e-8
+
+
+def test_single_step_equals_one_step_of_propagate(quartic_256):
+    """step seeds the Cayley solve with the current state, as propagate does."""
+    g, handle = quartic_256
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    cfg = PropagatorConfig(dt=1e-3, t_final=1e-3)
+    assert np.array_equal(step(cfg, handle, 0.0, u0).values,
+                          propagate(cfg, handle, u0).final.values)
 
 
 def test_harmonic_ground_state_phase(harmonic_256):
@@ -351,39 +365,14 @@ def test_solver_columns_cover_the_save_interval(quartic_256):
     assert 0.0 < coarse.data["solver_residual"].max() <= cfg.solver_tol
 
 
-def test_cg_fallback_meets_solver_tolerance(monkeypatch):
-    """One unpreconditioned GMRES iteration falls short; normal-equation CG finishes."""
-    calls = []
-    cg = propagator.solve_hermitian_cg
-
-    def counting_cg(*args, **kwargs):
-        calls.append(1)
-        return cg(*args, **kwargs)
-
-    monkeypatch.setattr(propagator, "solve_hermitian_cg", counting_cg)
-    g = make_grid(1, 10.0, 64)
-    handle = HamiltonianHandle(get_family("harmonic"), g)
-    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
-    cfg = PropagatorConfig(dt=1e-3, t_final=1e-3, use_preconditioner=False,
-                           max_solver_iter=1)
-    run = propagate(cfg, handle, u0)
-    assert calls
-    # the Cayley solution v of (I + i tau H) v = u0, recovered from u1 = 2v - u0
-    tau = 0.5 * cfg.dt
-    v = 0.5 * (run.final.values + u0.values)
-    residual = np.linalg.norm(v + 1j * tau * handle.apply(tau, v) - u0.values)
-    assert residual <= cfg.solver_tol * np.linalg.norm(u0.values)
-    assert run.data["solver_residual"][-1] <= cfg.solver_tol
-
-
 def test_solver_failure_names_step_and_time():
-    """A solve that fails inside a step says which step and time it was."""
+    """A Cayley solve that misses its tolerance says which step and time it was."""
     g = make_grid(1, 10.0, 128)
     handle = HamiltonianHandle(get_family("confined_quartic"), g)
-    cfg = PropagatorConfig(dt=1e-3, t_final=5e-3, use_preconditioner=False,
-                           max_solver_iter=1)
+    cfg = PropagatorConfig(dt=1e-3, t_final=5e-3, max_solver_iter=1, solver_tol=1e-16)
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
-    with pytest.raises(SolverError, match=r"CG did not reach .* at step 1 \(t=0\.001\)"):
+    with pytest.raises(SolverError,
+                       match=r"Cayley solve stalled .* at step 1 \(t=0\.001\)"):
         propagate(cfg, handle, u0)
 
 
