@@ -16,16 +16,21 @@ from .grid import SpatialGrid
 from .potentials import InteractionFamily, PotentialFamily, get_family, get_interaction
 from .propagator import PropagatorConfig
 
-SUITE_NAMES = (
-    "propagate",
-    "eps_sweep",
-    "parametrix",
-    "commutator",
-    "sensitivity",
-    "continuity",
-    "two_particle",
-    "validate",
-)
+# the keys each suite reads from its options section (see suites.py)
+SUITE_OPTIONS = {
+    "propagate": {"propagator", "initial_state", "norm_orders"},
+    "eps_sweep": {"family", "L", "N", "width", "dt", "t_final", "eps_values", "cutoff_mu"},
+    "parametrix": {"family", "L", "N", "t", "rho"},
+    "commutator": {"family", "L", "N", "t", "mu"},
+    "sensitivity": {"family", "L", "N", "center", "width", "dt", "t_final", "rho",
+                    "taus", "rho_values"},
+    "continuity": {"family", "L", "N", "center", "width", "dt", "t_final", "rho",
+                   "deltas"},
+    "two_particle": {"family", "L", "N", "rho", "dt", "t_final", "factorization_dt",
+                     "krylov_dim"},
+    "validate": {"L", "N"},
+}
+SUITE_NAMES = tuple(SUITE_OPTIONS)
 
 _FAMILY_KEYS = {"name", "v", "a", "growth_order", "delta", "mass", "rho_interval", "dim"}
 _INTERACTION_KEYS = {"name", "w", "growth_order", "delta", "rho_interval"}
@@ -97,6 +102,24 @@ def _resolve_grid(value, path: str) -> SpatialGrid:
         raise ConfigError(f"{path}: {err}") from err
 
 
+def _check_propagator(value, path: str) -> dict:
+    """A mapping of PropagatorConfig fields that PropagatorConfig accepts."""
+    data = _require_mapping(value, path)
+    try:
+        PropagatorConfig(**data)
+    except (ConfigError, TypeError) as err:
+        raise ConfigError(f"{path}: {err}") from err
+    return data
+
+
+def _check_initial_state(value, path: str) -> dict:
+    data = _require_mapping(value, path)
+    for key in data:
+        if key not in {"center", "width", "momentum"}:
+            raise ConfigError(f"{path}: unknown key {key!r}")
+    return data
+
+
 def from_mapping(data: dict | None) -> ExperimentConfig:
     """Build a validated config from a parsed mapping (None = all defaults)."""
     data = dict(data or {})
@@ -107,15 +130,8 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
                                      InteractionFamily, get_interaction, _INTERACTION_KEYS)
     grid = _resolve_grid(data.pop("grid", {}), "grid")
 
-    propagator = _require_mapping(data.pop("propagator", {}), "propagator")
-    try:
-        PropagatorConfig(**propagator)
-    except (ConfigError, TypeError) as err:
-        raise ConfigError(f"propagator: {err}") from err
-    initial_state = _require_mapping(data.pop("initial_state", {}), "initial_state")
-    for key in initial_state:
-        if key not in {"center", "width", "momentum"}:
-            raise ConfigError(f"initial_state: unknown key {key!r}")
+    propagator = _check_propagator(data.pop("propagator", {}), "propagator")
+    initial_state = _check_initial_state(data.pop("initial_state", {}), "initial_state")
 
     rho = data.pop("rho", 0.0)
     try:
@@ -142,10 +158,21 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
         raise ConfigError(f"seed: expected an integer, got {seed!r}")
 
     options = _require_mapping(data.pop("options", {}), "options")
-    for name in options:
+    for name, section in options.items():
         if name not in SUITE_NAMES:
             raise ConfigError(f"options: unknown suite section {name!r}")
-        _require_mapping(options[name], f"options.{name}")
+        path = f"options.{name}"
+        unknown = set(_require_mapping(section, path)) - SUITE_OPTIONS[name]
+        if unknown:
+            raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    # the propagate suite merges these over the top-level blocks
+    propagate_opts = options.get("propagate", {})
+    if "propagator" in propagate_opts:
+        path = "options.propagate.propagator"
+        override = _require_mapping(propagate_opts["propagator"], path)
+        _check_propagator({**propagator, **override}, path)
+    if "initial_state" in propagate_opts:
+        _check_initial_state(propagate_opts["initial_state"], "options.propagate.initial_state")
 
     if data:
         raise ConfigError(f"unknown top-level keys {sorted(data)}")

@@ -23,12 +23,12 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.linalg import cho_factor, cho_solve, circulant
+from scipy.linalg import cho_factor, cho_solve, circulant, inv
 
 from .errors import SolverError
 from .grid import SpatialGrid, WaveFunction, derivative_norm_sum, l2_norm
 from .potentials import PotentialFamily, eval_potential, partial_rho
-from .symbols import CutoffSpec, adjoint_quantize_symbol, eval_symbol, quantize_symbol
+from .symbols import CutoffSpec, adjoint_quantize_symbol, dense_matrix, eval_symbol, quantize_symbol
 
 _CACHE_SLOTS = 4
 # an N=512 factor holds 2 MB, and no 1-D grid in use is larger
@@ -108,7 +108,9 @@ class HamiltonianHandle:
     """Bound (family, grid, rho) triple exposing matrix-free applications.
 
     The fields of each time are sampled once and memoized, since iterative
-    solvers apply the operator many times at a frozen midpoint time.
+    solvers apply the operator many times at a frozen midpoint time.  A
+    family without t has one set of fields and cutoff symbols for all
+    times: every t maps to one memo key.
     """
 
     def __init__(self, fam: PotentialFamily, grid: SpatialGrid, rho: float = 0.0):
@@ -117,9 +119,15 @@ class HamiltonianHandle:
         self.grid = grid
         self.rho = rho
         self.mass = fam.mass
+        self.time_dependent = fam.is_time_dependent
         self._fields = Memo(self._hamiltonian_fields)
         self._rho_fields = Memo(self._derivative_fields)
         self._chi = Memo(self._cutoff_symbol)
+        self._cayley_key, self._cayley = None, None
+
+    def _key(self, t: float) -> float:
+        """The memo key of time t."""
+        return t if self.time_dependent else 0.0
 
     @cached_property
     def kinetic_multiplier(self) -> np.ndarray:
@@ -150,15 +158,15 @@ class HamiltonianHandle:
 
     def potential_multiplier(self, t: float) -> np.ndarray:
         """V + |A|^2/2m: the x-diagonal part of the expanded form (read-only)."""
-        return self._fields[t][0]
+        return self._fields[self._key(t)][0]
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
         """H(t) f for a raw complex array."""
-        return apply_expanded(f, *self._fields[t])
+        return apply_expanded(f, *self._fields[self._key(t)])
 
     def apply_rho_derivative(self, t: float, f: np.ndarray) -> np.ndarray:
         """(dH/drho)(t) f: the operator driving the variational equation."""
-        return apply_expanded(f, *self._rho_fields[t], kinetic=False)
+        return apply_expanded(f, *self._rho_fields[self._key(t)], kinetic=False)
 
     def _cutoff_symbol(self, key):
         t, cutoff = key
@@ -166,10 +174,32 @@ class HamiltonianHandle:
 
     def apply_mollified(self, t: float, f: np.ndarray, cutoff: CutoffSpec) -> np.ndarray:
         """X* H X f with X the quantized cutoff at the same time."""
-        X = self._chi[t, cutoff]
+        X = self._chi[self._key(t), cutoff]
         xf = quantize_symbol(X, f)
         hxf = self.apply(t, xf)
         return adjoint_quantize_symbol(X, hxf)
+
+    def cayley_inverse(self, t: float, tau: float, cutoff: CutoffSpec | None = None) -> np.ndarray:
+        """The dense (I + i tau Op)^-1, Op = H or X* H X, of a family without t.
+
+        Built from Op's columns at time t and cached for one (tau, cutoff)
+        key; a new key replaces the old inverse, so a handle holds at most
+        one N x N matrix.
+        """
+        if self._cayley_key != (tau, cutoff):
+            # release the old inverse before the new one is built
+            self._cayley_key, self._cayley = None, None
+
+            def op(f):
+                return self.apply(t, f) if cutoff is None else self.apply_mollified(t, f, cutoff)
+
+            mat = dense_matrix(op, self.grid)
+            mat *= 1j * tau
+            diag = np.arange(self.grid.size)
+            mat[diag, diag] += 1.0
+            self._cayley = inv(mat, overwrite_a=True, check_finite=False)
+            self._cayley_key = (tau, cutoff)
+        return self._cayley
 
     def norm_order(self, a: int) -> "NormOrder":
         """Weighted-norm order calibrated to this family's growth."""

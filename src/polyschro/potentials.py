@@ -130,6 +130,11 @@ class PotentialFamily:
         return any("rho" in e.free_vars() for e in names)
 
     @property
+    def is_time_dependent(self) -> bool:
+        names = [self.v] + list(self.a)
+        return any("t" in e.free_vars() for e in names)
+
+    @property
     def weight_exponent(self) -> float:
         """2(M+1): the polynomial degree the confinement sandwich refers to."""
         return 2.0 * (self.growth_order + 1)

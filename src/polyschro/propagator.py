@@ -8,12 +8,16 @@ Two schemes share the record-keeping harness:
 * lanczos_expmid: Krylov approximation of exp(-i dt H(t_mid)) u, sized
   by an a-posteriori error estimate.
 
-The Cayley step is one GMRES solve, seeded with the current state.  Plain
-flows precondition it with the split preconditioner built from the exact
+On a 1-D grid of at most DIRECT_MAX_N points, a family without t has
+one Cayley matrix for the whole run, plain or mollified.  Its step is a
+matvec with the dense inverse, built once and cached on the handle.
+Every other Cayley step (time-dependent, composite or larger grids) is
+one GMRES solve, seeded with the current state.  Plain flows
+precondition it with the split preconditioner built from the exact
 inverses of the kinetic-only and potential-only Cayley factors (each
 diagonal in one basis); mollified flows, whose operator is bounded, run
-it unpreconditioned.  A solve that misses its tolerance raises
-SolverError; there is no fallback.
+it unpreconditioned.  Both solves check their true residual, and one
+that misses its tolerance raises SolverError; there is no fallback.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from .report import write_csv
 from .symbols import CutoffSpec
 
 SCHEMES = ("crank_nicolson_midpoint", "lanczos_expmid")
+# the largest 1-D grid in use; its dense Cayley inverse takes 4 MB
+DIRECT_MAX_N = 512
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,8 @@ class _Operator:
         self.grid = handle.grid
         self.cutoff = cfg.cutoff()
         self.precondition = self.cutoff is None
+        self.direct = (self.grid.d == 1 and self.grid.N <= DIRECT_MAX_N
+                       and not handle.time_dependent)
 
     def apply(self, t, f):
         if self.cutoff is None:
@@ -116,10 +124,13 @@ class _Operator:
 
 def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
                   cfg: PropagatorConfig, guess: np.ndarray) -> tuple:
-    """Solve (I + i tau Op(t_mid)) x = rhs by GMRES from guess."""
-    grid = op.grid
-    shape = grid.shape
-    size = grid.size
+    """Solve (I + i tau Op(t_mid)) x = rhs.
+
+    A direct operator multiplies by the handle's cached dense inverse and
+    reports one iteration; any other runs GMRES from guess.  Either way
+    the step's residual is the true one, ||A x - rhs|| / ||rhs||.
+    """
+    shape = op.grid.shape
 
     def a_matvec(v):
         v = v.reshape(shape)
@@ -130,6 +141,28 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
     if b_norm == 0.0:
         return np.zeros(shape, dtype=complex), StepReport()
 
+    if op.direct:
+        x = op.handle.cayley_inverse(t_mid, tau, op.cutoff) @ b
+        iters, info = 1, 0
+    else:
+        x, iters, info = _gmres(op, t_mid, tau, a_matvec, b, cfg, guess)
+    true_res = np.linalg.norm(a_matvec(x) - b) / b_norm
+    if not np.isfinite(true_res):
+        # a blow-up: the stepping loop reports the non-finite state
+        return np.full(shape, np.nan, dtype=complex), StepReport(iters, np.nan)
+    if info != 0 or true_res > 50 * cfg.solver_tol:
+        raise SolverError(
+            f"Cayley solve stalled at relative residual {true_res:.3e} "
+            f"(target {cfg.solver_tol:g}) at t_mid={t_mid}"
+        )
+    return x.reshape(shape), StepReport(iterations=iters, residual=float(true_res))
+
+
+def _gmres(op: _Operator, t_mid, tau, a_matvec, b, cfg: PropagatorConfig, guess):
+    """GMRES on the Cayley system; returns (x, iterations, info)."""
+    grid = op.grid
+    shape = grid.shape
+    size = grid.size
     if op.precondition:
         kin = op.handle.kinetic_multiplier
         pot = op.handle.potential_multiplier(t_mid)
@@ -164,16 +197,7 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
         callback=count,
         callback_type="legacy",
     )
-    true_res = np.linalg.norm(a_matvec(x) - b) / b_norm
-    if not np.isfinite(true_res):
-        # a blow-up: the stepping loop reports the non-finite state
-        return np.full(shape, np.nan, dtype=complex), StepReport(iters, np.nan)
-    if info != 0 or true_res > 50 * cfg.solver_tol:
-        raise SolverError(
-            f"Cayley solve stalled at relative residual {true_res:.3e} "
-            f"(target {cfg.solver_tol:g}) at t_mid={t_mid}"
-        )
-    return x.reshape(shape), StepReport(iterations=iters, residual=float(true_res))
+    return x, iters, info
 
 
 def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorConfig):

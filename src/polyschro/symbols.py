@@ -10,9 +10,10 @@ s = b(xi) and to pointwise multiplication for s = a(x).  The adjoint is the
 conjugate-transpose action, applied through the reversed factorization
 (x-weighted forward transform, then inverse FFT), never by materializing
 the operator matrix in the position basis.  Only the parametrix and
-commutator checks form dense matrices, column by column, to take exact
-operator 2-norms; a matrix has as many entries as the symbol field, so
-the field budget bounds both.
+commutator checks form dense matrices, column by column with
+``dense_matrix``, to take exact operator 2-norms; a matrix has as many
+entries as the symbol field, so the field budget bounds both.  The
+propagator builds its dense Cayley inverse with the same builder.
 """
 
 from __future__ import annotations
@@ -295,10 +296,21 @@ def ellipticity_constants(
 # exact operator norms
 
 
-def _matrix(apply, grid: SpatialGrid) -> np.ndarray:
-    """The grid.size x grid.size matrix of a linear map on raw state arrays."""
-    cols = [apply(e.reshape(grid.shape)).ravel() for e in np.eye(grid.size, dtype=complex)]
-    return np.stack(cols, axis=1)
+def dense_matrix(apply, grid: SpatialGrid) -> np.ndarray:
+    """The grid.size x grid.size matrix of a linear map on raw state arrays.
+
+    Column j is the image of the j-th unit vector; one reused unit vector
+    feeds one preallocated Fortran-ordered array, so each column is a
+    contiguous write and LAPACK takes the result without a copy.
+    """
+    mat = np.empty((grid.size, grid.size), dtype=complex, order="F")
+    e = np.zeros(grid.shape, dtype=complex)
+    flat = e.reshape(-1)
+    for j in range(grid.size):
+        flat[j] = 1.0
+        mat[:, j] = apply(e).ravel()
+        flat[j] = 0.0
+    return mat
 
 
 def _finite_norm(mat: np.ndarray, what: str) -> float:
@@ -342,14 +354,16 @@ def parametrix_residual(
     mu_values = np.asarray(mu_values, dtype=float)
 
     handle = HamiltonianHandle(fam, grid, rho=rho)
-    h_mat = _matrix(partial(handle.apply, t), grid)
-    eye = np.eye(grid.size)
+    h_mat = dense_matrix(partial(handle.apply, t), grid)
+    diag = np.arange(grid.size)
     residuals = np.empty(mu_values.shape)
     for i, mu in enumerate(mu_values):
         p_field = eval_symbol("p_mu", fam, grid, t=t, rho=rho, mu=mu)
-        p_mat = _matrix(partial(quantize_symbol, p_field), grid)
-        residuals[i] = _finite_norm(mu * p_mat + h_mat @ p_mat - eye,
-                                    f"parametrix residual at mu={mu:g}")
+        p_mat = dense_matrix(partial(quantize_symbol, p_field), grid)
+        res = h_mat @ p_mat
+        res += mu * p_mat
+        res[diag, diag] -= 1.0
+        residuals[i] = _finite_norm(res, f"parametrix residual at mu={mu:g}")
 
     excess = mu_values - scan.c1
     good = residuals > 1e-12
@@ -409,12 +423,12 @@ def commutator_probe(
     eps_values = np.asarray(eps_values, dtype=float)
 
     handle = HamiltonianHandle(fam, grid, rho=rho)
-    h_mat = _matrix(partial(handle.apply, t), grid)
+    h_mat = dense_matrix(partial(handle.apply, t), grid)
     bounds = np.empty(eps_values.shape)
     for i, eps in enumerate(eps_values):
         spec = CutoffSpec(eps=float(eps), mu=mu)
         x_field = eval_symbol("chi_eps", fam, grid, t=t, rho=rho, cutoff=spec)
-        x_mat = _matrix(partial(quantize_symbol, x_field), grid)
+        x_mat = dense_matrix(partial(quantize_symbol, x_field), grid)
         bounds[i] = _finite_norm(x_mat @ h_mat - h_mat @ x_mat,
                                  f"commutator at eps={eps:g}")
     return CommutatorProbeResult(eps_values=eps_values, bounds=bounds)

@@ -106,6 +106,20 @@ def test_unknown_propagator_key_exits_2(tmp_path):
     assert not (out / "report.json").exists()
 
 
+@pytest.mark.parametrize("options, field", [
+    ({"propagate": {"propagator": {"dtt": 1.0e-3}}}, "options.propagate.propagator: "),
+    ({"parametrix": {"n_probe": 4}}, "options.parametrix: unknown keys"),
+])
+def test_bad_suite_options_exit_2(tmp_path, options, field):
+    cfg = _write_yaml(tmp_path, {"options": options, "suites": ["propagate", "parametrix"]})
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["all", "--config", cfg, "--output-dir", str(out)])
+    assert result.exit_code == 2
+    err_text = result.stderr if result.stderr else result.output
+    assert field in err_text
+    assert not (out / "report.json").exists()
+
+
 def test_failing_suite_exits_1(tmp_path):
     # reversed offsets make the continuity curve non-decreasing on purpose
     doc = {

@@ -1,10 +1,13 @@
 """YAML experiment configuration: defaults, validation, round trips."""
 
+import ast
+import inspect
+
 import pytest
 import yaml
 
-from polyschro import load_config
-from polyschro.config import SUITE_NAMES, from_mapping
+from polyschro import load_config, suites
+from polyschro.config import SUITE_NAMES, SUITE_OPTIONS, from_mapping
 from polyschro.errors import ConfigError
 
 
@@ -131,6 +134,50 @@ def test_suite_options_sections_validated():
         from_mapping({"options": {"spectra": {}}})
     with pytest.raises(ConfigError, match="options.parametrix"):
         from_mapping({"options": {"parametrix": 3}})
+
+
+def test_unknown_suite_option_keys_rejected():
+    with pytest.raises(ConfigError, match=r"^options.parametrix: unknown keys \['NN', 'n_probe'\]"):
+        from_mapping({"options": {"parametrix": {"n_probe": 4, "NN": 64}}})
+    with pytest.raises(ConfigError, match=r"^options.validate: unknown keys \['dt'\]"):
+        from_mapping({"options": {"validate": {"N": 128, "dt": 1e-3}}})
+
+
+def _keys_read_by(fn) -> set:
+    """The string keys of every opts.get(...) call in a suite function."""
+    tree = ast.parse(inspect.getsource(fn))
+    return {node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "opts"}
+
+
+@pytest.mark.parametrize("name", SUITE_NAMES)
+def test_suite_option_keys_are_the_keys_the_suite_reads(name):
+    assert SUITE_OPTIONS[name] == _keys_read_by(getattr(suites, f"suite_{name}"))
+
+
+@pytest.mark.parametrize("override", [
+    {"dtt": 1.0e-3},
+    {"solver_tol": -1.0},
+    {"dt": 3.0e-4},                   # 1.0 is no whole number of these steps
+])
+def test_bad_propagate_propagator_override_rejected_at_load(override):
+    with pytest.raises(ConfigError, match="^options.propagate.propagator: "):
+        from_mapping({"options": {"propagate": {"propagator": override}}})
+
+
+def test_propagate_overrides_merge_over_the_top_level_blocks():
+    # valid only together: the override's dt divides the top-level t_final
+    cfg = from_mapping({"propagator": {"t_final": 0.3},
+                        "options": {"propagate": {"propagator": {"dt": 1.0e-1},
+                                                  "initial_state": {"width": 0.5}}}})
+    assert cfg.suite_options("propagate")["propagator"] == {"dt": 1.0e-1}
+    with pytest.raises(ConfigError, match="^options.propagate.propagator: "):
+        from_mapping({"propagator": {"t_final": 0.35},
+                      "options": {"propagate": {"propagator": {"dt": 1.0e-1}}}})
+    with pytest.raises(ConfigError, match="^options.propagate.initial_state: "):
+        from_mapping({"options": {"propagate": {"initial_state": {"wavelength": 2.0}}}})
 
 
 def test_yaml_file_round_trip(tmp_path):

@@ -234,6 +234,16 @@ def test_validate_interaction_flags_excess_growth():
     assert not report.passed
 
 
+def test_time_dependence_flag():
+    assert get_family("confined_quartic").is_time_dependent
+    assert ramped_quartic_family().is_time_dependent
+    t_in_a_only = PotentialFamily(name="t_in_a", v="x^2 / 2", a=("t * <x>",),
+                                  growth_order=0, delta=0.5)
+    assert t_in_a_only.is_time_dependent
+    assert not get_family("harmonic").is_time_dependent
+    assert not get_family("parametric_quartic").is_time_dependent
+
+
 def test_family_weight_exponent():
     assert get_family("harmonic").weight_exponent == pytest.approx(2.0)
     assert get_family("confined_quartic").weight_exponent == pytest.approx(4.0)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from polyschro import propagator
+from polyschro import operators, propagator
 from polyschro import (
     HamiltonianHandle,
     PotentialFamily,
@@ -393,6 +393,101 @@ def test_blow_up_names_step_and_time(scheme):
     # step 6 is the first whose midpoint 0.0055 lies past 0.005
     with pytest.raises(SolverError, match=r"step 6 \(t=0\.006\)"):
         propagate(cfg, handle, gaussian_packet(g))
+
+
+@pytest.fixture(scope="module")
+def parametric_128():
+    g = make_grid(1, 10.0, 128)
+    handle = HamiltonianHandle(get_family("parametric_quartic"), g, rho=1.0)
+    H = np.column_stack([handle.apply(0.0, e) for e in np.eye(g.N, dtype=complex)])
+    return g, handle, H
+
+
+def _dense_cayley_run(H, u, dt, n_steps, source=None):
+    """u <- solve(I + i tau H, (I - i tau H) u - i dt f(t_mid)), tau = dt/2."""
+    eye = np.eye(len(u))
+    lhs, rhs = eye + 0.5j * dt * H, eye - 0.5j * dt * H
+    for n in range(n_steps):
+        b = rhs @ u
+        if source is not None:
+            b -= 1j * dt * source((n + 0.5) * dt)
+        u = np.linalg.solve(lhs, b)
+    return u
+
+
+def test_time_free_flow_matches_dense_cayley_recursion(parametric_128):
+    g, handle, H = parametric_128
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.2, keep_states=False)
+    run = propagate(cfg, handle, u0)
+    oracle = _dense_cayley_run(H, u0.values, cfg.dt, cfg.n_steps)
+    assert np.max(np.abs(run.final.values - oracle)) <= 1e-9
+    assert run.data["solver_iterations"][1:].tolist() == [1] * cfg.n_steps
+    resid = run.data["solver_residual"][1:]
+    assert 0.0 < resid.max() <= 50 * cfg.solver_tol
+
+
+def test_time_free_inhomogeneous_flow_matches_dense_cayley_recursion(parametric_128):
+    g, handle, H = parametric_128
+    u0 = gaussian_packet(g, center=0.5, width=1.0)
+    bump = gaussian_packet(g, center=-1.0, width=0.7).values
+    source = lambda t: np.cos(3 * t) * bump
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.2, keep_states=False)
+    run = propagate_inhomogeneous(cfg, handle, u0, source)
+    oracle = _dense_cayley_run(H, u0.values, cfg.dt, cfg.n_steps, source)
+    assert np.max(np.abs(run.final.values - oracle)) <= 1e-9
+    assert run.data["solver_iterations"][1:].tolist() == [1] * cfg.n_steps
+
+
+@pytest.mark.parametrize("name, N", [
+    ("confined_quartic", 128),                            # time-dependent
+    ("parametric_quartic", 2 * propagator.DIRECT_MAX_N),  # above the cap
+])
+def test_gmres_still_steps_other_flows(name, N):
+    g = make_grid(1, 10.0, N)
+    fam = get_family(name)
+    handle = HamiltonianHandle(fam, g, rho=1.0 if fam.rho_interval else 0.0)
+    cfg = PropagatorConfig(dt=1e-3, t_final=5e-3, keep_states=False)
+    run = propagate(cfg, handle, gaussian_packet(g, center=1.0, width=0.8))
+    assert min(run.data["solver_iterations"][1:]) > 1
+    assert handle._cayley is None
+
+
+def test_time_free_handle_samples_its_fields_once(monkeypatch):
+    calls = {"eval_potential": 0, "eval_symbol": 0}
+
+    def counted(name):
+        original = getattr(operators, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(operators, name, wrapper)
+
+    counted("eval_potential")
+    counted("eval_symbol")
+    g = make_grid(1, 10.0, 64)
+    u0 = gaussian_packet(g, center=1.0, width=0.8)
+    handle = HamiltonianHandle(get_family("parametric_quartic"), g, rho=1.0)
+    propagate(PropagatorConfig(dt=1e-3, t_final=0.05), handle, u0)
+    assert calls == {"eval_potential": 1, "eval_symbol": 0}
+    handle = HamiltonianHandle(get_family("harmonic"), g)
+    propagate(PropagatorConfig(dt=1e-3, t_final=0.05, eps=0.5), handle, u0)
+    assert calls == {"eval_potential": 2, "eval_symbol": 1}
+
+
+def test_one_cached_cayley_inverse_per_handle(harmonic_256):
+    g, handle = harmonic_256
+    u = gaussian_packet(g, width=1.0)
+    cfg = PropagatorConfig(dt=1e-3, t_final=1e-3)
+    step(cfg, handle, 0.0, u)
+    first = handle._cayley
+    step(cfg, handle, 1e-3, u)
+    assert handle._cayley is first
+    mollified = replace(cfg, eps=0.5)
+    step(mollified, handle, 0.0, u)
+    assert handle._cayley is not first
+    assert handle._cayley_key == (0.5 * cfg.dt, mollified.cutoff())
 
 
 def test_initial_state_must_share_the_handle_grid():
