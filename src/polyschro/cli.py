@@ -46,6 +46,7 @@ def run_experiment(cfg: ExperimentConfig, suites=None, out_dir=None,
                 "suite": name,
                 "passed": False,
                 "error": f"{type(err).__name__}: {err}",
+                "warnings": [],
                 "files": [],
             }
 

@@ -7,10 +7,11 @@ three-term form
 
 with p realized spectrally, which is Hermitian on the periodic grid in
 exact arithmetic.  One kernel, ``apply_expanded``, evaluates that form
-axis by axis for every handle: the single-particle H and dH/drho here,
-and the composite ones in ``twoparticle``.  dH/drho has the same form
-with (A, V) replaced by (dA/drho, dV/drho + A . dA/drho / m) and no
-kinetic term.  The mollified operator sandwiches H between a quantized
+axis by axis for every handle: it applies the single-particle H and
+dH/drho here, and ``twoparticle`` runs it on the identity, once per
+time, to build the per-axis matrices of the composite ones.  dH/drho
+has the same form with (A, V) replaced by (dA/drho, dV/drho + A .
+dA/drho / m) and no kinetic term.  The mollified operator sandwiches H between a quantized
 low-energy cutoff and its exact discrete adjoint, so it is Hermitian by
 construction whatever the quantization error.
 """

@@ -229,6 +229,10 @@ class InteractionFamily:
                     f"rho={rho} outside the open interval ({lo}, {hi}) of interaction {self.name!r}"
                 )
 
+    @property
+    def is_time_dependent(self) -> bool:
+        return "t" in self.w.free_vars()
+
     def on(self, t: float, rho: float, r: np.ndarray) -> np.ndarray:
         self.check_rho(rho)
         return ex.evaluate(self.w, out_shape=np.shape(r), t=t, rho=rho, r=r)

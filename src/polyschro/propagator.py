@@ -287,6 +287,14 @@ class PropagationRun:
     def max_boundary_mass(self) -> float:
         return float(np.max(self.data["boundary_mass"]))
 
+    @property
+    def warnings(self) -> list:
+        """The boundary flags as at most one line: the first, and how many followed."""
+        if not self.flags:
+            return []
+        later = len(self.flags) - 1
+        return [self.flags[0] + (f" (and {later} later records)" if later else "")]
+
     def to_csv(self, path):
         """The trajectory table: t, the norms, boundary mass, solver columns."""
         cols = ["t", "l2"]

@@ -9,7 +9,8 @@ approached from two independent sides:
   integrated with the same Crank-Nicolson schedule as the base flow.
 
 Their discrepancy, maximized over the recorded times, is the quantity
-the convergence checks fit against the offset tau.
+the convergence checks fit against the offset tau.  Each result carries
+the boundary warnings (``PropagationRun.warnings``) of the runs it made.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ class ContinuityCurve:
     a: int
     deltas: np.ndarray
     moduli: np.ndarray
+    warnings: list
 
     def is_decreasing(self, floor: float = 1e-10) -> bool:
         """Monotone decrease, with entries at or below floor treated as converged."""
@@ -95,13 +97,14 @@ def continuity_modulus(system, u0: WaveFunction, rho: float, deltas,
     base = propagate(cfg, base_handle, u0)
     _, base_states = _recorded_states(base)
 
-    moduli = []
+    moduli, warnings = [], base.warnings
     for delta in deltas:
         if delta == 0.0:
             moduli.append(0.0)
             continue
         run = propagate(cfg, _make_handle(system, grid, rho + delta), u0)
         _, states = _recorded_states(run)
+        warnings = warnings + run.warnings
         gap = max(
             order.norm(WaveFunction(grid, sv - bv))
             for sv, bv in zip(states, base_states)
@@ -109,7 +112,7 @@ def continuity_modulus(system, u0: WaveFunction, rho: float, deltas,
         moduli.append(float(gap))
     return ContinuityCurve(
         rho=rho, a=a, deltas=np.asarray(list(deltas), dtype=float),
-        moduli=np.asarray(moduli),
+        moduli=np.asarray(moduli), warnings=warnings,
     )
 
 
@@ -127,6 +130,7 @@ class QuotientTrajectory:
     times: np.ndarray
     values: list
     norms: np.ndarray
+    warnings: list
 
     @property
     def max_norm(self) -> float:
@@ -151,19 +155,21 @@ def difference_quotient(system, u0: WaveFunction, rho: float, tau: float,
     plus = propagate(cfg, _make_handle(system, grid, rho + tau), u0)
     t_plus, s_plus = _recorded_states(plus)
     if central:
-        minus = propagate(cfg, _make_handle(system, grid, rho - tau), u0)
-        _, s_ref = _recorded_states(minus)
+        ref = propagate(cfg, _make_handle(system, grid, rho - tau), u0)
         span = 2.0 * tau
-    else:
-        if base_run is None:
-            base_run = propagate(cfg, _make_handle(system, grid, rho), u0)
-        _, s_ref = _recorded_states(base_run)
+    elif base_run is None:
+        ref = propagate(cfg, _make_handle(system, grid, rho), u0)
         span = tau
+    else:
+        ref, span = base_run, tau
+    _, s_ref = _recorded_states(ref)
 
     values = [(pv - rv) / span for pv, rv in zip(s_plus, s_ref)]
     norms = np.array([order.norm(WaveFunction(grid, v)) for v in values])
     return QuotientTrajectory(
         tau=tau, central=central, a=a, times=t_plus, values=values, norms=norms,
+        # a cached base run's warnings belong to its owner
+        warnings=plus.warnings + (ref.warnings if ref is not base_run else []),
     )
 
 
@@ -180,6 +186,7 @@ class VariationalTrajectory:
     times: np.ndarray
     values: list
     norms: np.ndarray
+    warnings: list
 
     @property
     def max_norm(self) -> float:
@@ -200,8 +207,8 @@ def solve_variational(system, u0: WaveFunction, rho: float,
     handle = _make_handle(system, grid, rho)
     order = handle.norm_order(a)
 
-    dense = replace(cfg, save_every=1, keep_states=True)
-    _, base_states = _recorded_states(propagate(dense, handle, u0))
+    base = propagate(replace(cfg, save_every=1, keep_states=True), handle, u0)
+    _, base_states = _recorded_states(base)
 
     def source(t_mid):
         pos = (t_mid - cfg.t0) / cfg.dt - 0.5
@@ -213,7 +220,8 @@ def solve_variational(system, u0: WaveFunction, rho: float,
     w_run = propagate_inhomogeneous(_trajectory_cfg(cfg), handle, zero, source)
     times, values = _recorded_states(w_run)
     norms = np.array([order.norm(WaveFunction(grid, v)) for v in values])
-    return VariationalTrajectory(rho=rho, a=a, times=times, values=values, norms=norms)
+    return VariationalTrajectory(rho=rho, a=a, times=times, values=values, norms=norms,
+                                 warnings=base.warnings + w_run.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +238,7 @@ class SensitivityRun:
     quotients: list
     variational: VariationalTrajectory
     discrepancies: np.ndarray
+    warnings: list
 
     def observed_orders(self) -> np.ndarray:
         """Convergence order fitted between consecutive tau values."""
@@ -264,8 +273,10 @@ def sensitivity_sweep(system, u0: WaveFunction, rho: float, taus,
     order = _make_handle(system, grid, rho).norm_order(a)
 
     base_run = None
+    warnings = variational.warnings
     if not central:
         base_run = propagate(_trajectory_cfg(cfg), _make_handle(system, grid, rho), u0)
+        warnings = warnings + base_run.warnings
 
     quotients, discrepancies = [], []
     for tau in taus:
@@ -278,8 +289,9 @@ def sensitivity_sweep(system, u0: WaveFunction, rho: float, taus,
         )
         quotients.append(q)
         discrepancies.append(float(gap))
+        warnings = warnings + q.warnings
     return SensitivityRun(
         rho=rho, a=a, taus=np.asarray(list(taus), dtype=float),
         quotients=quotients, variational=variational,
-        discrepancies=np.asarray(discrepancies),
+        discrepancies=np.asarray(discrepancies), warnings=warnings,
     )

@@ -1,6 +1,8 @@
 """Verification suites behind the CLI: each one checks a stability or
 convergence property of the solver stack, writes its curves as CSV, and
-returns a verdict.
+returns a verdict.  Every verdict carries ``warnings``: one line for each
+propagation whose boundary mass rose above its ``boundary_tol``, naming
+the first such record; a suite that propagates nothing reports none.
 
 Default parameters are frozen so that a bare run reproduces the
 acceptance thresholds; every default can be overridden through the
@@ -120,6 +122,7 @@ def suite_propagate(cfg: ExperimentConfig, out_dir: str) -> dict:
         "norm_growth_ratios_half_dt": ratios_half,
         "weighted_norms_stable": bool(stable),
         "max_boundary_mass": run.max_boundary_mass,
+        "warnings": run.warnings + half.warnings,
         "files": files,
     }
 
@@ -138,7 +141,7 @@ def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     eps_values = tuple(opts.get("eps_values", (1.0, 0.5, 0.25, 0.125, 0.0625)))
 
     ref = propagate(prop, handle, u0)
-    gaps = []
+    gaps, warnings = [], ref.warnings
     for eps in eps_values:
         moll = _propagator_cfg({}, dt=prop.dt, t_final=prop.t_final,
                                save_every=10**9, eps=eps,
@@ -146,6 +149,7 @@ def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
         run = propagate(moll, handle, u0)
         diff = WaveFunction(grid, run.final.values - ref.final.values)
         gaps.append(diff.norm())
+        warnings = warnings + run.warnings
 
     files = [_write_csv(out_dir, "eps_sweep.csv", ["eps", "gap"],
                         list(zip(eps_values, gaps)))]
@@ -159,6 +163,7 @@ def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
         "gaps": gaps,
         "strictly_decreasing": bool(decreasing),
         "final_gap": gaps[-1],
+        "warnings": warnings,
         "files": files,
     }
 
@@ -190,6 +195,7 @@ def suite_parametrix(cfg: ExperimentConfig, out_dir: str) -> dict:
         "c0": float(result.scan.c0),
         "c1": float(result.scan.c1),
         "mu_min": float(result.scan.mu_min),
+        "warnings": [],
         "files": files,
     }
 
@@ -216,6 +222,7 @@ def suite_commutator(cfg: ExperimentConfig, out_dir: str) -> dict:
         "max_min_ratio": float(result.max_min_ratio),
         "ratio_limit": RATIO_LIMIT,
         "sup_bound": float(np.max(result.bounds)),
+        "warnings": [],
         "files": files,
     }
 
@@ -242,10 +249,14 @@ def suite_sensitivity(cfg: ExperimentConfig, out_dir: str) -> dict:
 
     rho_values = tuple(opts.get("rho_values", (0.5, 1.0, 2.0)))
     u0_a1 = HamiltonianHandle(fam, grid, rho=rho).norm_order(1).norm(u0)
-    constants = []
+    constants, warnings = [], sweep.warnings
     for r in rho_values:
         # the sweep already solved the variational equation at its own rho
-        var = sweep.variational if r == rho else solve_variational(fam, u0, r, prop, a=0)
+        if r == rho:
+            var = sweep.variational
+        else:
+            var = solve_variational(fam, u0, r, prop, a=0)
+            warnings = warnings + var.warnings
         constants.append(var.max_norm / u0_a1)
     spread = max(constants) / min(constants)
     spread_ok = spread <= CONSTANT_SPREAD_LIMIT
@@ -273,6 +284,7 @@ def suite_sensitivity(cfg: ExperimentConfig, out_dir: str) -> dict:
         "constants": [float(c) for c in constants],
         "constant_spread": float(spread),
         "constants_stable": bool(spread_ok),
+        "warnings": warnings,
         "files": files,
     }
 
@@ -300,6 +312,7 @@ def suite_continuity(cfg: ExperimentConfig, out_dir: str) -> dict:
         "rho": float(rho),
         "deltas": [float(d) for d in deltas],
         "moduli": [float(m) for m in curve.moduli],
+        "warnings": curve.warnings,
         "files": files,
     }
 
@@ -348,6 +361,7 @@ def suite_two_particle(cfg: ExperimentConfig, out_dir: str) -> dict:
         "max_norm_drift": run.max_norm_drift,
         "factorization_error": float(fact_err),
         "primed_norm_growth_ratio": float(n1.max() / n1[0]),
+        "warnings": run.warnings + free.warnings + r1.warnings + r2.warnings,
         "files": files,
     }
 
@@ -376,6 +390,7 @@ def suite_validate(cfg: ExperimentConfig, out_dir: str) -> dict:
         "suite": "validate",
         "passed": bool(all(verdicts.values())),
         "verdicts": {k: bool(v) for k, v in verdicts.items()},
+        "warnings": [],
         "files": files,
     }
 

@@ -3,12 +3,18 @@
 The composite state lives on the square tensor grid; the Hamiltonian is
 the sum of two single-particle operators, each acting along its own
 axis, plus multiplication by the pair interaction evaluated at the
-periodically wrapped relative coordinate.  H and dH/drho run through the
-single-particle kernel ``operators.apply_expanded``: particle k is axis k
-of the composite grid, with its fields broadcast along that axis and W
-(or dW/drho) folded into the diagonal.  Weighted norms carry one
-polynomial weight per particle, calibrated to that particle's growth
-order.
+periodically wrapped relative coordinate.  Particle k's fields depend
+on x_k alone, so
+
+    H f = pot f + K_0 f + f K_1^T,    pot = W + sum_k (V_k + A_k^2/2m_k),
+
+with K_k the dense N x N matrix of particle k's kinetic and magnetic
+terms along its own axis.  Each K_k comes from the single-particle kernel
+``operators.apply_expanded`` run on the identity along axis k, once per
+time, so H has one definition; an apply is then two N x N matrix
+products instead of eight one-axis FFT passes.  dH/drho is built the
+same way from (dW, dV_k, dA_k).  Weighted norms carry one polynomial
+weight per particle, calibrated to that particle's growth order.
 """
 
 from __future__ import annotations
@@ -71,11 +77,36 @@ def _axis_broadcast(arr: np.ndarray, axis: int) -> np.ndarray:
     return arr[:, None] if axis == 0 else arr[None, :]
 
 
+def _axis_matrices(grid: SpatialGrid, axes, kinetic: bool) -> tuple:
+    """(M0, M1) with M0 @ f + f @ M1 the kernel's axis terms applied to f.
+
+    The kernel run along axis 0 of the identity gives K_0; run along
+    axis 1 it gives K_1^T.  A zero matrix, as dH/drho has on an axis
+    whose A does not move with rho, is stored as None and skipped.
+    """
+    eye = np.eye(grid.N)
+    mats = (apply_expanded(eye, 0.0, (ax,), kinetic) for ax in axes)
+    return tuple(m if m.any() else None for m in mats)
+
+
+def _apply_fields(fields, f: np.ndarray) -> np.ndarray:
+    diag, m0, m1 = fields
+    out = diag * np.asarray(f, dtype=complex)
+    if m0 is not None:
+        out += m0 @ f
+    if m1 is not None:
+        out += f @ m1
+    return out
+
+
 class TwoParticleHandle:
     """Bound (system, rho) pair exposing the composite operator.
 
     Mirrors the single-particle handle interface, so the steppers and the
-    sensitivity entry points work unchanged on composite states.
+    sensitivity entry points work unchanged on composite states.  The
+    memo holds, per time, the diagonal and the two axis matrices of H
+    (and of dH/drho); a system without t in either family or in W has one
+    set for all times.
     """
 
     def __init__(self, system: TwoParticleSystem, rho: float = 0.0):
@@ -86,8 +117,14 @@ class TwoParticleHandle:
         self.grid = system.grid
         self.rho = rho
         self.masses = (system.fam1.mass, system.fam2.mass)
+        self.time_dependent = (system.fam1.is_time_dependent or system.fam2.is_time_dependent
+                               or system.interaction.is_time_dependent)
         self._fields = Memo(self._hamiltonian_fields)
         self._rho_fields = Memo(self._derivative_fields)
+
+    def _key(self, t: float) -> float:
+        """The memo key of time t."""
+        return t if self.time_dependent else 0.0
 
     @cached_property
     def kinetic_multiplier(self) -> np.ndarray:
@@ -102,7 +139,7 @@ class TwoParticleHandle:
                 for fam in (self.system.fam1, self.system.fam2)]
 
     def _hamiltonian_fields(self, t: float):
-        """(W + sum_k V_k + A_k^2/2m_k, kernel axis data of the A_k) at time t."""
+        """(W + sum_k V_k + A_k^2/2m_k, M0, M1) at time t."""
         w = self.system.interaction.on(t, self.rho, self.system.relative_coordinate)
         pot = w.astype(float)
         vs = self._particle_fields(lambda fam: fam.v, t)
@@ -112,10 +149,10 @@ class TwoParticleHandle:
             pot += _axis_broadcast(v + a**2 / (2.0 * m), k)
             axes.append(axis_terms(self.grid, k, m, _axis_broadcast(a, k)))
         pot.setflags(write=False)
-        return pot, tuple(axes)
+        return (pot, *_axis_matrices(self.grid, axes, kinetic=True))
 
     def _derivative_fields(self, t: float):
-        """(dW + sum_k dV_k + A_k dA_k/m_k, kernel axis data of the dA_k) at time t."""
+        """(dW + sum_k dV_k + A_k dA_k/m_k, M0, M1 of the dA_k terms) at time t."""
         dw = self.system.interaction.rho_partial_on(t, self.rho, self.system.relative_coordinate)
         diag = dw.astype(float)
         dvs = self._particle_fields(lambda fam: fam.v_rho, t)
@@ -125,19 +162,19 @@ class TwoParticleHandle:
         for k, (dv, da, a, m) in enumerate(zip(dvs, das, a_s, self.masses)):
             diag += _axis_broadcast(dv + a * da / m, k)
             axes.append(axis_terms(self.grid, k, m, _axis_broadcast(da, k)))
-        return diag, tuple(axes)
+        return (diag, *_axis_matrices(self.grid, axes, kinetic=False))
 
     def potential_multiplier(self, t: float) -> np.ndarray:
         """V1 + V2 + |A1|^2/2m1 + |A2|^2/2m2 + W, on the composite grid."""
-        return self._fields[t][0]
+        return self._fields[self._key(t)][0]
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
-        """(H1 + H2 + W) f in the expanded symmetric form."""
-        return apply_expanded(f, *self._fields[t])
+        """(H1 + H2 + W) f: the diagonal plus one matrix product per axis."""
+        return _apply_fields(self._fields[self._key(t)], f)
 
     def apply_rho_derivative(self, t: float, f: np.ndarray) -> np.ndarray:
         """(dH/drho) f: per-particle derivative terms plus dW/drho."""
-        return apply_expanded(f, *self._rho_fields[t], kinetic=False)
+        return _apply_fields(self._rho_fields[self._key(t)], f)
 
     def apply_mollified(self, t, f, cutoff):
         raise ConfigError("mollified propagation is single-particle only")

@@ -200,3 +200,23 @@ def test_missing_config_file_exits_2(tmp_path):
         main, ["validate", "--config", str(tmp_path / "nope.yaml")],
     )
     assert result.exit_code == 2
+
+
+def test_verdicts_surface_boundary_warnings(tmp_path):
+    """A packet started near the box edge flags its run and its half-dt run."""
+    def propagate_warnings(center, out):
+        cfg = load_config(_write_yaml(tmp_path, {
+            "family": "harmonic", "grid": {"d": 1, "L": 5.0, "N": 128},
+            "propagator": {"dt": 1e-2, "t_final": 0.1, "save_every": 2},
+            "initial_state": {"center": center, "width": 0.8, "momentum": 0.5},
+            "suites": ["propagate", "parametrix"],
+            "options": {"parametrix": {"N": 64}},
+        }))
+        _, report = run_experiment(cfg, out_dir=str(tmp_path / out))
+        assert report["suites"]["parametrix"]["warnings"] == []
+        return report["suites"]["propagate"]["warnings"]
+
+    edge = propagate_warnings(4.0, "edge")
+    assert len(edge) == 2
+    assert all(w.startswith("boundary mass") and "later records" in w for w in edge)
+    assert propagate_warnings(0.0, "centre") == []

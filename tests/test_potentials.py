@@ -242,6 +242,9 @@ def test_time_dependence_flag():
     assert t_in_a_only.is_time_dependent
     assert not get_family("harmonic").is_time_dependent
     assert not get_family("parametric_quartic").is_time_dependent
+    assert not get_interaction("soft_pair").is_time_dependent
+    pulsed = InteractionFamily(name="pulsed", w="cos(t) * r^2", growth_order=1, delta=1.0)
+    assert pulsed.is_time_dependent
 
 
 def test_family_weight_exponent():

@@ -131,3 +131,17 @@ def test_rows_expose_sweep_columns(central_sweep):
         assert row["tau"] == tau
         assert row["max_discrepancy"] == disc
         assert row["max_quotient_norm"] > 0
+
+
+def test_runs_near_the_edge_carry_one_warning_each(setup):
+    g, fam, _, _ = setup
+    u0 = gaussian_packet(g, center=9.5, width=0.8)
+    cfg = PropagatorConfig(dt=1e-2, t_final=0.05, save_every=1, keep_states=False)
+    curve = continuity_modulus(fam, u0, 1.0, (1e-1, 1e-2), cfg)
+    assert len(curve.warnings) == 3
+    one_sided = sensitivity_sweep(fam, u0, 1.0, (1e-1, 1e-2), cfg, central=False)
+    # the variational base and w runs, the shared base run, two shifted runs
+    assert len(one_sided.warnings) == 5
+    assert all(w.startswith("boundary mass") for w in curve.warnings + one_sided.warnings)
+    inside = gaussian_packet(g, center=0.0, width=0.8)
+    assert continuity_modulus(fam, inside, 1.0, (1e-1,), cfg).warnings == []

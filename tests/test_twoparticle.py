@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -16,6 +17,7 @@ from polyschro import (
     TwoParticleHandle,
     TwoParticleSystem,
     WaveFunction,
+    eval_potential,
     exchange_asymmetry,
     gaussian_packet,
     get_family,
@@ -27,6 +29,8 @@ from polyschro import (
     sensitivity_sweep,
 )
 from polyschro.errors import ConfigError, FamilyError, GridError
+from polyschro.operators import apply_expanded, axis_terms
+from polyschro.potentials import partial_rho
 from conftest import RHO_MAGNETIC, band_limited_state
 
 
@@ -300,3 +304,68 @@ def test_dropped_composite_handle_is_freed_without_the_cycle_collector(pair_64):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_time_free_system_samples_its_fields_once(pair_64, monkeypatch):
+    g1, g2, system = pair_64
+    calls = []
+    sample = InteractionFamily.on
+    monkeypatch.setattr(InteractionFamily, "on",
+                        lambda inter, t, *args: calls.append(t) or sample(inter, t, *args))
+    u0 = product_state(g2, gaussian_packet(g1, center=0.5, width=0.9),
+                       gaussian_packet(g1, center=-0.3, width=1.1))
+    cfg = PropagatorConfig(dt=2.5e-3, t_final=0.025, save_every=10**9, keep_states=False)
+    propagate_two_particle(system, cfg, u0, rho=0.5)
+    assert len(calls) == 1
+    assert not TwoParticleHandle(system).time_dependent
+    harm, quartic, soft = system.fam1, get_family("confined_quartic"), system.interaction
+    pulsed = InteractionFamily(name="pulsed", w="cos(t) * r^2", growth_order=1, delta=1.0)
+    for parts in ((quartic, harm, soft), (harm, quartic, soft), (harm, harm, pulsed)):
+        assert TwoParticleHandle(TwoParticleSystem(*parts, g2)).time_dependent
+
+
+def _bcast(arr, k):
+    return arr[:, None] if k == 0 else arr[None, :]
+
+
+def _kernel_apply(system, rho, t, f, derivative=False):
+    """H f (or dH/drho f) through the FFT kernel on the broadcast fields."""
+    g1 = make_grid(1, system.grid.L, system.grid.N)
+    inter = system.interaction
+    w_of = inter.rho_partial_on if derivative else inter.on
+    diag = w_of(t, rho, system.relative_coordinate).astype(float)
+    axes = []
+    for k, fam in enumerate((system.fam1, system.fam2)):
+        v, (a,) = eval_potential(fam, t, rho, g1)
+        if derivative:
+            dv, (da,) = partial_rho(fam, t, rho, g1)
+            diag = diag + _bcast(dv + a * da / fam.mass, k)
+            a = da
+        else:
+            diag = diag + _bcast(v + a**2 / (2.0 * fam.mass), k)
+        axes.append(axis_terms(system.grid, k, fam.mass, _bcast(a, k)))
+    return apply_expanded(f, diag, axes, kinetic=not derivative)
+
+
+# both particles magnetic with rho-dependent A, and of unequal masses
+MAGNETIC_PAIR = (RHO_MAGNETIC, replace(RHO_MAGNETIC, name="heavy_rho_magnetic", mass=2.0))
+
+
+def test_composite_matrices_match_the_fft_kernel():
+    g2 = make_grid(2, 6.0, 32)
+    system = TwoParticleSystem(*MAGNETIC_PAIR, get_interaction("soft_pair"), g2)
+    rho, t = 0.5, 0.7
+    handle = TwoParticleHandle(system, rho=rho)
+    rng = np.random.default_rng(13)
+    f = rng.standard_normal(g2.shape) + 1j * rng.standard_normal(g2.shape)
+    for derivative, got in ((False, handle.apply(t, f)),
+                            (True, handle.apply_rho_derivative(t, f))):
+        want = _kernel_apply(system, rho, t, f, derivative)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_composite_matrix_is_hermitian():
+    g2 = make_grid(2, 6.0, 8)
+    system = TwoParticleSystem(*MAGNETIC_PAIR, get_interaction("soft_pair"), g2)
+    H = _dense(partial(TwoParticleHandle(system, rho=0.5).apply, 0.7), g2.shape)
+    assert np.linalg.norm(H - H.conj().T) <= 1e-12 * np.linalg.norm(H)
