@@ -211,8 +211,8 @@ def l2_norm(f, grid: SpatialGrid | None = None) -> float:
 def spectral_derivative(f, axis: int = 0, order: int = 1):
     """Differentiate along one axis with the exact Fourier multiplier (i xi)^order.
 
-    Accepts a WaveFunction or a bare array (then a grid keyword is not needed
-    because only the dual axis enters, which WaveFunction carries).
+    Takes a WaveFunction, whose grid supplies the dual axis, and returns
+    one; a bare array raises GridError (use ``spectral_derivative_array``).
     """
     if isinstance(f, WaveFunction):
         out = spectral_derivative_array(f.values, f.grid, axis=axis, order=order)

@@ -7,12 +7,12 @@ three-term form
 
 with p realized spectrally, which is Hermitian on the periodic grid in
 exact arithmetic.  One kernel, ``apply_expanded``, evaluates that form
-axis by axis for every handle: it applies the single-particle H and
-dH/drho here, and ``twoparticle`` runs it on the identity, once per
-time, to build the per-axis matrices of the composite ones.  dH/drho
-has the same form with (A, V) replaced by (dA/drho, dV/drho + A .
-dA/drho / m) and no kinetic term.  The mollified operator sandwiches H between a quantized
-low-energy cutoff and its exact discrete adjoint, so it is Hermitian by
+axis by axis for every handle, on one state or on a (B, *grid.shape)
+stack, so ``symbols.dense_matrix`` builds each dense matrix of H in one
+call on the identity stack.  dH/drho has the same form with (A, V)
+replaced by (dA/drho, dV/drho + A . dA/drho / m) and no kinetic term.
+The mollified operator sandwiches H between a quantized low-energy
+cutoff and its exact discrete adjoint, so it is Hermitian by
 construction whatever the quantization error.
 """
 
@@ -59,8 +59,9 @@ class Memo(dict):
 
 
 def axis_terms(grid: SpatialGrid, k: int, mass: float, a) -> tuple:
-    """Kernel data of axis k: (k, xi_k, xi_k/2m, xi_k^2/2m, A_k, A_k/2m).
+    """Kernel data of axis k: (k - d, xi_k, xi_k/2m, xi_k^2/2m, A_k, A_k/2m).
 
+    k - d addresses axis k from the end, so leading batch axes broadcast.
     xi_k is the dual axis broadcast along axis k of the grid; A_k must
     broadcast against the grid's shape.  A field whose samples are all
     zero is stored as None, so the kernel skips its transforms.
@@ -70,8 +71,8 @@ def axis_terms(grid: SpatialGrid, k: int, mass: float, a) -> tuple:
     xi = grid.dual_axis.reshape(shape)
     xi_2m = xi / (2.0 * mass)
     if not np.any(a):
-        return (k, xi, xi_2m, xi * xi_2m, None, None)
-    return (k, xi, xi_2m, xi * xi_2m, a, a / (2.0 * mass))
+        return (k - grid.d, xi, xi_2m, xi * xi_2m, None, None)
+    return (k - grid.d, xi, xi_2m, xi * xi_2m, a, a / (2.0 * mass))
 
 
 def apply_expanded(f: np.ndarray, diag: np.ndarray, axes, kinetic: bool = True) -> np.ndarray:
@@ -84,7 +85,7 @@ def apply_expanded(f: np.ndarray, diag: np.ndarray, axes, kinetic: bool = True) 
 
     four one-axis passes, or F_k^-1(xi_k^2/2m_k G), two passes, when A_k
     is None.  kinetic=False drops the p_k^2 term, which dH/drho does not
-    have.  ``axes`` holds ``axis_terms`` tuples.
+    have.  ``axes`` holds ``axis_terms`` tuples; f may have leading batch axes.
     """
     f = np.asarray(f, dtype=complex)
     out = diag * f
@@ -162,7 +163,7 @@ class HamiltonianHandle:
         return self._fields[self._key(t)][0]
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
-        """H(t) f for a raw complex array."""
+        """H(t) f for a raw complex array: one state or a (B, *grid.shape) stack."""
         return apply_expanded(f, *self._fields[self._key(t)])
 
     def apply_rho_derivative(self, t: float, f: np.ndarray) -> np.ndarray:
@@ -183,7 +184,7 @@ class HamiltonianHandle:
     def cayley_inverse(self, t: float, tau: float, cutoff: CutoffSpec | None = None) -> np.ndarray:
         """The dense (I + i tau Op)^-1, Op = H or X* H X, of a family without t.
 
-        Built from Op's columns at time t and cached for one (tau, cutoff)
+        Built from Op's dense matrix at time t and cached for one (tau, cutoff)
         key; a new key replaces the old inverse, so a handle holds at most
         one N x N matrix.
         """

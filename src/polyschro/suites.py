@@ -112,6 +112,8 @@ def suite_propagate(cfg: ExperimentConfig, out_dir: str) -> dict:
         stable = stable and abs(rh / r - 1.0) <= STABILITY_TOL
 
     drift_ok = run.max_norm_drift <= DRIFT_TOL and half.max_norm_drift <= DRIFT_TOL
+    # Richardson: the dt run's error for a second-order scheme, not gated
+    time_error = 4.0 / 3.0 * (run.final - half.final).norm() / half.final.norm()
     return {
         "suite": "propagate",
         "passed": bool(drift_ok and stable),
@@ -121,6 +123,7 @@ def suite_propagate(cfg: ExperimentConfig, out_dir: str) -> dict:
         "norm_growth_ratios": ratios,
         "norm_growth_ratios_half_dt": ratios_half,
         "weighted_norms_stable": bool(stable),
+        "time_error_estimate": time_error,
         "max_boundary_mass": run.max_boundary_mass,
         "warnings": run.warnings + half.warnings,
         "files": files,

@@ -9,11 +9,12 @@ which on the periodic grid reduces *exactly* to a Fourier multiplier for
 s = b(xi) and to pointwise multiplication for s = a(x).  The adjoint is the
 conjugate-transpose action, applied through the reversed factorization
 (x-weighted forward transform, then inverse FFT), never by materializing
-the operator matrix in the position basis.  Only the parametrix and
-commutator checks form dense matrices, column by column with
-``dense_matrix``, to take exact operator 2-norms; a matrix has as many
-entries as the symbol field, so the field budget bounds both.  The
-propagator builds its dense Cayley inverse with the same builder.
+the operator matrix in the position basis.  Both take one state or a
+(B, *grid.shape) stack, like the operator kernel, and ``dense_matrix``
+builds every dense operator matrix in one call on the identity stack:
+the exact 2-norms of the parametrix and commutator checks (a matrix has
+as many entries as the symbol field, so the field budget bounds both),
+the propagator's Cayley inverse and the composite per-axis matrices.
 """
 
 from __future__ import annotations
@@ -192,26 +193,28 @@ def eval_symbol(
     return SymbolField(grid, 1.0 / (mu + h_s), kind, t, rho)
 
 
-def _as_array(f):
-    return f.values if isinstance(f, WaveFunction) else np.asarray(f, dtype=complex)
+def _as_array(f, grid: SpatialGrid):
+    """The raw values of f, whose trailing axes must have the grid's shape."""
+    fv = f.values if isinstance(f, WaveFunction) else np.asarray(f, dtype=complex)
+    if fv.shape[-grid.d:] != grid.shape:
+        raise GridError(f"state shape {fv.shape} does not match grid {grid.shape}")
+    return fv
 
 
 def quantize_symbol(symbol: SymbolField, f):
-    """Apply the quantized symbol to a state.
+    """Apply the quantized symbol to a state or a (B, *grid.shape) stack.
 
     Returns the same type it was given (WaveFunction in, WaveFunction out).
     """
     grid = symbol.grid
-    fv = _as_array(f)
-    if fv.shape != grid.shape:
-        raise GridError(f"state shape {fv.shape} does not match grid {grid.shape}")
+    fv = _as_array(f, grid)
     if grid.d == 1:
         F = sfft.fft(fv)
-        out = symbol._forward_matrix @ F / grid.N
+        out = F @ symbol._forward_matrix.T / grid.N
     else:
-        F = sfft.fftn(fv)
+        F = sfft.fftn(fv, axes=(-2, -1))
         E = _dft_kernel(grid.N)
-        out = np.einsum("ac,bd,abcd,cd->ab", E, E, symbol.values, F, optimize=True)
+        out = np.einsum("ac,bd,abcd,...cd->...ab", E, E, symbol.values, F, optimize=True)
         out = out / grid.size
     if isinstance(f, WaveFunction):
         return WaveFunction(grid, out)
@@ -221,18 +224,14 @@ def quantize_symbol(symbol: SymbolField, f):
 def adjoint_quantize_symbol(symbol: SymbolField, f):
     """Apply the adjoint of the quantized symbol (exact discrete adjoint)."""
     grid = symbol.grid
-    fv = _as_array(f)
-    if fv.shape != grid.shape:
-        raise GridError(f"state shape {fv.shape} does not match grid {grid.shape}")
+    fv = _as_array(f, grid)
     if grid.d == 1:
-        G = symbol._forward_matrix.conj().T @ fv
+        G = fv @ symbol._forward_matrix.conj()
         out = sfft.ifft(G)
     else:
-        E = _dft_kernel(grid.N)
-        G = np.einsum(
-            "ac,bd,abcd,ab->cd", E.conj(), E.conj(), symbol.values.conj(), fv, optimize=True
-        )
-        out = sfft.ifftn(G)
+        E = _dft_kernel(grid.N).conj()
+        G = np.einsum("ac,bd,abcd,...ab->...cd", E, E, symbol.values.conj(), fv, optimize=True)
+        out = sfft.ifftn(G, axes=(-2, -1))
     if isinstance(f, WaveFunction):
         return WaveFunction(grid, out)
     return out
@@ -299,18 +298,14 @@ def ellipticity_constants(
 def dense_matrix(apply, grid: SpatialGrid) -> np.ndarray:
     """The grid.size x grid.size matrix of a linear map on raw state arrays.
 
-    Column j is the image of the j-th unit vector; one reused unit vector
-    feeds one preallocated Fortran-ordered array, so each column is a
-    contiguous write and LAPACK takes the result without a copy.
+    ``apply`` must take a (B, *grid.shape) stack of states.  One call on
+    the identity stack gives the images of the unit vectors as rows; the
+    result is their transpose, a Fortran-ordered view that LAPACK takes
+    without a copy.
     """
-    mat = np.empty((grid.size, grid.size), dtype=complex, order="F")
-    e = np.zeros(grid.shape, dtype=complex)
-    flat = e.reshape(-1)
-    for j in range(grid.size):
-        flat[j] = 1.0
-        mat[:, j] = apply(e).ravel()
-        flat[j] = 0.0
-    return mat
+    size = grid.size
+    eye = np.eye(size, dtype=complex).reshape((size,) + grid.shape)
+    return apply(eye).reshape(size, size).T
 
 
 def _finite_norm(mat: np.ndarray, what: str) -> float:

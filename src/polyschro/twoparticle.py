@@ -9,18 +9,18 @@ on x_k alone, so
     H f = pot f + K_0 f + f K_1^T,    pot = W + sum_k (V_k + A_k^2/2m_k),
 
 with K_k the dense N x N matrix of particle k's kinetic and magnetic
-terms along its own axis.  Each K_k comes from the single-particle kernel
-``operators.apply_expanded`` run on the identity along axis k, once per
-time, so H has one definition; an apply is then two N x N matrix
-products instead of eight one-axis FFT passes.  dH/drho is built the
-same way from (dW, dV_k, dA_k).  Weighted norms carry one polynomial
-weight per particle, calibrated to that particle's growth order.
+terms along its own axis.  Each K_k is the matrix of the single-particle
+kernel ``operators.apply_expanded`` on the line grid, built once per time
+by ``symbols.dense_matrix``, so H has one definition; an apply is then
+two N x N matrix products instead of eight one-axis FFT passes.  dH/drho
+is built the same way from (dW, dV_k, dA_k).  Weighted norms carry one
+polynomial weight per particle, calibrated to that particle's growth order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .grid import SpatialGrid, WaveFunction, derivative_norm_sum, l2_norm
 from .operators import Memo, apply_expanded, axis_terms
 from .potentials import InteractionFamily, PotentialFamily
 from .propagator import PropagatorConfig, PropagationRun, propagate
+from .symbols import dense_matrix
 
 MAX_AXIS_POINTS = 256
 
@@ -77,16 +78,16 @@ def _axis_broadcast(arr: np.ndarray, axis: int) -> np.ndarray:
     return arr[:, None] if axis == 0 else arr[None, :]
 
 
-def _axis_matrices(grid: SpatialGrid, axes, kinetic: bool) -> tuple:
-    """(M0, M1) with M0 @ f + f @ M1 the kernel's axis terms applied to f.
+def _axis_matrices(line: SpatialGrid, axes, kinetic: bool) -> tuple:
+    """(M0, M1) = (K_0, K_1^T), so M0 @ f + f @ M1 applies the axis terms to f.
 
-    The kernel run along axis 0 of the identity gives K_0; run along
-    axis 1 it gives K_1^T.  A zero matrix, as dH/drho has on an axis
-    whose A does not move with rho, is stored as None and skipped.
+    ``axes`` holds each particle's ``axis_terms`` on the line grid.  A
+    zero matrix, as dH/drho has on an axis whose A does not move with
+    rho, is stored as None and skipped.
     """
-    eye = np.eye(grid.N)
-    mats = (apply_expanded(eye, 0.0, (ax,), kinetic) for ax in axes)
-    return tuple(m if m.any() else None for m in mats)
+    k0, k1 = (dense_matrix(partial(apply_expanded, diag=0.0, axes=(ax,), kinetic=kinetic), line)
+              for ax in axes)
+    return tuple(m if m.any() else None for m in (k0, k1.T))
 
 
 def _apply_fields(fields, f: np.ndarray) -> np.ndarray:
@@ -117,6 +118,7 @@ class TwoParticleHandle:
         self.grid = system.grid
         self.rho = rho
         self.masses = (system.fam1.mass, system.fam2.mass)
+        self._line = SpatialGrid(1, self.grid.L, self.grid.N)
         self.time_dependent = (system.fam1.is_time_dependent or system.fam2.is_time_dependent
                                or system.interaction.is_time_dependent)
         self._fields = Memo(self._hamiltonian_fields)
@@ -147,9 +149,9 @@ class TwoParticleHandle:
         axes = []
         for k, (v, a, m) in enumerate(zip(vs, a_s, self.masses)):
             pot += _axis_broadcast(v + a**2 / (2.0 * m), k)
-            axes.append(axis_terms(self.grid, k, m, _axis_broadcast(a, k)))
+            axes.append(axis_terms(self._line, 0, m, a))
         pot.setflags(write=False)
-        return (pot, *_axis_matrices(self.grid, axes, kinetic=True))
+        return (pot, *_axis_matrices(self._line, axes, kinetic=True))
 
     def _derivative_fields(self, t: float):
         """(dW + sum_k dV_k + A_k dA_k/m_k, M0, M1 of the dA_k terms) at time t."""
@@ -161,8 +163,8 @@ class TwoParticleHandle:
         axes = []
         for k, (dv, da, a, m) in enumerate(zip(dvs, das, a_s, self.masses)):
             diag += _axis_broadcast(dv + a * da / m, k)
-            axes.append(axis_terms(self.grid, k, m, _axis_broadcast(da, k)))
-        return (diag, *_axis_matrices(self.grid, axes, kinetic=False))
+            axes.append(axis_terms(self._line, 0, m, da))
+        return (diag, *_axis_matrices(self._line, axes, kinetic=False))
 
     def potential_multiplier(self, t: float) -> np.ndarray:
         """V1 + V2 + |A1|^2/2m1 + |A2|^2/2m2 + W, on the composite grid."""

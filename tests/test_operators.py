@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
@@ -321,6 +322,23 @@ def test_magnetic_apply_matches_dense_oracle(fam):
     got = np.column_stack([handle.apply(t, e.reshape(g.shape)).ravel()
                            for e in np.eye(g.size, dtype=complex)])
     assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("fam", [get_family("confined_quartic"), MAGNETIC_2D],
+                         ids=lambda fam: fam.name)
+def test_stacked_states_match_single_applies(fam, rng):
+    """A (B, *grid.shape) stack gives the B single images: bit for bit
+    through the kernel (apply_expanded), to rounding through the quantized
+    cutoff of the mollified operator."""
+    g = make_grid(fam.dim, 6.0, 16)
+    handle = HamiltonianHandle(fam, g)
+    t = 0.7
+    stack = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+    for op in (partial(handle.apply, t), partial(handle.apply_rho_derivative, t)):
+        assert np.array_equal(op(stack), np.stack([op(f) for f in stack]))
+    mollified = partial(handle.apply_mollified, t, cutoff=CutoffSpec(eps=0.25, mu=0.5))
+    want = np.stack([mollified(f) for f in stack])
+    assert np.linalg.norm(mollified(stack) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_dropped_handle_is_freed_without_the_cycle_collector():

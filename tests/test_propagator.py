@@ -22,7 +22,9 @@ from polyschro import (
     propagate_inhomogeneous,
     step,
 )
+from polyschro.config import from_mapping
 from polyschro.errors import ConfigError, SolverError
+from polyschro.suites import suite_propagate
 
 
 @pytest.fixture(scope="module")
@@ -497,3 +499,22 @@ def test_initial_state_must_share_the_handle_grid():
     propagate(cfg, handle, gaussian_packet(make_grid(1, 10.0, 64)))
     with pytest.raises(ConfigError, match="different grids"):
         propagate(cfg, handle, gaussian_packet(make_grid(1, 8.0, 64)))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 4e-3])
+def test_propagate_time_error_estimate_tracks_the_dt_over_4_gap(dt, tmp_path):
+    """The Richardson estimate from the dt and dt/2 runs lies within 2x of
+    the gap between the dt run and a dt/4 run."""
+    packet = {"center": 1.0, "width": 0.8, "momentum": 0.5}
+    cfg = from_mapping({
+        "family": "confined_quartic", "grid": {"d": 1, "L": 10.0, "N": 128},
+        "propagator": {"dt": dt, "t_final": 0.1, "save_every": 5},
+        "initial_state": packet, "suites": ["propagate"],
+    })
+    estimate = suite_propagate(cfg, str(tmp_path))["time_error_estimate"]
+    handle = HamiltonianHandle(cfg.family, cfg.grid)
+    u0 = gaussian_packet(cfg.grid, **packet)
+    coarse, fine = (propagate(PropagatorConfig(dt=step_dt, t_final=0.1, save_every=5),
+                              handle, u0).final for step_dt in (dt, dt / 4))
+    gap = (coarse - fine).norm() / fine.norm()
+    assert 0.5 <= estimate / gap <= 2.0

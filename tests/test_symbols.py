@@ -6,6 +6,8 @@ defining exponential sums, independent of the FFT-based fast path it
 checks.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -27,11 +29,12 @@ from polyschro import (
     quantize_symbol,
 )
 from polyschro import symbols
-from polyschro.errors import SolverError, SymbolDomainError
+from polyschro.errors import GridError, SolverError, SymbolDomainError
 from polyschro.operators import HamiltonianHandle
-from polyschro.symbols import SymbolField
+from polyschro.symbols import SymbolField, dense_matrix
 
 from conftest import (
+    MAGNETIC_2D,
     band_limited_state,
     dense_confined_quartic_hamiltonian,
     dense_quantization_matrix,
@@ -158,6 +161,30 @@ def test_quantize_matches_dense_oracle_2d(rng):
     np.testing.assert_allclose(out.values.ravel(), dense @ v.ravel(), atol=1e-10)
 
 
+@pytest.mark.parametrize("fam", [get_family("confined_quartic"), MAGNETIC_2D],
+                         ids=lambda fam: fam.name)
+def test_dense_matrix_matches_dense_oracle(fam):
+    """One call on the identity stack builds Op(s) and its adjoint."""
+    g = make_grid(fam.dim, 4.0, 64 if fam.dim == 1 else 16)
+    s = eval_symbol("chi_eps", fam, g, t=0.7, cutoff=CutoffSpec(eps=0.25, mu=0.5))
+    want = dense_quantization_matrix(g, s.values)
+    got = dense_matrix(partial(quantize_symbol, s), g)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    got = dense_matrix(partial(adjoint_quantize_symbol, s), g)
+    assert np.linalg.norm(got - want.conj().T) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("d, bad_shapes", [(1, [(), (32,), (3, 32), (64, 3)]),
+                                           (2, [(16,), (16, 8), (3, 8, 16)])])
+def test_quantization_rejects_states_off_the_grid_shape(d, bad_shapes):
+    g = make_grid(d, 4.0, 64 if d == 1 else 16)
+    s = eval_symbol("h", get_family("harmonic") if d == 1 else MAGNETIC_2D, g)
+    for shape in bad_shapes:
+        for op in (quantize_symbol, adjoint_quantize_symbol):
+            with pytest.raises(GridError, match="does not match grid"):
+                op(s, np.ones(shape, dtype=complex))
+
+
 def test_adjoint_pairs_with_quantization(grid_small, rng):
     x, xi = grid_small.axis, grid_small.dual_axis
     vals = (np.outer(np.sin(x), xi) + 0.3j * np.outer(x**2, np.ones_like(xi))).astype(complex)
@@ -202,29 +229,35 @@ def test_parametrix_residual_decay_confined_quartic():
     assert res.slope == pytest.approx(-0.5, abs=0.15)
 
 
-def _nan_on_second_call(monkeypatch):
+def _nan_on_call(monkeypatch, index):
+    """Make the index-th quantize_symbol call (from 0) of the checks return NaNs.
+
+    The checks quantize each symbol once, on the identity stack, so call
+    i builds the matrix of the i-th mu or eps.
+    """
     calls = []
-    quantize = symbols.quantize_symbol
 
-    def nan_on_second_call(field, v):
+    def poisoned(field, v):
         calls.append(1)
-        return quantize(field, v) * (np.nan if len(calls) == 2 else 1.0)
+        return quantize_symbol(field, v) * (np.nan if len(calls) == index + 1 else 1.0)
 
-    monkeypatch.setattr(symbols, "quantize_symbol", nan_on_second_call)
+    monkeypatch.setattr(symbols, "quantize_symbol", poisoned)
 
 
 def test_parametrix_residual_nan_probe_raises(flat_family, monkeypatch):
-    _nan_on_second_call(monkeypatch)
     g = make_grid(1, 8.0, 64)
-    with pytest.raises(SolverError, match="mu=2"):
-        parametrix_residual(flat_family, g, mu_values=(2.0, 4.0))
+    for index, mu in enumerate(("2", "4")):
+        _nan_on_call(monkeypatch, index)
+        with pytest.raises(SolverError, match=f"at mu={mu} is not finite"):
+            parametrix_residual(flat_family, g, mu_values=(2.0, 4.0))
 
 
 def test_commutator_probe_nan_raises(flat_family, monkeypatch):
-    _nan_on_second_call(monkeypatch)
     g = make_grid(1, 8.0, 64)
-    with pytest.raises(SolverError, match="eps=0.5"):
-        commutator_probe(flat_family, g, mu=2.0, eps_values=(0.5, 0.25))
+    for index, eps in enumerate(("0.5", "0.25")):
+        _nan_on_call(monkeypatch, index)
+        with pytest.raises(SolverError, match=f"at eps={eps} is not finite"):
+            commutator_probe(flat_family, g, mu=2.0, eps_values=(0.5, 0.25))
 
 
 def test_exact_norms_match_dense_oracle():
