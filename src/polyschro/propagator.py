@@ -12,21 +12,24 @@ On a 1-D grid of at most DIRECT_MAX_N points, a family without t has
 one Cayley matrix for the whole run, plain or mollified.  Its step is a
 matvec with the dense inverse, built once and cached on the handle.
 Every other Cayley step (time-dependent, composite or larger grids) is
-one GMRES solve, seeded with the current state.  Plain flows
-precondition it with the split preconditioner built from the exact
-inverses of the kinetic-only and potential-only Cayley factors (each
-diagonal in one basis); mollified flows, whose operator is bounded, run
-it unpreconditioned.  Both solves check their true residual, and one
-that misses its tolerance raises SolverError; there is no fallback.
+one solve by the module's restarted GMRES (Saad and Schultz 1986), which
+keeps scipy's stopping rule.  Plain flows precondition it with the split
+preconditioner built from the exact inverses of the kinetic-only and
+potential-only Cayley factors (each diagonal in one basis), and start it
+from that preconditioner applied to the right-hand side: the split-step
+Cayley predictor (Lubich 2008).  Mollified flows, whose operator is
+bounded, run it unpreconditioned from the right-hand side.  Both solves
+check their true residual, and one that misses its tolerance raises
+SolverError; there is no fallback.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import ConfigError, SolverError
 from .grid import WaveFunction, _check_same_grid, l2_norm
@@ -37,6 +40,7 @@ from .symbols import CutoffSpec
 SCHEMES = ("crank_nicolson_midpoint", "lanczos_expmid")
 # the largest 1-D grid in use; its dense Cayley inverse takes 4 MB
 DIRECT_MAX_N = 512
+GMRES_RESTART = 40
 
 
 @dataclass(frozen=True)
@@ -47,9 +51,10 @@ class PropagatorConfig:
     mollified Hamiltonian with the given cutoff strength.  solver_tol is the
     relative residual target of the Cayley solve and the target of the
     Lanczos error estimate; a Cayley solve that misses it raises
-    SolverError.  krylov_dim caps the Lanczos basis, and a step that
-    reaches the cap keeps its result and reports its estimate as the step
-    residual.
+    SolverError.  max_solver_iter caps the inner GMRES iterations of one
+    Cayley solve, summed over its restarts.  krylov_dim caps the Lanczos
+    basis, and a step that reaches the cap keeps its result and reports
+    its estimate as the step residual.
     """
 
     scheme: str = "crank_nicolson_midpoint"
@@ -115,6 +120,7 @@ class _Operator:
         self.precondition = self.cutoff is None
         self.direct = (self.grid.d == 1 and self.grid.N <= DIRECT_MAX_N
                        and not handle.time_dependent)
+        self.krylov_k = 0  # the Lanczos basis size of the run's last step
 
     def apply(self, t, f):
         if self.cutoff is None:
@@ -123,12 +129,17 @@ class _Operator:
 
 
 def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
-                  cfg: PropagatorConfig, guess: np.ndarray) -> tuple:
+                  cfg: PropagatorConfig) -> tuple:
     """Solve (I + i tau Op(t_mid)) x = rhs.
 
-    A direct operator multiplies by the handle's cached dense inverse and
-    reports one iteration; any other runs GMRES from guess.  Either way
-    the step's residual is the true one, ||A x - rhs|| / ||rhs||.
+    A direct operator multiplies by the handle's cached dense inverse,
+    reports one iteration and measures its residual with one more apply.
+    Any other runs gmres, preconditioned as _Operator says and started
+    from the preconditioned right-hand side: for plain flows that is the
+    split-step Cayley predictor, the product of the exact kinetic and
+    potential inverse factors.  gmres returns the true residual of its
+    solution, so no extra apply is needed.  Either way the step's residual
+    is ||A x - rhs|| / ||rhs||.
     """
     shape = op.grid.shape
 
@@ -143,10 +154,18 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
 
     if op.direct:
         x = op.handle.cayley_inverse(t_mid, tau, op.cutoff) @ b
-        iters, info = 1, 0
+        iters, info, res = 1, 0, np.linalg.norm(a_matvec(x) - b)
     else:
-        x, iters, info = _gmres(op, t_mid, tau, a_matvec, b, cfg, guess)
-    true_res = np.linalg.norm(a_matvec(x) - b) / b_norm
+        iters = 0
+
+        def count(_):
+            nonlocal iters
+            iters += 1
+
+        x, info, res = gmres(a_matvec, b, _preconditioner(op, t_mid, tau),
+                             rtol=cfg.solver_tol, maxiter=cfg.max_solver_iter,
+                             callback=count)
+    true_res = res / b_norm
     if not np.isfinite(true_res):
         # a blow-up: the stepping loop reports the non-finite state
         return np.full(shape, np.nan, dtype=complex), StepReport(iters, np.nan)
@@ -158,46 +177,120 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
     return x.reshape(shape), StepReport(iterations=iters, residual=float(true_res))
 
 
-def _gmres(op: _Operator, t_mid, tau, a_matvec, b, cfg: PropagatorConfig, guess):
-    """GMRES on the Cayley system; returns (x, iterations, info)."""
+def _preconditioner(op: _Operator, t_mid, tau):
+    """M v = (I + i tau K)^-1 (I + i tau V)^-1 v for plain flows, else None (M = I)."""
+    if not op.precondition:
+        return None
     grid = op.grid
     shape = grid.shape
-    size = grid.size
-    if op.precondition:
-        kin = op.handle.kinetic_multiplier
-        pot = op.handle.potential_multiplier(t_mid)
-        inv_kin = 1.0 / (1.0 + 1j * tau * kin)
-        inv_pot = 1.0 / (1.0 + 1j * tau * pot)
+    inv_kin = 1.0 / (1.0 + 1j * tau * op.handle.kinetic_multiplier)
+    inv_pot = 1.0 / (1.0 + 1j * tau * op.handle.potential_multiplier(t_mid))
 
-        def m_matvec(v):
-            v = v.reshape(shape)
-            v = grid.ifft(inv_kin * grid.fft(inv_pot * v))
-            return v.ravel()
+    def m_matvec(v):
+        return grid.ifft(inv_kin * grid.fft(inv_pot * v.reshape(shape))).ravel()
 
-        M = LinearOperator((size, size), matvec=m_matvec, dtype=complex)
-    else:
-        M = None
+    return m_matvec
 
-    A = LinearOperator((size, size), matvec=a_matvec, dtype=complex)
-    iters = 0
 
-    def count(_):
-        nonlocal iters
-        iters += 1
+def _givens(f: complex, g: complex) -> tuple:
+    """(c, s, r) with [[c, s], [-conj(s), c]] @ [f, g] = [r, 0], c real (as LAPACK lartg)."""
+    if g == 0:
+        return 1.0, 0j, f
+    if f == 0:
+        ag = abs(g)
+        return 0.0, g.conjugate() / ag, complex(ag)
+    af = abs(f)
+    d = math.hypot(af, abs(g))
+    phase = f / af
+    return af / d, phase * g.conjugate() / d, phase * d
 
-    x, info = gmres(
-        A,
-        b,
-        x0=guess.ravel(),
-        rtol=cfg.solver_tol,
-        atol=0.0,
-        restart=40,
-        maxiter=cfg.max_solver_iter,
-        M=M,
-        callback=count,
-        callback_type="legacy",
-    )
-    return x, iters, info
+
+def gmres(matvec, b: np.ndarray, psolve, *, rtol: float, maxiter: int, callback) -> tuple:
+    """Left-preconditioned GMRES(40) for A x = b on raw vectors.
+
+    matvec(v) is A v and psolve(v) is M v (None: M = I).  The solve starts
+    from x0 = M b, which the inner tolerance needs anyway.  Its stopping
+    rule is that of scipy 1.17's gmres with callback_type="legacy": the
+    inner loop stops when the preconditioned residual estimate ||M r|| is
+    at most ptol (||M b|| rtol at first, then rescaled after each restart
+    with the same ptol_max_factor update), the outer loop when the true
+    residual ||b - A x|| is at most rtol ||b||, and maxiter counts inner
+    iterations.  callback(estimate / ||b||) runs once per inner iteration.
+    The basis is orthogonalized by modified Gram-Schmidt, as scipy does.
+
+    A non-finite residual at x0 returns at once.
+
+    Returns (x, info, ||b - A x||); info is 0 on convergence, else maxiter.
+    """
+    psolve = psolve or (lambda v: v)
+    n = b.size
+    restart = min(GMRES_RESTART, n)
+    eps = np.finfo(float).eps
+    b_norm = np.linalg.norm(b)
+    atol = rtol * b_norm
+    x = psolve(b).copy()
+    ptol_max_factor = 1.0
+    ptol = np.linalg.norm(x) * min(1.0, rtol)
+    r = b - matvec(x)
+    r_norm = np.linalg.norm(r)
+    if not r_norm >= atol:
+        # converged at x0, or a non-finite operator or b that no iteration repairs
+        return x, (0 if r_norm < atol else maxiter), r_norm
+    basis = np.empty((restart + 1, n), dtype=complex)
+    inner = 0
+    while True:
+        z = psolve(r)
+        beta = float(np.linalg.norm(z))
+        np.multiply(z, 1.0 / beta, out=basis[0])
+        g = [complex(beta)]  # the rotated right-hand side of the least-squares problem
+        cols, rots = [], []  # Hessenberg columns, triangular once rotated; the rotations
+        breakdown = False
+        for col in range(restart):
+            w = psolve(matvec(basis[col]))
+            h0 = np.linalg.norm(w)
+            column = []
+            for k in range(col + 1):
+                h = complex(np.vdot(basis[k], w))
+                column.append(h)
+                w -= h * basis[k]
+            h1 = float(np.linalg.norm(w))
+            if h1 <= eps * h0:
+                h1, breakdown = 0.0, True
+            else:
+                np.multiply(w, 1.0 / h1, out=basis[col + 1])
+            for k, (c, s) in enumerate(rots):
+                column[k], column[k + 1] = (c * column[k] + s * column[k + 1],
+                                            -s.conjugate() * column[k] + c * column[k + 1])
+            c, s, column[col] = _givens(column[col], complex(h1))
+            rots.append((c, s))
+            cols.append(column)
+            g.append(-s.conjugate() * g[col])
+            g[col] *= c
+            presid = abs(g[col + 1])
+            inner += 1
+            callback(presid / b_norm)
+            if inner == maxiter or presid <= ptol or breakdown:
+                break
+        # back-substitution on the triangle; a zero pivot drops its term
+        if cols[col][col] == 0:
+            g[col] = 0j
+        y = g[:col + 1]
+        for k in range(col, -1, -1):
+            if y[k] != 0:
+                y[k] /= cols[k][k]
+                for i in range(k):
+                    y[i] -= y[k] * cols[k][i]
+        x += np.array(y) @ basis[:col + 1]
+        r = b - matvec(x)
+        r_norm = np.linalg.norm(r)
+        if inner == maxiter or r_norm <= atol or breakdown:
+            break
+        if presid <= ptol:
+            ptol_max_factor = max(eps, 0.25 * ptol_max_factor)
+        else:
+            ptol_max_factor = min(1.0, 1.5 * ptol_max_factor)
+        ptol = presid * min(ptol_max_factor, atol / r_norm)
+    return x, (0 if r_norm <= atol else maxiter), r_norm
 
 
 def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorConfig):
@@ -207,9 +300,11 @@ def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorCon
     beta_k |e_k^T exp(-i dt T_k) e_1| (Saad 1992; Hochbruck and Lubich
     1997) is at most solver_tol, or at k = krylov_dim.  The estimate is
     relative to ||u|| and is returned as the step residual, also when the
-    cap stops the recurrence first.  No reorthogonalization: Lanczos
-    without it still computes f(A)b accurately (Druskin, Greenbaum and
-    Knizhnerman 1998).
+    cap stops the recurrence first.  It costs a tridiagonal eigensolve, so
+    it is first taken at the previous step's k - 2 (a run's steps need
+    similar k); the step still stops only where the estimate meets the
+    target.  No reorthogonalization: Lanczos without it still computes
+    f(A)b accurately (Druskin, Greenbaum and Knizhnerman 1998).
     """
     shape = u.shape
     norm_u = np.linalg.norm(u.ravel())
@@ -222,20 +317,22 @@ def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorCon
     for j in range(m):
         w = op.apply(t_mid, basis[j].reshape(shape)).ravel()
         alphas[j] = np.vdot(basis[j], w).real
-        w = w - alphas[j] * basis[j]
+        w -= alphas[j] * basis[j]
         if j > 0:
             w -= betas[j - 1] * basis[j - 1]
-        betas[j] = np.sqrt(np.vdot(w, w).real)
+        betas[j] = np.linalg.norm(w)
         k = j + 1
         if not np.isfinite(betas[j]):
             # a blow-up: the stepping loop reports the non-finite state
             return np.full(shape, np.nan, dtype=complex), StepReport(k, np.nan)
-        theta, S = eigh_tridiagonal(alphas[:k], betas[:j], check_finite=False)
-        coeff = S @ (np.exp(-1j * cfg.dt * theta) * S[0, :])
-        estimate = betas[j] * abs(coeff[-1])
-        if estimate <= cfg.solver_tol or k == m:
-            break
+        if k >= op.krylov_k - 2 or k == m:
+            theta, S = eigh_tridiagonal(alphas[:k], betas[:j], check_finite=False)
+            coeff = S @ (np.exp(-1j * cfg.dt * theta) * S[0, :])
+            estimate = betas[j] * abs(coeff[-1])
+            if estimate <= cfg.solver_tol or k == m:
+                break
         np.multiply(w, 1.0 / betas[j], out=basis[k])
+    op.krylov_k = k
     out = (norm_u * coeff) @ basis[:k]
     return out.reshape(shape), StepReport(iterations=k, residual=float(estimate))
 
@@ -255,10 +352,10 @@ def _advance(op: _Operator, cfg: PropagatorConfig, t: float, u: np.ndarray,
         return _lanczos_expm(op, t_mid, u, cfg)
     if source_mid is None:
         # u_next = 2 (I + i tau H)^{-1} u - u
-        v, rep = _cayley_solve(op, t_mid, tau, u, cfg, u)
+        v, rep = _cayley_solve(op, t_mid, tau, u, cfg)
         return 2.0 * v - u, rep
     rhs = u - 1j * tau * op.apply(t_mid, u) - 1j * cfg.dt * source_mid
-    return _cayley_solve(op, t_mid, tau, rhs, cfg, u)
+    return _cayley_solve(op, t_mid, tau, rhs, cfg)
 
 
 @dataclass

@@ -397,6 +397,25 @@ def test_blow_up_names_step_and_time(scheme):
         propagate(cfg, handle, gaussian_packet(g))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_gmres_blow_up_stops_at_the_non_finite_residual(monkeypatch):
+    """A time-dependent flow blows up inside GMRES, which returns at once
+    instead of iterating on NaN up to max_solver_iter."""
+    estimates = []
+    solve = propagator.gmres
+
+    def counted_gmres(*args, callback, **kwargs):
+        return solve(*args, callback=lambda res: estimates.append(res) or callback(res),
+                     **kwargs)
+
+    monkeypatch.setattr(propagator, "gmres", counted_gmres)
+    g = make_grid(1, 10.0, 64)
+    handle = _BlowUpHandle(get_family("confined_quartic"), g)
+    with pytest.raises(SolverError, match=r"non-finite at step 6 \(t=0\.006\)"):
+        propagate(PropagatorConfig(dt=1e-3, t_final=0.01), handle, gaussian_packet(g))
+    assert np.isfinite(estimates).all()
+
+
 @pytest.fixture(scope="module")
 def parametric_128():
     g = make_grid(1, 10.0, 128)
@@ -445,14 +464,95 @@ def test_time_free_inhomogeneous_flow_matches_dense_cayley_recursion(parametric_
     ("confined_quartic", 128),                            # time-dependent
     ("parametric_quartic", 2 * propagator.DIRECT_MAX_N),  # above the cap
 ])
-def test_gmres_still_steps_other_flows(name, N):
+def test_gmres_still_steps_other_flows(name, N, monkeypatch):
+    calls = []
+    solve = propagator.gmres
+    monkeypatch.setattr(propagator, "gmres",
+                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
     g = make_grid(1, 10.0, N)
     fam = get_family(name)
     handle = HamiltonianHandle(fam, g, rho=1.0 if fam.rho_interval else 0.0)
     cfg = PropagatorConfig(dt=1e-3, t_final=5e-3, keep_states=False)
-    run = propagate(cfg, handle, gaussian_packet(g, center=1.0, width=0.8))
-    assert min(run.data["solver_iterations"][1:]) > 1
+    propagate(cfg, handle, gaussian_packet(g, center=1.0, width=0.8))
+    assert len(calls) == cfg.n_steps
     assert handle._cayley is None
+
+
+@pytest.mark.parametrize("tau, precondition", [
+    (5e-4, True),    # the Cayley step of dt = 1e-3: a few iterations
+    (3e-1, True),    # restarts: the inner test passes while the outer fails, and at 40
+    (5e-3, False),   # unpreconditioned, several restarts
+])
+def test_gmres_matches_scipy_gmres(tau, precondition):
+    """The package GMRES keeps scipy's stopping rule: from the same x0 = M b it
+    returns the same solution after the same number of inner iterations."""
+    from scipy.sparse.linalg import LinearOperator
+    from scipy.sparse.linalg import gmres as scipy_gmres
+
+    g = make_grid(1, 10.0, 128)
+    handle = HamiltonianHandle(get_family("confined_quartic"), g)
+    t = 0.3
+    psolve = (propagator._preconditioner(propagator._Operator(handle, PropagatorConfig()), t, tau)
+              if precondition else None)
+    b = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5).values
+
+    def matvec(v):
+        return v + 1j * tau * handle.apply(t, v)
+
+    ours, theirs = [], []
+    x, info, res = propagator.gmres(matvec, b, psolve, rtol=1e-11, maxiter=4000,
+                                    callback=ours.append)
+    as_op = lambda f: LinearOperator((g.N, g.N), matvec=f, dtype=complex)
+    x_ref, info_ref = scipy_gmres(
+        as_op(matvec), b, x0=psolve(b) if precondition else b, rtol=1e-11, atol=0.0,
+        restart=40, maxiter=4000, M=as_op(psolve) if precondition else None,
+        callback=theirs.append, callback_type="legacy")
+    assert info == info_ref == 0
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert abs(len(ours) - len(theirs)) <= 1
+    assert res == np.linalg.norm(b - matvec(x))
+
+
+def test_gmres_callback_counts_inner_iterations(monkeypatch):
+    """The callback fires once per inner iteration and its count is the
+    solver_iterations column; a step applies H twice more (the residuals of
+    x0 and of the result, nothing after gmres returns)."""
+    g = make_grid(1, 10.0, 256)
+    handle = HamiltonianHandle(get_family("confined_quartic"), g)
+    counts = {"applies": 0, "callbacks": 0}
+    apply = handle.apply
+
+    def counted_apply(t, f):
+        counts["applies"] += 1
+        return apply(t, f)
+
+    handle.apply = counted_apply
+    solve = propagator.gmres
+
+    def counted_gmres(*args, callback, **kwargs):
+        def count(res):
+            counts["callbacks"] += 1
+            callback(res)
+        return solve(*args, callback=count, **kwargs)
+
+    monkeypatch.setattr(propagator, "gmres", counted_gmres)
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.02, keep_states=False)
+    run = propagate(cfg, handle, gaussian_packet(g, center=1.0, width=0.8, momentum=0.5))
+    iterations = run.data["solver_iterations"].sum()
+    assert counts["callbacks"] == iterations
+    assert counts["applies"] == iterations + 2 * cfg.n_steps
+
+
+def test_split_cayley_predictor_bounds_gmres_iterations():
+    """The time-dependent N=512 flow of the norm_track benchmark takes 5.13
+    GMRES iterations a step from the split-step Cayley predictor; from the
+    current state it took 8.03."""
+    g = make_grid(1, 10.0, 512)
+    handle = HamiltonianHandle(get_family("confined_quartic"), g)
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    cfg = PropagatorConfig(dt=1e-3, t_final=1.0, save_every=5, keep_states=False)
+    run = propagate(cfg, handle, u0)
+    assert run.data["solver_iterations"].sum() / cfg.n_steps <= 5.5
 
 
 def test_time_free_handle_samples_its_fields_once(monkeypatch):
