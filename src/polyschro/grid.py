@@ -116,10 +116,11 @@ class SpatialGrid:
         return mask
 
     def fft(self, values: np.ndarray) -> np.ndarray:
-        return sfft.fftn(values) if self.d > 1 else sfft.fft(values)
+        """The transform over the last d axes, so leading batch axes pass through."""
+        return sfft.fftn(values, None, (-2, -1)) if self.d > 1 else sfft.fft(values)
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
-        return sfft.ifftn(values) if self.d > 1 else sfft.ifft(values)
+        return sfft.ifftn(values, None, (-2, -1)) if self.d > 1 else sfft.ifft(values)
 
 
 def make_grid(d: int, L: float, N: int) -> SpatialGrid:
@@ -201,11 +202,15 @@ def l2_inner_product(f, g, grid: SpatialGrid | None = None) -> complex:
     return complex(grid.dx**grid.d * np.vdot(gv, fv))
 
 
-def l2_norm(f, grid: SpatialGrid | None = None) -> float:
+def l2_norm(f, grid: SpatialGrid | None = None):
+    """sqrt((f, f)): a float, or one norm per state of a (R, *grid.shape) stack."""
     if grid is None:
         grid = f.grid
     fv = _values_of(f)
-    return float(np.sqrt(grid.dx**grid.d) * np.linalg.norm(fv.ravel()))
+    scale = np.sqrt(grid.dx**grid.d)
+    if fv.ndim > grid.d:
+        return scale * np.linalg.norm(fv.reshape(*fv.shape[:-grid.d], -1), axis=-1)
+    return float(scale * np.linalg.norm(fv.ravel()))
 
 
 def spectral_derivative(f, axis: int = 0, order: int = 1):
@@ -242,12 +247,13 @@ def multi_indices(d: int, max_total: int):
     return [(i, j) for i in range(max_total + 1) for j in range(max_total + 1 - i)]
 
 
-def derivative_norm_sum(values: np.ndarray, grid: SpatialGrid, max_order: int) -> float:
+def derivative_norm_sum(values: np.ndarray, grid: SpatialGrid, max_order: int):
     """Sum of ||d^alpha f|| over all multi-indices |alpha| <= max_order.
 
     By Parseval ||d^alpha f|| = sqrt(dx^d / N^d) ||xi^alpha F f||, so one
     transform serves every alpha: each term contracts |F f|^2 with the
-    squared frequency powers, one axis at a time.
+    squared frequency powers, one axis at a time.  A (R, *grid.shape)
+    stack takes one batched transform and returns R sums.
     """
     power = np.abs(grid.fft(values)) ** 2
     xi_sq = grid.dual_axis**2
@@ -257,7 +263,8 @@ def derivative_norm_sum(values: np.ndarray, grid: SpatialGrid, max_order: int) -
         for order in reversed(alpha):
             moment = moment @ xi_sq**order  # contracts the last remaining axis
         total += np.sqrt(moment)
-    return float(np.sqrt(grid.dx**grid.d / grid.size) * total)
+    total *= np.sqrt(grid.dx**grid.d / grid.size)
+    return total if np.ndim(total) else float(total)
 
 
 def gaussian_packet(grid: SpatialGrid, center=0.0, width: float = 1.0, momentum=0.0) -> WaveFunction:

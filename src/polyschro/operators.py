@@ -27,7 +27,7 @@ from scipy import fft as sfft
 from scipy.linalg import cho_factor, cho_solve, circulant, inv
 
 from .errors import SolverError
-from .grid import SpatialGrid, WaveFunction, derivative_norm_sum, l2_norm
+from .grid import SpatialGrid, WaveFunction, _values_of, derivative_norm_sum, l2_norm
 from .potentials import PotentialFamily, eval_potential, partial_rho
 from .symbols import CutoffSpec, adjoint_quantize_symbol, dense_matrix, eval_symbol, quantize_symbol
 
@@ -75,6 +75,13 @@ def axis_terms(grid: SpatialGrid, k: int, mass: float, a) -> tuple:
     return (k - grid.d, xi, xi_2m, xi * xi_2m, a, a / (2.0 * mass))
 
 
+def gauge_phase(a: np.ndarray, dx: float) -> np.ndarray:
+    """phi with phi' = A on a line: the cumulative trapezoid of A, phi[0] = 0."""
+    phi = np.zeros(len(a))
+    np.cumsum(0.5 * dx * (a[1:] + a[:-1]), out=phi[1:])
+    return phi
+
+
 def apply_expanded(f: np.ndarray, diag: np.ndarray, axes, kinetic: bool = True) -> np.ndarray:
     """diag f plus, per axis k, (p_k^2 - A_k p_k - p_k A_k) f / 2m_k.
 
@@ -83,9 +90,11 @@ def apply_expanded(f: np.ndarray, diag: np.ndarray, axes, kinetic: bool = True) 
 
         F_k^-1(xi_k/2m_k (xi_k G - H)) - (A_k/2m_k) F_k^-1(xi_k G),
 
-    four one-axis passes, or F_k^-1(xi_k^2/2m_k G), two passes, when A_k
-    is None.  kinetic=False drops the p_k^2 term, which dH/drho does not
-    have.  ``axes`` holds ``axis_terms`` tuples; f may have leading batch axes.
+    two paired transforms: G and H in one call on a (2, *f.shape) buffer,
+    and both inverse transforms in one more.  When A_k is None it is
+    F_k^-1(xi_k^2/2m_k G), two passes.  kinetic=False drops the p_k^2
+    term, which dH/drho does not have.  ``axes`` holds ``axis_terms``
+    tuples; f may have leading batch axes.
     """
     f = np.asarray(f, dtype=complex)
     out = diag * f
@@ -96,13 +105,23 @@ def apply_expanded(f: np.ndarray, diag: np.ndarray, axes, kinetic: bool = True) 
             if kinetic:
                 out += sfft.ifft(kin * sfft.fft(f, None, k), None, k)
             continue
-        xi_g = xi * sfft.fft(f, None, k)
-        # unnamed temporaries: numpy reuses their buffers on composite grids
+        pair = np.empty((2, *f.shape), dtype=complex)
+        pair[0] = f
+        np.multiply(a, f, out=pair[1])
+        # overwrite_x: the spectrum may be the buffer itself, so each slot
+        # is read before it is written
+        spec = sfft.fft(pair, None, k, None, True)
+        xi_g = xi * spec[0]
         if kinetic:
-            out += sfft.ifft(xi_2m * (xi_g - sfft.fft(a * f, None, k)), None, k)
+            np.subtract(xi_g, spec[1], out=spec[1])
+        spec[1] *= xi_2m
+        spec[0] = xi_g
+        back = sfft.ifft(spec, None, k, None, True)
+        if kinetic:
+            out += back[1]
         else:
-            out -= sfft.ifft(xi_2m * sfft.fft(a * f, None, k), None, k)
-        out -= a_2m * sfft.ifft(xi_g, None, k)
+            out -= back[1]
+        out -= a_2m * back[0]
     return out
 
 
@@ -161,6 +180,20 @@ class HamiltonianHandle:
     def potential_multiplier(self, t: float) -> np.ndarray:
         """V + |A|^2/2m: the x-diagonal part of the expanded form (read-only)."""
         return self._fields[self._key(t)][0]
+
+    def gauge_split(self, t: float) -> tuple:
+        """(phi, V_g) with H(t) ~ e^{i phi} p^2/2m e^{-i phi} + V_g.
+
+        In 1-D, phi' = A turns (p - A)^2 into p^2 exactly in the continuum,
+        and V_g = V.  phi is the cumulative trapezoid of A with phi[0] = 0.
+        With no field, or on a 2-D grid (where A_k depends on both
+        coordinates), phi is None and V_g the full potential multiplier.
+        """
+        pot, axes = self._fields[self._key(t)]
+        a, a_2m = axes[0][4:]
+        if self.grid.d > 1 or a is None:
+            return None, pot
+        return gauge_phase(a, self.grid.dx), pot - a * a_2m
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
         """H(t) f for a raw complex array: one state or a (B, *grid.shape) stack."""
@@ -255,8 +288,8 @@ class NormOrder:
     def weight_exponent(self) -> float:
         return 2.0 * abs(self.a) * (self.growth_order + 1)
 
-    def norm(self, f: WaveFunction) -> float:
-        return weighted_norm(self, f)
+    def norm(self, f, grid: SpatialGrid | None = None):
+        return weighted_norm(self, f, grid)
 
 
 def resolve_mu_prime(order: NormOrder, grid: SpatialGrid) -> float:
@@ -336,29 +369,34 @@ def apply_lambdaM_power(order: NormOrder, f: WaveFunction) -> WaveFunction:
     sides; in 2-D by conjugate gradients on the (Hermitian,
     positive-definite) operator itself, to 1e-12 relative residual.
     """
-    grid = f.grid
-    vals = f.values.astype(complex)
+    return f.with_values(_lambda_m_power(order, f.values.astype(complex), f.grid))
+
+
+def _lambda_m_power(order: NormOrder, vals: np.ndarray, grid: SpatialGrid) -> np.ndarray:
+    """Lambda_M^a on raw values: one state or a (R, *grid.shape) stack."""
     n = int(order.a)
-    if n == 0:
-        return f.with_values(vals)
     if n < 0 and grid.d == 1:
         factor = _lambda_m_factor(replace(order, a=-1, mu_prime=resolve_mu_prime(order, grid)), grid)
+        rows = vals.reshape(-1, grid.N)
+        r = len(rows)
         for _ in range(-n):
-            x = cho_solve(factor, np.stack([vals.real, vals.imag], axis=-1), check_finite=False)
-            vals = x[:, 0] + 1j * x[:, 1]
-        return f.with_values(vals)
+            # the real and the imaginary part of every row: 2R right-hand sides
+            x = cho_solve(factor, np.concatenate([rows.real, rows.imag]).T, check_finite=False)
+            rows = (x[:, :r] + 1j * x[:, r:]).T
+        return rows.reshape(vals.shape)
     mu_p, kin, weight = _lambda_m_parts(order, grid)
     op = lambda g: _lambda_m_apply(mu_p, kin, weight, grid, g)
-    if n > 0:
-        for _ in range(n):
-            vals = op(vals)
-        return f.with_values(vals)
-    for _ in range(-n):
-        vals, _ = solve_hermitian_cg(op, vals)
-    return f.with_values(vals)
+    for _ in range(n):
+        vals = op(vals)
+    if n < 0:
+        rows = vals.reshape(-1, *grid.shape)
+        for _ in range(-n):
+            rows = np.stack([solve_hermitian_cg(op, row)[0] for row in rows])
+        vals = rows.reshape(vals.shape)
+    return vals
 
 
-def weighted_norm(order: NormOrder, f: WaveFunction) -> float:
+def weighted_norm(order: NormOrder, f, grid: SpatialGrid | None = None):
     """Polynomially weighted Sobolev-type norm of order a.
 
     a = 0 is the plain L2 norm.  For a >= 1 the norm is the sum of all
@@ -367,16 +405,21 @@ def weighted_norm(order: NormOrder, f: WaveFunction) -> float:
     ||Lambda_M^a f||: in 1-D by a Cholesky factor of the matrix of
     Lambda_M, built on the first call for each (grid, M, mass, mu') and
     cached; in 2-D by conjugate gradients to 1e-12 relative residual.
+
+    f is a WaveFunction, or raw values on ``grid``: one state, or a
+    (R, *grid.shape) stack, which gives an array of R norms.
     """
-    grid = f.grid
+    if grid is None:
+        grid = f.grid
+    vals = _values_of(f)
     a = int(order.a)
-    if a == 0:
-        return l2_norm(f)
     if a < 0:
-        return l2_norm(apply_lambdaM_power(order, f))
-    total = derivative_norm_sum(f.values, grid, 2 * a)
-    total += l2_norm(grid.bracket_weight(order.weight_exponent) * f.values, grid)
-    return float(total)
+        vals = _lambda_m_power(order, vals.astype(complex), grid)
+    if a <= 0:
+        return l2_norm(vals, grid)
+    total = derivative_norm_sum(vals, grid, 2 * a)
+    total += l2_norm(grid.bracket_weight(order.weight_exponent) * vals, grid)
+    return total
 
 
 __all__ = [
@@ -384,6 +427,7 @@ __all__ = [
     "Memo",
     "apply_expanded",
     "axis_terms",
+    "gauge_phase",
     "NormOrder",
     "apply_hamiltonian",
     "apply_mollified",

@@ -13,11 +13,15 @@ one Cayley matrix for the whole run, plain or mollified.  Its step is a
 matvec with the dense inverse, built once and cached on the handle.
 Every other Cayley step (time-dependent, composite or larger grids) is
 one solve by the module's restarted GMRES (Saad and Schultz 1986), which
-keeps scipy's stopping rule.  Plain flows precondition it with the split
-preconditioner built from the exact inverses of the kinetic-only and
-potential-only Cayley factors (each diagonal in one basis), and start it
-from that preconditioner applied to the right-hand side: the split-step
-Cayley predictor (Lubich 2008).  Mollified flows, whose operator is
+keeps scipy's stopping rule.  Plain flows precondition it with the
+gauge-twisted split: the exact inverses of the potential-only Cayley
+factor and of the kinetic-only one conjugated by the gauge factor
+e^{i phi}, phi' = A, which takes the magnetic term into the kinetic
+factor wherever each A_k depends on x_k alone (1-D, and per particle on
+the composite grid).  The solve starts from that split applied to the
+right-hand side, the split-step Cayley predictor (Lubich 2008), and
+iterates on the fused preconditioned operator, one apply and one
+transform pair an iteration.  Mollified flows, whose operator is
 bounded, run it unpreconditioned from the right-hand side.  Both solves
 check their true residual, and one that misses its tolerance raises
 SolverError; there is no fallback.
@@ -41,6 +45,8 @@ SCHEMES = ("crank_nicolson_midpoint", "lanczos_expmid")
 # the largest 1-D grid in use; its dense Cayley inverse takes 4 MB
 DIRECT_MAX_N = 512
 GMRES_RESTART = 40
+# records whose norms are taken in one batch: 16 N=512 states add 0.4 MB
+NORM_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -121,6 +127,13 @@ class _Operator:
         self.direct = (self.grid.d == 1 and self.grid.N <= DIRECT_MAX_N
                        and not handle.time_dependent)
         self.krylov_k = 0  # the Lanczos basis size of the run's last step
+        self._inv_kin = None, None  # (tau, (I + i tau K)^-1) of the last tau
+
+    def inverse_kinetic(self, tau: float) -> np.ndarray:
+        """(1 + i tau K)^-1 on the dual grid, cached for the last tau."""
+        if self._inv_kin[0] != tau:
+            self._inv_kin = tau, 1.0 / (1.0 + 1j * tau * self.handle.kinetic_multiplier)
+        return self._inv_kin[1]
 
     def apply(self, t, f):
         if self.cutoff is None:
@@ -134,12 +147,13 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
 
     A direct operator multiplies by the handle's cached dense inverse,
     reports one iteration and measures its residual with one more apply.
-    Any other runs gmres, preconditioned as _Operator says and started
-    from the preconditioned right-hand side: for plain flows that is the
-    split-step Cayley predictor, the product of the exact kinetic and
-    potential inverse factors.  gmres returns the true residual of its
-    solution, so no extra apply is needed.  Either way the step's residual
-    is ||A x - rhs|| / ||rhs||.
+    Any other runs gmres from x0 = M b.  For plain flows M is the
+    gauge-twisted split of ``_preconditioner``, so x0 is the split-step
+    Cayley predictor, and the inner iterations run on the fused operator
+    M A, one apply and one transform pair each.  Mollified flows iterate
+    on A itself (M = I).  gmres returns the true residual of its solution,
+    so no extra apply is needed.  Either way the step's residual is
+    ||A x - rhs|| / ||rhs||.
     """
     shape = op.grid.shape
 
@@ -162,9 +176,10 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
             nonlocal iters
             iters += 1
 
-        x, info, res = gmres(a_matvec, b, _preconditioner(op, t_mid, tau),
-                             rtol=cfg.solver_tol, maxiter=cfg.max_solver_iter,
-                             callback=count)
+        split = _preconditioner(op, t_mid, tau)
+        x, info, res = gmres(a_matvec, b, split, rtol=cfg.solver_tol,
+                             maxiter=cfg.max_solver_iter, callback=count,
+                             pmatvec=None if split is None else split.fused)
     true_res = res / b_norm
     if not np.isfinite(true_res):
         # a blow-up: the stepping loop reports the non-finite state
@@ -178,18 +193,59 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
 
 
 def _preconditioner(op: _Operator, t_mid, tau):
-    """M v = (I + i tau K)^-1 (I + i tau V)^-1 v for plain flows, else None (M = I)."""
+    """The gauge-twisted split of (I + i tau H(t_mid)) for plain flows, else None (M = I)."""
     if not op.precondition:
         return None
-    grid = op.grid
-    shape = grid.shape
-    inv_kin = 1.0 / (1.0 + 1j * tau * op.handle.kinetic_multiplier)
-    inv_pot = 1.0 / (1.0 + 1j * tau * op.handle.potential_multiplier(t_mid))
+    return _Split(op, t_mid, tau)
 
-    def m_matvec(v):
-        return grid.ifft(inv_kin * grid.fft(inv_pot * v.reshape(shape))).ravel()
 
-    return m_matvec
+class _Split:
+    """M = e^{i phi} (I + i tau K)^-1 e^{-i phi} (I + i tau V_g)^-1, one step's split.
+
+    The handle's ``gauge_split`` gives (phi, V_g) with
+    H ~ e^{i phi} K e^{-i phi} + V_g, K the kinetic multiplier; where phi
+    is None the twist is left out.  Both factors are exact inverses, each
+    diagonal in one basis.  The factors are built once per (t_mid, tau)
+    and shared by x0 = M b, the restarts' M r and the fused operator.
+    """
+
+    def __init__(self, op: _Operator, t_mid: float, tau: float):
+        phi, v_g = op.handle.gauge_split(t_mid)
+        self.op, self.t_mid, self.itau = op, t_mid, 1j * tau
+        self.inv_kin = op.inverse_kinetic(tau)
+        # e^{-i phi} (I + i tau V_g)^-1, the diagonal applied before the transform
+        self.pre = 1.0 / (1.0 + self.itau * v_g)
+        self.twist = None
+        if phi is not None:
+            self.twist = np.exp(1j * phi)
+            self.pre *= self.twist.conj()
+
+    def _kinetic(self, w: np.ndarray) -> np.ndarray:
+        """e^{i phi} (I + i tau K)^-1 w; raveled."""
+        grid = self.op.grid
+        spec = grid.fft(w)
+        spec *= self.inv_kin
+        w = grid.ifft(spec)
+        if self.twist is not None:
+            w *= self.twist
+        return w.ravel()
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        """M v."""
+        return self._kinetic(self.pre * v.reshape(self.op.grid.shape))
+
+    def fused(self, v: np.ndarray) -> np.ndarray:
+        """M A v, one apply and one transform pair.
+
+        The diagonal factor is applied once, in place, to v + i tau H v,
+        which gives e^{-i phi} (v + c (H v - V_g v)), c = i tau / (1 + i tau V_g).
+        """
+        v = v.reshape(self.op.grid.shape)
+        w = self.op.apply(self.t_mid, v)
+        w *= self.itau
+        w += v
+        w *= self.pre
+        return self._kinetic(w)
 
 
 def _givens(f: complex, g: complex) -> tuple:
@@ -205,16 +261,23 @@ def _givens(f: complex, g: complex) -> tuple:
     return af / d, phase * g.conjugate() / d, phase * d
 
 
-def gmres(matvec, b: np.ndarray, psolve, *, rtol: float, maxiter: int, callback) -> tuple:
+def _norm(v: np.ndarray) -> float:
+    return math.sqrt(np.vdot(v, v).real)
+
+
+def gmres(matvec, b: np.ndarray, psolve, *, rtol: float, maxiter: int, callback,
+          pmatvec=None) -> tuple:
     """Left-preconditioned GMRES(40) for A x = b on raw vectors.
 
-    matvec(v) is A v and psolve(v) is M v (None: M = I).  The solve starts
-    from x0 = M b, which the inner tolerance needs anyway.  Its stopping
-    rule is that of scipy 1.17's gmres with callback_type="legacy": the
-    inner loop stops when the preconditioned residual estimate ||M r|| is
-    at most ptol (||M b|| rtol at first, then rescaled after each restart
-    with the same ptol_max_factor update), the outer loop when the true
-    residual ||b - A x|| is at most rtol ||b||, and maxiter counts inner
+    matvec(v) is A v and psolve(v) is M v (None: M = I).  The inner loop
+    iterates on pmatvec(v) = M A v when it is given, else on
+    psolve(matvec(v)).  The solve starts from x0 = M b, which the inner
+    tolerance needs anyway.  Its stopping rule is that of scipy 1.17's
+    gmres with callback_type="legacy": the inner loop stops when the
+    preconditioned residual estimate ||M r|| is at most ptol (||M b|| rtol
+    at first, then rescaled after each restart with the same
+    ptol_max_factor update), the outer loop when the true residual
+    ||b - A x|| is at most rtol ||b||, and maxiter counts inner
     iterations.  callback(estimate / ||b||) runs once per inner iteration.
     The basis is orthogonalized by modified Gram-Schmidt, as scipy does.
 
@@ -223,6 +286,7 @@ def gmres(matvec, b: np.ndarray, psolve, *, rtol: float, maxiter: int, callback)
     Returns (x, info, ||b - A x||); info is 0 on convergence, else maxiter.
     """
     psolve = psolve or (lambda v: v)
+    pmatvec = pmatvec or (lambda v: psolve(matvec(v)))
     n = b.size
     restart = min(GMRES_RESTART, n)
     eps = np.finfo(float).eps
@@ -230,30 +294,32 @@ def gmres(matvec, b: np.ndarray, psolve, *, rtol: float, maxiter: int, callback)
     atol = rtol * b_norm
     x = psolve(b).copy()
     ptol_max_factor = 1.0
-    ptol = np.linalg.norm(x) * min(1.0, rtol)
+    ptol = _norm(x) * min(1.0, rtol)
     r = b - matvec(x)
     r_norm = np.linalg.norm(r)
     if not r_norm >= atol:
         # converged at x0, or a non-finite operator or b that no iteration repairs
         return x, (0 if r_norm < atol else maxiter), r_norm
     basis = np.empty((restart + 1, n), dtype=complex)
+    proj = np.empty(n, dtype=complex)  # one Gram-Schmidt term, h basis[k]
     inner = 0
     while True:
         z = psolve(r)
-        beta = float(np.linalg.norm(z))
+        beta = _norm(z)
         np.multiply(z, 1.0 / beta, out=basis[0])
         g = [complex(beta)]  # the rotated right-hand side of the least-squares problem
         cols, rots = [], []  # Hessenberg columns, triangular once rotated; the rotations
         breakdown = False
         for col in range(restart):
-            w = psolve(matvec(basis[col]))
-            h0 = np.linalg.norm(w)
+            w = pmatvec(basis[col])
+            h0 = _norm(w)
             column = []
             for k in range(col + 1):
                 h = complex(np.vdot(basis[k], w))
                 column.append(h)
-                w -= h * basis[k]
-            h1 = float(np.linalg.norm(w))
+                np.multiply(basis[k], h, out=proj)
+                w -= proj
+            h1 = _norm(w)
             if h1 <= eps * h0:
                 h1, breakdown = 0.0, True
             else:
@@ -409,11 +475,16 @@ class PropagationRun:
 
 
 class _Recorder:
+    """The rows of a run.  The norm columns of up to NORM_BATCH pending rows
+    are filled in one batched pass, when that many are pending and at
+    finalize; a batch of every record would hold all the states at once."""
+
     def __init__(self, run: PropagationRun, handle, boundary_mask):
         self.run = run
         self.handle = handle
         self.mask = boundary_mask
         self.rows = []
+        self.pending = []  # (row, state) pairs whose norm columns are not filled yet
         self.iterations, self.residual = 0, 0.0
 
     def tally(self, rep: StepReport):
@@ -423,27 +494,41 @@ class _Recorder:
 
     def record(self, t, u_vals):
         """One row; its solver columns cover the steps since the previous row."""
-        wf = WaveFunction(self.run.grid, u_vals)
         total = np.sum(np.abs(u_vals) ** 2)
         edge = float(np.sum(np.abs(u_vals[self.mask]) ** 2) / total) if total > 0 else 0.0
         row = {
             "t": t,
-            "l2": l2_norm(wf),
+            "l2": None,
             "boundary_mass": edge,
             "solver_iterations": self.iterations,
             "solver_residual": self.residual,
         }
         self.iterations, self.residual = 0, 0.0
-        for order in self.run.norm_orders:
-            row[f"norm_a{order.a}"] = order.norm(wf)
         self.rows.append(row)
+        state = u_vals.copy()
+        self.pending.append((row, state))
         if self.run.cfg.keep_states:
-            self.run.states.append((t, u_vals.copy()))
+            self.run.states.append((t, state))
         if edge > self.run.cfg.boundary_tol:
             flag = f"boundary mass {edge:.3e} above {self.run.cfg.boundary_tol:g} at t={t:.6g}"
             self.run.flags.append(flag)
+        if len(self.pending) == NORM_BATCH:
+            self._fill_norms()
+
+    def _fill_norms(self):
+        grid = self.run.grid
+        stack = np.stack([state for _, state in self.pending])
+        cols = {"l2": l2_norm(stack, grid)}
+        for order in self.run.norm_orders:
+            cols[f"norm_a{order.a}"] = order.norm(stack, grid)
+        for i, (row, _) in enumerate(self.pending):
+            for key, col in cols.items():
+                row[key] = float(col[i])
+        self.pending.clear()
 
     def finalize(self):
+        if self.pending:
+            self._fill_norms()
         run = self.run
         run.times = np.array([r["t"] for r in self.rows])
         keys = [k for k in self.rows[0] if k != "t"]

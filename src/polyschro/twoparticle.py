@@ -26,8 +26,8 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import ConfigError, GridError
-from .grid import SpatialGrid, WaveFunction, derivative_norm_sum, l2_norm
-from .operators import Memo, apply_expanded, axis_terms
+from .grid import SpatialGrid, WaveFunction, _values_of, derivative_norm_sum, l2_norm
+from .operators import Memo, apply_expanded, axis_terms, gauge_phase
 from .potentials import InteractionFamily, PotentialFamily
 from .propagator import PropagatorConfig, PropagationRun, propagate
 from .symbols import dense_matrix
@@ -170,6 +170,24 @@ class TwoParticleHandle:
         """V1 + V2 + |A1|^2/2m1 + |A2|^2/2m2 + W, on the composite grid."""
         return self._fields[self._key(t)][0]
 
+    def gauge_split(self, t: float) -> tuple:
+        """(phi, V_g) with H(t) ~ e^{i phi} K e^{-i phi} + V_g, K the kinetic multiplier.
+
+        phi = phi_1(x_1) + phi_2(x_2), each the cumulative trapezoid of its
+        A_k along the axis with phi_k[0] = 0: A_k depends on x_k alone, so
+        this gauge is exact in the continuum.  V_g = W + V_1 + V_2; phi is
+        None when neither particle has a field.
+        """
+        pot = self.potential_multiplier(t)
+        a_s = self._particle_fields(lambda fam: fam.a[0], t)
+        if not any(np.any(a) for a in a_s):
+            return None, pot
+        phi, v_g = np.zeros(self.grid.shape), pot.copy()
+        for k, (a, m) in enumerate(zip(a_s, self.masses)):
+            phi += _axis_broadcast(gauge_phase(a, self.grid.dx), k)
+            v_g -= _axis_broadcast(a**2 / (2.0 * m), k)
+        return phi, v_g
+
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
         """(H1 + H2 + W) f: the diagonal plus one matrix product per axis."""
         return _apply_fields(self._fields[self._key(t)], f)
@@ -205,27 +223,31 @@ class PrimedNormOrder:
     def weight_exponent(self, k: int) -> float:
         return 2.0 * self.a * (self.growth_orders[k] + 1)
 
-    def norm(self, f: WaveFunction) -> float:
-        return weighted_norm_primed(self, f)
+    def norm(self, f, grid: SpatialGrid | None = None):
+        return weighted_norm_primed(self, f, grid)
 
 
-def weighted_norm_primed(order: PrimedNormOrder, f: WaveFunction) -> float:
+def weighted_norm_primed(order: PrimedNormOrder, f, grid: SpatialGrid | None = None):
     """Sum of derivative norms up to order 2a plus per-particle weights.
 
     The a = 0 case is the plain composite L2 norm; the weights use the
-    particle's own coordinate only, never the full radius.
+    particle's own coordinate only, never the full radius.  f is a
+    WaveFunction, or raw values on ``grid``: one state, or a
+    (R, *grid.shape) stack, which gives an array of R norms.
     """
-    grid = f.grid
+    if grid is None:
+        grid = f.grid
     if grid.d != 2:
         raise GridError("primed norms are defined on composite grids")
+    vals = _values_of(f)
     if order.a == 0:
-        return f.norm()
-    total = derivative_norm_sum(f.values, grid, 2 * order.a)
+        return l2_norm(vals, grid)
+    total = derivative_norm_sum(vals, grid, 2 * order.a)
     axis_weight = 1.0 + grid.axis**2
     for k in (0, 1):
         wk = axis_weight ** (order.weight_exponent(k) / 2.0)
-        total += l2_norm(_axis_broadcast(wk, k) * f.values, grid)
-    return float(total)
+        total += l2_norm(_axis_broadcast(wk, k) * vals, grid)
+    return total
 
 
 # ---------------------------------------------------------------------------

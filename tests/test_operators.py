@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from polyschro import (
     CutoffSpec,
@@ -377,3 +378,49 @@ def test_potential_multiplier_is_read_only(fam):
     with pytest.raises(ValueError):
         pot += 1.0
     np.testing.assert_array_equal(handle.apply(0.7, f), before)
+
+
+def _four_call_kernel(f, diag, axes, kinetic=True):
+    """apply_expanded with one transform per call: F f, F(A f) and two inverses."""
+    f = np.asarray(f, dtype=complex)
+    out = diag * f
+    for k, xi, xi_2m, kin, a, a_2m in axes:
+        if a is None:
+            if kinetic:
+                out += sfft.ifft(kin * sfft.fft(f, None, k), None, k)
+            continue
+        xi_g = xi * sfft.fft(f, None, k)
+        if kinetic:
+            out += sfft.ifft(xi_2m * (xi_g - sfft.fft(a * f, None, k)), None, k)
+        else:
+            out -= sfft.ifft(xi_2m * sfft.fft(a * f, None, k), None, k)
+        out -= a_2m * sfft.ifft(xi_g, None, k)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_paired_transforms_match_the_four_call_kernel(d, rng):
+    """Pairing F f with F(A f), and the two inverses, changes no bit: for one
+    state, for a stack, and without the kinetic term (dH/drho)."""
+    g = make_grid(d, 6.0, 64 if d == 1 else 16)
+    axes = tuple(operators.axis_terms(g, k, 2.0, a)
+                 for k, a in enumerate(rng.standard_normal((d,) + g.shape)))
+    diag = rng.standard_normal(g.shape)
+    for shape in (g.shape, (3,) + g.shape):
+        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for kinetic in (True, False):
+            assert np.array_equal(operators.apply_expanded(f, diag, axes, kinetic),
+                                  _four_call_kernel(f, diag, axes, kinetic))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_batched_norms_match_single_norms(d, rng):
+    """A (R, *grid.shape) stack gives the R norms of its states, for every order."""
+    g = make_grid(d, 6.0, 64 if d == 1 else 16)
+    stack = np.stack([band_limited_state(g, rng).values for _ in range(3)])
+    for a in range(-1, 4):
+        order = NormOrder(a=a, growth_order=1)
+        got = weighted_norm(order, stack, g)
+        want = [weighted_norm(order, WaveFunction(g, f)) for f in stack]
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)

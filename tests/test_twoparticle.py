@@ -369,3 +369,15 @@ def test_composite_matrix_is_hermitian():
     system = TwoParticleSystem(*MAGNETIC_PAIR, get_interaction("soft_pair"), g2)
     H = _dense(partial(TwoParticleHandle(system, rho=0.5).apply, 0.7), g2.shape)
     assert np.linalg.norm(H - H.conj().T) <= 1e-12 * np.linalg.norm(H)
+
+
+def test_batched_primed_norms_match_single_norms(rng):
+    """A (R, N, N) stack gives the R primed norms of its composite states."""
+    g2 = make_grid(2, 8.0, 32)
+    stack = np.stack([band_limited_state(g2, rng).values for _ in range(3)])
+    for a in range(4):
+        order = PrimedNormOrder(a=a, growth_orders=(1, 0))
+        got = order.norm(stack, g2)
+        want = [order.norm(WaveFunction(g2, f)) for f in stack]
+        assert got.shape == (3,)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
