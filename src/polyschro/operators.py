@@ -26,7 +26,7 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.linalg import cho_factor, cho_solve, circulant, inv
 
-from .errors import SolverError
+from .errors import ConfigError, SolverError
 from .grid import SpatialGrid, WaveFunction, _values_of, derivative_norm_sum, l2_norm
 from .potentials import PotentialFamily, eval_potential, partial_rho
 from .symbols import CutoffSpec, adjoint_quantize_symbol, dense_matrix, eval_symbol, quantize_symbol
@@ -276,13 +276,13 @@ class NormOrder:
 
     def __post_init__(self):
         if self.a != int(self.a):
-            raise ValueError("order a must be an integer")
+            raise ConfigError("order a must be an integer")
         if abs(self.a) > 3:
-            raise ValueError(f"orders are capped at |a| <= 3, got {self.a}")
+            raise ConfigError(f"orders are capped at |a| <= 3, got {self.a}")
         if self.growth_order < 0:
-            raise ValueError("growth_order must be >= 0")
+            raise ConfigError("growth_order must be >= 0")
         if self.mass <= 0:
-            raise ValueError("mass must be positive")
+            raise ConfigError("mass must be positive")
 
     @property
     def weight_exponent(self) -> float:

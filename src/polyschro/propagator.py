@@ -30,13 +30,13 @@ SolverError; there is no fallback.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, SolverError
-from .grid import WaveFunction, _check_same_grid, l2_norm
+from .grid import WaveFunction, _check_same_grid, _values_of, l2_norm
 from .operators import solve_hermitian_cg  # unused here; perfbench/tracer.py wraps this name
 from .report import write_csv
 from .symbols import CutoffSpec
@@ -412,16 +412,14 @@ def step(cfg: PropagatorConfig, handle, t: float, u: WaveFunction) -> WaveFuncti
 
 def _advance(op: _Operator, cfg: PropagatorConfig, t: float, u: np.ndarray,
              source_mid: np.ndarray | None = None):
+    """One step from t; a Crank-Nicolson step is u' = 2 (I + i tau H)^-1 (u - i tau f) - u."""
     t_mid = t + 0.5 * cfg.dt
     tau = 0.5 * cfg.dt
     if cfg.scheme == "lanczos_expmid":
         return _lanczos_expm(op, t_mid, u, cfg)
-    if source_mid is None:
-        # u_next = 2 (I + i tau H)^{-1} u - u
-        v, rep = _cayley_solve(op, t_mid, tau, u, cfg)
-        return 2.0 * v - u, rep
-    rhs = u - 1j * tau * op.apply(t_mid, u) - 1j * cfg.dt * source_mid
-    return _cayley_solve(op, t_mid, tau, rhs, cfg)
+    rhs = u if source_mid is None else u - 1j * tau * source_mid
+    v, rep = _cayley_solve(op, t_mid, tau, rhs, cfg)
+    return 2.0 * v - u, rep
 
 
 @dataclass
@@ -433,7 +431,7 @@ class PropagationRun:
     norm_orders: tuple
     times: np.ndarray = None
     data: dict = field(default_factory=dict)
-    states: list = field(default_factory=list)
+    states: np.ndarray = None  # (records, *grid.shape) when cfg.keep_states
     final: WaveFunction = None
     flags: list = field(default_factory=list)
 
@@ -475,16 +473,27 @@ class PropagationRun:
 
 
 class _Recorder:
-    """The rows of a run.  The norm columns of up to NORM_BATCH pending rows
-    are filled in one batched pass, when that many are pending and at
-    finalize; a batch of every record would hold all the states at once."""
+    """Fills a run's columns and kept states in place, one row per record.
 
-    def __init__(self, run: PropagationRun, handle, boundary_mask):
-        self.run = run
-        self.handle = handle
-        self.mask = boundary_mask
-        self.rows = []
-        self.pending = []  # (row, state) pairs whose norm columns are not filled yet
+    The norm columns of up to NORM_BATCH pending rows are filled in one
+    batched pass, when that many are pending and at finalize.  Without
+    kept states the pending states wait in a buffer of one batch.
+    """
+
+    def __init__(self, run: PropagationRun, boundary_mask):
+        cfg = run.cfg
+        n_rec = 1 + -(-cfg.n_steps // cfg.save_every)
+        run.times = np.empty(n_rec)
+        keys = ["l2", "boundary_mass", "solver_residual"] + [f"norm_a{o.a}" for o in run.norm_orders]
+        run.data = {k: np.empty(n_rec) for k in keys}
+        run.data["solver_iterations"] = np.empty(n_rec, dtype=int)
+        self.batch = min(NORM_BATCH, n_rec)
+        self.store = np.empty((n_rec if cfg.keep_states else self.batch, *run.grid.shape),
+                              dtype=complex)
+        if cfg.keep_states:
+            run.states = self.store
+        self.run, self.mask = run, boundary_mask
+        self.count = self.filled = 0  # rows recorded; rows whose norms are filled
         self.iterations, self.residual = 0, 0.0
 
     def tally(self, rep: StepReport):
@@ -494,93 +503,100 @@ class _Recorder:
 
     def record(self, t, u_vals):
         """One row; its solver columns cover the steps since the previous row."""
+        run, i = self.run, self.count
+        self.store[i % len(self.store)] = u_vals
         total = np.sum(np.abs(u_vals) ** 2)
         edge = float(np.sum(np.abs(u_vals[self.mask]) ** 2) / total) if total > 0 else 0.0
-        row = {
-            "t": t,
-            "l2": None,
-            "boundary_mass": edge,
-            "solver_iterations": self.iterations,
-            "solver_residual": self.residual,
-        }
+        run.times[i] = t
+        run.data["boundary_mass"][i] = edge
+        run.data["solver_iterations"][i] = self.iterations
+        run.data["solver_residual"][i] = self.residual
         self.iterations, self.residual = 0, 0.0
-        self.rows.append(row)
-        state = u_vals.copy()
-        self.pending.append((row, state))
-        if self.run.cfg.keep_states:
-            self.run.states.append((t, state))
-        if edge > self.run.cfg.boundary_tol:
-            flag = f"boundary mass {edge:.3e} above {self.run.cfg.boundary_tol:g} at t={t:.6g}"
-            self.run.flags.append(flag)
-        if len(self.pending) == NORM_BATCH:
+        self.count += 1
+        if edge > run.cfg.boundary_tol:
+            run.flags.append(f"boundary mass {edge:.3e} above {run.cfg.boundary_tol:g} at t={t:.6g}")
+        if self.count - self.filled == self.batch:
             self._fill_norms()
 
     def _fill_norms(self):
-        grid = self.run.grid
-        stack = np.stack([state for _, state in self.pending])
-        cols = {"l2": l2_norm(stack, grid)}
-        for order in self.run.norm_orders:
-            cols[f"norm_a{order.a}"] = order.norm(stack, grid)
-        for i, (row, _) in enumerate(self.pending):
-            for key, col in cols.items():
-                row[key] = float(col[i])
-        self.pending.clear()
+        run, rows = self.run, slice(self.filled, self.count)
+        start = self.filled % len(self.store)
+        stack = self.store[start:start + self.count - self.filled]
+        run.data["l2"][rows] = l2_norm(stack, run.grid)
+        for order in run.norm_orders:
+            run.data[f"norm_a{order.a}"][rows] = order.norm(stack, run.grid)
+        self.filled = self.count
 
-    def finalize(self):
-        if self.pending:
+    def finalize(self, u_vals):
+        if self.count > self.filled:
             self._fill_norms()
-        run = self.run
-        run.times = np.array([r["t"] for r in self.rows])
-        keys = [k for k in self.rows[0] if k != "t"]
-        run.data = {k: np.array([r[k] for r in self.rows]) for k in keys}
+        self.run.final = WaveFunction(self.run.grid, u_vals)
 
 
 def propagate(cfg: PropagatorConfig, handle, u0: WaveFunction,
               norm_orders=()) -> PropagationRun:
     """Run the homogeneous flow and record the requested norms."""
-    return _propagate_impl(cfg, handle, u0, norm_orders, source=None)
+    return _propagate_impl(cfg, handle, u0, norm_orders)[0]
 
 
 def propagate_inhomogeneous(cfg: PropagatorConfig, handle, u0: WaveFunction,
                             source, norm_orders=()) -> PropagationRun:
     """Run i du/dt = H(t) u + f(t) with the midpoint-sampled source f."""
-    if cfg.scheme != "crank_nicolson_midpoint":
-        raise ConfigError("inhomogeneous runs need the crank_nicolson_midpoint scheme")
-    return _propagate_impl(cfg, handle, u0, norm_orders, source=source)
+    return _propagate_impl(cfg, handle, u0, norm_orders, source=source)[0]
 
 
-def _propagate_impl(cfg, handle, u0, norm_orders, source):
+def propagate_variational(cfg: PropagatorConfig, handle, u0: WaveFunction) -> tuple:
+    """The runs (u, w) of the flow of u0 and of w = du/drho, stepped in lockstep.
+
+    w solves i dw/dt = H w + (dH/drho) u, w(0) = 0.  Each step takes u_n
+    to u_{n+1}, then w with the same frozen operator and the source
+    (dH/drho)(u_n + u_{n+1})/2, so w is the exact rho-derivative of the
+    discrete flow.  Only w's run keeps its states (if cfg.keep_states).
+    """
+    return tuple(_propagate_impl(cfg, handle, u0, (), tangent=True))
+
+
+def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) -> list:
+    """The one stepping loop: the run of u0's flow, forced by source(t_mid)
+    if given, and with tangent the run of w (``propagate_variational``)."""
     _check_same_grid(u0.grid, handle.grid, error=ConfigError)
+    if (source is not None or tangent) and cfg.scheme != "crank_nicolson_midpoint":
+        raise ConfigError("inhomogeneous runs need the crank_nicolson_midpoint scheme")
     norm_orders = tuple(
         o if hasattr(o, "a") else handle.norm_order(int(o)) for o in norm_orders
     )
     op = _Operator(handle, cfg)
-    run = PropagationRun(grid=handle.grid, cfg=cfg, norm_orders=norm_orders)
-    rec = _Recorder(run, handle, handle.grid.boundary_mask())
-
+    mask = handle.grid.boundary_mask()
     u = u0.values.astype(complex)
-    t = cfg.t0
-    rec.record(t, u)
+    w = np.zeros_like(u) if tangent else None
+    cfgs = (replace(cfg, keep_states=False), cfg) if tangent else (cfg,)
+    recs = [_Recorder(PropagationRun(handle.grid, c, norm_orders), mask) for c in cfgs]
+    for rec, x in zip(recs, (u, w)):
+        rec.record(cfg.t0, x)
     for n in range(cfg.n_steps):
         t = cfg.t0 + n * cfg.dt
-        src_mid = None
-        if source is not None:
-            sv = source(t + 0.5 * cfg.dt)
-            src_mid = sv.values if isinstance(sv, WaveFunction) else np.asarray(sv)
+        t_mid = t + 0.5 * cfg.dt
         t_next = cfg.t0 + (n + 1) * cfg.dt
+        f = None if source is None else _values_of(source(t_mid))
         try:
-            u, rep = _advance(op, cfg, t, u, source_mid=src_mid)
+            u_next, rep = _advance(op, cfg, t, u, f)
+            reps = [rep]
+            if tangent:
+                f = handle.apply_rho_derivative(t_mid, 0.5 * (u + u_next))
+                w, rep = _advance(op, cfg, t, w, f)
+                reps.append(rep)
         except SolverError as exc:
             raise SolverError(f"{exc} at step {n + 1} (t={t_next:.6g})") from exc
-        t = t_next
-        if not np.isfinite(u).all():
-            raise SolverError(f"state became non-finite at step {n + 1} (t={t:.6g})")
-        rec.tally(rep)
-        if (n + 1) % cfg.save_every == 0 or n + 1 == cfg.n_steps:
-            rec.record(t, u)
-    rec.finalize()
-    run.final = WaveFunction(handle.grid, u)
-    return run
+        u = u_next
+        for rec, x, rep in zip(recs, (u, w), reps):
+            if not np.isfinite(x).all():
+                raise SolverError(f"state became non-finite at step {n + 1} (t={t_next:.6g})")
+            rec.tally(rep)
+            if (n + 1) % cfg.save_every == 0 or n + 1 == cfg.n_steps:
+                rec.record(t_next, x)
+    for rec, x in zip(recs, (u, w)):
+        rec.finalize(x)
+    return [rec.run for rec in recs]
 
 
 @dataclass(frozen=True)
@@ -597,7 +613,7 @@ def energy_estimate_check(run: PropagationRun, a: int = 0) -> EnergyFit:
     series = run.norm_series(a)
     base = series[0]
     if base <= 0:
-        raise ValueError("initial norm vanishes; no growth estimate possible")
+        raise ConfigError("initial norm vanishes; no growth estimate possible")
     mask = times > run.cfg.t0
     rates = np.log(series[mask] / base) / (times[mask] - run.cfg.t0)
     c = float(np.max(rates)) if mask.any() else 0.0
@@ -613,5 +629,6 @@ __all__ = [
     "step",
     "propagate",
     "propagate_inhomogeneous",
+    "propagate_variational",
     "energy_estimate_check",
 ]

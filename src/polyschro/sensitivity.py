@@ -6,11 +6,14 @@ approached from two independent sides:
 
 * difference quotients of full propagations at shifted parameters,
 * the variational equation i dw/dt = H(t) w + (dH/drho) u(t), w(0) = 0,
-  integrated with the same Crank-Nicolson schedule as the base flow.
+  stepped in lockstep with its base flow on the same Crank-Nicolson
+  schedule.
 
 Their discrepancy, maximized over the recorded times, is the quantity
-the convergence checks fit against the offset tau.  Each result carries
-the boundary warnings (``PropagationRun.warnings``) of the runs it made.
+the convergence checks fit against the offset tau.  Trajectories are
+``(records, *grid.shape)`` arrays, and each comparison takes one batched
+norm of the stacked differences.  Each result carries the boundary
+warnings (``PropagationRun.warnings``) of the runs it made.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import numpy as np
 from .errors import ConfigError
 from .grid import WaveFunction
 from .operators import HamiltonianHandle
-from .propagator import PropagatorConfig, propagate, propagate_inhomogeneous
+from .propagator import PropagatorConfig, propagate, propagate_variational
+from .propagator import propagate_inhomogeneous  # unused here; perfbench/tracer.py wraps this name
 
 
 def _make_handle(system, grid, rho: float):
@@ -35,8 +39,6 @@ def _make_handle(system, grid, rho: float):
     if hasattr(system, "interaction"):
         from .twoparticle import TwoParticleHandle
 
-        if grid is not None and grid.shape != system.grid.shape:
-            raise ConfigError("state grid does not match the composite grid")
         return TwoParticleHandle(system, rho=rho)
     return HamiltonianHandle(system, grid, rho=rho)
 
@@ -46,12 +48,6 @@ def _trajectory_cfg(cfg: PropagatorConfig) -> PropagatorConfig:
     if cfg.keep_states:
         return cfg
     return replace(cfg, keep_states=True)
-
-
-def _recorded_states(run):
-    times = np.array([t for t, _ in run.states])
-    values = [v for _, v in run.states]
-    return times, values
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +91,6 @@ def continuity_modulus(system, u0: WaveFunction, rho: float, deltas,
     base_handle = _make_handle(system, grid, rho)
     order = base_handle.norm_order(a)
     base = propagate(cfg, base_handle, u0)
-    _, base_states = _recorded_states(base)
 
     moduli, warnings = [], base.warnings
     for delta in deltas:
@@ -103,13 +98,8 @@ def continuity_modulus(system, u0: WaveFunction, rho: float, deltas,
             moduli.append(0.0)
             continue
         run = propagate(cfg, _make_handle(system, grid, rho + delta), u0)
-        _, states = _recorded_states(run)
         warnings = warnings + run.warnings
-        gap = max(
-            order.norm(WaveFunction(grid, sv - bv))
-            for sv, bv in zip(states, base_states)
-        )
-        moduli.append(float(gap))
+        moduli.append(float(np.max(order.norm(run.states - base.states, grid))))
     return ContinuityCurve(
         rho=rho, a=a, deltas=np.asarray(list(deltas), dtype=float),
         moduli=np.asarray(moduli), warnings=warnings,
@@ -128,7 +118,7 @@ class QuotientTrajectory:
     central: bool
     a: int
     times: np.ndarray
-    values: list
+    values: np.ndarray
     norms: np.ndarray
     warnings: list
 
@@ -153,7 +143,6 @@ def difference_quotient(system, u0: WaveFunction, rho: float, tau: float,
     order = _make_handle(system, grid, rho).norm_order(a)
 
     plus = propagate(cfg, _make_handle(system, grid, rho + tau), u0)
-    t_plus, s_plus = _recorded_states(plus)
     if central:
         ref = propagate(cfg, _make_handle(system, grid, rho - tau), u0)
         span = 2.0 * tau
@@ -162,12 +151,13 @@ def difference_quotient(system, u0: WaveFunction, rho: float, tau: float,
         span = tau
     else:
         ref, span = base_run, tau
-    _, s_ref = _recorded_states(ref)
+        if ref.states is None or not np.array_equal(ref.times, plus.times):
+            raise ConfigError("base_run must keep its states on the schedule of cfg")
 
-    values = [(pv - rv) / span for pv, rv in zip(s_plus, s_ref)]
-    norms = np.array([order.norm(WaveFunction(grid, v)) for v in values])
+    values = (plus.states - ref.states) / span
     return QuotientTrajectory(
-        tau=tau, central=central, a=a, times=t_plus, values=values, norms=norms,
+        tau=tau, central=central, a=a, times=plus.times, values=values,
+        norms=order.norm(values, grid),
         # a cached base run's warnings belong to its owner
         warnings=plus.warnings + (ref.warnings if ref is not base_run else []),
     )
@@ -184,7 +174,7 @@ class VariationalTrajectory:
     rho: float
     a: int
     times: np.ndarray
-    values: list
+    values: np.ndarray
     norms: np.ndarray
     warnings: list
 
@@ -197,31 +187,22 @@ def solve_variational(system, u0: WaveFunction, rho: float,
                       cfg: PropagatorConfig, a: int = 0) -> VariationalTrajectory:
     """Integrate i dw/dt = H w + (dH/drho) u(t), w(0) = 0.
 
-    The base state u(t; rho) is propagated first on a step-dense schedule;
-    the source at each half step is the parameter derivative of the
-    operator applied to the linear interpolant of the two bracketing
-    states.  Both solves share one step size, so the comparison against
-    difference quotients is floor-limited only by the scheme order.
+    The base state u(t; rho) steps in lockstep with w
+    (``propagate_variational``): the source of each step is the parameter
+    derivative of the operator applied to the mean of the step's two base
+    states, so w is the rho-derivative of the discrete flow, and the
+    comparison against difference quotients is floor-limited only by the
+    scheme order.  Only w's states are kept, at the record times.
     """
     grid = u0.grid
     handle = _make_handle(system, grid, rho)
     order = handle.norm_order(a)
-
-    base = propagate(replace(cfg, save_every=1, keep_states=True), handle, u0)
-    _, base_states = _recorded_states(base)
-
-    def source(t_mid):
-        pos = (t_mid - cfg.t0) / cfg.dt - 0.5
-        n = int(round(pos))
-        u_mid = 0.5 * (base_states[n] + base_states[n + 1])
-        return handle.apply_rho_derivative(t_mid, u_mid)
-
-    zero = WaveFunction(grid, np.zeros(grid.shape, dtype=complex))
-    w_run = propagate_inhomogeneous(_trajectory_cfg(cfg), handle, zero, source)
-    times, values = _recorded_states(w_run)
-    norms = np.array([order.norm(WaveFunction(grid, v)) for v in values])
-    return VariationalTrajectory(rho=rho, a=a, times=times, values=values, norms=norms,
-                                 warnings=base.warnings + w_run.warnings)
+    base, w_run = propagate_variational(_trajectory_cfg(cfg), handle, u0)
+    return VariationalTrajectory(
+        rho=rho, a=a, times=w_run.times, values=w_run.states,
+        norms=order.norm(w_run.states, grid),
+        warnings=base.warnings + w_run.warnings,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -283,12 +264,8 @@ def sensitivity_sweep(system, u0: WaveFunction, rho: float, taus,
         q = difference_quotient(
             system, u0, rho, tau, cfg, a=a, central=central, base_run=base_run,
         )
-        gap = max(
-            order.norm(WaveFunction(grid, qv - wv))
-            for qv, wv in zip(q.values, variational.values)
-        )
         quotients.append(q)
-        discrepancies.append(float(gap))
+        discrepancies.append(float(np.max(order.norm(q.values - variational.values, grid))))
         warnings = warnings + q.warnings
     return SensitivityRun(
         rho=rho, a=a, taus=np.asarray(list(taus), dtype=float),

@@ -216,9 +216,9 @@ class PrimedNormOrder:
 
     def __post_init__(self):
         if self.a != int(self.a) or self.a < 0:
-            raise ValueError("primed norm orders must be nonnegative integers")
+            raise ConfigError("primed norm orders must be nonnegative integers")
         if any(m < 0 for m in self.growth_orders):
-            raise ValueError("growth orders must be nonnegative")
+            raise ConfigError("growth orders must be nonnegative")
 
     def weight_exponent(self, k: int) -> float:
         return 2.0 * self.a * (self.growth_orders[k] + 1)

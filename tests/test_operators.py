@@ -26,6 +26,7 @@ from polyschro import (
     weighted_norm,
 )
 from polyschro import operators
+from polyschro.errors import ConfigError
 from polyschro.operators import resolve_mu_prime
 
 from conftest import MAGNETIC_2D, RHO_MAGNETIC, band_limited_state
@@ -166,11 +167,11 @@ def test_lambda_positive_definite(rng):
 
 
 def test_norm_order_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         NormOrder(a=4, growth_order=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         NormOrder(a=1, growth_order=-1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         NormOrder(a=1, growth_order=0, mass=0.0)
 
 

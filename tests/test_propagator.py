@@ -268,6 +268,14 @@ def test_energy_estimate_zero_for_plain_norm(quartic_reference_run):
     assert abs(fit.growth_rate) <= 1e-6
 
 
+def test_energy_estimate_needs_a_nonzero_initial_norm(harmonic_256):
+    g, handle = harmonic_256
+    zero = WaveFunction(g, np.zeros(g.shape, dtype=complex))
+    cfg = PropagatorConfig(dt=2e-3, t_final=0.01, save_every=1, keep_states=False)
+    with pytest.raises(ConfigError, match="initial norm vanishes"):
+        energy_estimate_check(propagate(cfg, handle, zero))
+
+
 def test_energy_estimate_stable_under_refinement(quartic_256):
     g, handle = quartic_256
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)

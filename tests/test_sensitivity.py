@@ -1,5 +1,8 @@
 """Parameter sensitivity: continuity curves, quotients, variational solve."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,16 +10,23 @@ from polyschro import (
     HamiltonianHandle,
     PotentialFamily,
     PropagatorConfig,
+    TwoParticleHandle,
+    TwoParticleSystem,
     WaveFunction,
     continuity_modulus,
     difference_quotient,
     gaussian_packet,
     get_family,
+    get_interaction,
     make_grid,
+    product_state,
+    propagate,
+    propagate_inhomogeneous,
     sensitivity_sweep,
     solve_variational,
 )
-from polyschro.errors import ConfigError
+from polyschro.errors import ConfigError, SolverError
+from conftest import RHO_MAGNETIC
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +48,19 @@ def test_tau_zero_rejected(setup):
     g, fam, u0, cfg = setup
     with pytest.raises(ConfigError):
         difference_quotient(fam, u0, 1.0, 0.0, cfg)
+
+
+def test_cached_base_run_must_keep_its_states(setup):
+    g, fam, u0, cfg = setup
+    handle = HamiltonianHandle(fam, g, rho=1.0)
+    stateless = propagate(cfg, handle, u0)
+    # as many records as cfg's, at other times
+    other_times = propagate(replace(cfg, t_final=2 * cfg.t_final, save_every=2 * cfg.save_every,
+                                    keep_states=True), handle, u0)
+    assert len(other_times.times) == cfg.n_steps // cfg.save_every + 1
+    for base in (stateless, other_times):
+        with pytest.raises(ConfigError, match="base_run must keep its states"):
+            difference_quotient(fam, u0, 1.0, 1e-2, cfg, central=False, base_run=base)
 
 
 def test_continuity_curve_decreases_linearly(setup):
@@ -145,3 +168,93 @@ def test_runs_near_the_edge_carry_one_warning_each(setup):
     assert all(w.startswith("boundary mass") for w in curve.warnings + one_sided.warnings)
     inside = gaussian_packet(g, center=0.0, width=0.8)
     assert continuity_modulus(fam, inside, 1.0, (1e-1,), cfg).warnings == []
+
+
+def _pair(L, N):
+    g2 = make_grid(2, L, N)
+    system = TwoParticleSystem(get_family("harmonic"), get_family("harmonic"),
+                               get_interaction("soft_pair"), g2)
+    g1 = make_grid(1, L, N)
+    u0 = product_state(g2, gaussian_packet(g1, center=0.5, width=0.9),
+                       gaussian_packet(g1, center=-0.3, width=1.1, momentum=0.4))
+    return system, u0
+
+
+def test_composite_runs_compare_grids_by_value():
+    system, _ = _pair(8.0, 32)
+    _, other_L = _pair(9.0, 32)
+    cfg = PropagatorConfig(dt=5e-3, t_final=0.01, save_every=1, keep_states=False)
+    with pytest.raises(ConfigError, match="different grids"):
+        continuity_modulus(system, other_L, 0.5, (1e-2,), cfg)
+    with pytest.raises(ConfigError, match="different grids"):
+        solve_variational(system, other_L, 0.5, cfg)
+
+
+def _two_pass_variational(handle, u0, cfg):
+    """w on cfg's records by two passes: a step-dense base run, then the
+    forced run whose source reads the two base states around each half step."""
+    base = propagate(replace(cfg, save_every=1, keep_states=True), handle, u0)
+
+    def source(t_mid):
+        n = int(round((t_mid - cfg.t0) / cfg.dt - 0.5))
+        return handle.apply_rho_derivative(t_mid, 0.5 * (base.states[n] + base.states[n + 1]))
+
+    zero = WaveFunction(u0.grid, np.zeros(u0.grid.shape, dtype=complex))
+    return propagate_inhomogeneous(replace(cfg, keep_states=True), handle, zero, source).states
+
+
+def _dense_case():
+    g = make_grid(1, 10.0, 128)
+    fam = get_family("parametric_quartic")
+    return fam, gaussian_packet(g, center=1.0, width=0.8), 1.0, HamiltonianHandle(fam, g, rho=1.0)
+
+
+def _gmres_case():
+    g = make_grid(1, 10.0, 128)
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    return RHO_MAGNETIC, u0, 0.5, HamiltonianHandle(RHO_MAGNETIC, g, rho=0.5)
+
+
+def _composite_case():
+    system, u0 = _pair(8.0, 32)
+    return system, u0, 0.5, TwoParticleHandle(system, rho=0.5)
+
+
+@pytest.mark.parametrize("case, bound", [
+    (_dense_case, 1e-12),      # the dense Cayley inverse
+    (_gmres_case, 1e-9),       # time-dependent and magnetic: GMRES
+    (_composite_case, 1e-9),   # the composite grid
+])
+def test_lockstep_variational_matches_two_pass_solve(case, bound):
+    system, u0, rho, handle = case()
+    cfg = PropagatorConfig(dt=2e-3, t_final=0.1, save_every=10, keep_states=False)
+    w = solve_variational(system, u0, rho, cfg)
+    ref = _two_pass_variational(handle, u0, cfg)
+    assert w.values.shape == ref.shape == (6, *u0.grid.shape)
+    gap = np.linalg.norm((w.values - ref)[1:].reshape(5, -1), axis=1)
+    scale = np.linalg.norm(ref[1:].reshape(5, -1), axis=1)
+    assert np.max(gap / scale) <= bound
+
+
+def test_solver_error_in_the_base_step_names_step_and_time():
+    _, u0, rho, _ = _gmres_case()
+    cfg = PropagatorConfig(dt=2e-3, t_final=0.02, save_every=5, max_solver_iter=1)
+    with pytest.raises(SolverError, match=r"t_mid=0\.001 at step 1 \(t=0\.002\)"):
+        solve_variational(RHO_MAGNETIC, u0, rho, cfg)
+
+
+def test_variational_solve_keeps_no_step_dense_states(setup):
+    """2,000 steps at N=128 hold 4 MB of base states if every step is kept;
+    the lockstep solve keeps only w's 21 records (1.2 MB peak, with the
+    0.25 MB dense inverse and its build; 5.1 MB for a step-dense base run)."""
+    g, fam, u0, _ = setup
+    solve_variational(fam, u0, 1.0, PropagatorConfig(dt=1e-3, t_final=0.01))
+    cfg = PropagatorConfig(dt=1e-3, t_final=2.0, save_every=100, keep_states=False)
+    tracemalloc.start()
+    try:
+        w = solve_variational(fam, u0, 1.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w.times) == 21
+    assert peak <= 2.5 * 2**20

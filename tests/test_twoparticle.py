@@ -163,11 +163,11 @@ def test_primed_norms_nest_monotonically(pair_64, rng):
 
 
 def test_primed_norm_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PrimedNormOrder(a=-1, growth_orders=(0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PrimedNormOrder(a=0.5, growth_orders=(0, 0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         PrimedNormOrder(a=1, growth_orders=(-1, 0))
     order = PrimedNormOrder(a=1, growth_orders=(0, 1))
     assert order.weight_exponent(0) == 2.0
