@@ -27,18 +27,16 @@ from .grid import WaveFunction
 from .operators import HamiltonianHandle
 from .propagator import PropagatorConfig, propagate, propagate_variational
 from .propagator import propagate_inhomogeneous  # unused here; perfbench/tracer.py wraps this name
+from .twoparticle import TwoParticleHandle, TwoParticleSystem
 
 
 def _make_handle(system, grid, rho: float):
     """Bind (system, rho) to an operator handle.
 
-    Accepts a single-particle PotentialFamily or a two-particle composite
-    system (recognized by its interaction attribute), so every entry point
-    below works for both.
+    Accepts a single-particle PotentialFamily or a TwoParticleSystem, so
+    every entry point below works for both.
     """
-    if hasattr(system, "interaction"):
-        from .twoparticle import TwoParticleHandle
-
+    if isinstance(system, TwoParticleSystem):
         return TwoParticleHandle(system, rho=rho)
     return HamiltonianHandle(system, grid, rho=rho)
 

@@ -14,7 +14,8 @@ the operator matrix in the position basis.  Both take one state or a
 builds every dense operator matrix in one call on the identity stack:
 the exact 2-norms of the parametrix and commutator checks (a matrix has
 as many entries as the symbol field, so the field budget bounds both),
-the propagator's Cayley inverse and the composite per-axis matrices.
+the propagator's Cayley inverse and the particle matrices of the
+composite operator.
 """
 
 from __future__ import annotations

@@ -1,20 +1,19 @@
 """Two interacting particles on a periodic line.
 
 The composite state lives on the square tensor grid; the Hamiltonian is
-the sum of two single-particle operators, each acting along its own
-axis, plus multiplication by the pair interaction evaluated at the
-periodically wrapped relative coordinate.  Particle k's fields depend
-on x_k alone, so
+the tensor sum of two single-particle operators, each acting along its
+own axis, plus multiplication by the pair interaction W evaluated at the
+periodically wrapped relative coordinate:
 
-    H f = pot f + K_0 f + f K_1^T,    pot = W + sum_k (V_k + A_k^2/2m_k),
+    H = H_1 (x) I + I (x) H_2 + W,    H f = W f + H_1 f + f H_2^T,
 
-with K_k the dense N x N matrix of particle k's kinetic and magnetic
-terms along its own axis.  Each K_k is the matrix of the single-particle
-kernel ``operators.apply_expanded`` on the line grid, built once per time
-by ``symbols.dense_matrix``, so H has one definition; an apply is then
-two N x N matrix products instead of eight one-axis FFT passes.  dH/drho
-is built the same way from (dW, dV_k, dA_k).  Weighted norms carry one
-polynomial weight per particle, calibrated to that particle's growth order.
+with H_k the dense N x N matrix of particle k's ``HamiltonianHandle`` on
+the line grid, built once per time by ``symbols.dense_matrix``.  The
+composite operator therefore has no kernel, fields or gauge rule of its
+own, and an apply is two N x N matrix products instead of eight one-axis
+FFT passes.  dH/drho is (dW, dH_1/drho, dH_2/drho), built the same way.
+Weighted norms carry one polynomial weight per particle, calibrated to
+that particle's growth order.
 """
 
 from __future__ import annotations
@@ -24,10 +23,9 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from . import expressions as ex
 from .errors import ConfigError, GridError
 from .grid import SpatialGrid, WaveFunction, _values_of, derivative_norm_sum, l2_norm
-from .operators import Memo, apply_expanded, axis_terms, gauge_phase
+from .operators import HamiltonianHandle, Memo
 from .potentials import InteractionFamily, PotentialFamily
 from .propagator import PropagatorConfig, PropagationRun, propagate
 from .symbols import dense_matrix
@@ -78,18 +76,6 @@ def _axis_broadcast(arr: np.ndarray, axis: int) -> np.ndarray:
     return arr[:, None] if axis == 0 else arr[None, :]
 
 
-def _axis_matrices(line: SpatialGrid, axes, kinetic: bool) -> tuple:
-    """(M0, M1) = (K_0, K_1^T), so M0 @ f + f @ M1 applies the axis terms to f.
-
-    ``axes`` holds each particle's ``axis_terms`` on the line grid.  A
-    zero matrix, as dH/drho has on an axis whose A does not move with
-    rho, is stored as None and skipped.
-    """
-    k0, k1 = (dense_matrix(partial(apply_expanded, diag=0.0, axes=(ax,), kinetic=kinetic), line)
-              for ax in axes)
-    return tuple(m if m.any() else None for m in (k0, k1.T))
-
-
 def _apply_fields(fields, f: np.ndarray) -> np.ndarray:
     diag, m0, m1 = fields
     out = diag * np.asarray(f, dtype=complex)
@@ -104,22 +90,23 @@ class TwoParticleHandle:
     """Bound (system, rho) pair exposing the composite operator.
 
     Mirrors the single-particle handle interface, so the steppers and the
-    sensitivity entry points work unchanged on composite states.  The
-    memo holds, per time, the diagonal and the two axis matrices of H
-    (and of dH/drho); a system without t in either family or in W has one
-    set for all times.
+    sensitivity entry points work unchanged on composite states.  Each
+    particle is a 1-D ``HamiltonianHandle`` on the line grid
+    (``particles``).  The memo holds, per time, (W, H_1, H_2^T) and
+    (dW, dH_1, dH_2^T), with H_k the dense matrix of particle k's
+    operator; a system without t in either family or in W has one set for
+    all times.
     """
 
     def __init__(self, system: TwoParticleSystem, rho: float = 0.0):
-        system.fam1.check_rho(rho)
-        system.fam2.check_rho(rho)
+        line = SpatialGrid(1, system.grid.L, system.grid.N)
+        self.particles = tuple(HamiltonianHandle(fam, line, rho=rho)
+                               for fam in (system.fam1, system.fam2))
         system.interaction.check_rho(rho)
         self.system = system
         self.grid = system.grid
         self.rho = rho
-        self.masses = (system.fam1.mass, system.fam2.mass)
-        self._line = SpatialGrid(1, self.grid.L, self.grid.N)
-        self.time_dependent = (system.fam1.is_time_dependent or system.fam2.is_time_dependent
+        self.time_dependent = (any(h.time_dependent for h in self.particles)
                                or system.interaction.is_time_dependent)
         self._fields = Memo(self._hamiltonian_fields)
         self._rho_fields = Memo(self._derivative_fields)
@@ -130,70 +117,52 @@ class TwoParticleHandle:
 
     @cached_property
     def kinetic_multiplier(self) -> np.ndarray:
-        xi = self.grid.dual_axis
-        m1, m2 = self.masses
-        return (xi[:, None] ** 2) / (2.0 * m1) + (xi[None, :] ** 2) / (2.0 * m2)
+        """xi_1^2/2m_1 + xi_2^2/2m_2 on the composite dual grid."""
+        k1, k2 = (h.kinetic_multiplier for h in self.particles)
+        return k1[:, None] + k2[None, :]
 
-    def _particle_fields(self, expr_of, t: float):
-        """One expression per particle, sampled on the axis at time t."""
-        axis = self.grid.axis
-        return [ex.evaluate(expr_of(fam), out_shape=axis.shape, t=t, rho=self.rho, x=axis)
-                for fam in (self.system.fam1, self.system.fam2)]
+    def _particle_matrices(self, method: str, t: float) -> tuple:
+        """(M_1, M_2^T), M_k the matrix of particle k's ``method`` at time t.
+
+        M_1 @ f + f @ M_2^T applies both to f.  A zero matrix, as dH/drho
+        has on a particle whose fields do not move with rho, is stored as
+        None and skipped.
+        """
+        m1, m2 = (dense_matrix(partial(getattr(h, method), t), h.grid) for h in self.particles)
+        return tuple(m if m.any() else None for m in (m1, m2.T))
 
     def _hamiltonian_fields(self, t: float):
-        """(W + sum_k V_k + A_k^2/2m_k, M0, M1) at time t."""
+        """(W, H_1, H_2^T) at time t."""
         w = self.system.interaction.on(t, self.rho, self.system.relative_coordinate)
-        pot = w.astype(float)
-        vs = self._particle_fields(lambda fam: fam.v, t)
-        a_s = self._particle_fields(lambda fam: fam.a[0], t)
-        axes = []
-        for k, (v, a, m) in enumerate(zip(vs, a_s, self.masses)):
-            pot += _axis_broadcast(v + a**2 / (2.0 * m), k)
-            axes.append(axis_terms(self._line, 0, m, a))
-        pot.setflags(write=False)
-        return (pot, *_axis_matrices(self._line, axes, kinetic=True))
+        return (w, *self._particle_matrices("apply", t))
 
     def _derivative_fields(self, t: float):
-        """(dW + sum_k dV_k + A_k dA_k/m_k, M0, M1 of the dA_k terms) at time t."""
+        """(dW, dH_1, dH_2^T) at time t, the rho-derivatives of the fields."""
         dw = self.system.interaction.rho_partial_on(t, self.rho, self.system.relative_coordinate)
-        diag = dw.astype(float)
-        dvs = self._particle_fields(lambda fam: fam.v_rho, t)
-        das = self._particle_fields(lambda fam: fam.a_rho[0], t)
-        a_s = self._particle_fields(lambda fam: fam.a[0], t)
-        axes = []
-        for k, (dv, da, a, m) in enumerate(zip(dvs, das, a_s, self.masses)):
-            diag += _axis_broadcast(dv + a * da / m, k)
-            axes.append(axis_terms(self._line, 0, m, da))
-        return (diag, *_axis_matrices(self._line, axes, kinetic=False))
-
-    def potential_multiplier(self, t: float) -> np.ndarray:
-        """V1 + V2 + |A1|^2/2m1 + |A2|^2/2m2 + W, on the composite grid."""
-        return self._fields[self._key(t)][0]
+        return (dw, *self._particle_matrices("apply_rho_derivative", t))
 
     def gauge_split(self, t: float) -> tuple:
         """(phi, V_g) with H(t) ~ e^{i phi} K e^{-i phi} + V_g, K the kinetic multiplier.
 
-        phi = phi_1(x_1) + phi_2(x_2), each the cumulative trapezoid of its
-        A_k along the axis with phi_k[0] = 0: A_k depends on x_k alone, so
-        this gauge is exact in the continuum.  V_g = W + V_1 + V_2; phi is
-        None when neither particle has a field.
+        The sum of the particles' own splits: phi = phi_1(x_1) + phi_2(x_2)
+        and V_g = W + V_g,1(x_1) + V_g,2(x_2).  A_k depends on x_k alone,
+        so this gauge is exact in the continuum.  phi is None when neither
+        particle has a field.
         """
-        pot = self.potential_multiplier(t)
-        a_s = self._particle_fields(lambda fam: fam.a[0], t)
-        if not any(np.any(a) for a in a_s):
-            return None, pot
-        phi, v_g = np.zeros(self.grid.shape), pot.copy()
-        for k, (a, m) in enumerate(zip(a_s, self.masses)):
-            phi += _axis_broadcast(gauge_phase(a, self.grid.dx), k)
-            v_g -= _axis_broadcast(a**2 / (2.0 * m), k)
-        return phi, v_g
+        (phi1, v1), (phi2, v2) = (h.gauge_split(t) for h in self.particles)
+        v_g = self._fields[self._key(t)][0] + v1[:, None] + v2[None, :]
+        if phi1 is None and phi2 is None:
+            return None, v_g
+        zero = np.zeros(self.grid.N)
+        phi1, phi2 = (zero if phi is None else phi for phi in (phi1, phi2))
+        return phi1[:, None] + phi2[None, :], v_g
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
-        """(H1 + H2 + W) f: the diagonal plus one matrix product per axis."""
+        """(H_1 (x) I + I (x) H_2 + W) f = W f + H_1 f + f H_2^T."""
         return _apply_fields(self._fields[self._key(t)], f)
 
     def apply_rho_derivative(self, t: float, f: np.ndarray) -> np.ndarray:
-        """(dH/drho) f: per-particle derivative terms plus dW/drho."""
+        """(dH/drho) f = dW f + dH_1 f + f dH_2^T."""
         return _apply_fields(self._rho_fields[self._key(t)], f)
 
     def apply_mollified(self, t, f, cutoff):

@@ -15,6 +15,7 @@ from polyschro import (
     WaveFunction,
     apply_hamiltonian,
     energy_estimate_check,
+    eval_potential,
     gaussian_packet,
     get_family,
     get_interaction,
@@ -672,18 +673,25 @@ def test_propagate_time_error_estimate_tracks_the_dt_over_4_gap(dt, tmp_path):
 def test_gauge_split_takes_the_field_into_the_kinetic_term():
     """H f = e^{i phi} K e^{-i phi} f + V_g f up to discretization error on a
     packet far from the box edge: 2.9e-6 relative for one particle at N=512
-    and 5.7e-5 per particle on the 128x128 composite grid.  With phi' = -A
-    the 1-D split misses by 12 %."""
-    quartic = get_family("confined_quartic")
+    and 5.7e-5 on the 128x128 composite grid, 4.5e-5 and 6.7e-5 when one
+    of the two particles has no field.  With phi' = -A the 1-D split
+    misses by 12 %.  Without a field on either particle phi is None and
+    V_g = W + V_1 + V_2."""
+    quartic, harm = get_family("confined_quartic"), get_family("harmonic")
     line, grid_1d = make_grid(1, 10.0, 128), make_grid(1, 10.0, 512)
     pair = [gaussian_packet(line, center=c, width=0.8, momentum=k).values
             for c, k in ((1.0, 0.5), (-1.0, -0.5))]
-    system = TwoParticleSystem(quartic, quartic, get_interaction("soft_pair"),
-                               make_grid(2, 10.0, 128))
+    grid_2d = make_grid(2, 10.0, 128)
+
+    def composite(fam1, fam2):
+        system = TwoParticleSystem(fam1, fam2, get_interaction("soft_pair"), grid_2d)
+        return TwoParticleHandle(system, rho=0.1)
+
     cases = [
         (HamiltonianHandle(quartic, grid_1d),
          gaussian_packet(grid_1d, center=1.0, width=0.8, momentum=0.5).values, 1e-5),
-        (TwoParticleHandle(system, rho=0.1), np.outer(*pair), 3e-4),
+        *((composite(*fams), np.outer(*pair), 3e-4)
+          for fams in ((quartic, quartic), (quartic, harm), (harm, quartic))),
     ]
     for handle, f, bound in cases:
         g = handle.grid
@@ -692,3 +700,9 @@ def test_gauge_split_takes_the_field_into_the_kinetic_term():
         split = twist * g.ifft(handle.kinetic_multiplier * g.fft(f / twist)) + v_g * f
         exact = handle.apply(0.3, f)
         assert np.linalg.norm(split - exact) <= bound * np.linalg.norm(exact)
+    free = composite(harm, harm)
+    phi, v_g = free.gauge_split(0.3)
+    v = eval_potential(harm, 0.3, 0.1, line)[0]
+    w = free.system.interaction.on(0.3, 0.1, free.system.relative_coordinate)
+    assert phi is None
+    np.testing.assert_array_equal(v_g, w + v[:, None] + v[None, :])

@@ -8,6 +8,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from polyschro import operators
 from polyschro import (
     HamiltonianHandle,
     InteractionFamily,
@@ -307,16 +308,20 @@ def test_dropped_composite_handle_is_freed_without_the_cycle_collector(pair_64):
 
 
 def test_time_free_system_samples_its_fields_once(pair_64, monkeypatch):
+    """W once, and each particle's V and A once, through its own handle."""
     g1, g2, system = pair_64
-    calls = []
+    calls, particle_calls = [], []
     sample = InteractionFamily.on
     monkeypatch.setattr(InteractionFamily, "on",
                         lambda inter, t, *args: calls.append(t) or sample(inter, t, *args))
+    monkeypatch.setattr(operators, "eval_potential",
+                        lambda fam, t, *args: particle_calls.append(t) or eval_potential(fam, t, *args))
     u0 = product_state(g2, gaussian_packet(g1, center=0.5, width=0.9),
                        gaussian_packet(g1, center=-0.3, width=1.1))
     cfg = PropagatorConfig(dt=2.5e-3, t_final=0.025, save_every=10**9, keep_states=False)
     propagate_two_particle(system, cfg, u0, rho=0.5)
     assert len(calls) == 1
+    assert len(particle_calls) == 2
     assert not TwoParticleHandle(system).time_dependent
     harm, quartic, soft = system.fam1, get_family("confined_quartic"), system.interaction
     pulsed = InteractionFamily(name="pulsed", w="cos(t) * r^2", growth_order=1, delta=1.0)
