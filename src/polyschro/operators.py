@@ -8,19 +8,26 @@ three-term form
 with p realized spectrally, which is Hermitian on the periodic grid in
 exact arithmetic.  One kernel, ``apply_expanded``, evaluates that form
 axis by axis for every handle, on one state or on a (B, *grid.shape)
-stack, so ``symbols.dense_matrix`` builds each dense matrix of H in one
-call on the identity stack.  dH/drho has the same form with (A, V)
-replaced by (dA/drho, dV/drho + A . dA/drho / m) and no kinetic term.
-The mollified operator sandwiches H between a quantized low-energy
-cutoff and its exact discrete adjoint, so it is Hermitian by
-construction whatever the quantization error.
+stack.  ``HamiltonianHandle.matrix`` fills the dense matrix of the same
+form from the same memoized fields,
+
+    K + diag(V + |A|^2/2m) - sum_k (C_k diag(A_k/2m) + diag(A_k/2m) C_k),
+
+with K = F^-1 diag(|xi|^2/2m) F and C_k = F^-1 diag(xi_k) F the t-free
+circulants of the grid; it is the one route to a dense matrix of H.
+dH/drho has the same form with (A, V) replaced by
+(dA/drho, dV/drho + A . dA/drho / m) and no kinetic term.  The
+mollified operator sandwiches H between a quantized low-energy cutoff
+and its exact discrete adjoint, so it is Hermitian by construction
+whatever the quantization error; its dense matrix is one
+``symbols.dense_matrix`` call on the identity stack.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 from scipy import fft as sfft
@@ -73,6 +80,22 @@ def axis_terms(grid: SpatialGrid, k: int, mass: float, a) -> tuple:
     if not np.any(a):
         return (k - grid.d, xi, xi_2m, xi * xi_2m, None, None)
     return (k - grid.d, xi, xi_2m, xi * xi_2m, a, a / (2.0 * mass))
+
+
+@lru_cache(maxsize=_FACTOR_SLOTS)
+def _kinetic_circulant(grid: SpatialGrid, mass: float) -> np.ndarray:
+    """F^-1 diag(xi^2/2m) F along one axis of the grid: real, symmetric, read-only."""
+    mat = circulant(sfft.ifft(grid.dual_axis**2 / (2.0 * mass)).real)
+    mat.setflags(write=False)
+    return mat
+
+
+@lru_cache(maxsize=_FACTOR_SLOTS)
+def _momentum_circulant(grid: SpatialGrid) -> np.ndarray:
+    """F^-1 diag(xi) F along one axis of the grid, read-only."""
+    mat = circulant(sfft.ifft(grid.dual_axis))
+    mat.setflags(write=False)
+    return mat
 
 
 def gauge_phase(a: np.ndarray, dx: float) -> np.ndarray:
@@ -203,6 +226,37 @@ class HamiltonianHandle:
         """(dH/drho)(t) f: the operator driving the variational equation."""
         return apply_expanded(f, *self._rho_fields[self._key(t)], kinetic=False)
 
+    def matrix(self, t: float, derivative: bool = False) -> np.ndarray:
+        """The dense grid.size x grid.size matrix of H(t), or of (dH/drho)(t).
+
+        Filled from the memoized fields in the kernel's closed form
+        K + diag(pot) - sum_k (a_k,i + a_k,j) C_k,ij, a_k = A_k/2m, which is
+        C_k diag(a_k) + diag(a_k) C_k entry by entry.  derivative drops K
+        and takes the dH/drho fields.  On a 2-D grid an axis circulant
+        enters as its Kronecker product with the identity; C_k is built
+        only for an axis with a field.
+        """
+        grid, n = self.grid, self.grid.size
+        pot, axes = (self._rho_fields if derivative else self._fields)[self._key(t)]
+
+        def embed(mat, k):
+            """The axis-k matrix mat acting on the raveled grid."""
+            if grid.d == 1:
+                return mat
+            eye = np.eye(grid.N)
+            return np.kron(mat, eye) if k == 0 else np.kron(eye, mat)
+
+        out = np.zeros((n, n), dtype=complex)
+        if not derivative:
+            for k in range(grid.d):
+                out += embed(_kinetic_circulant(grid, self.mass), k)
+        for k, (*_, a_2m) in enumerate(axes):
+            if a_2m is not None:
+                a = np.broadcast_to(a_2m, grid.shape).ravel()
+                out -= np.add.outer(a, a) * embed(_momentum_circulant(grid), k)
+        out.flat[:: n + 1] += pot.ravel()
+        return out
+
     def _cutoff_symbol(self, key):
         t, cutoff = key
         return eval_symbol("chi_eps", self.fam, self.grid, t=t, rho=self.rho, cutoff=cutoff)
@@ -217,22 +271,22 @@ class HamiltonianHandle:
     def cayley_inverse(self, t: float, tau: float, cutoff: CutoffSpec | None = None) -> np.ndarray:
         """The dense (I + i tau Op)^-1, Op = H or X* H X, of a family without t.
 
-        Built from Op's dense matrix at time t and cached for one (tau, cutoff)
+        Built from Op's dense matrix at time t (``matrix`` for H, one
+        identity-stack call for X* H X) and cached for one (tau, cutoff)
         key; a new key replaces the old inverse, so a handle holds at most
         one N x N matrix.
         """
         if self._cayley_key != (tau, cutoff):
             # release the old inverse before the new one is built
             self._cayley_key, self._cayley = None, None
-
-            def op(f):
-                return self.apply(t, f) if cutoff is None else self.apply_mollified(t, f, cutoff)
-
-            mat = dense_matrix(op, self.grid)
+            if cutoff is None:
+                mat = self.matrix(t)
+            else:
+                mat = dense_matrix(partial(self.apply_mollified, t, cutoff=cutoff), self.grid)
             mat *= 1j * tau
             diag = np.arange(self.grid.size)
             mat[diag, diag] += 1.0
-            self._cayley = inv(mat, overwrite_a=True, check_finite=False)
+            self._cayley = inv(mat, overwrite_a=True, check_finite=False, assume_a="general")
             self._cayley_key = (tau, cutoff)
         return self._cayley
 

@@ -60,7 +60,8 @@ class PropagatorConfig:
     SolverError.  max_solver_iter caps the inner GMRES iterations of one
     Cayley solve, summed over its restarts.  krylov_dim caps the Lanczos
     basis, and a step that reaches the cap keeps its result and reports
-    its estimate as the step residual.
+    its estimate as the step residual.  A run whose step residuals rise
+    above solver_tol says so in one line of its warnings.
     """
 
     scheme: str = "crank_nicolson_midpoint"
@@ -378,15 +379,16 @@ def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorCon
         return u.copy(), StepReport()
     m = cfg.krylov_dim
     basis = np.empty((m, u.size), dtype=complex)
+    scratch = np.empty(u.size, dtype=complex)  # one recurrence term, coefficient times basis vector
     alphas, betas = np.empty(m), np.empty(m)
     basis[0] = u.ravel() / norm_u
     for j in range(m):
         w = op.apply(t_mid, basis[j].reshape(shape)).ravel()
         alphas[j] = np.vdot(basis[j], w).real
-        w -= alphas[j] * basis[j]
+        w -= np.multiply(basis[j], alphas[j], out=scratch)
         if j > 0:
-            w -= betas[j - 1] * basis[j - 1]
-        betas[j] = np.linalg.norm(w)
+            w -= np.multiply(basis[j - 1], betas[j - 1], out=scratch)
+        betas[j] = _norm(w)
         k = j + 1
         if not np.isfinite(betas[j]):
             # a blow-up: the stepping loop reports the non-finite state
@@ -433,7 +435,8 @@ class PropagationRun:
     data: dict = field(default_factory=dict)
     states: np.ndarray = None  # (records, *grid.shape) when cfg.keep_states
     final: WaveFunction = None
-    flags: list = field(default_factory=list)
+    flags: list = field(default_factory=list)  # records above boundary_tol
+    solver_flags: list = field(default_factory=list)  # steps whose residual is above solver_tol
 
     def norm_series(self, a: int) -> np.ndarray:
         key = "l2" if a == 0 else f"norm_a{a}"
@@ -450,11 +453,14 @@ class PropagationRun:
 
     @property
     def warnings(self) -> list:
-        """The boundary flags as at most one line: the first, and how many followed."""
-        if not self.flags:
-            return []
-        later = len(self.flags) - 1
-        return [self.flags[0] + (f" (and {later} later records)" if later else "")]
+        """The boundary and the solver flags as at most one line each: the
+        first flag, and how many followed."""
+        lines = []
+        for flags, unit in ((self.flags, "records"), (self.solver_flags, "steps")):
+            if flags:
+                later = len(flags) - 1
+                lines.append(flags[0] + (f" (and {later} later {unit})" if later else ""))
+        return lines
 
     def to_csv(self, path):
         """The trajectory table: t, the norms, boundary mass, solver columns."""
@@ -496,10 +502,15 @@ class _Recorder:
         self.count = self.filled = 0  # rows recorded; rows whose norms are filled
         self.iterations, self.residual = 0, 0.0
 
-    def tally(self, rep: StepReport):
-        """Add one step's solver effort to the interval since the last record."""
+    def tally(self, rep: StepReport, t: float):
+        """Add the solver effort of the step to t to the interval since the
+        last record, and flag a residual above solver_tol."""
         self.iterations += rep.iterations
         self.residual = max(self.residual, rep.residual)
+        tol = self.run.cfg.solver_tol
+        if rep.residual > tol:
+            self.run.solver_flags.append(
+                f"solver residual {rep.residual:.3e} above solver_tol {tol:g} at t={t:.6g}")
 
     def record(self, t, u_vals):
         """One row; its solver columns cover the steps since the previous row."""
@@ -591,7 +602,7 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
         for rec, x, rep in zip(recs, (u, w), reps):
             if not np.isfinite(x).all():
                 raise SolverError(f"state became non-finite at step {n + 1} (t={t_next:.6g})")
-            rec.tally(rep)
+            rec.tally(rep, t_next)
             if (n + 1) % cfg.save_every == 0 or n + 1 == cfg.n_steps:
                 rec.record(t_next, x)
     for rec, x in zip(recs, (u, w)):

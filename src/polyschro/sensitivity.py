@@ -12,8 +12,8 @@ approached from two independent sides:
 Their discrepancy, maximized over the recorded times, is the quantity
 the convergence checks fit against the offset tau.  Trajectories are
 ``(records, *grid.shape)`` arrays, and each comparison takes one batched
-norm of the stacked differences.  Each result carries the boundary
-warnings (``PropagationRun.warnings``) of the runs it made.
+norm of the stacked differences.  Each result carries the boundary and
+solver warnings (``PropagationRun.warnings``) of the runs it made.
 """
 
 from __future__ import annotations

@@ -2,7 +2,9 @@
 convergence property of the solver stack, writes its curves as CSV, and
 returns a verdict.  Every verdict carries ``warnings``: one line for each
 propagation whose boundary mass rose above its ``boundary_tol``, naming
-the first such record; a suite that propagates nothing reports none.
+the first such record, and one for each whose step residual rose above
+its ``solver_tol``, naming the first such step; a suite that propagates
+nothing reports none.
 
 Default parameters are frozen so that a bare run reproduces the
 acceptance thresholds; every default can be overridden through the

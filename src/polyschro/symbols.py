@@ -11,11 +11,11 @@ conjugate-transpose action, applied through the reversed factorization
 (x-weighted forward transform, then inverse FFT), never by materializing
 the operator matrix in the position basis.  Both take one state or a
 (B, *grid.shape) stack, like the operator kernel, and ``dense_matrix``
-builds every dense operator matrix in one call on the identity stack:
-the exact 2-norms of the parametrix and commutator checks (a matrix has
-as many entries as the symbol field, so the field budget bounds both),
-the propagator's Cayley inverse and the particle matrices of the
-composite operator.
+builds the dense matrix of a quantized symbol, or of the mollified
+operator, in one call on the identity stack.  The parametrix and
+commutator checks take exact 2-norms of such matrices and of H's own,
+which ``HamiltonianHandle.matrix`` fills in closed form (a matrix has as
+many entries as the symbol field, so the field budget bounds both).
 """
 
 from __future__ import annotations
@@ -349,8 +349,7 @@ def parametrix_residual(
         mu_values = scan.c1 + np.geomspace(lo, 10.0 * lo, 8)
     mu_values = np.asarray(mu_values, dtype=float)
 
-    handle = HamiltonianHandle(fam, grid, rho=rho)
-    h_mat = dense_matrix(partial(handle.apply, t), grid)
+    h_mat = HamiltonianHandle(fam, grid, rho=rho).matrix(t)
     diag = np.arange(grid.size)
     residuals = np.empty(mu_values.shape)
     for i, mu in enumerate(mu_values):
@@ -418,8 +417,7 @@ def commutator_probe(
         eps_values = 1.0 / 2 ** np.arange(7)  # 1 .. 1/64
     eps_values = np.asarray(eps_values, dtype=float)
 
-    handle = HamiltonianHandle(fam, grid, rho=rho)
-    h_mat = dense_matrix(partial(handle.apply, t), grid)
+    h_mat = HamiltonianHandle(fam, grid, rho=rho).matrix(t)
     bounds = np.empty(eps_values.shape)
     for i, eps in enumerate(eps_values):
         spec = CutoffSpec(eps=float(eps), mu=mu)

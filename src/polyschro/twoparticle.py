@@ -8,18 +8,20 @@ periodically wrapped relative coordinate:
     H = H_1 (x) I + I (x) H_2 + W,    H f = W f + H_1 f + f H_2^T,
 
 with H_k the dense N x N matrix of particle k's ``HamiltonianHandle`` on
-the line grid, built once per time by ``symbols.dense_matrix``.  The
-composite operator therefore has no kernel, fields or gauge rule of its
-own, and an apply is two N x N matrix products instead of eight one-axis
-FFT passes.  dH/drho is (dW, dH_1/drho, dH_2/drho), built the same way.
-Weighted norms carry one polynomial weight per particle, calibrated to
-that particle's growth order.
+the line grid (``HamiltonianHandle.matrix``), built once for each of the
+particle's own times: once per run for a family without t, and once for
+both particles when they share a family.  The composite operator
+therefore has no kernel, fields or gauge rule of its own, and an apply
+is two N x N matrix products instead of eight one-axis FFT passes.
+dH/drho is (dW, dH_1/drho, dH_2/drho), built the same way.  Weighted
+norms carry one polynomial weight per particle, calibrated to that
+particle's growth order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +30,6 @@ from .grid import SpatialGrid, WaveFunction, _values_of, derivative_norm_sum, l2
 from .operators import HamiltonianHandle, Memo
 from .potentials import InteractionFamily, PotentialFamily
 from .propagator import PropagatorConfig, PropagationRun, propagate
-from .symbols import dense_matrix
 
 MAX_AXIS_POINTS = 256
 
@@ -77,13 +78,20 @@ def _axis_broadcast(arr: np.ndarray, axis: int) -> np.ndarray:
 
 
 def _apply_fields(fields, f: np.ndarray) -> np.ndarray:
+    """diag f + m0 f + f m1, skipping each term stored as None."""
     diag, m0, m1 = fields
-    out = diag * np.asarray(f, dtype=complex)
-    if m0 is not None:
-        out += m0 @ f
+    f = np.asarray(f, dtype=complex)
+    out = np.zeros(f.shape, dtype=complex) if m0 is None else m0 @ f
+    if diag is not None:
+        out += diag * f
     if m1 is not None:
         out += f @ m1
     return out
+
+
+def _nonzero(arr: np.ndarray):
+    """arr, or None when all its entries are zero."""
+    return arr if arr.any() else None
 
 
 class TwoParticleHandle:
@@ -92,16 +100,22 @@ class TwoParticleHandle:
     Mirrors the single-particle handle interface, so the steppers and the
     sensitivity entry points work unchanged on composite states.  Each
     particle is a 1-D ``HamiltonianHandle`` on the line grid
-    (``particles``).  The memo holds, per time, (W, H_1, H_2^T) and
-    (dW, dH_1, dH_2^T), with H_k the dense matrix of particle k's
+    (``particles``); two particles of one family share one handle, since
+    both run at the same rho.  The memo holds, per time, (W, H_1, H_2^T)
+    and (dW, dH_1, dH_2^T), with H_k the dense matrix of particle k's
     operator; a system without t in either family or in W has one set for
-    all times.
+    all times.  Each distinct particle also memoizes its matrices under
+    its own memo key, so a family without t builds them once per run
+    beside a partner with t.  A field or matrix whose entries are all zero
+    is stored as None and skipped.
     """
 
     def __init__(self, system: TwoParticleSystem, rho: float = 0.0):
         line = SpatialGrid(1, system.grid.L, system.grid.N)
-        self.particles = tuple(HamiltonianHandle(fam, line, rho=rho)
-                               for fam in (system.fam1, system.fam2))
+        first = HamiltonianHandle(system.fam1, line, rho=rho)
+        second = (first if system.fam2 == system.fam1
+                  else HamiltonianHandle(system.fam2, line, rho=rho))
+        self.particles = (first, second)
         system.interaction.check_rho(rho)
         self.system = system
         self.grid = system.grid
@@ -110,6 +124,7 @@ class TwoParticleHandle:
                                or system.interaction.is_time_dependent)
         self._fields = Memo(self._hamiltonian_fields)
         self._rho_fields = Memo(self._derivative_fields)
+        self._matrices = {h: Memo(self._particle_matrix) for h in self.particles}
 
     def _key(self, t: float) -> float:
         """The memo key of time t."""
@@ -121,25 +136,29 @@ class TwoParticleHandle:
         k1, k2 = (h.kinetic_multiplier for h in self.particles)
         return k1[:, None] + k2[None, :]
 
-    def _particle_matrices(self, method: str, t: float) -> tuple:
-        """(M_1, M_2^T), M_k the matrix of particle k's ``method`` at time t.
+    def _particle_matrix(self, key):
+        """Particle h's matrix at its memo key: H, or dH/drho with derivative.
 
-        M_1 @ f + f @ M_2^T applies both to f.  A zero matrix, as dH/drho
-        has on a particle whose fields do not move with rho, is stored as
-        None and skipped.
+        A zero matrix, as dH/drho has on a particle whose fields do not
+        move with rho, is None.
         """
-        m1, m2 = (dense_matrix(partial(getattr(h, method), t), h.grid) for h in self.particles)
-        return tuple(m if m.any() else None for m in (m1, m2.T))
+        h, t, derivative = key
+        return _nonzero(h.matrix(t, derivative))
+
+    def _particle_matrices(self, t: float, derivative: bool) -> tuple:
+        """(M_1, M_2^T), so that M_1 @ f + f @ M_2^T applies both to f."""
+        m1, m2 = (self._matrices[h][h, h._key(t), derivative] for h in self.particles)
+        return m1, None if m2 is None else m2.T
 
     def _hamiltonian_fields(self, t: float):
         """(W, H_1, H_2^T) at time t."""
         w = self.system.interaction.on(t, self.rho, self.system.relative_coordinate)
-        return (w, *self._particle_matrices("apply", t))
+        return (_nonzero(w), *self._particle_matrices(t, False))
 
     def _derivative_fields(self, t: float):
         """(dW, dH_1, dH_2^T) at time t, the rho-derivatives of the fields."""
         dw = self.system.interaction.rho_partial_on(t, self.rho, self.system.relative_coordinate)
-        return (dw, *self._particle_matrices("apply_rho_derivative", t))
+        return (_nonzero(dw), *self._particle_matrices(t, True))
 
     def gauge_split(self, t: float) -> tuple:
         """(phi, V_g) with H(t) ~ e^{i phi} K e^{-i phi} + V_g, K the kinetic multiplier.
@@ -150,7 +169,8 @@ class TwoParticleHandle:
         particle has a field.
         """
         (phi1, v1), (phi2, v2) = (h.gauge_split(t) for h in self.particles)
-        v_g = self._fields[self._key(t)][0] + v1[:, None] + v2[None, :]
+        w = self._fields[self._key(t)][0]
+        v_g = (0.0 if w is None else w) + v1[:, None] + v2[None, :]
         if phi1 is None and phi2 is None:
             return None, v_g
         zero = np.zeros(self.grid.N)

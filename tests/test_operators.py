@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -28,6 +29,8 @@ from polyschro import (
 from polyschro import operators
 from polyschro.errors import ConfigError
 from polyschro.operators import resolve_mu_prime
+from polyschro.potentials import BUILTIN_FAMILIES
+from polyschro.symbols import dense_matrix
 
 from conftest import MAGNETIC_2D, RHO_MAGNETIC, band_limited_state
 
@@ -324,6 +327,29 @@ def test_magnetic_apply_matches_dense_oracle(fam):
     got = np.column_stack([handle.apply(t, e.reshape(g.shape)).ravel()
                            for e in np.eye(g.size, dtype=complex)])
     assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+# 2-D, magnetic, non-unit mass, and with fields that move with rho
+RHO_MAGNETIC_2D = replace(MAGNETIC_2D, name="rho_magnetic_2d",
+                          v="(1 + x1^2 + x2^2)^2 + rho * x1^2",
+                          a=("rho * sin(t) * x2", "cos(t) * x1 * (1 + x2^2)^(1/2)"),
+                          rho_interval=(-2.0, 2.0))
+MATRIX_FAMILIES = [*BUILTIN_FAMILIES.values(), RHO_MAGNETIC,
+                   replace(RHO_MAGNETIC, name="heavy_rho_magnetic", mass=2.0), RHO_MAGNETIC_2D]
+
+
+@pytest.mark.parametrize("fam", MATRIX_FAMILIES, ids=lambda fam: fam.name)
+def test_matrix_matches_the_kernel_on_the_identity_stack(fam):
+    """The closed-form dense H and dH/drho equal the kernel's images of the unit vectors."""
+    g = make_grid(fam.dim, 6.0, 128 if fam.dim == 1 else 16)
+    rho = 0.0 if fam.rho_interval is None else 0.5
+    handle = HamiltonianHandle(fam, g, rho=rho)
+    t = 0.7
+    for derivative, apply in ((False, handle.apply), (True, handle.apply_rho_derivative)):
+        want = dense_matrix(partial(apply, t), g)
+        got = handle.matrix(t, derivative=derivative)
+        assert got.shape == (g.size, g.size)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("fam", [get_family("confined_quartic"), MAGNETIC_2D],

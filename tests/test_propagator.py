@@ -364,6 +364,31 @@ def test_lanczos_cap_reports_its_miss(quartic_256, quartic_dense_step):
     assert rep.residual >= err / 10
 
 
+def test_capped_lanczos_run_warns_of_its_solver_misses(quartic_256):
+    """Steps whose estimate misses solver_tol add one warning line:
+    the first such step, and how many followed."""
+    g, handle = quartic_256
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    cfg = PropagatorConfig(scheme="lanczos_expmid", dt=1e-3, t_final=3e-3, krylov_dim=4,
+                           keep_states=False)
+    run = propagate(cfg, handle, u0)
+    assert run.data["solver_residual"].max() > cfg.solver_tol
+    (line,) = run.warnings
+    assert line.startswith("solver residual")
+    assert "above solver_tol 1e-11 at t=0.001 (and 2 later steps)" in line
+
+
+@pytest.mark.parametrize("name", ["confined_quartic", "harmonic"])
+def test_cayley_run_carries_no_solver_warning(name):
+    """GMRES and the dense inverse both meet solver_tol: no warning line."""
+    g = make_grid(1, 10.0, 256)
+    handle = HamiltonianHandle(get_family(name), g)
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    run = propagate(PropagatorConfig(dt=1e-3, t_final=0.02, keep_states=False), handle, u0)
+    assert run.data["solver_residual"].max() <= run.cfg.solver_tol
+    assert run.warnings == []
+
+
 def test_solver_columns_cover_the_save_interval(quartic_256):
     """Each record sums the iterations and keeps the worst residual since the last."""
     g, handle = quartic_256

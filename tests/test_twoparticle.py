@@ -2,6 +2,7 @@
 
 import gc
 import weakref
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -308,7 +309,7 @@ def test_dropped_composite_handle_is_freed_without_the_cycle_collector(pair_64):
 
 
 def test_time_free_system_samples_its_fields_once(pair_64, monkeypatch):
-    """W once, and each particle's V and A once, through its own handle."""
+    """W once, and each distinct particle's V and A once, through its own handle."""
     g1, g2, system = pair_64
     calls, particle_calls = [], []
     sample = InteractionFamily.on
@@ -321,12 +322,63 @@ def test_time_free_system_samples_its_fields_once(pair_64, monkeypatch):
     cfg = PropagatorConfig(dt=2.5e-3, t_final=0.025, save_every=10**9, keep_states=False)
     propagate_two_particle(system, cfg, u0, rho=0.5)
     assert len(calls) == 1
-    assert len(particle_calls) == 2
-    assert not TwoParticleHandle(system).time_dependent
+    # both particles are harmonic: one shared handle
+    assert len(particle_calls) == 1
     harm, quartic, soft = system.fam1, get_family("confined_quartic"), system.interaction
+    mixed = TwoParticleSystem(get_family("parametric_quartic"), harm, soft, g2)
+    propagate_two_particle(mixed, cfg, u0, rho=0.5)
+    assert len(calls) == 2
+    assert len(particle_calls) == 3
+    assert not TwoParticleHandle(system).time_dependent
     pulsed = InteractionFamily(name="pulsed", w="cos(t) * r^2", growth_order=1, delta=1.0)
     for parts in ((quartic, harm, soft), (harm, quartic, soft), (harm, harm, pulsed)):
         assert TwoParticleHandle(TwoParticleSystem(*parts, g2)).time_dependent
+
+
+def _count_builds(monkeypatch):
+    """Family names of the particle matrices built, one entry per matrix call."""
+    names = []
+    build = HamiltonianHandle.matrix
+
+    def counted(handle, *args, **kwargs):
+        names.append(handle.fam.name)
+        return build(handle, *args, **kwargs)
+    monkeypatch.setattr(HamiltonianHandle, "matrix", counted)
+    return names
+
+
+@pytest.mark.parametrize("scheme", ["crank_nicolson_midpoint", "lanczos_expmid"])
+@pytest.mark.parametrize("names, builds", [
+    (("confined_quartic", "confined_quartic"), {"confined_quartic": 5}),
+    (("harmonic", "confined_quartic"), {"harmonic": 1, "confined_quartic": 5}),
+    (("confined_quartic", "harmonic"), {"harmonic": 1, "confined_quartic": 5}),
+    (("harmonic", "harmonic"), {"harmonic": 1}),
+])
+def test_each_distinct_particle_builds_once_per_own_time(names, builds, scheme, monkeypatch):
+    """n steps make n builds of a family with t, shared by both particles
+    of that family, and one build per run of a family without t."""
+    built = _count_builds(monkeypatch)
+    g1, g2 = make_grid(1, 6.0, 32), make_grid(2, 6.0, 32)
+    system = TwoParticleSystem(*map(get_family, names), get_interaction("soft_pair"), g2)
+    u0 = product_state(g2, gaussian_packet(g1, center=0.5, width=0.9),
+                       gaussian_packet(g1, center=-0.3, width=1.1))
+    cfg = PropagatorConfig(scheme=scheme, dt=1e-3, t_final=5e-3, keep_states=False)
+    propagate_two_particle(system, cfg, u0, rho=0.5)
+    assert Counter(built) == builds
+
+
+def test_zero_interaction_is_stored_as_none(pair_64):
+    """At rho = 0 the soft pair vanishes; the apply and the split skip it."""
+    g1, g2, system = pair_64
+    handle = TwoParticleHandle(system, rho=0.0)
+    rng = np.random.default_rng(14)
+    f = rng.standard_normal(g2.shape) + 1j * rng.standard_normal(g2.shape)
+    w, h1, h2t = handle._fields[0.0]
+    assert w is None
+    np.testing.assert_array_equal(handle.apply(0.0, f), h1 @ f + f @ h2t)
+    _, v_g = handle.gauge_split(0.0)
+    v = handle.particles[0].potential_multiplier(0.0)
+    np.testing.assert_array_equal(v_g, v[:, None] + v[None, :])
 
 
 def _bcast(arr, k):
