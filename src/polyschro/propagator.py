@@ -11,6 +11,11 @@ Two schemes share the record-keeping harness:
 On a 1-D grid of at most DIRECT_MAX_N points, a family without t has
 one Cayley matrix for the whole run, plain or mollified.  Its step is a
 matvec with the dense inverse, built once and cached on the handle.
+Such a direct step parks its solution and right-hand side on the
+operator, and the stepping loop checks the parked residuals in one
+batched apply: when NORM_BATCH steps are pending, at every record and
+at the end of ``step``.  A direct step that misses its tolerance thus
+raises at most NORM_BATCH - 1 steps later, naming its own step.
 Every other Cayley step (time-dependent, composite or larger grids) is
 one solve by the module's restarted GMRES (Saad and Schultz 1986), which
 keeps scipy's stopping rule.  Plain flows precondition it with the
@@ -45,7 +50,8 @@ SCHEMES = ("crank_nicolson_midpoint", "lanczos_expmid")
 # the largest 1-D grid in use; its dense Cayley inverse takes 4 MB
 DIRECT_MAX_N = 512
 GMRES_RESTART = 40
-# records whose norms are taken in one batch: 16 N=512 states add 0.4 MB
+# records whose norms are taken in one batch, and direct steps whose
+# residuals are checked in one: 16 N=512 states add 0.4 MB
 NORM_BATCH = 16
 
 
@@ -118,17 +124,22 @@ class StepReport:
 
 
 class _Operator:
-    """The time-frozen operator a single step works with."""
+    """The time-frozen operator the steps work with, and the direct steps
+    whose residual check is pending (``park`` and ``settle``)."""
 
     def __init__(self, handle, cfg: PropagatorConfig):
         self.handle = handle
         self.grid = handle.grid
         self.cutoff = cfg.cutoff()
         self.precondition = self.cutoff is None
-        self.direct = (self.grid.d == 1 and self.grid.N <= DIRECT_MAX_N
-                       and not handle.time_dependent)
+        self.direct = (cfg.scheme == "crank_nicolson_midpoint" and self.grid.d == 1
+                       and self.grid.N <= DIRECT_MAX_N and not handle.time_dependent)
         self.krylov_k = 0  # the Lanczos basis size of the run's last step
         self._inv_kin = None, None  # (tau, (I + i tau K)^-1) of the last tau
+        # the reports of the parked direct steps, their (t_mid, tau), and
+        # their solutions x and right-hand sides b as rows of one buffer
+        self.parked, self._frozen = [], None
+        self._xb = np.empty((2, NORM_BATCH, self.grid.N), dtype=complex) if self.direct else None
 
     def inverse_kinetic(self, tau: float) -> np.ndarray:
         """(1 + i tau K)^-1 on the dual grid, cached for the last tau."""
@@ -141,21 +152,54 @@ class _Operator:
             return self.handle.apply(t, f)
         return self.handle.apply_mollified(t, f, self.cutoff)
 
+    def park(self, t_mid: float, tau: float, rhs: np.ndarray) -> tuple:
+        """A direct step: x = (I + i tau Op)^-1 rhs by the handle's cached
+        dense inverse.  Its report counts one iteration and gets its
+        residual from ``settle``; x is a buffer row, valid until then."""
+        x, b = self._xb[:, len(self.parked)]
+        b[...] = rhs
+        np.matmul(self.handle.cayley_inverse(t_mid, tau, self.cutoff), b, out=x)
+        rep = StepReport(iterations=1)
+        self.parked.append(rep)
+        self._frozen = t_mid, tau
+        return x, rep
+
+    def settle(self):
+        """Give each parked report its residual ||x + i tau Op x - b|| / ||b||,
+        with one apply on the stack of parked x (Op has no t, so any
+        parked t_mid freezes it); a zero b reports no iteration and
+        residual 0."""
+        if not self.parked:
+            return
+        xs, bs = self._xb[:, :len(self.parked)]
+        t_mid, tau = self._frozen
+        diffs = xs + 1j * tau * self.apply(t_mid, xs) - bs
+        for rep, diff, b in zip(self.parked, diffs, bs):
+            b_norm = np.linalg.norm(b)
+            if b_norm == 0.0:
+                rep.iterations = 0
+            else:
+                rep.residual = float(np.linalg.norm(diff) / b_norm)
+        self.parked.clear()
+
 
 def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
                   cfg: PropagatorConfig) -> tuple:
     """Solve (I + i tau Op(t_mid)) x = rhs.
 
-    A direct operator multiplies by the handle's cached dense inverse,
-    reports one iteration and measures its residual with one more apply.
-    Any other runs gmres from x0 = M b.  For plain flows M is the
-    gauge-twisted split of ``_preconditioner``, so x0 is the split-step
-    Cayley predictor, and the inner iterations run on the fused operator
-    M A, one apply and one transform pair each.  Mollified flows iterate
-    on A itself (M = I).  gmres returns the true residual of its solution,
-    so no extra apply is needed.  Either way the step's residual is
-    ||A x - rhs|| / ||rhs||.
+    A direct operator multiplies by the handle's cached dense inverse and
+    parks the step (``_Operator.park``): its residual is measured later,
+    in one batched apply with the other pending direct steps, and checked
+    by ``_check_cayley``.  Any other runs gmres from x0 = M b.  For plain
+    flows M is the gauge-twisted split of ``_preconditioner``, so x0 is
+    the split-step Cayley predictor, and the inner iterations run on the
+    fused operator M A, one apply and one transform pair each.  Mollified
+    flows iterate on A itself (M = I).  gmres returns the true residual of
+    its solution, so no extra apply is needed, and the step is checked at
+    once.  Either way the step's residual is ||A x - rhs|| / ||rhs||.
     """
+    if op.direct:
+        return op.park(t_mid, tau, rhs)
     shape = op.grid.shape
 
     def a_matvec(v):
@@ -166,31 +210,32 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros(shape, dtype=complex), StepReport()
+    iters = 0
 
-    if op.direct:
-        x = op.handle.cayley_inverse(t_mid, tau, op.cutoff) @ b
-        iters, info, res = 1, 0, np.linalg.norm(a_matvec(x) - b)
-    else:
-        iters = 0
+    def count(_):
+        nonlocal iters
+        iters += 1
 
-        def count(_):
-            nonlocal iters
-            iters += 1
-
-        split = _preconditioner(op, t_mid, tau)
-        x, info, res = gmres(a_matvec, b, split, rtol=cfg.solver_tol,
-                             maxiter=cfg.max_solver_iter, callback=count,
-                             pmatvec=None if split is None else split.fused)
+    split = _preconditioner(op, t_mid, tau)
+    x, info, res = gmres(a_matvec, b, split, rtol=cfg.solver_tol,
+                         maxiter=cfg.max_solver_iter, callback=count,
+                         pmatvec=None if split is None else split.fused)
     true_res = res / b_norm
     if not np.isfinite(true_res):
         # a blow-up: the stepping loop reports the non-finite state
         return np.full(shape, np.nan, dtype=complex), StepReport(iters, np.nan)
-    if info != 0 or true_res > 50 * cfg.solver_tol:
+    _check_cayley(true_res, t_mid, cfg, converged=info == 0)
+    return x.reshape(shape), StepReport(iterations=iters, residual=float(true_res))
+
+
+def _check_cayley(residual: float, t_mid: float, cfg: PropagatorConfig, converged: bool = True):
+    """Raise SolverError for a Cayley step that did not converge or whose
+    relative residual is not within 50 solver_tol (a NaN one included)."""
+    if not (converged and residual <= 50 * cfg.solver_tol):
         raise SolverError(
-            f"Cayley solve stalled at relative residual {true_res:.3e} "
+            f"Cayley solve stalled at relative residual {residual:.3e} "
             f"(target {cfg.solver_tol:g}) at t_mid={t_mid}"
         )
-    return x.reshape(shape), StepReport(iterations=iters, residual=float(true_res))
 
 
 def _preconditioner(op: _Operator, t_mid, tau):
@@ -408,7 +453,10 @@ def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorCon
 def step(cfg: PropagatorConfig, handle, t: float, u: WaveFunction) -> WaveFunction:
     """Advance one step from time t, as propagate does; the operator is frozen at t + dt/2."""
     op = _Operator(handle, cfg)
-    new_vals, _ = _advance(op, cfg, t, u.values.astype(complex))
+    new_vals, rep = _advance(op, cfg, t, u.values.astype(complex))
+    if op.direct:
+        op.settle()
+        _check_cayley(rep.residual, t + 0.5 * cfg.dt, cfg)
     return u.with_values(new_vals)
 
 
@@ -584,6 +632,23 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
     recs = [_Recorder(PropagationRun(handle.grid, c, norm_orders), mask) for c in cfgs]
     for rec, x in zip(recs, (u, w)):
         rec.record(cfg.t0, x)
+    pending = []  # (recorder, report, index n) of the steps not yet tallied
+
+    def at_step(n):
+        return f"at step {n + 1} (t={cfg.t0 + (n + 1) * cfg.dt:.6g})"
+
+    def settle():
+        """Measure the parked direct residuals, then check and tally the pending steps in order."""
+        op.settle()
+        for rec, rep, n in pending:
+            if op.direct:
+                try:
+                    _check_cayley(rep.residual, cfg.t0 + n * cfg.dt + 0.5 * cfg.dt, cfg)
+                except SolverError as exc:
+                    raise SolverError(f"{exc} {at_step(n)}") from exc
+            rec.tally(rep, cfg.t0 + (n + 1) * cfg.dt)
+        pending.clear()
+
     for n in range(cfg.n_steps):
         t = cfg.t0 + n * cfg.dt
         t_mid = t + 0.5 * cfg.dt
@@ -597,13 +662,18 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
                 w, rep = _advance(op, cfg, t, w, f)
                 reps.append(rep)
         except SolverError as exc:
-            raise SolverError(f"{exc} at step {n + 1} (t={t_next:.6g})") from exc
+            raise SolverError(f"{exc} {at_step(n)}") from exc
         u = u_next
         for rec, x, rep in zip(recs, (u, w), reps):
             if not np.isfinite(x).all():
-                raise SolverError(f"state became non-finite at step {n + 1} (t={t_next:.6g})")
-            rec.tally(rep, t_next)
-            if (n + 1) % cfg.save_every == 0 or n + 1 == cfg.n_steps:
+                raise SolverError(f"state became non-finite {at_step(n)}")
+            pending.append((rec, rep, n))
+        saved = (n + 1) % cfg.save_every == 0 or n + 1 == cfg.n_steps
+        # settle before another step could park more than NORM_BATCH
+        if saved or len(pending) + len(recs) > NORM_BATCH:
+            settle()
+        if saved:
+            for rec, x in zip(recs, (u, w)):
                 rec.record(t_next, x)
     for rec, x in zip(recs, (u, w)):
         rec.finalize(x)

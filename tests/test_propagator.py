@@ -215,6 +215,10 @@ def test_zero_data_stays_at_solver_floor(harmonic_256):
     cfg = PropagatorConfig(dt=2e-3, t_final=0.1, save_every=10**9, keep_states=False)
     run = propagate(cfg, handle, zero)
     assert run.final.norm() <= 1e-12
+    # the dense inverse's zero-data steps: residual 0, no iteration, no flag
+    assert np.array_equal(run.data["solver_residual"], np.zeros(2))
+    assert run.data["solver_iterations"].tolist() == [0, 0]
+    assert run.solver_flags == []
 
 
 def test_time_reversal_by_conjugation():
@@ -387,6 +391,63 @@ def test_cayley_run_carries_no_solver_warning(name):
     run = propagate(PropagatorConfig(dt=1e-3, t_final=0.02, keep_states=False), handle, u0)
     assert run.data["solver_residual"].max() <= run.cfg.solver_tol
     assert run.warnings == []
+
+
+@pytest.fixture
+def quartic_direct_128():
+    g = make_grid(1, 10.0, 128)
+    handle = HamiltonianHandle(get_family("parametric_quartic"), g, rho=1.0)
+    return g, handle, gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+
+
+def test_direct_residuals_are_checked_in_batches(quartic_direct_128, monkeypatch):
+    """The dense inverse's steps check their residuals in stacks of at most
+    NORM_BATCH rows, and each record keeps the worst of its steps,
+    bit for bit as one check per step gives it."""
+    g, handle, u0 = quartic_direct_128
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.2, save_every=50, keep_states=False)
+    tau = 0.5 * cfg.dt
+    inverse = handle.cayley_inverse(0.0, tau)
+    u, residuals = u0.values.astype(complex), []
+    for _ in range(cfg.n_steps):
+        x = inverse @ u
+        residuals.append(np.linalg.norm(x + 1j * tau * handle.apply(0.0, x) - u)
+                         / np.linalg.norm(u))
+        u = 2.0 * x - u
+    shapes, apply = [], handle.apply
+    monkeypatch.setattr(handle, "apply", lambda t, f: shapes.append(f.shape) or apply(t, f))
+    run = propagate(cfg, handle, u0)
+    assert all(len(s) == 2 and 1 <= s[0] <= propagator.NORM_BATCH for s in shapes)
+    assert sum(s[0] for s in shapes) == cfg.n_steps
+    worst = np.max(np.reshape(residuals, (4, 50)), axis=1)
+    assert run.data["solver_residual"][1:].tolist() == worst.tolist()
+    assert run.data["solver_iterations"][1:].tolist() == [50] * 4
+
+
+def test_direct_step_failure_names_its_own_step(quartic_direct_128, monkeypatch):
+    """A direct step whose residual misses is checked only at the record,
+    yet the error names the step itself; step() checks at once."""
+    g, handle, u0 = quartic_direct_128
+    inverse = handle.cayley_inverse
+    monkeypatch.setattr(handle, "cayley_inverse", lambda *key: inverse(*key) * (1 + 1e-9))
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.02, save_every=10)
+    with pytest.raises(SolverError, match=r"Cayley solve stalled .* at step 1 \(t=0\.001\)"):
+        propagate(cfg, handle, u0)
+    with pytest.raises(SolverError, match=r"Cayley solve stalled .* at t_mid=0\.0005"):
+        step(cfg, handle, 0.0, u0)
+
+
+def test_direct_run_warns_of_its_solver_misses(quartic_direct_128):
+    """A solver_tol just below the dense inverse's residuals, within the
+    factor 50 that raises, flags the steps in one warning line."""
+    g, handle, u0 = quartic_direct_128
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, save_every=10, keep_states=False,
+                           solver_tol=1e-16)
+    run = propagate(cfg, handle, u0)
+    assert cfg.solver_tol < run.data["solver_residual"].max() <= 50 * cfg.solver_tol
+    (line,) = run.warnings
+    assert line.startswith("solver residual")
+    assert "above solver_tol 1e-16 at t=0.001" in line
 
 
 def test_solver_columns_cover_the_save_interval(quartic_256):
