@@ -2,21 +2,24 @@
 
 Potentials enter the package as expression strings rather than arbitrary
 callables so that time and parameter partial derivatives stay available in
-closed form.  The grammar is deliberately small:
+closed form.  The grammar is Python expression syntax limited to the
+operators, functions and names below, with ``^`` for ``**`` and ``<v>`` for
+sqrt(1 + v^2), the Japanese bracket of a coordinate.  ``parse`` rewrites
+both and collapses whitespace (so newlines and tabs may split an
+expression) before ``ast.parse``.
 
-    expr    := term (("+" | "-") term)*
-    term    := factor (("*" | "/") factor)*
-    factor  := ("-" | "+") factor | power
-    power   := atom ("^" factor)?          (exponent must fold to a constant)
-    atom    := NUMBER | NAME | NAME "(" expr ")" | "(" expr ")" | "<" NAME ">"
-
-Functions: sin, cos, exp, sqrt.  ``<v>`` is sugar for sqrt(1 + v^2), the
-Japanese bracket of a coordinate.  Variables are free names (typically t,
-x or x1/x2, r, rho); evaluation broadcasts numpy arrays bound to them.
+Operators: + - * / ^ with Python's precedence, unary + and -; exponents
+must fold to a constant.  Functions: sin, cos, exp, sqrt, of one argument.
+Variables are free names (typically t, x or x1/x2, r, rho); evaluation
+broadcasts numpy arrays bound to them.  Numerals are decimal (``2``,
+``0.5``, ``.5``, ``1e-3``).  Anything else raises ExpressionError: other
+syntax, comments, non-ASCII text, keywords as names, and Python-only
+numerals (``0x10``, ``0o7``, ``1_0``, ``1j``, ``007``).
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 
@@ -31,11 +34,8 @@ _FUNCTIONS = {
     "sqrt": np.sqrt,
 }
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>\*\*|[-+*/^()<>]))"
-)
+_BRACKET_RE = re.compile(r"<\s*([A-Za-z_][A-Za-z_0-9]*)\s*>")
+_DECIMAL = frozenset("0123456789.eE+-")
 
 
 class Expr:
@@ -241,127 +241,47 @@ def div(a: Expr, b: Expr) -> Expr:
     return Binary("/", a, b)
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            tail = text[pos:].strip()
-            if not tail:
-                break
-            raise ExpressionError(f"cannot tokenize {tail[:12]!r}")
-        pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            op = m.group("op")
-            tokens.append(("op", "^" if op == "**" else op))
-    tokens.append(("end", None))
-    return tokens
+_BINARY = {ast.Add: add, ast.Sub: sub, ast.Mult: mul, ast.Div: div}
 
 
-class _Parser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ExpressionError(f"expected {op!r}, got {val!r}")
-
-    def parse(self) -> Expr:
-        e = self.expr()
-        kind, val = self.peek()
-        if kind != "end":
-            raise ExpressionError(f"trailing input at {val!r}")
-        return e
-
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = add(e, rhs) if val == "+" else sub(e, rhs)
-            else:
-                return e
-
-    def term(self) -> Expr:
-        e = self.factor()
-        while True:
-            kind, val = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.factor()
-                e = mul(e, rhs) if val == "*" else div(e, rhs)
-            else:
-                return e
-
-    def factor(self) -> Expr:
-        kind, val = self.peek()
-        if kind == "op" and val in "+-":
-            self.next()
-            inner = self.factor()
-            return inner if val == "+" else sub(ZERO, inner)
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, val = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            exponent = self.factor()  # right-associative, e.g. x^-2
+def _convert(node: ast.expr, src: str) -> Expr:
+    """The Expr of one node of ``ast.parse(src)``, built by the simplifying
+    constructors; a node outside the grammar raises ExpressionError."""
+    match node:
+        case ast.BinOp(left, ast.Pow(), right):
+            base, exponent = _convert(left, src), _convert(right, src)
             if exponent.free_vars():
                 raise ExpressionError("exponents must be constant")
             return Power(base, float(exponent.eval({})))
-        return base
-
-    def atom(self) -> Expr:
-        kind, val = self.next()
-        if kind == "num":
-            return Const(val)
-        if kind == "name":
-            k2, v2 = self.peek()
-            if k2 == "op" and v2 == "(":
-                if val not in _FUNCTIONS:
-                    raise ExpressionError(f"unknown function {val!r}")
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(val, arg)
-            return Var(val)
-        if kind == "op" and val == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
-        if kind == "op" and val == "<":
-            k2, v2 = self.next()
-            if k2 != "name":
-                raise ExpressionError("expected a variable inside <...>")
-            self.expect_op(">")
-            # Japanese bracket sugar: <v> = sqrt(1 + v^2)
-            return Call("sqrt", add(ONE, Power(Var(v2), 2.0)))
-        raise ExpressionError(f"unexpected token {val!r}")
+        case ast.BinOp(left, op, right) if type(op) in _BINARY:
+            return _BINARY[type(op)](_convert(left, src), _convert(right, src))
+        case ast.UnaryOp(ast.UAdd(), operand):
+            return _convert(operand, src)
+        case ast.UnaryOp(ast.USub(), operand):
+            return sub(ZERO, _convert(operand, src))
+        case ast.Constant(int() | float()):
+            digits = src[node.col_offset:node.end_col_offset]  # src is one ASCII line
+            if set(digits) <= _DECIMAL:
+                return Const(float(digits))
+        case ast.Name(name):
+            return Var(name)
+        case ast.Call(ast.Name(fn), [arg], []) if fn in _FUNCTIONS:
+            return Call(fn, _convert(arg, src))
+    raise ExpressionError(f"unsupported syntax {src[node.col_offset:node.end_col_offset]!r}")
 
 
 def parse(text: str) -> Expr:
-    """Parse an expression string into an AST."""
+    """Parse an expression string into an Expr tree."""
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("empty expression")
-    return _Parser(_tokenize(text)).parse()
+    src = _BRACKET_RE.sub(r"sqrt(1 + \1**2)", " ".join(text.split())).replace("^", "**")
+    if "#" in src or not src.isascii():
+        raise ExpressionError(f"unsupported character in {text!r}")
+    try:
+        tree = ast.parse(src, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ExpressionError(f"cannot parse {text!r}: {exc}") from None
+    return _convert(tree.body, src)
 
 
 def evaluate(expr: Expr, out_shape=None, **env):

@@ -82,10 +82,16 @@ def axis_terms(grid: SpatialGrid, k: int, mass: float, a) -> tuple:
     return (k - grid.d, xi, xi_2m, xi * xi_2m, a, a / (2.0 * mass))
 
 
+def _kinetic_matrix(grid: SpatialGrid, mass: float) -> np.ndarray:
+    """F^-1 diag(xi^2/2m) F along one axis of the grid: real and symmetric,
+    because the multiplier is real and even."""
+    return circulant(sfft.ifft(grid.dual_axis**2 / (2.0 * mass)).real)
+
+
 @lru_cache(maxsize=_FACTOR_SLOTS)
 def _kinetic_circulant(grid: SpatialGrid, mass: float) -> np.ndarray:
-    """F^-1 diag(xi^2/2m) F along one axis of the grid: real, symmetric, read-only."""
-    mat = circulant(sfft.ifft(grid.dual_axis**2 / (2.0 * mass)).real)
+    """``_kinetic_matrix``, cached and read-only."""
+    mat = _kinetic_matrix(grid, mass)
     mat.setflags(write=False)
     return mat
 
@@ -403,13 +409,13 @@ def solve_hermitian_cg(apply_op, b, tol: float = 1e-12, maxiter: int = 20000):
 def _lambda_m_factor(order: NormOrder, grid: SpatialGrid):
     """Cholesky factor of the real symmetric N x N matrix of Lambda_M on a 1-D grid.
 
-    The kinetic part F^-1 diag(|xi|^2/2m) F is the circulant matrix of the
-    inverse transform of its multiplier, which is real because the
-    multiplier is even.  ``order`` carries a resolved mu', so the cache
-    key is (grid, growth_order, mass, mu').
+    The kinetic part is ``_kinetic_matrix``, built afresh rather than
+    copied from the cache, so no N x N circulant outlives the factor.
+    ``order`` carries a resolved mu', so the cache key is (grid,
+    growth_order, mass, mu').
     """
-    mu_p, kin, weight = _lambda_m_parts(order, grid)
-    mat = circulant(sfft.ifft(kin).real)
+    mu_p, _, weight = _lambda_m_parts(order, grid)
+    mat = _kinetic_matrix(grid, order.mass)
     mat.flat[:: grid.N + 1] += mu_p + weight
     # mat is symmetric: its F-ordered transpose reaches LAPACK without a copy
     return cho_factor(mat.T, overwrite_a=True)

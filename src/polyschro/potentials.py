@@ -154,38 +154,34 @@ class PotentialFamily:
         return env
 
 
-def eval_potential(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid):
-    """Sample (V, A) on the grid; rejects non-finite values and bad rho."""
+def _sample(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid, exprs) -> list:
+    """Evaluate expressions of fam on the grid; rejects bad rho, a grid of
+    another dimension, and non-finite values."""
     fam.check_rho(rho)
     if grid.d != fam.dim:
         raise FamilyError(
             f"family {fam.name!r} is {fam.dim}-dimensional, grid is {grid.d}-dimensional"
         )
-    shape = grid.shape
     env = fam._env(t, rho, grid.mesh)
-    V = ex.evaluate(fam.v, out_shape=shape, **env)
-    A = tuple(ex.evaluate(c, out_shape=shape, **env) for c in fam.a)
-    return V, A
+    return [ex.evaluate(e, out_shape=grid.shape, **env) for e in exprs]
+
+
+def eval_potential(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid):
+    """Sample (V, A) on the grid; rejects non-finite values and bad rho."""
+    V, *A = _sample(fam, t, rho, grid, (fam.v, *fam.a))
+    return V, tuple(A)
 
 
 def partial_rho(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid):
     """Closed-form parameter partials (dV/drho, dA/drho) on the grid."""
-    fam.check_rho(rho)
-    if grid.d != fam.dim:
-        raise FamilyError(
-            f"family {fam.name!r} is {fam.dim}-dimensional, grid is {grid.d}-dimensional"
-        )
-    shape = grid.shape
-    env = fam._env(t, rho, grid.mesh)
-    dV = ex.evaluate(fam.v_rho, out_shape=shape, **env)
-    dA = tuple(ex.evaluate(c, out_shape=shape, **env) for c in fam.a_rho)
-    return dV, dA
+    dV, *dA = _sample(fam, t, rho, grid, (fam.v_rho, *fam.a_rho))
+    return dV, tuple(dA)
 
 
 def divergence_a(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid) -> np.ndarray:
-    fam.check_rho(rho)
-    env = fam._env(t, rho, grid.mesh)
-    return ex.evaluate(fam.div_a, out_shape=grid.shape, **env)
+    """div A on the grid."""
+    (div,) = _sample(fam, t, rho, grid, (fam.div_a,))
+    return div
 
 
 @dataclass(frozen=True)

@@ -96,10 +96,8 @@ class SymbolField:
 
     @cached_property
     def _forward_matrix(self):
-        # d=1 fast path: combined kernel*symbol matrix, reused across the
-        # states it is applied to
-        if self.grid.d != 1:
-            return None
+        # combined kernel*symbol matrix, reused across the states it is
+        # applied to; the quantization reads it only in 1-D
         return _dft_kernel(self.grid.N) * self.values
 
 

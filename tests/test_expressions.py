@@ -125,3 +125,69 @@ def test_polynomial_round_trip(coeffs):
 def test_power_rule(k, x0):
     d = ex.differentiate(ex.parse(f"x^{k}"), "x")
     assert ex.evaluate(d, x=x0) == pytest.approx(k * x0 ** (k - 1), abs=1e-10)
+
+
+# str(e), str(de/dt), str(de/drho) of every builtin expression
+PINNED_BUILTINS = {
+    ("harmonic", "V"): ("((x ^ 2.0) / 2.0)", "0.0", "0.0"),
+    ("harmonic", "A1"): ("0.0", "0.0", "0.0"),
+    ("confined_quartic", "V"): (
+        "((2.0 + sin(t)) * ((1.0 + (x ^ 2.0)) ^ 2.0))",
+        "(cos(t) * ((1.0 + (x ^ 2.0)) ^ 2.0))",
+        "0.0",
+    ),
+    ("confined_quartic", "A1"): (
+        "(cos(t) * ((1.0 + (x ^ 2.0)) ^ 0.5))",
+        "((-1.0 * sin(t)) * ((1.0 + (x ^ 2.0)) ^ 0.5))",
+        "0.0",
+    ),
+    ("parametric_quartic", "V"): (
+        "(((x ^ 2.0) / 2.0) + ((rho * (x ^ 4.0)) / 4.0))",
+        "0.0",
+        "((x ^ 4.0) / 4.0)",
+    ),
+    ("parametric_quartic", "A1"): ("0.0", "0.0", "0.0"),
+    ("ramped_quartic", "V"): ("((t * (x ^ 4.0)) + (x ^ 2.0))", "(x ^ 4.0)", "0.0"),
+    ("ramped_quartic", "A1"): ("0.0", "0.0", "0.0"),
+    ("soft_pair", "W"): ("(rho * (1.0 + (r ^ 2.0)))", "0.0", "(1.0 + (r ^ 2.0))"),
+}
+
+
+def test_builtin_trees_are_pinned():
+    from polyschro.potentials import (
+        BUILTIN_FAMILIES,
+        BUILTIN_INTERACTIONS,
+        ramped_quartic_family,
+    )
+
+    exprs = {}
+    for fam in [*BUILTIN_FAMILIES.values(), ramped_quartic_family()]:
+        exprs[fam.name, "V"] = fam.v
+        exprs.update({(fam.name, f"A{j}"): c for j, c in enumerate(fam.a, start=1)})
+    exprs.update({(inter.name, "W"): inter.w for inter in BUILTIN_INTERACTIONS.values()})
+    got = {key: (str(e), str(e.diff("t")), str(e.diff("rho"))) for key, e in exprs.items()}
+    assert got == PINNED_BUILTINS
+
+
+def test_newlines_and_tabs_split_an_expression():
+    assert ex.parse("x^2 / 2 +\n\trho * x^4 / 4") == ex.parse("x^2/2 + rho*x^4/4")
+    assert ex.parse("\n< x >^2\t") == ex.parse("<x>^2")
+
+
+@pytest.mark.parametrize("text", [".5", "5.", "0.5e+1", "5E-1", "0.5"])
+def test_decimal_numerals_parse(text):
+    assert ex.parse(text) == ex.Const(float(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "0x10", "0o7", "0b1", "1_0", "1j", "007",   # Python-only numerals
+        "x % 2", "x // 2", "x < y", "x if t else 1", "sin(x, t)", "sin(x=1)",
+        "x[0]", "x.real", "(x, t)", "'x'", "True", "lambda", "x # comment", "x ^^ 2",
+        "x^t", "2*xsin(x)", "ρ",
+    ],
+)
+def test_other_python_syntax_rejected(text):
+    with pytest.raises(ExpressionError):
+        ex.parse(text)

@@ -27,7 +27,7 @@ from polyschro import (
     weighted_norm,
 )
 from polyschro import operators
-from polyschro.errors import ConfigError
+from polyschro.errors import ConfigError, SolverError
 from polyschro.operators import resolve_mu_prime
 from polyschro.potentials import BUILTIN_FAMILIES
 from polyschro.symbols import dense_matrix
@@ -167,6 +167,14 @@ def test_lambda_positive_definite(rng):
         lam = apply_lambdaM_power(order, f)
         quad = l2_inner_product(lam, f).real
         assert quad >= mu_p * f.norm() ** 2 - 1e-10
+
+
+def test_cg_zero_rhs_and_iteration_miss():
+    op = lambda v: np.array([1.0, 100.0]) * v
+    x, iters = operators.solve_hermitian_cg(op, np.zeros(2, dtype=complex))
+    assert iters == 0 and not np.any(x)
+    with pytest.raises(SolverError, match="1 iterations"):
+        operators.solve_hermitian_cg(op, np.ones(2, dtype=complex), maxiter=1)
 
 
 def test_norm_order_validation():

@@ -17,6 +17,7 @@ from polyschro import (
     validate_interaction,
 )
 from polyschro.errors import FamilyError
+from polyschro.potentials import divergence_a
 
 from conftest import MAGNETIC_2D
 
@@ -67,6 +68,14 @@ def test_rho_outside_declared_interval_rejected():
     lo, hi = fam.rho_interval
     with pytest.raises(FamilyError):
         eval_potential(fam, 0.0, hi + 1.0, make_grid(1, 6.0, 64))
+
+
+@pytest.mark.parametrize("sample", [eval_potential, partial_rho, divergence_a])
+def test_samplers_reject_a_grid_of_another_dimension(sample):
+    fam = PotentialFamily(name="swirl", v="x1^2 + x2^2", a=("x2", "-x1"),
+                          growth_order=0, delta=1.0, dim=2)
+    with pytest.raises(FamilyError, match="2-dimensional, grid is 1-dimensional"):
+        sample(fam, 0.0, 0.0, make_grid(1, 6.0, 64))
 
 
 def test_unknown_family_name_rejected():

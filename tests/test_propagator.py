@@ -221,6 +221,20 @@ def test_zero_data_stays_at_solver_floor(harmonic_256):
     assert run.solver_flags == []
 
 
+@pytest.mark.parametrize("scheme", ["crank_nicolson_midpoint", "lanczos_expmid"])
+def test_zero_data_on_a_time_dependent_flow(quartic_256, scheme):
+    """The GMRES lane and the Lanczos step take a zero state to zero at once."""
+    g, handle = quartic_256
+    zero = WaveFunction(g, np.zeros(g.N, dtype=complex))
+    cfg = PropagatorConfig(scheme=scheme, dt=2e-3, t_final=0.01, save_every=10**9,
+                           keep_states=False)
+    run = propagate(cfg, handle, zero)
+    assert not np.any(run.final.values)
+    assert np.array_equal(run.data["solver_residual"], np.zeros(2))
+    assert run.data["solver_iterations"].tolist() == [0, 0]
+    assert run.solver_flags == []
+
+
 def test_time_reversal_by_conjugation():
     """For real time-independent potentials, conjugation inverts the flow."""
     g = make_grid(1, 10.0, 128)
@@ -640,6 +654,49 @@ def test_gmres_callback_counts_inner_iterations(monkeypatch):
     iterations = run.data["solver_iterations"].sum()
     assert counts["callbacks"] == iterations
     assert counts["applies"] == iterations + 2 * cfg.n_steps
+
+
+def test_gmres_happy_breakdown_solves_exactly(monkeypatch):
+    """b spans two eigenvectors of a diagonal operator: the Krylov space is
+    exhausted at k=2, where the breakdown stops the inner loop with the
+    exact solution."""
+    d = np.array([2.0, -3.0, 7.0, 8.0])
+    b = np.array([2.0, 1.0, 0.0, 0.0], dtype=complex)
+    rotations = []
+    givens = propagator._givens
+
+    def logged(f, h):
+        rotations.append(h)
+        return givens(f, h)
+
+    monkeypatch.setattr(propagator, "_givens", logged)
+    iters = []
+    x, info, res = propagator.gmres(lambda v: d * v, b, None, rtol=1e-12, maxiter=100,
+                                    callback=iters.append)
+    assert rotations[-1] == 0  # the breakdown, not the tolerance, ended the cycle
+    assert len(iters) == 2 and info == 0
+    np.testing.assert_allclose(x, b / d, rtol=0, atol=1e-15)
+    assert res <= 1e-15
+
+
+def test_gmres_drops_a_zero_pivot():
+    """A residual in the null space of A breaks down at once with a zero
+    pivot: its term is dropped, x stays at x0 and the miss is reported."""
+    d = np.array([0.0, 1.0, 2.0, 3.0])
+    b = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
+    x, info, res = propagator.gmres(lambda v: d * v, b, None, rtol=1e-12, maxiter=100,
+                                    callback=lambda _: None)
+    assert info == 100
+    np.testing.assert_array_equal(x, b)
+    assert res == 1.0
+
+
+@pytest.mark.parametrize("f, g", [(2 + 1j, 0j), (0j, 3 - 4j), (1 + 2j, 3j)])
+def test_givens_rotation_zeroes_the_second_entry(f, g):
+    c, s, r = propagator._givens(f, g)
+    rot = np.array([[c, s], [-np.conj(s), c]])
+    np.testing.assert_allclose(rot @ [f, g], [r, 0], rtol=0, atol=1e-15)
+    assert abs(c) ** 2 + abs(s) ** 2 == pytest.approx(1.0, abs=1e-15)
 
 
 def test_split_cayley_predictor_bounds_gmres_iterations():

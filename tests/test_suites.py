@@ -1,0 +1,43 @@
+"""Suite bodies at reduced size: verdict keys, files, and judged quantities."""
+
+import math
+
+import pytest
+
+from polyschro.config import from_mapping
+from polyschro.suites import run_suite
+
+CASES = {
+    "two_particle": (
+        {"N": 32, "t_final": 0.02},
+        {"suite", "passed", "family", "interaction", "rho", "max_norm_drift",
+         "factorization_error", "primed_norm_growth_ratio", "warnings", "files"},
+        ["max_norm_drift", "factorization_error", "primed_norm_growth_ratio"],
+        ["two_particle_run.csv"],
+    ),
+    "sensitivity": (
+        {"N": 64, "t_final": 0.05, "taus": [0.1, 0.01], "rho_values": [0.5, 1.0]},
+        {"suite", "passed", "family", "rho", "taus", "discrepancies", "observed_orders",
+         "orders_ok", "quotient_to_variational_ratio", "uniform_quotient_ok", "constants",
+         "constant_spread", "constants_stable", "warnings", "files"},
+        ["discrepancies", "observed_orders", "quotient_to_variational_ratio", "constants",
+         "constant_spread"],
+        ["sensitivity_quotients.csv", "sensitivity_constants.csv"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reduced_suite_verdict(name, tmp_path):
+    options, keys, judged, files = CASES[name]
+    verdict = run_suite(name, from_mapping({"options": {name: options}}), str(tmp_path))
+    assert set(verdict) == keys
+    assert verdict["suite"] == name
+    assert verdict["passed"] is True
+    assert verdict["files"] == files
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    for key in judged:
+        values = verdict[key] if isinstance(verdict[key], list) else [verdict[key]]
+        assert values and all(math.isfinite(v) for v in values), key
+    assert isinstance(verdict["warnings"], list)
+    assert all(isinstance(w, str) for w in verdict["warnings"])
