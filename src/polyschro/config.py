@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import ConfigError, FamilyError
-from .grid import SpatialGrid
+from .grid import SpatialGrid, make_grid
 from .potentials import InteractionFamily, PotentialFamily, get_family, get_interaction
 from .propagator import PropagatorConfig
 
@@ -93,11 +93,7 @@ def _resolve_grid(value, path: str) -> SpatialGrid:
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     try:
-        return SpatialGrid(
-            d=int(data.get("d", 1)),
-            L=float(data.get("L", 10.0)),
-            N=int(data.get("N", 512)),
-        )
+        return make_grid(data.get("d", 1), data.get("L", 10.0), data.get("N", 512))
     except Exception as err:
         raise ConfigError(f"{path}: {err}") from err
 

@@ -123,9 +123,20 @@ class SpatialGrid:
         return sfft.ifftn(values, None, (-2, -1)) if self.d > 1 else sfft.ifft(values)
 
 
+def _whole(value, name: str) -> int:
+    """value as an int; a whole float such as 256.0 passes, 100.7 or "256" raise GridError."""
+    try:
+        whole = int(value) == value and not isinstance(value, bool)
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise GridError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def make_grid(d: int, L: float, N: int) -> SpatialGrid:
-    """Build a grid; raises GridError on unusable parameters."""
-    return SpatialGrid(d=d, L=float(L), N=int(N))
+    """Build a grid; raises GridError on unusable parameters, naming the field."""
+    return SpatialGrid(d=_whole(d, "d"), L=float(L), N=_whole(N, "N"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,8 +195,22 @@ def _check_same_grid(a: SpatialGrid, b: SpatialGrid, error=GridError):
         raise error(f"fields live on different grids: {a} and {b}")
 
 
-def _values_of(f):
-    return f.values if isinstance(f, WaveFunction) else np.asarray(f)
+def _values_of(f, grid: SpatialGrid | None = None):
+    """(values, grid) of a WaveFunction, or of raw values on ``grid``.
+
+    Raw values need a grid, and their trailing axes must have its shape; a
+    WaveFunction given with a grid must live on it.  Raises GridError.
+    """
+    if isinstance(f, WaveFunction):
+        if grid is not None:
+            _check_same_grid(f.grid, grid)
+        return f.values, f.grid
+    if grid is None:
+        raise GridError("raw values need a grid; pass grid= or a WaveFunction")
+    values = np.asarray(f)
+    if values.shape[-grid.d:] != grid.shape:
+        raise GridError(f"state shape {values.shape} does not match grid {grid.shape} in its trailing axes")
+    return values, grid
 
 
 def l2_inner_product(f, g, grid: SpatialGrid | None = None) -> complex:
@@ -193,51 +218,43 @@ def l2_inner_product(f, g, grid: SpatialGrid | None = None) -> complex:
 
     Linear in the first slot, conjugate-linear in the second.
     """
-    if isinstance(f, WaveFunction) and isinstance(g, WaveFunction):
-        _check_same_grid(f.grid, g.grid)
-    if grid is None:
-        grid = f.grid if isinstance(f, WaveFunction) else g.grid
-    fv, gv = _values_of(f), _values_of(g)
+    if grid is None and isinstance(g, WaveFunction):
+        grid = g.grid
+    fv, grid = _values_of(f, grid)
+    gv, _ = _values_of(g, grid)
     # vdot conjugates its first argument, so pass g there
     return complex(grid.dx**grid.d * np.vdot(gv, fv))
 
 
 def l2_norm(f, grid: SpatialGrid | None = None):
     """sqrt((f, f)): a float, or one norm per state of a (R, *grid.shape) stack."""
-    if grid is None:
-        grid = f.grid
-    fv = _values_of(f)
+    fv, grid = _values_of(f, grid)
     scale = np.sqrt(grid.dx**grid.d)
     if fv.ndim > grid.d:
         return scale * np.linalg.norm(fv.reshape(*fv.shape[:-grid.d], -1), axis=-1)
     return float(scale * np.linalg.norm(fv.ravel()))
 
 
-def spectral_derivative(f, axis: int = 0, order: int = 1):
+def spectral_derivative(f, axis: int = 0, order: int = 1, grid: SpatialGrid | None = None):
     """Differentiate along one axis with the exact Fourier multiplier (i xi)^order.
 
-    Takes a WaveFunction, whose grid supplies the dual axis, and returns
-    one; a bare array raises GridError (use ``spectral_derivative_array``).
+    f is a WaveFunction, whose grid supplies the dual axis, or raw values
+    on ``grid``; the result has the type of f.
     """
-    if isinstance(f, WaveFunction):
-        out = spectral_derivative_array(f.values, f.grid, axis=axis, order=order)
-        return f.with_values(out)
-    raise GridError("spectral_derivative needs a WaveFunction; use spectral_derivative_array for raw arrays")
-
-
-def spectral_derivative_array(values: np.ndarray, grid: SpatialGrid, axis: int = 0, order: int = 1) -> np.ndarray:
+    values, grid = _values_of(f, grid)
     if not 0 <= axis < grid.d:
         raise GridError(f"axis {axis} out of range for d={grid.d}")
     if order < 0:
         raise GridError("derivative order must be >= 0")
     if order == 0:
-        return np.asarray(values, dtype=complex).copy()
-    mult = (1j * grid.dual_axis) ** order
-    shape = [1] * grid.d
-    shape[axis] = grid.N
-    spec = sfft.fft(values, axis=axis)
-    spec *= mult.reshape(shape)
-    return sfft.ifft(spec, axis=axis)
+        out = np.asarray(values, dtype=complex).copy()
+    else:
+        shape = [1] * grid.d
+        shape[axis] = grid.N
+        out = sfft.fft(values, axis=axis - grid.d)
+        out *= ((1j * grid.dual_axis) ** order).reshape(shape)
+        out = sfft.ifft(out, axis=axis - grid.d)
+    return f.with_values(out) if isinstance(f, WaveFunction) else out
 
 
 def multi_indices(d: int, max_total: int):
@@ -288,7 +305,6 @@ __all__ = [
     "l2_inner_product",
     "l2_norm",
     "spectral_derivative",
-    "spectral_derivative_array",
     "multi_indices",
     "derivative_norm_sum",
     "gaussian_packet",

@@ -469,9 +469,7 @@ def weighted_norm(order: NormOrder, f, grid: SpatialGrid | None = None):
     f is a WaveFunction, or raw values on ``grid``: one state, or a
     (R, *grid.shape) stack, which gives an array of R norms.
     """
-    if grid is None:
-        grid = f.grid
-    vals = _values_of(f)
+    vals, grid = _values_of(f, grid)
     a = int(order.a)
     if a < 0:
         vals = _lambda_m_power(order, vals.astype(complex), grid)

@@ -487,8 +487,10 @@ class PropagationRun:
     solver_flags: list = field(default_factory=list)  # steps whose residual is above solver_tol
 
     def norm_series(self, a: int) -> np.ndarray:
-        key = "l2" if a == 0 else f"norm_a{a}"
-        return self.data[key]
+        recorded = [0] + [o.a for o in self.norm_orders]
+        if a not in recorded:
+            raise ConfigError(f"norm order {a} was not recorded; the run recorded orders {recorded}")
+        return self.data["l2" if a == 0 else f"norm_a{a}"]
 
     @property
     def max_norm_drift(self) -> float:
@@ -653,7 +655,7 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
         t = cfg.t0 + n * cfg.dt
         t_mid = t + 0.5 * cfg.dt
         t_next = cfg.t0 + (n + 1) * cfg.dt
-        f = None if source is None else _values_of(source(t_mid))
+        f = None if source is None else _values_of(source(t_mid), handle.grid)[0]
         try:
             u_next, rep = _advance(op, cfg, t, u, f)
             reps = [rep]

@@ -28,7 +28,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import GridError, SolverError, SymbolDomainError
-from .grid import SpatialGrid, WaveFunction
+from .grid import SpatialGrid, WaveFunction, _values_of
 from .potentials import PotentialFamily, divergence_a, eval_potential
 
 MAX_FIELD_ENTRIES = 2**24  # symbol storage is O(N^2d); keep it desk-sized
@@ -192,21 +192,13 @@ def eval_symbol(
     return SymbolField(grid, 1.0 / (mu + h_s), kind, t, rho)
 
 
-def _as_array(f, grid: SpatialGrid):
-    """The raw values of f, whose trailing axes must have the grid's shape."""
-    fv = f.values if isinstance(f, WaveFunction) else np.asarray(f, dtype=complex)
-    if fv.shape[-grid.d:] != grid.shape:
-        raise GridError(f"state shape {fv.shape} does not match grid {grid.shape}")
-    return fv
-
-
 def quantize_symbol(symbol: SymbolField, f):
     """Apply the quantized symbol to a state or a (B, *grid.shape) stack.
 
     Returns the same type it was given (WaveFunction in, WaveFunction out).
     """
     grid = symbol.grid
-    fv = _as_array(f, grid)
+    fv, _ = _values_of(f, grid)
     if grid.d == 1:
         F = sfft.fft(fv)
         out = F @ symbol._forward_matrix.T / grid.N
@@ -223,7 +215,7 @@ def quantize_symbol(symbol: SymbolField, f):
 def adjoint_quantize_symbol(symbol: SymbolField, f):
     """Apply the adjoint of the quantized symbol (exact discrete adjoint)."""
     grid = symbol.grid
-    fv = _as_array(f, grid)
+    fv, _ = _values_of(f, grid)
     if grid.d == 1:
         G = fv @ symbol._forward_matrix.conj()
         out = sfft.ifft(G)

@@ -224,11 +224,9 @@ def weighted_norm_primed(order: PrimedNormOrder, f, grid: SpatialGrid | None = N
     WaveFunction, or raw values on ``grid``: one state, or a
     (R, *grid.shape) stack, which gives an array of R norms.
     """
-    if grid is None:
-        grid = f.grid
+    vals, grid = _values_of(f, grid)
     if grid.d != 2:
         raise GridError("primed norms are defined on composite grids")
-    vals = _values_of(f)
     if order.a == 0:
         return l2_norm(vals, grid)
     total = derivative_norm_sum(vals, grid, 2 * order.a)

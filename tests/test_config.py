@@ -48,6 +48,18 @@ def test_bad_grid_values_reported_under_grid():
         from_mapping({"grid": {"N": 7}})
 
 
+@pytest.mark.parametrize("block,field", [({"N": 100.7}, "N"), ({"d": 1.9}, "d"), ({"N": "256"}, "N")])
+def test_grid_sizes_must_be_whole_numbers(block, field):
+    with pytest.raises(ConfigError, match=f"^grid: {field} must be a whole number"):
+        from_mapping({"grid": block})
+
+
+def test_grid_sizes_accept_whole_floats():
+    grid = from_mapping({"grid": {"d": 1.0, "N": 256.0}}).grid
+    assert (grid.d, grid.N) == (1, 256)
+    assert type(grid.N) is int
+
+
 @pytest.mark.parametrize("block", [
     {"dtt": 1.0e-3},                  # misspelled field
     {"use_preconditioner": False},    # a field that no longer exists

@@ -14,7 +14,10 @@ from polyschro import (
     spectral_derivative,
 )
 from polyschro.errors import GridError
-from polyschro.grid import derivative_norm_sum, multi_indices, spectral_derivative_array
+from polyschro.grid import derivative_norm_sum, multi_indices
+from polyschro.operators import NormOrder, weighted_norm
+from polyschro.symbols import SymbolField, adjoint_quantize_symbol, quantize_symbol
+from polyschro.twoparticle import PrimedNormOrder, weighted_norm_primed
 
 from conftest import band_limited_state
 
@@ -43,6 +46,18 @@ def test_make_grid_2d_shapes():
 def test_make_grid_rejects_bad_parameters(d, L, N):
     with pytest.raises(GridError):
         make_grid(d, L, N)
+
+
+@pytest.mark.parametrize("d,N,field", [(1, 100.7, "N"), (1.9, 64, "d"), (1, "64", "N"),
+                                       (1, True, "N"), (1, float("nan"), "N")])
+def test_make_grid_rejects_sizes_that_are_not_whole_numbers(d, N, field):
+    with pytest.raises(GridError, match=f"^{field} must be a whole number"):
+        make_grid(d, 10.0, N)
+
+
+def test_make_grid_accepts_whole_floats():
+    assert make_grid(1.0, 10.0, 256.0) == make_grid(1, 10.0, np.int64(256))
+    assert type(make_grid(1.0, 10.0, 256.0).N) is int
 
 
 def test_plane_wave_derivative_is_eigenfunction(grid_1d):
@@ -226,6 +241,53 @@ def test_derivative_norm_sum_matches_per_index_derivatives(d, rng):
         for alpha in multi_indices(d, max_order):
             vals = f.values
             for axis, order in enumerate(alpha):
-                vals = spectral_derivative_array(vals, g, axis=axis, order=order)
+                vals = spectral_derivative(vals, axis=axis, order=order, grid=g)
             want += l2_norm(vals, g)
         assert derivative_norm_sum(f.values, g, max_order) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_spectral_derivative_returns_the_type_it_was_given(d, rng):
+    g = make_grid(d, 6.0, 32)
+    f = band_limited_state(g, rng)
+    for axis in range(d):
+        wf = spectral_derivative(f, axis=axis, order=2)
+        raw = spectral_derivative(f.values, axis=axis, order=2, grid=g)
+        assert isinstance(wf, WaveFunction) and isinstance(raw, np.ndarray)
+        np.testing.assert_array_equal(raw, wf.values)
+        # a stack differentiates each state along the grid axis
+        stack = spectral_derivative(np.stack([f.values, 2.0 * f.values]), axis=axis, order=2, grid=g)
+        np.testing.assert_allclose(stack, [wf.values, 2.0 * wf.values], rtol=0, atol=1e-12)
+
+
+_UNIT_SYMBOL = SymbolField(make_grid(1, 8.0, 16), np.ones((16, 16), dtype=complex), "custom", 0.0, 0.0)
+
+# name: (dimension, helper(f, grid)); the symbol helpers take the symbol's grid
+RAW_VALUE_HELPERS = {
+    "l2_norm": (1, l2_norm),
+    "l2_inner_product": (1, lambda f, grid: l2_inner_product(f, f, grid)),
+    "weighted_norm": (1, lambda f, grid: weighted_norm(NormOrder(a=1, growth_order=0), f, grid)),
+    "weighted_norm_primed": (2, lambda f, grid: weighted_norm_primed(PrimedNormOrder(1, (0, 0)), f, grid)),
+    "spectral_derivative": (1, lambda f, grid: spectral_derivative(f, grid=grid)),
+    "quantize_symbol": (1, lambda f, grid: quantize_symbol(_UNIT_SYMBOL, f)),
+    "adjoint_quantize_symbol": (1, lambda f, grid: adjoint_quantize_symbol(_UNIT_SYMBOL, f)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_VALUE_HELPERS))
+def test_raw_value_helpers_check_the_grid(name, rng):
+    d, helper = RAW_VALUE_HELPERS[name]
+    g = make_grid(d, 8.0, 16)
+    f = band_limited_state(g, rng)
+    want = helper(f, None)
+    got = helper(f.values, g)
+    np.testing.assert_allclose(getattr(want, "values", want), got, rtol=1e-14)
+    with pytest.raises(GridError, match="does not match grid"):
+        helper(np.ones(g.shape[:-1] + (15,)), g)
+    with pytest.raises(GridError, match="does not match grid"):
+        helper(np.ones((3, 15)), g)
+    with pytest.raises(GridError, match="on different grids"):
+        helper(WaveFunction(make_grid(d, 9.0, 16), f.values), g)
+    if not name.startswith(("quantize", "adjoint")):
+        with pytest.raises(GridError, match="raw values need a grid"):
+            helper(f.values, None)

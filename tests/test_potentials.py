@@ -120,6 +120,29 @@ def test_validation_report_rows_have_witnesses(validation_grid):
         assert set(row) >= {"check", "constant", "slope", "passed", "witness_x"}
 
 
+def test_validate_derivatives_are_exact(validation_grid):
+    # A = cos(t) <x> and d^4 <x> = 3 (4 x^2 - 1) / <x>^7: the ratio peaks at 3 on t = x = 0
+    def checks(name):
+        return {c.label: c for c in validate_assumption(get_family(name), validation_grid).checks}
+
+    quartic = checks("confined_quartic")
+    assert quartic["A1_dx^4"].constant == pytest.approx(3.0, rel=1e-12)
+    harmonic = checks("harmonic")
+    assert harmonic["V_dx^3"].constant == 0.0
+    assert harmonic["V_dx^4"].constant == 0.0
+
+
+def test_validate_2d_derivative_index_k_differentiates_axis_k():
+    g = make_grid(2, 10.0, 32)
+    fam = PotentialFamily(name="anisotropic", v="x1^4 + 2*x2^2", a=("0", "0"),
+                          growth_order=1, delta=1.0, dim=2)
+    checks = {c.label: c for c in validate_assumption(fam, g).checks}
+    x1, _ = g.mesh
+    weight = (1.0 + g.radius_sq) ** 2
+    assert checks["V_dx^20"].constant == pytest.approx((12.0 * x1**2 / weight).max(), rel=1e-12)
+    assert checks["V_dx^10"].constant == pytest.approx((4.0 * np.abs(x1) ** 3 / weight).max(), rel=1e-12)
+
+
 # 2-D derivative orders in check order: first axis outer, total order <= 4
 ORDERS_2D = ["00", "01", "02", "03", "04", "10", "11", "12", "13",
              "20", "21", "22", "30", "31", "40"]
@@ -147,7 +170,7 @@ def test_validate_2d_family_pins_labels_and_verdict():
     assert exponents["growth_lower"] == exponents["Vt_dx^00"] == exponents["V_dx^40"] == 4.0
     assert exponents["A1_size"] == exponents["A2_size"] == 1.0
     assert exponents["A1t_dx^00"] == exponents["A2_dx^11"] == 2.0
-    # the mixed difference of V = (1 + |x|^2)^2 is exactly 8 x1 x2 on the grid
+    # the mixed derivative of V = (1 + |x|^2)^2 is 8 x1 x2
     x1, x2 = g.mesh
     ratio = np.abs(8.0 * x1 * x2) / (1.0 + x1**2 + x2**2) ** 2
     checks = {c.label: c for c in report.checks}
@@ -173,7 +196,7 @@ def test_validate_interaction_pins_labels():
 
 
 @pytest.mark.parametrize("alpha_max", [-1, 5])
-def test_validate_interaction_rejects_orders_without_a_stencil(alpha_max):
+def test_validate_interaction_rejects_alpha_max_out_of_range(alpha_max):
     with pytest.raises(FamilyError, match="alpha_max"):
         validate_interaction(get_interaction("soft_pair"), L=10.0, alpha_max=alpha_max)
 

@@ -1,6 +1,7 @@
 """Time stepping: unitarity, convergence order, sources, and diagnostics."""
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -293,6 +294,17 @@ def test_energy_estimate_needs_a_nonzero_initial_norm(harmonic_256):
     cfg = PropagatorConfig(dt=2e-3, t_final=0.01, save_every=1, keep_states=False)
     with pytest.raises(ConfigError, match="initial norm vanishes"):
         energy_estimate_check(propagate(cfg, handle, zero))
+
+
+def test_unrecorded_norm_order_names_the_recorded_ones(quartic_reference_run):
+    _, run = quartic_reference_run
+    recorded = [0] + [o.a for o in run.norm_orders]
+    missing = max(recorded) + 1
+    with pytest.raises(ConfigError, match=re.escape(f"norm order {missing} was not recorded; "
+                                                    f"the run recorded orders {recorded}")):
+        run.norm_series(missing)
+    with pytest.raises(ConfigError, match=f"norm order {missing} was not recorded"):
+        energy_estimate_check(run, missing)
 
 
 def test_energy_estimate_stable_under_refinement(quartic_256):

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from polyschro.config import from_mapping
+from polyschro.errors import GridError
 from polyschro.suites import run_suite
 
 CASES = {
@@ -41,3 +42,9 @@ def test_reduced_suite_verdict(name, tmp_path):
         assert values and all(math.isfinite(v) for v in values), key
     assert isinstance(verdict["warnings"], list)
     assert all(isinstance(w, str) for w in verdict["warnings"])
+
+
+def test_suite_grid_size_must_be_a_whole_number(tmp_path):
+    cfg = from_mapping({"options": {"validate": {"N": 64.5}}})
+    with pytest.raises(GridError, match="N must be a whole number, got 64.5"):
+        run_suite("validate", cfg, str(tmp_path))
