@@ -2,34 +2,33 @@
 
 The file is a nested key/value mapping.  Families may be named from the
 builtin catalog or written inline with the small expression grammar; every
-validation error names the offending field path.
+validation error names the offending field path.  The options of a suite
+are the keyword parameters of its ``suites.suite_<name>`` function.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError, FamilyError
 from .grid import SpatialGrid, make_grid
 from .potentials import InteractionFamily, PotentialFamily, get_family, get_interaction
 from .propagator import PropagatorConfig
+from .suites import _SUITE_FUNCTIONS, initial_packet, suite_function
 
-# the keys each suite reads from its options section (see suites.py)
-SUITE_OPTIONS = {
-    "propagate": {"propagator", "initial_state", "norm_orders"},
-    "eps_sweep": {"family", "L", "N", "width", "dt", "t_final", "eps_values", "cutoff_mu"},
-    "parametrix": {"family", "L", "N", "t", "rho"},
-    "commutator": {"family", "L", "N", "t", "mu"},
-    "sensitivity": {"family", "L", "N", "center", "width", "dt", "t_final", "rho",
-                    "taus", "rho_values"},
-    "continuity": {"family", "L", "N", "center", "width", "dt", "t_final", "rho",
-                   "deltas"},
-    "two_particle": {"family", "L", "N", "rho", "dt", "t_final", "factorization_dt",
-                     "krylov_dim"},
-    "validate": {"L", "N"},
-}
+
+def _keyword_defaults(fn) -> dict:
+    """The keyword-only parameters of fn, mapped to their defaults."""
+    return {p.name: p.default for p in inspect.signature(fn).parameters.values()
+            if p.kind is p.KEYWORD_ONLY}
+
+
+# each suite's option names and defaults, read from its signature
+SUITE_OPTIONS = {name: _keyword_defaults(fn) for name, fn in _SUITE_FUNCTIONS.items()}
 SUITE_NAMES = tuple(SUITE_OPTIONS)
 
 _FAMILY_KEYS = {"name", "v", "a", "growth_order", "delta", "mass", "rho_interval", "dim"}
@@ -52,6 +51,7 @@ class ExperimentConfig:
     options: dict = field(default_factory=dict)
 
     def suite_options(self, name: str) -> dict:
+        """The overrides of the options section of suite name (no defaults)."""
         return dict(self.options.get(name, {}))
 
 
@@ -61,19 +61,30 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
+def _mapping_of(value, path: str, keys) -> dict:
+    """value as a mapping whose keys are all among keys."""
+    unknown = set(_require_mapping(value, path)) - set(keys)
+    if unknown:
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+    return value
+
+
+def _checked(path: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with a rejected value reported under path."""
+    try:
+        with np.errstate(all="ignore"):  # a bad value raises below; no warnings
+            return build(*args, **kwargs)
+    except (ArithmeticError, TypeError, ValueError) as err:
+        raise ConfigError(f"{path}: {err}") from err
+
+
 def _resolve_potential(value, path: str, cls, lookup, keys):
     """A cls instance, a builtin name for lookup, or an inline block of keys."""
     if isinstance(value, cls):
         return value
     if isinstance(value, str):
-        try:
-            return lookup(value)
-        except FamilyError as err:
-            raise ConfigError(f"{path}: {err}") from err
-    data = _require_mapping(value, path)
-    unknown = set(data) - keys
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        return _checked(path, lookup, value)
+    data = _mapping_of(value, path, keys)
     try:
         kwargs = dict(data)
         kwargs.setdefault("name", "custom")
@@ -88,32 +99,41 @@ def _resolve_potential(value, path: str, cls, lookup, keys):
 
 
 def _resolve_grid(value, path: str) -> SpatialGrid:
-    data = _require_mapping(value, path)
-    unknown = set(data) - {"d", "L", "N"}
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    try:
-        return make_grid(data.get("d", 1), data.get("L", 10.0), data.get("N", 512))
-    except Exception as err:
-        raise ConfigError(f"{path}: {err}") from err
+    data = _mapping_of(value, path, {"d", "L", "N"})
+    return _checked(path, make_grid, data.get("d", 1), data.get("L", 10.0),
+                    data.get("N", 512))
 
 
 def _check_propagator(value, path: str) -> dict:
     """A mapping of PropagatorConfig fields that PropagatorConfig accepts."""
     data = _require_mapping(value, path)
-    try:
-        PropagatorConfig(**data)
-    except (ConfigError, TypeError) as err:
-        raise ConfigError(f"{path}: {err}") from err
+    _checked(path, PropagatorConfig, **data)
     return data
 
 
-def _check_initial_state(value, path: str) -> dict:
-    data = _require_mapping(value, path)
-    for key in data:
-        if key not in {"center", "width", "momentum"}:
-            raise ConfigError(f"{path}: unknown key {key!r}")
+def _check_initial_state(value, path: str, grid: SpatialGrid) -> dict:
+    """A mapping of packet parameters that give a packet on grid."""
+    data = _mapping_of(value, path, _keyword_defaults(initial_packet))
+    _checked(path, initial_packet, grid, **data)
     return data
+
+
+def _check_suite_options(name: str, section, path: str) -> None:
+    """Reject keys that suite name does not take, and the grid, family and
+    step values it cannot run with, merged over its defaults."""
+    _mapping_of(section, path, SUITE_OPTIONS[name])
+    opts = {**SUITE_OPTIONS[name], **section}
+    # L and N are checked apart, each against a valid default for the other
+    for key in ("L", "N"):
+        if key in section:
+            _resolve_grid({key: section[key]}, f"{path}.{key}")
+    if "family" in section:
+        _checked(f"{path}.family", get_family, section["family"])
+    for step in ("dt", "factorization_dt"):
+        given = [key for key in (step, "t_final") if key in section]
+        if given and step in opts:
+            _checked(f"{path}.{given[0]}", PropagatorConfig,
+                     dt=opts[step], t_final=opts["t_final"])
 
 
 def from_mapping(data: dict | None) -> ExperimentConfig:
@@ -127,13 +147,8 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
     grid = _resolve_grid(data.pop("grid", {}), "grid")
 
     propagator = _check_propagator(data.pop("propagator", {}), "propagator")
-    initial_state = _check_initial_state(data.pop("initial_state", {}), "initial_state")
-
-    rho = data.pop("rho", 0.0)
-    try:
-        rho = float(rho)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"rho: {err}") from err
+    initial_state = _check_initial_state(data.pop("initial_state", {}), "initial_state", grid)
+    rho = _checked("rho", float, data.pop("rho", 0.0))
 
     suites = data.pop("suites", list(SUITE_NAMES))
     if isinstance(suites, str):
@@ -141,10 +156,7 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
     if not suites:
         raise ConfigError("suites: the selection must be nonempty")
     for name in suites:
-        if name not in SUITE_NAMES:
-            raise ConfigError(
-                f"suites: unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
-            )
+        _checked("suites", suite_function, name)
     seen = set()
     suites = tuple(s for s in suites if not (s in seen or seen.add(s)))
 
@@ -155,12 +167,8 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
 
     options = _require_mapping(data.pop("options", {}), "options")
     for name, section in options.items():
-        if name not in SUITE_NAMES:
-            raise ConfigError(f"options: unknown suite section {name!r}")
-        path = f"options.{name}"
-        unknown = set(_require_mapping(section, path)) - SUITE_OPTIONS[name]
-        if unknown:
-            raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
+        _checked("options", suite_function, name)
+        _check_suite_options(name, section, f"options.{name}")
     # the propagate suite merges these over the top-level blocks
     propagate_opts = options.get("propagate", {})
     if "propagator" in propagate_opts:
@@ -168,7 +176,9 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
         override = _require_mapping(propagate_opts["propagator"], path)
         _check_propagator({**propagator, **override}, path)
     if "initial_state" in propagate_opts:
-        _check_initial_state(propagate_opts["initial_state"], "options.propagate.initial_state")
+        path = "options.propagate.initial_state"
+        override = _require_mapping(propagate_opts["initial_state"], path)
+        _check_initial_state({**initial_state, **override}, path, grid)
 
     if data:
         raise ConfigError(f"unknown top-level keys {sorted(data)}")

@@ -6,20 +6,24 @@ the first such record, and one for each whose step residual rose above
 its ``solver_tol``, naming the first such step; a suite that propagates
 nothing reports none.
 
-Default parameters are frozen so that a bare run reproduces the
-acceptance thresholds; every default can be overridden through the
-config's per-suite options section.  All floats serialize with 17
-significant digits and no suite draws random numbers, so a fixed config
-gives byte-identical artifacts.
+A suite's options are the keyword-only parameters of its
+``suite_<name>`` function; their defaults reproduce the acceptance
+thresholds, and ``config`` reads the option names and defaults from
+these signatures to check an ``options.<name>`` section at load.
+``run_suite`` passes that section as keyword arguments and stamps the
+suite name on the verdict.  All floats serialize with 17 significant
+digits and no suite draws random numbers, so a fixed config gives
+byte-identical artifacts.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import SUITE_NAMES, ExperimentConfig
 from .errors import ConfigError
 from .grid import SpatialGrid, WaveFunction, gaussian_packet, make_grid
 from .operators import HamiltonianHandle
@@ -35,6 +39,9 @@ from .report import write_csv
 from .sensitivity import continuity_modulus, sensitivity_sweep, solve_variational
 from .symbols import commutator_probe, parametrix_residual
 from .twoparticle import TwoParticleSystem, product_state, propagate_two_particle
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 DRIFT_TOL = 1e-7
 STABILITY_TOL = 0.2
@@ -59,13 +66,10 @@ def _write_run(out_dir: str, name: str, run) -> str:
     return name
 
 
-def _initial_state(grid: SpatialGrid, opts: dict) -> WaveFunction:
-    return gaussian_packet(
-        grid,
-        center=opts.get("center", 1.0),
-        width=opts.get("width", 0.8),
-        momentum=opts.get("momentum", 0.5),
-    )
+def initial_packet(grid: SpatialGrid, *, center=1.0, width=0.8,
+                   momentum=0.5) -> WaveFunction:
+    """The propagate suite's initial state; config ``initial_state`` overrides."""
+    return gaussian_packet(grid, center=center, width=width, momentum=momentum)
 
 
 def _propagator_cfg(base: dict, **overrides) -> PropagatorConfig:
@@ -85,21 +89,20 @@ def _propagator_cfg(base: dict, **overrides) -> PropagatorConfig:
 # suites
 
 
-def suite_propagate(cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Norm conservation and weighted-norm stability of one propagation."""
-    opts = cfg.suite_options("propagate")
-    prop = _propagator_cfg(cfg.propagator, **opts.get("propagator", {}))
-    grid = cfg.grid
-    u0 = _initial_state(grid, {**cfg.initial_state, **opts.get("initial_state", {})})
-    handle = HamiltonianHandle(cfg.family, grid, rho=cfg.rho)
+def suite_propagate(cfg: ExperimentConfig, out_dir: str, *, propagator=None,
+                    initial_state=None, norm_orders=(1, 2)) -> dict:
+    """Norm conservation and weighted-norm stability of one propagation.
 
-    orders = tuple(opts.get("norm_orders", (1, 2)))
+    ``propagator`` and ``initial_state`` are merged over the config's
+    top-level blocks of the same names.
+    """
+    prop = _propagator_cfg(cfg.propagator, **(propagator or {}))
+    u0 = initial_packet(cfg.grid, **{**cfg.initial_state, **(initial_state or {})})
+    handle = HamiltonianHandle(cfg.family, cfg.grid, rho=cfg.rho)
+
+    orders = tuple(norm_orders)
     run = propagate(prop, handle, u0, norm_orders=orders)
-    half = propagate(
-        _propagator_cfg(cfg.propagator, **opts.get("propagator", {}),
-                        dt=prop.dt / 2.0),
-        handle, u0, norm_orders=orders,
-    )
+    half = propagate(replace(prop, dt=prop.dt / 2.0), handle, u0, norm_orders=orders)
 
     files = [_write_run(out_dir, "propagate_run.csv", run),
              _write_run(out_dir, "propagate_run_half_dt.csv", half)]
@@ -117,7 +120,6 @@ def suite_propagate(cfg: ExperimentConfig, out_dir: str) -> dict:
     # Richardson: the dt run's error for a second-order scheme, not gated
     time_error = 4.0 / 3.0 * (run.final - half.final).norm() / half.final.norm()
     return {
-        "suite": "propagate",
         "passed": bool(drift_ok and stable),
         "family": cfg.family.name,
         "max_norm_drift": run.max_norm_drift,
@@ -132,25 +134,22 @@ def suite_propagate(cfg: ExperimentConfig, out_dir: str) -> dict:
     }
 
 
-def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
+def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str, *, family="harmonic",
+                    L=10.0, N=256, width=1.0, dt=2.5e-3, t_final=0.125,
+                    eps_values=(1.0, 0.5, 0.25, 0.125, 0.0625), cutoff_mu=0.0) -> dict:
     """Mollified-flow convergence: the gap to the plain flow shrinks in eps."""
-    opts = cfg.suite_options("eps_sweep")
-    fam = get_family(opts.get("family", "harmonic"))
-    grid = make_grid(1, opts.get("L", 10.0), opts.get("N", 256))
-    u0 = gaussian_packet(grid, center=0.0,
-                         width=opts.get("width", 1.0), momentum=0.0)
+    fam = get_family(family)
+    grid = make_grid(1, L, N)
+    u0 = gaussian_packet(grid, center=0.0, width=width, momentum=0.0)
     handle = HamiltonianHandle(fam, grid)
-    prop = _propagator_cfg({}, dt=opts.get("dt", 2.5e-3),
-                           t_final=opts.get("t_final", 0.125),
-                           save_every=10**9)
-    eps_values = tuple(opts.get("eps_values", (1.0, 0.5, 0.25, 0.125, 0.0625)))
+    prop = _propagator_cfg({}, dt=dt, t_final=t_final, save_every=10**9)
+    eps_values = tuple(eps_values)
 
     ref = propagate(prop, handle, u0)
     gaps, warnings = [], ref.warnings
     for eps in eps_values:
         moll = _propagator_cfg({}, dt=prop.dt, t_final=prop.t_final,
-                               save_every=10**9, eps=eps,
-                               cutoff_mu=opts.get("cutoff_mu", 0.0))
+                               save_every=10**9, eps=eps, cutoff_mu=cutoff_mu)
         run = propagate(moll, handle, u0)
         diff = WaveFunction(grid, run.final.values - ref.final.values)
         gaps.append(diff.norm())
@@ -161,7 +160,6 @@ def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
     final_ok = gaps[-1] <= GAP_TOL
     return {
-        "suite": "eps_sweep",
         "passed": bool(decreasing and final_ok),
         "family": fam.name,
         "eps_values": [float(e) for e in eps_values],
@@ -173,16 +171,11 @@ def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str) -> dict:
     }
 
 
-def suite_parametrix(cfg: ExperimentConfig, out_dir: str) -> dict:
+def suite_parametrix(cfg: ExperimentConfig, out_dir: str, *,
+                     family="confined_quartic", L=10.0, N=128, t=0.0, rho=0.0) -> dict:
     """Residual decay of the approximate resolvent against the spectral shift."""
-    opts = cfg.suite_options("parametrix")
-    fam = get_family(opts.get("family", "confined_quartic"))
-    grid = make_grid(1, opts.get("L", 10.0), opts.get("N", 128))
-    result = parametrix_residual(
-        fam, grid,
-        t=opts.get("t", 0.0),
-        rho=opts.get("rho", 0.0),
-    )
+    fam = get_family(family)
+    result = parametrix_residual(fam, make_grid(1, L, N), t=t, rho=rho)
     files = [_write_csv(
         out_dir, "parametrix_residuals.csv",
         ["mu", "excess", "residual"],
@@ -191,7 +184,6 @@ def suite_parametrix(cfg: ExperimentConfig, out_dir: str) -> dict:
     slope_ok = abs(result.slope - SLOPE_TARGET) <= SLOPE_TOL
     monotone = result.residuals[-1] < result.residuals[0]
     return {
-        "suite": "parametrix",
         "passed": bool(slope_ok and monotone),
         "family": fam.name,
         "slope": float(result.slope),
@@ -205,23 +197,18 @@ def suite_parametrix(cfg: ExperimentConfig, out_dir: str) -> dict:
     }
 
 
-def suite_commutator(cfg: ExperimentConfig, out_dir: str) -> dict:
+def suite_commutator(cfg: ExperimentConfig, out_dir: str, *,
+                     family="confined_quartic", L=10.0, N=128, t=3.0 * np.pi / 2.0,
+                     mu=0.5) -> dict:
     """Uniform-in-eps bound of the cutoff/operator commutator."""
-    opts = cfg.suite_options("commutator")
-    fam = get_family(opts.get("family", "confined_quartic"))
-    grid = make_grid(1, opts.get("L", 10.0), opts.get("N", 128))
-    result = commutator_probe(
-        fam, grid,
-        t=opts.get("t", 3.0 * np.pi / 2.0),
-        mu=opts.get("mu", 0.5),
-    )
+    fam = get_family(family)
+    result = commutator_probe(fam, make_grid(1, L, N), t=t, mu=mu)
     files = [_write_csv(
         out_dir, "commutator_bounds.csv",
         ["eps", "bound"],
         list(zip(result.eps_values, result.bounds)),
     )]
     return {
-        "suite": "commutator",
         "passed": bool(not result.diverged),
         "family": fam.name,
         "max_min_ratio": float(result.max_min_ratio),
@@ -232,17 +219,20 @@ def suite_commutator(cfg: ExperimentConfig, out_dir: str) -> dict:
     }
 
 
-def suite_sensitivity(cfg: ExperimentConfig, out_dir: str) -> dict:
+def _parameter_flow(family, L, N, center, width, dt, t_final):
+    """Family, initial packet and stepper of the sensitivity and continuity suites."""
+    fam = get_family(family)
+    u0 = gaussian_packet(make_grid(1, L, N), center=center, width=width, momentum=0.0)
+    return fam, u0, _propagator_cfg({}, dt=dt, t_final=t_final, save_every=50)
+
+
+def suite_sensitivity(cfg: ExperimentConfig, out_dir: str, *,
+                      family="parametric_quartic", L=10.0, N=256, center=1.0,
+                      width=0.8, dt=1e-3, t_final=1.0, rho=1.0,
+                      taus=(1e-1, 1e-2, 1e-3), rho_values=(0.5, 1.0, 2.0)) -> dict:
     """Difference quotients versus the variational equation, plus constants."""
-    opts = cfg.suite_options("sensitivity")
-    fam = get_family(opts.get("family", "parametric_quartic"))
-    grid = make_grid(1, opts.get("L", 10.0), opts.get("N", 256))
-    u0 = gaussian_packet(grid, center=opts.get("center", 1.0),
-                         width=opts.get("width", 0.8), momentum=0.0)
-    prop = _propagator_cfg({}, dt=opts.get("dt", 1e-3),
-                           t_final=opts.get("t_final", 1.0), save_every=50)
-    rho = opts.get("rho", 1.0)
-    taus = tuple(opts.get("taus", (1e-1, 1e-2, 1e-3)))
+    fam, u0, prop = _parameter_flow(family, L, N, center, width, dt, t_final)
+    taus = tuple(taus)
 
     sweep = sensitivity_sweep(fam, u0, rho, taus, prop, a=0, central=True)
     orders = sweep.observed_orders()
@@ -252,8 +242,8 @@ def suite_sensitivity(cfg: ExperimentConfig, out_dir: str) -> dict:
     ratio = sweep.quotient_to_variational_ratio()
     ratio_ok = 1.0 / QUOTIENT_RATIO_LIMIT <= ratio <= QUOTIENT_RATIO_LIMIT
 
-    rho_values = tuple(opts.get("rho_values", (0.5, 1.0, 2.0)))
-    u0_a1 = HamiltonianHandle(fam, grid, rho=rho).norm_order(1).norm(u0)
+    rho_values = tuple(rho_values)
+    u0_a1 = HamiltonianHandle(fam, u0.grid, rho=rho).norm_order(1).norm(u0)
     constants, warnings = [], sweep.warnings
     for r in rho_values:
         # the sweep already solved the variational equation at its own rho
@@ -276,7 +266,6 @@ def suite_sensitivity(cfg: ExperimentConfig, out_dir: str) -> dict:
                    list(zip(rho_values, constants))),
     ]
     return {
-        "suite": "sensitivity",
         "passed": bool(order_ok and ratio_ok and spread_ok),
         "family": fam.name,
         "rho": float(rho),
@@ -294,24 +283,19 @@ def suite_sensitivity(cfg: ExperimentConfig, out_dir: str) -> dict:
     }
 
 
-def suite_continuity(cfg: ExperimentConfig, out_dir: str) -> dict:
+def suite_continuity(cfg: ExperimentConfig, out_dir: str, *,
+                     family="parametric_quartic", L=10.0, N=256, center=1.0,
+                     width=0.8, dt=1e-3, t_final=1.0, rho=1.0,
+                     deltas=(1e-1, 1e-2, 1e-3)) -> dict:
     """Continuity of the flow in the family parameter."""
-    opts = cfg.suite_options("continuity")
-    fam = get_family(opts.get("family", "parametric_quartic"))
-    grid = make_grid(1, opts.get("L", 10.0), opts.get("N", 256))
-    u0 = gaussian_packet(grid, center=opts.get("center", 1.0),
-                         width=opts.get("width", 0.8), momentum=0.0)
-    prop = _propagator_cfg({}, dt=opts.get("dt", 1e-3),
-                           t_final=opts.get("t_final", 1.0), save_every=50)
-    rho = opts.get("rho", 1.0)
-    deltas = tuple(opts.get("deltas", (1e-1, 1e-2, 1e-3)))
+    fam, u0, prop = _parameter_flow(family, L, N, center, width, dt, t_final)
+    deltas = tuple(deltas)
 
     curve = continuity_modulus(fam, u0, rho, deltas, prop, a=0)
     files = [_write_csv(out_dir, "continuity_modulus.csv",
                         ["delta", "modulus"],
                         [[r["delta"], r["modulus"]] for r in curve.rows()])]
     return {
-        "suite": "continuity",
         "passed": bool(curve.is_decreasing()),
         "family": fam.name,
         "rho": float(rho),
@@ -322,13 +306,12 @@ def suite_continuity(cfg: ExperimentConfig, out_dir: str) -> dict:
     }
 
 
-def suite_two_particle(cfg: ExperimentConfig, out_dir: str) -> dict:
+def suite_two_particle(cfg: ExperimentConfig, out_dir: str, *,
+                       family="confined_quartic", L=10.0, N=128, rho=0.1, dt=1e-3,
+                       t_final=0.5, factorization_dt=1e-3, krylov_dim=32) -> dict:
     """Composite-grid propagation: drift, primed norms, and factorization."""
-    opts = cfg.suite_options("two_particle")
-    fam = get_family(opts.get("family", "confined_quartic"))
+    fam = get_family(family)
     inter = cfg.interaction
-    N = opts.get("N", 128)
-    L = opts.get("L", 10.0)
     grid2 = make_grid(2, L, N)
     grid1 = make_grid(1, L, N)
     system = TwoParticleSystem(fam, fam, inter, grid2)
@@ -337,15 +320,12 @@ def suite_two_particle(cfg: ExperimentConfig, out_dir: str) -> dict:
     p2 = gaussian_packet(grid1, center=-1.0, width=0.8, momentum=-0.5)
     u0 = product_state(grid2, p1, p2)
 
-    rho = opts.get("rho", 0.1)
-    prop = _propagator_cfg({}, dt=opts.get("dt", 1e-3),
-                           t_final=opts.get("t_final", 0.5), save_every=50)
+    prop = _propagator_cfg({}, dt=dt, t_final=t_final, save_every=50)
     run = propagate_two_particle(system, prop, u0, norm_orders=(1,), rho=rho)
 
     lanczos = _propagator_cfg({}, scheme="lanczos_expmid",
-                              dt=opts.get("factorization_dt", 1e-3),
-                              t_final=prop.t_final, save_every=10**9,
-                              krylov_dim=opts.get("krylov_dim", 32))
+                              dt=factorization_dt, t_final=prop.t_final,
+                              save_every=10**9, krylov_dim=krylov_dim)
     free = propagate_two_particle(system, lanczos, u0, rho=0.0)
     handle1 = HamiltonianHandle(fam, grid1, rho=0.0)
     r1 = propagate(lanczos, handle1, p1)
@@ -358,7 +338,6 @@ def suite_two_particle(cfg: ExperimentConfig, out_dir: str) -> dict:
     drift_ok = run.max_norm_drift <= DRIFT_TOL
     fact_ok = fact_err <= FACTORIZATION_TOL
     return {
-        "suite": "two_particle",
         "passed": bool(drift_ok and fact_ok),
         "family": fam.name,
         "interaction": inter.name,
@@ -371,10 +350,9 @@ def suite_two_particle(cfg: ExperimentConfig, out_dir: str) -> dict:
     }
 
 
-def suite_validate(cfg: ExperimentConfig, out_dir: str) -> dict:
+def suite_validate(cfg: ExperimentConfig, out_dir: str, *, L=10.0, N=256) -> dict:
     """Growth-assumption certificates for every builtin family."""
-    opts = cfg.suite_options("validate")
-    grid = make_grid(1, opts.get("L", 10.0), opts.get("N", 256))
+    grid = make_grid(1, L, N)
     rows, verdicts = [], {}
     for name, fam in BUILTIN_FAMILIES.items():
         report = validate_assumption(fam, grid)
@@ -383,7 +361,7 @@ def suite_validate(cfg: ExperimentConfig, out_dir: str) -> dict:
             rows.append([name, row["check"], row["exponent"], row["constant"],
                          row["slope"], row["passed"]])
     for name, inter in BUILTIN_INTERACTIONS.items():
-        report = validate_interaction(inter, L=opts.get("L", 10.0))
+        report = validate_interaction(inter, L=L)
         verdicts[f"interaction:{name}"] = report.passed
         for row in report.rows():
             rows.append([f"interaction:{name}", row["check"], row["exponent"],
@@ -392,7 +370,6 @@ def suite_validate(cfg: ExperimentConfig, out_dir: str) -> dict:
                         ["family", "check", "exponent", "constant", "slope", "passed"],
                         rows)]
     return {
-        "suite": "validate",
         "passed": bool(all(verdicts.values())),
         "verdicts": {k: bool(v) for k, v in verdicts.items()},
         "warnings": [],
@@ -412,13 +389,18 @@ _SUITE_FUNCTIONS = {
 }
 
 
-def run_suite(name: str, cfg: ExperimentConfig, out_dir: str) -> dict:
-    """Dispatch one suite by name; see SUITE_NAMES for the catalog."""
+def suite_function(name: str):
+    """The suite called name; a ConfigError naming the known suites otherwise."""
     try:
-        fn = _SUITE_FUNCTIONS[name]
+        return _SUITE_FUNCTIONS[name]
     except KeyError:
         raise ConfigError(
-            f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
+            f"unknown suite {name!r}; known: {', '.join(_SUITE_FUNCTIONS)}"
         ) from None
+
+
+def run_suite(name: str, cfg: ExperimentConfig, out_dir: str) -> dict:
+    """Run one suite with its config options and stamp its name on the verdict."""
+    fn = suite_function(name)
     os.makedirs(out_dir, exist_ok=True)
-    return fn(cfg, out_dir)
+    return {"suite": name, **fn(cfg, out_dir, **cfg.suite_options(name))}

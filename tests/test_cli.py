@@ -109,6 +109,10 @@ def test_unknown_propagator_key_exits_2(tmp_path):
 @pytest.mark.parametrize("options, field", [
     ({"propagate": {"propagator": {"dtt": 1.0e-3}}}, "options.propagate.propagator: "),
     ({"parametrix": {"n_probe": 4}}, "options.parametrix: unknown keys"),
+    ({"validate": {"N": 64.5}}, "options.validate.N: N must be a whole number"),
+    ({"sensitivity": {"dt": 3.0e-4}}, "options.sensitivity.dt: t_final - t0 = 1.0 is not"),
+    ({"propagate": {"initial_state": {"width": 0}}},
+     "options.propagate.initial_state: wavefunction values must be finite"),
 ])
 def test_bad_suite_options_exit_2(tmp_path, options, field):
     cfg = _write_yaml(tmp_path, {"options": options, "suites": ["propagate", "parametrix"]})

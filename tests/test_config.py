@@ -1,13 +1,10 @@
 """YAML experiment configuration: defaults, validation, round trips."""
 
-import ast
-import inspect
-
 import pytest
 import yaml
 
-from polyschro import load_config, suites
-from polyschro.config import SUITE_NAMES, SUITE_OPTIONS, from_mapping
+from polyschro import load_config
+from polyschro.config import SUITE_NAMES, from_mapping
 from polyschro.errors import ConfigError
 
 
@@ -136,6 +133,8 @@ def test_initial_state_keys_validated():
     assert cfg.initial_state["width"] == 0.8
     with pytest.raises(ConfigError, match="initial_state"):
         from_mapping({"initial_state": {"wavelength": 2.0}})
+    with pytest.raises(ConfigError, match="^initial_state: wavefunction values must be finite"):
+        from_mapping({"initial_state": {"width": 0}})
 
 
 def test_suite_options_sections_validated():
@@ -155,18 +154,23 @@ def test_unknown_suite_option_keys_rejected():
         from_mapping({"options": {"validate": {"N": 128, "dt": 1e-3}}})
 
 
-def _keys_read_by(fn) -> set:
-    """The string keys of every opts.get(...) call in a suite function."""
-    tree = ast.parse(inspect.getsource(fn))
-    return {node.args[0].value for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "get" and isinstance(node.func.value, ast.Name)
-            and node.func.value.id == "opts"}
+@pytest.mark.parametrize("options, field", [
+    ({"eps_sweep": {"family": "coulomb"}}, "options.eps_sweep.family"),
+    ({"commutator": {"L": -1.0, "N": 64}}, "options.commutator.L"),
+    ({"parametrix": {"N": 7}}, "options.parametrix.N"),
+    ({"continuity": {"t_final": 0.35, "dt": 0.1}}, "options.continuity.dt"),
+    ({"two_particle": {"t_final": 0.0015, "dt": 5.0e-4}}, "options.two_particle.t_final"),
+    ({"two_particle": {"factorization_dt": 0.3}}, "options.two_particle.factorization_dt"),
+])
+def test_bad_suite_option_values_rejected_at_load(options, field):
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        from_mapping({"options": options})
 
 
-@pytest.mark.parametrize("name", SUITE_NAMES)
-def test_suite_option_keys_are_the_keys_the_suite_reads(name):
-    assert SUITE_OPTIONS[name] == _keys_read_by(getattr(suites, f"suite_{name}"))
+def test_suite_option_values_are_checked_together():
+    # valid only together: the default t_final = 1.0 is no whole number of 0.3 steps
+    cfg = from_mapping({"options": {"sensitivity": {"dt": 0.3, "t_final": 0.9}}})
+    assert cfg.suite_options("sensitivity") == {"dt": 0.3, "t_final": 0.9}
 
 
 @pytest.mark.parametrize("override", [

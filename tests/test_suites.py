@@ -1,5 +1,6 @@
 """Suite bodies at reduced size: verdict keys, files, and judged quantities."""
 
+import dataclasses
 import math
 
 import pytest
@@ -45,6 +46,19 @@ def test_reduced_suite_verdict(name, tmp_path):
 
 
 def test_suite_grid_size_must_be_a_whole_number(tmp_path):
-    cfg = from_mapping({"options": {"validate": {"N": 64.5}}})
+    # from_mapping rejects this section at load; the suite must reject it too
+    cfg = dataclasses.replace(from_mapping(None), options={"validate": {"N": 64.5}})
     with pytest.raises(GridError, match="N must be a whole number, got 64.5"):
         run_suite("validate", cfg, str(tmp_path))
+
+
+def test_propagate_takes_a_dt_override(tmp_path):
+    """options.propagate.propagator.dt sets the run's step; the half-dt run halves it."""
+    cfg = from_mapping({"grid": {"N": 64}, "propagator": {"t_final": 0.02},
+                        "options": {"propagate": {"propagator": {"dt": 1.0e-2, "save_every": 1}}}})
+    verdict = run_suite("propagate", cfg, str(tmp_path))
+    for name, steps in (("propagate_run.csv", 2), ("propagate_run_half_dt.csv", 4)):
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        assert len(rows) == steps + 1, name
+        assert float(rows[-1].split(",")[0]) == pytest.approx(0.02)
+    assert verdict["passed"] is True
