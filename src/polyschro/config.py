@@ -3,7 +3,10 @@
 The file is a nested key/value mapping.  Families may be named from the
 builtin catalog or written inline with the small expression grammar; every
 validation error names the offending field path.  The options of a suite
-are the keyword parameters of its ``suites.suite_<name>`` function.
+are the keyword parameters of its ``suites.plan_<name>`` function.  A
+given ``options.<suite>`` section is checked at load by building that
+plan, so every option passes the constructor its suite builds it with,
+and a rejected value is reported under ``options.<suite>.<key>``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .errors import ConfigError, FamilyError
 from .grid import SpatialGrid, make_grid
 from .potentials import InteractionFamily, PotentialFamily, get_family, get_interaction
 from .propagator import PropagatorConfig
-from .suites import _SUITE_FUNCTIONS, initial_packet, suite_function
+from .suites import _SUITE_PLANS, initial_packet, suite_function
 
 
 def _keyword_defaults(fn) -> dict:
@@ -27,8 +30,8 @@ def _keyword_defaults(fn) -> dict:
             if p.kind is p.KEYWORD_ONLY}
 
 
-# each suite's option names and defaults, read from its signature
-SUITE_OPTIONS = {name: _keyword_defaults(fn) for name, fn in _SUITE_FUNCTIONS.items()}
+# each suite's option names and defaults, read from its plan's signature
+SUITE_OPTIONS = {name: _keyword_defaults(plan) for name, plan in _SUITE_PLANS.items()}
 SUITE_NAMES = tuple(SUITE_OPTIONS)
 
 _FAMILY_KEYS = {"name", "v", "a", "growth_order", "delta", "mass", "rho_interval", "dim"}
@@ -104,36 +107,27 @@ def _resolve_grid(value, path: str) -> SpatialGrid:
                     data.get("N", 512))
 
 
-def _check_propagator(value, path: str) -> dict:
-    """A mapping of PropagatorConfig fields that PropagatorConfig accepts."""
-    data = _require_mapping(value, path)
-    _checked(path, PropagatorConfig, **data)
-    return data
+def _check_suite_options(cfg: ExperimentConfig, name: str, section: dict,
+                         path: str) -> None:
+    """Build suite name's plan from section, merged over its defaults.
 
+    A rejected section is reported under its first key, in signature
+    order, that the plan rejects on its own, else under its first key.
+    """
+    plan = _SUITE_PLANS[name]
 
-def _check_initial_state(value, path: str, grid: SpatialGrid) -> dict:
-    """A mapping of packet parameters that give a packet on grid."""
-    data = _mapping_of(value, path, _keyword_defaults(initial_packet))
-    _checked(path, initial_packet, grid, **data)
-    return data
+    def rejection(options):
+        try:
+            _checked(path, plan, cfg, **options)
+        except ConfigError as err:
+            return err.__cause__
+        return None
 
-
-def _check_suite_options(name: str, section, path: str) -> None:
-    """Reject keys that suite name does not take, and the grid, family and
-    step values it cannot run with, merged over its defaults."""
-    _mapping_of(section, path, SUITE_OPTIONS[name])
-    opts = {**SUITE_OPTIONS[name], **section}
-    # L and N are checked apart, each against a valid default for the other
-    for key in ("L", "N"):
-        if key in section:
-            _resolve_grid({key: section[key]}, f"{path}.{key}")
-    if "family" in section:
-        _checked(f"{path}.family", get_family, section["family"])
-    for step in ("dt", "factorization_dt"):
-        given = [key for key in (step, "t_final") if key in section]
-        if given and step in opts:
-            _checked(f"{path}.{given[0]}", PropagatorConfig,
-                     dt=opts[step], t_final=opts["t_final"])
+    err = rejection(section)
+    if err is not None:
+        keys = [key for key in SUITE_OPTIONS[name] if key in section]
+        key = next((k for k in keys if rejection({k: section[k]})), keys[0] if keys else None)
+        raise ConfigError(f"{path}.{key}: {err}" if key else f"{path}: {err}") from err
 
 
 def from_mapping(data: dict | None) -> ExperimentConfig:
@@ -146,8 +140,11 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
                                      InteractionFamily, get_interaction, _INTERACTION_KEYS)
     grid = _resolve_grid(data.pop("grid", {}), "grid")
 
-    propagator = _check_propagator(data.pop("propagator", {}), "propagator")
-    initial_state = _check_initial_state(data.pop("initial_state", {}), "initial_state", grid)
+    propagator = _require_mapping(data.pop("propagator", {}), "propagator")
+    _checked("propagator", PropagatorConfig, **propagator)
+    initial_state = _mapping_of(data.pop("initial_state", {}), "initial_state",
+                                _keyword_defaults(initial_packet))
+    _checked("initial_state", initial_packet, grid, **initial_state)
     rho = _checked("rho", float, data.pop("rho", 0.0))
 
     suites = data.pop("suites", list(SUITE_NAMES))
@@ -168,22 +165,12 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
     options = _require_mapping(data.pop("options", {}), "options")
     for name, section in options.items():
         _checked("options", suite_function, name)
-        _check_suite_options(name, section, f"options.{name}")
-    # the propagate suite merges these over the top-level blocks
-    propagate_opts = options.get("propagate", {})
-    if "propagator" in propagate_opts:
-        path = "options.propagate.propagator"
-        override = _require_mapping(propagate_opts["propagator"], path)
-        _check_propagator({**propagator, **override}, path)
-    if "initial_state" in propagate_opts:
-        path = "options.propagate.initial_state"
-        override = _require_mapping(propagate_opts["initial_state"], path)
-        _check_initial_state({**initial_state, **override}, path, grid)
+        _mapping_of(section, f"options.{name}", SUITE_OPTIONS[name])
 
     if data:
         raise ConfigError(f"unknown top-level keys {sorted(data)}")
 
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         family=family,
         interaction=interaction,
         grid=grid,
@@ -195,6 +182,9 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
         seed=seed,
         options={k: dict(v) for k, v in options.items()},
     )
+    for name, section in options.items():
+        _check_suite_options(cfg, name, section, f"options.{name}")
+    return cfg
 
 
 def load_config(path: str | None) -> ExperimentConfig:

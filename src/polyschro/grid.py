@@ -123,14 +123,14 @@ class SpatialGrid:
         return sfft.ifftn(values, None, (-2, -1)) if self.d > 1 else sfft.ifft(values)
 
 
-def _whole(value, name: str) -> int:
-    """value as an int; a whole float such as 256.0 passes, 100.7 or "256" raise GridError."""
+def _whole(value, name: str, error=GridError) -> int:
+    """value as an int; a whole float such as 256.0 passes, 100.7, True or "256" raise error."""
     try:
         whole = int(value) == value and not isinstance(value, bool)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
-        raise GridError(f"{name} must be a whole number, got {value!r}")
+        raise error(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
 
@@ -179,11 +179,6 @@ class WaveFunction:
     def __sub__(self, other):
         _check_same_grid(self.grid, other.grid)
         return WaveFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return WaveFunction(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         return WaveFunction(self.grid, self.values / scalar)

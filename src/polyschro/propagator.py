@@ -41,7 +41,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, SolverError
-from .grid import WaveFunction, _check_same_grid, _values_of, l2_norm
+from .grid import WaveFunction, _check_same_grid, _values_of, _whole, l2_norm
 from .operators import solve_hermitian_cg  # unused here; perfbench/tracer.py wraps this name
 from .report import write_csv
 from .symbols import CutoffSpec
@@ -98,6 +98,8 @@ class PropagatorConfig:
             )
         if not (np.isfinite(self.solver_tol) and self.solver_tol > 0):
             raise ConfigError("solver_tol must be finite and positive")
+        for name in ("max_solver_iter", "save_every", "krylov_dim"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name, ConfigError))
         if self.max_solver_iter < 1:
             raise ConfigError("max_solver_iter must be >= 1")
         if self.save_every < 1:

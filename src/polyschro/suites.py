@@ -6,14 +6,17 @@ the first such record, and one for each whose step residual rose above
 its ``solver_tol``, naming the first such step; a suite that propagates
 nothing reports none.
 
-A suite's options are the keyword-only parameters of its
-``suite_<name>`` function; their defaults reproduce the acceptance
-thresholds, and ``config`` reads the option names and defaults from
-these signatures to check an ``options.<name>`` section at load.
-``run_suite`` passes that section as keyword arguments and stamps the
-suite name on the verdict.  All floats serialize with 17 significant
-digits and no suite draws random numbers, so a fixed config gives
-byte-identical artifacts.
+A suite is a plan and a run.  Its options are the keyword-only
+parameters of ``plan_<name>``, whose defaults reproduce the acceptance
+thresholds.  The plan builds every input the run uses through the
+constructors that validate them, and checks each rho the run steps
+against the family's interval; it builds no dense matrix.  It returns
+the run, which writes the files to its output directory and returns the
+verdict.  ``config`` builds the plan to check an ``options.<name>``
+section at load; ``run_suite`` builds it from that section, runs it,
+and stamps the suite name on the verdict.  All floats serialize with 17
+significant digits and no suite draws random numbers, so a fixed config
+gives byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .propagator import PropagatorConfig, propagate
 from .report import write_csv
 from .sensitivity import continuity_modulus, sensitivity_sweep, solve_variational
 from .symbols import commutator_probe, parametrix_residual
-from .twoparticle import TwoParticleSystem, product_state, propagate_two_particle
+from .twoparticle import TwoParticleHandle, TwoParticleSystem, product_state
 
 if TYPE_CHECKING:
     from .config import ExperimentConfig
@@ -72,321 +75,340 @@ def initial_packet(grid: SpatialGrid, *, center=1.0, width=0.8,
     return gaussian_packet(grid, center=center, width=width, momentum=momentum)
 
 
-def _propagator_cfg(base: dict, **overrides) -> PropagatorConfig:
-    merged = {
-        "scheme": "crank_nicolson_midpoint",
-        "dt": 1e-3,
-        "t_final": 1.0,
-        "save_every": 20,
-        "keep_states": False,
-    }
-    merged.update(base)
-    merged.update(overrides)
-    return PropagatorConfig(**merged)
+def _sweep(values, name: str) -> tuple:
+    """values as a tuple; a ConfigError when it is empty."""
+    values = tuple(values)
+    if not values:
+        raise ConfigError(f"{name} must be nonempty")
+    return values
 
 
 # ---------------------------------------------------------------------------
-# suites
+# suites: each plan builds the inputs and returns the run that uses them
 
 
-def suite_propagate(cfg: ExperimentConfig, out_dir: str, *, propagator=None,
-                    initial_state=None, norm_orders=(1, 2)) -> dict:
+def plan_propagate(cfg: ExperimentConfig, *, propagator=None, initial_state=None,
+                   norm_orders=(1, 2)):
     """Norm conservation and weighted-norm stability of one propagation.
 
     ``propagator`` and ``initial_state`` are merged over the config's
     top-level blocks of the same names.
     """
-    prop = _propagator_cfg(cfg.propagator, **(propagator or {}))
+    prop = PropagatorConfig(**{"save_every": 20, "keep_states": False,
+                               **cfg.propagator, **(propagator or {})})
+    half_prop = replace(prop, dt=prop.dt / 2.0)
     u0 = initial_packet(cfg.grid, **{**cfg.initial_state, **(initial_state or {})})
     handle = HamiltonianHandle(cfg.family, cfg.grid, rho=cfg.rho)
+    orders = tuple(handle.norm_order(a) for a in norm_orders)
 
-    orders = tuple(norm_orders)
-    run = propagate(prop, handle, u0, norm_orders=orders)
-    half = propagate(replace(prop, dt=prop.dt / 2.0), handle, u0, norm_orders=orders)
+    def run(out_dir: str) -> dict:
+        full = propagate(prop, handle, u0, norm_orders=orders)
+        half = propagate(half_prop, handle, u0, norm_orders=orders)
 
-    files = [_write_run(out_dir, "propagate_run.csv", run),
-             _write_run(out_dir, "propagate_run_half_dt.csv", half)]
+        files = [_write_run(out_dir, "propagate_run.csv", full),
+                 _write_run(out_dir, "propagate_run_half_dt.csv", half)]
 
-    ratios, ratios_half, stable = {}, {}, True
-    for a in orders:
-        series, series_h = run.norm_series(a), half.norm_series(a)
-        r = float(series.max() / series[0])
-        rh = float(series_h.max() / series_h[0])
-        ratios[f"a{a}"] = r
-        ratios_half[f"a{a}"] = rh
-        stable = stable and abs(rh / r - 1.0) <= STABILITY_TOL
+        ratios, ratios_half, stable = {}, {}, True
+        for order in orders:
+            series, series_h = full.norm_series(order.a), half.norm_series(order.a)
+            r = float(series.max() / series[0])
+            rh = float(series_h.max() / series_h[0])
+            ratios[f"a{order.a}"] = r
+            ratios_half[f"a{order.a}"] = rh
+            stable = stable and abs(rh / r - 1.0) <= STABILITY_TOL
 
-    drift_ok = run.max_norm_drift <= DRIFT_TOL and half.max_norm_drift <= DRIFT_TOL
-    # Richardson: the dt run's error for a second-order scheme, not gated
-    time_error = 4.0 / 3.0 * (run.final - half.final).norm() / half.final.norm()
-    return {
-        "passed": bool(drift_ok and stable),
-        "family": cfg.family.name,
-        "max_norm_drift": run.max_norm_drift,
-        "max_norm_drift_half_dt": half.max_norm_drift,
-        "norm_growth_ratios": ratios,
-        "norm_growth_ratios_half_dt": ratios_half,
-        "weighted_norms_stable": bool(stable),
-        "time_error_estimate": time_error,
-        "max_boundary_mass": run.max_boundary_mass,
-        "warnings": run.warnings + half.warnings,
-        "files": files,
-    }
+        drift_ok = full.max_norm_drift <= DRIFT_TOL and half.max_norm_drift <= DRIFT_TOL
+        # Richardson: the dt run's error for a second-order scheme, not gated
+        time_error = 4.0 / 3.0 * (full.final - half.final).norm() / half.final.norm()
+        return {
+            "passed": bool(drift_ok and stable),
+            "family": cfg.family.name,
+            "max_norm_drift": full.max_norm_drift,
+            "max_norm_drift_half_dt": half.max_norm_drift,
+            "norm_growth_ratios": ratios,
+            "norm_growth_ratios_half_dt": ratios_half,
+            "weighted_norms_stable": bool(stable),
+            "time_error_estimate": time_error,
+            "max_boundary_mass": full.max_boundary_mass,
+            "warnings": full.warnings + half.warnings,
+            "files": files,
+        }
+    return run
 
 
-def suite_eps_sweep(cfg: ExperimentConfig, out_dir: str, *, family="harmonic",
-                    L=10.0, N=256, width=1.0, dt=2.5e-3, t_final=0.125,
-                    eps_values=(1.0, 0.5, 0.25, 0.125, 0.0625), cutoff_mu=0.0) -> dict:
+def plan_eps_sweep(cfg: ExperimentConfig, *, family="harmonic", L=10.0, N=256,
+                   width=1.0, dt=2.5e-3, t_final=0.125,
+                   eps_values=(1.0, 0.5, 0.25, 0.125, 0.0625), cutoff_mu=0.0):
     """Mollified-flow convergence: the gap to the plain flow shrinks in eps."""
     fam = get_family(family)
     grid = make_grid(1, L, N)
     u0 = gaussian_packet(grid, center=0.0, width=width, momentum=0.0)
     handle = HamiltonianHandle(fam, grid)
-    prop = _propagator_cfg({}, dt=dt, t_final=t_final, save_every=10**9)
-    eps_values = tuple(eps_values)
+    prop = PropagatorConfig(dt=dt, t_final=t_final, save_every=10**9, keep_states=False)
+    eps_values = _sweep(eps_values, "eps_values")
+    mollified = [replace(prop, eps=eps, cutoff_mu=cutoff_mu) for eps in eps_values]
 
-    ref = propagate(prop, handle, u0)
-    gaps, warnings = [], ref.warnings
-    for eps in eps_values:
-        moll = _propagator_cfg({}, dt=prop.dt, t_final=prop.t_final,
-                               save_every=10**9, eps=eps, cutoff_mu=cutoff_mu)
-        run = propagate(moll, handle, u0)
-        diff = WaveFunction(grid, run.final.values - ref.final.values)
-        gaps.append(diff.norm())
-        warnings = warnings + run.warnings
+    def run(out_dir: str) -> dict:
+        ref = propagate(prop, handle, u0)
+        gaps, warnings = [], ref.warnings
+        for moll in mollified:
+            flow = propagate(moll, handle, u0)
+            diff = WaveFunction(grid, flow.final.values - ref.final.values)
+            gaps.append(diff.norm())
+            warnings = warnings + flow.warnings
 
-    files = [_write_csv(out_dir, "eps_sweep.csv", ["eps", "gap"],
-                        list(zip(eps_values, gaps)))]
-    decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
-    final_ok = gaps[-1] <= GAP_TOL
-    return {
-        "passed": bool(decreasing and final_ok),
-        "family": fam.name,
-        "eps_values": [float(e) for e in eps_values],
-        "gaps": gaps,
-        "strictly_decreasing": bool(decreasing),
-        "final_gap": gaps[-1],
-        "warnings": warnings,
-        "files": files,
-    }
+        files = [_write_csv(out_dir, "eps_sweep.csv", ["eps", "gap"],
+                            list(zip(eps_values, gaps)))]
+        decreasing = all(gaps[i + 1] < gaps[i] for i in range(len(gaps) - 1))
+        final_ok = gaps[-1] <= GAP_TOL
+        return {
+            "passed": bool(decreasing and final_ok),
+            "family": fam.name,
+            "eps_values": [float(e) for e in eps_values],
+            "gaps": gaps,
+            "strictly_decreasing": bool(decreasing),
+            "final_gap": gaps[-1],
+            "warnings": warnings,
+            "files": files,
+        }
+    return run
 
 
-def suite_parametrix(cfg: ExperimentConfig, out_dir: str, *,
-                     family="confined_quartic", L=10.0, N=128, t=0.0, rho=0.0) -> dict:
+def plan_parametrix(cfg: ExperimentConfig, *, family="confined_quartic", L=10.0,
+                    N=128, t=0.0, rho=0.0):
     """Residual decay of the approximate resolvent against the spectral shift."""
     fam = get_family(family)
-    result = parametrix_residual(fam, make_grid(1, L, N), t=t, rho=rho)
-    files = [_write_csv(
-        out_dir, "parametrix_residuals.csv",
-        ["mu", "excess", "residual"],
-        list(zip(result.mu_values, result.excess, result.residuals)),
-    )]
-    slope_ok = abs(result.slope - SLOPE_TARGET) <= SLOPE_TOL
-    monotone = result.residuals[-1] < result.residuals[0]
-    return {
-        "passed": bool(slope_ok and monotone),
-        "family": fam.name,
-        "slope": float(result.slope),
-        "slope_window": [SLOPE_TARGET - SLOPE_TOL, SLOPE_TARGET + SLOPE_TOL],
-        "monotone_decrease": bool(monotone),
-        "c0": float(result.scan.c0),
-        "c1": float(result.scan.c1),
-        "mu_min": float(result.scan.mu_min),
-        "warnings": [],
-        "files": files,
-    }
+    fam.check_rho(rho)
+    grid = make_grid(1, L, N)
+
+    def run(out_dir: str) -> dict:
+        result = parametrix_residual(fam, grid, t=t, rho=rho)
+        files = [_write_csv(out_dir, "parametrix_residuals.csv", ["mu", "excess", "residual"],
+                            list(zip(result.mu_values, result.excess, result.residuals)))]
+        slope_ok = abs(result.slope - SLOPE_TARGET) <= SLOPE_TOL
+        monotone = result.residuals[-1] < result.residuals[0]
+        return {
+            "passed": bool(slope_ok and monotone),
+            "family": fam.name,
+            "slope": float(result.slope),
+            "slope_window": [SLOPE_TARGET - SLOPE_TOL, SLOPE_TARGET + SLOPE_TOL],
+            "monotone_decrease": bool(monotone),
+            "c0": float(result.scan.c0),
+            "c1": float(result.scan.c1),
+            "mu_min": float(result.scan.mu_min),
+            "warnings": [],
+            "files": files,
+        }
+    return run
 
 
-def suite_commutator(cfg: ExperimentConfig, out_dir: str, *,
-                     family="confined_quartic", L=10.0, N=128, t=3.0 * np.pi / 2.0,
-                     mu=0.5) -> dict:
+def plan_commutator(cfg: ExperimentConfig, *, family="confined_quartic", L=10.0,
+                    N=128, t=3.0 * np.pi / 2.0, mu=0.5):
     """Uniform-in-eps bound of the cutoff/operator commutator."""
     fam = get_family(family)
-    result = commutator_probe(fam, make_grid(1, L, N), t=t, mu=mu)
-    files = [_write_csv(
-        out_dir, "commutator_bounds.csv",
-        ["eps", "bound"],
-        list(zip(result.eps_values, result.bounds)),
-    )]
-    return {
-        "passed": bool(not result.diverged),
-        "family": fam.name,
-        "max_min_ratio": float(result.max_min_ratio),
-        "ratio_limit": RATIO_LIMIT,
-        "sup_bound": float(np.max(result.bounds)),
-        "warnings": [],
-        "files": files,
-    }
+    fam.check_rho(0.0)
+    grid = make_grid(1, L, N)
+
+    def run(out_dir: str) -> dict:
+        result = commutator_probe(fam, grid, t=t, mu=mu)
+        files = [_write_csv(out_dir, "commutator_bounds.csv", ["eps", "bound"],
+                            list(zip(result.eps_values, result.bounds)))]
+        return {
+            "passed": bool(not result.diverged),
+            "family": fam.name,
+            "max_min_ratio": float(result.max_min_ratio),
+            "ratio_limit": RATIO_LIMIT,
+            "sup_bound": float(np.max(result.bounds)),
+            "warnings": [],
+            "files": files,
+        }
+    return run
 
 
-def _parameter_flow(family, L, N, center, width, dt, t_final):
-    """Family, initial packet and stepper of the sensitivity and continuity suites."""
+def _parameter_flow(family, L, N, center, width, dt, t_final, rhos):
+    """Family, initial packet and stepper of the sensitivity and continuity
+    suites; each of rhos, the parameters the suite steps at, must lie in
+    the family's interval."""
     fam = get_family(family)
+    for r in rhos:
+        fam.check_rho(r)
     u0 = gaussian_packet(make_grid(1, L, N), center=center, width=width, momentum=0.0)
-    return fam, u0, _propagator_cfg({}, dt=dt, t_final=t_final, save_every=50)
+    return fam, u0, PropagatorConfig(dt=dt, t_final=t_final, save_every=50, keep_states=False)
 
 
-def suite_sensitivity(cfg: ExperimentConfig, out_dir: str, *,
-                      family="parametric_quartic", L=10.0, N=256, center=1.0,
-                      width=0.8, dt=1e-3, t_final=1.0, rho=1.0,
-                      taus=(1e-1, 1e-2, 1e-3), rho_values=(0.5, 1.0, 2.0)) -> dict:
+def plan_sensitivity(cfg: ExperimentConfig, *, family="parametric_quartic", L=10.0,
+                     N=256, center=1.0, width=0.8, dt=1e-3, t_final=1.0, rho=1.0,
+                     taus=(1e-1, 1e-2, 1e-3), rho_values=(0.5, 1.0, 2.0)):
     """Difference quotients versus the variational equation, plus constants."""
-    fam, u0, prop = _parameter_flow(family, L, N, center, width, dt, t_final)
-    taus = tuple(taus)
+    taus, rho_values = _sweep(taus, "taus"), _sweep(rho_values, "rho_values")
+    if 0 in taus:
+        raise ConfigError("taus must be nonzero")
+    shifted = (r for tau in taus for r in (rho + tau, rho - tau))
+    fam, u0, prop = _parameter_flow(family, L, N, center, width, dt, t_final,
+                                    (rho, *shifted, *rho_values))
 
-    sweep = sensitivity_sweep(fam, u0, rho, taus, prop, a=0, central=True)
-    orders = sweep.observed_orders()
-    judged = [o for o, d in zip(orders, sweep.discrepancies[1:]) if d > ORDER_FLOOR]
-    order_ok = bool(judged) and all(o >= MIN_ORDER for o in judged)
+    def run(out_dir: str) -> dict:
+        sweep = sensitivity_sweep(fam, u0, rho, taus, prop, a=0, central=True)
+        orders = sweep.observed_orders()
+        judged = [o for o, d in zip(orders, sweep.discrepancies[1:]) if d > ORDER_FLOOR]
+        order_ok = bool(judged) and all(o >= MIN_ORDER for o in judged)
 
-    ratio = sweep.quotient_to_variational_ratio()
-    ratio_ok = 1.0 / QUOTIENT_RATIO_LIMIT <= ratio <= QUOTIENT_RATIO_LIMIT
+        ratio = sweep.quotient_to_variational_ratio()
+        ratio_ok = 1.0 / QUOTIENT_RATIO_LIMIT <= ratio <= QUOTIENT_RATIO_LIMIT
 
-    rho_values = tuple(rho_values)
-    u0_a1 = HamiltonianHandle(fam, u0.grid, rho=rho).norm_order(1).norm(u0)
-    constants, warnings = [], sweep.warnings
-    for r in rho_values:
-        # the sweep already solved the variational equation at its own rho
-        if r == rho:
-            var = sweep.variational
-        else:
-            var = solve_variational(fam, u0, r, prop, a=0)
-            warnings = warnings + var.warnings
-        constants.append(var.max_norm / u0_a1)
-    spread = max(constants) / min(constants)
-    spread_ok = spread <= CONSTANT_SPREAD_LIMIT
+        u0_a1 = HamiltonianHandle(fam, u0.grid, rho=rho).norm_order(1).norm(u0)
+        constants, warnings = [], sweep.warnings
+        for r in rho_values:
+            # the sweep already solved the variational equation at its own rho
+            if r == rho:
+                var = sweep.variational
+            else:
+                var = solve_variational(fam, u0, r, prop, a=0)
+                warnings = warnings + var.warnings
+            constants.append(var.max_norm / u0_a1)
+        spread = max(constants) / min(constants)
+        spread_ok = spread <= CONSTANT_SPREAD_LIMIT
 
-    files = [
-        _write_csv(out_dir, "sensitivity_quotients.csv",
-                   ["tau", "max_quotient_norm", "max_discrepancy"],
-                   [[r["tau"], r["max_quotient_norm"], r["max_discrepancy"]]
-                    for r in sweep.rows()]),
-        _write_csv(out_dir, "sensitivity_constants.csv",
-                   ["rho", "constant"],
-                   list(zip(rho_values, constants))),
-    ]
-    return {
-        "passed": bool(order_ok and ratio_ok and spread_ok),
-        "family": fam.name,
-        "rho": float(rho),
-        "taus": [float(t) for t in taus],
-        "discrepancies": [float(d) for d in sweep.discrepancies],
-        "observed_orders": [float(o) for o in orders],
-        "orders_ok": bool(order_ok),
-        "quotient_to_variational_ratio": float(ratio),
-        "uniform_quotient_ok": bool(ratio_ok),
-        "constants": [float(c) for c in constants],
-        "constant_spread": float(spread),
-        "constants_stable": bool(spread_ok),
-        "warnings": warnings,
-        "files": files,
-    }
+        files = [
+            _write_csv(out_dir, "sensitivity_quotients.csv",
+                       ["tau", "max_quotient_norm", "max_discrepancy"],
+                       [[r["tau"], r["max_quotient_norm"], r["max_discrepancy"]]
+                        for r in sweep.rows()]),
+            _write_csv(out_dir, "sensitivity_constants.csv",
+                       ["rho", "constant"],
+                       list(zip(rho_values, constants))),
+        ]
+        return {
+            "passed": bool(order_ok and ratio_ok and spread_ok),
+            "family": fam.name,
+            "rho": float(rho),
+            "taus": [float(t) for t in taus],
+            "discrepancies": [float(d) for d in sweep.discrepancies],
+            "observed_orders": [float(o) for o in orders],
+            "orders_ok": bool(order_ok),
+            "quotient_to_variational_ratio": float(ratio),
+            "uniform_quotient_ok": bool(ratio_ok),
+            "constants": [float(c) for c in constants],
+            "constant_spread": float(spread),
+            "constants_stable": bool(spread_ok),
+            "warnings": warnings,
+            "files": files,
+        }
+    return run
 
 
-def suite_continuity(cfg: ExperimentConfig, out_dir: str, *,
-                     family="parametric_quartic", L=10.0, N=256, center=1.0,
-                     width=0.8, dt=1e-3, t_final=1.0, rho=1.0,
-                     deltas=(1e-1, 1e-2, 1e-3)) -> dict:
+def plan_continuity(cfg: ExperimentConfig, *, family="parametric_quartic", L=10.0,
+                    N=256, center=1.0, width=0.8, dt=1e-3, t_final=1.0, rho=1.0,
+                    deltas=(1e-1, 1e-2, 1e-3)):
     """Continuity of the flow in the family parameter."""
-    fam, u0, prop = _parameter_flow(family, L, N, center, width, dt, t_final)
-    deltas = tuple(deltas)
+    deltas = _sweep(deltas, "deltas")
+    fam, u0, prop = _parameter_flow(family, L, N, center, width, dt, t_final,
+                                    (rho, *(rho + delta for delta in deltas)))
 
-    curve = continuity_modulus(fam, u0, rho, deltas, prop, a=0)
-    files = [_write_csv(out_dir, "continuity_modulus.csv",
-                        ["delta", "modulus"],
-                        [[r["delta"], r["modulus"]] for r in curve.rows()])]
-    return {
-        "passed": bool(curve.is_decreasing()),
-        "family": fam.name,
-        "rho": float(rho),
-        "deltas": [float(d) for d in deltas],
-        "moduli": [float(m) for m in curve.moduli],
-        "warnings": curve.warnings,
-        "files": files,
-    }
+    def run(out_dir: str) -> dict:
+        curve = continuity_modulus(fam, u0, rho, deltas, prop, a=0)
+        files = [_write_csv(out_dir, "continuity_modulus.csv",
+                            ["delta", "modulus"],
+                            [[r["delta"], r["modulus"]] for r in curve.rows()])]
+        return {
+            "passed": bool(curve.is_decreasing()),
+            "family": fam.name,
+            "rho": float(rho),
+            "deltas": [float(d) for d in deltas],
+            "moduli": [float(m) for m in curve.moduli],
+            "warnings": curve.warnings,
+            "files": files,
+        }
+    return run
 
 
-def suite_two_particle(cfg: ExperimentConfig, out_dir: str, *,
-                       family="confined_quartic", L=10.0, N=128, rho=0.1, dt=1e-3,
-                       t_final=0.5, factorization_dt=1e-3, krylov_dim=32) -> dict:
+def plan_two_particle(cfg: ExperimentConfig, *, family="confined_quartic", L=10.0,
+                      N=128, rho=0.1, dt=1e-3, t_final=0.5, factorization_dt=1e-3,
+                      krylov_dim=32):
     """Composite-grid propagation: drift, primed norms, and factorization."""
     fam = get_family(family)
-    inter = cfg.interaction
-    grid2 = make_grid(2, L, N)
     grid1 = make_grid(1, L, N)
-    system = TwoParticleSystem(fam, fam, inter, grid2)
+    system = TwoParticleSystem(fam, fam, cfg.interaction, make_grid(2, L, N))
+    coupled = TwoParticleHandle(system, rho=rho)
+    free = TwoParticleHandle(system, rho=0.0)
+    handle1 = HamiltonianHandle(fam, grid1, rho=0.0)
 
     p1 = gaussian_packet(grid1, center=1.0, width=0.8, momentum=0.5)
     p2 = gaussian_packet(grid1, center=-1.0, width=0.8, momentum=-0.5)
-    u0 = product_state(grid2, p1, p2)
+    u0 = product_state(system.grid, p1, p2)
 
-    prop = _propagator_cfg({}, dt=dt, t_final=t_final, save_every=50)
-    run = propagate_two_particle(system, prop, u0, norm_orders=(1,), rho=rho)
+    prop = PropagatorConfig(dt=dt, t_final=t_final, save_every=50, keep_states=False)
+    lanczos = PropagatorConfig(scheme="lanczos_expmid", dt=factorization_dt,
+                               t_final=prop.t_final, save_every=10**9,
+                               krylov_dim=krylov_dim, keep_states=False)
 
-    lanczos = _propagator_cfg({}, scheme="lanczos_expmid",
-                              dt=factorization_dt, t_final=prop.t_final,
-                              save_every=10**9, krylov_dim=krylov_dim)
-    free = propagate_two_particle(system, lanczos, u0, rho=0.0)
-    handle1 = HamiltonianHandle(fam, grid1, rho=0.0)
-    r1 = propagate(lanczos, handle1, p1)
-    r2 = propagate(lanczos, handle1, p2)
-    tensor = np.outer(r1.final.values, r2.final.values)
-    fact_err = WaveFunction(grid2, free.final.values - tensor).norm()
+    def run(out_dir: str) -> dict:
+        flow = propagate(prop, coupled, u0, norm_orders=(1,))
+        free_flow = propagate(lanczos, free, u0)
+        r1 = propagate(lanczos, handle1, p1)
+        r2 = propagate(lanczos, handle1, p2)
+        tensor = np.outer(r1.final.values, r2.final.values)
+        fact_err = WaveFunction(system.grid, free_flow.final.values - tensor).norm()
 
-    n1 = run.norm_series(1)
-    files = [_write_run(out_dir, "two_particle_run.csv", run)]
-    drift_ok = run.max_norm_drift <= DRIFT_TOL
-    fact_ok = fact_err <= FACTORIZATION_TOL
-    return {
-        "passed": bool(drift_ok and fact_ok),
-        "family": fam.name,
-        "interaction": inter.name,
-        "rho": float(rho),
-        "max_norm_drift": run.max_norm_drift,
-        "factorization_error": float(fact_err),
-        "primed_norm_growth_ratio": float(n1.max() / n1[0]),
-        "warnings": run.warnings + free.warnings + r1.warnings + r2.warnings,
-        "files": files,
-    }
+        n1 = flow.norm_series(1)
+        files = [_write_run(out_dir, "two_particle_run.csv", flow)]
+        drift_ok = flow.max_norm_drift <= DRIFT_TOL
+        fact_ok = fact_err <= FACTORIZATION_TOL
+        return {
+            "passed": bool(drift_ok and fact_ok),
+            "family": fam.name,
+            "interaction": system.interaction.name,
+            "rho": float(rho),
+            "max_norm_drift": flow.max_norm_drift,
+            "factorization_error": float(fact_err),
+            "primed_norm_growth_ratio": float(n1.max() / n1[0]),
+            "warnings": flow.warnings + free_flow.warnings + r1.warnings + r2.warnings,
+            "files": files,
+        }
+    return run
 
 
-def suite_validate(cfg: ExperimentConfig, out_dir: str, *, L=10.0, N=256) -> dict:
+def plan_validate(cfg: ExperimentConfig, *, L=10.0, N=256):
     """Growth-assumption certificates for every builtin family."""
     grid = make_grid(1, L, N)
-    rows, verdicts = [], {}
-    for name, fam in BUILTIN_FAMILIES.items():
-        report = validate_assumption(fam, grid)
-        verdicts[name] = report.passed
-        for row in report.rows():
-            rows.append([name, row["check"], row["exponent"], row["constant"],
-                         row["slope"], row["passed"]])
-    for name, inter in BUILTIN_INTERACTIONS.items():
-        report = validate_interaction(inter, L=L)
-        verdicts[f"interaction:{name}"] = report.passed
-        for row in report.rows():
-            rows.append([f"interaction:{name}", row["check"], row["exponent"],
-                         row["constant"], row["slope"], row["passed"]])
-    files = [_write_csv(out_dir, "validate_bounds.csv",
-                        ["family", "check", "exponent", "constant", "slope", "passed"],
-                        rows)]
-    return {
-        "passed": bool(all(verdicts.values())),
-        "verdicts": {k: bool(v) for k, v in verdicts.items()},
-        "warnings": [],
-        "files": files,
-    }
+
+    def run(out_dir: str) -> dict:
+        rows, verdicts = [], {}
+        for name, fam in BUILTIN_FAMILIES.items():
+            report = validate_assumption(fam, grid)
+            verdicts[name] = report.passed
+            for row in report.rows():
+                rows.append([name, row["check"], row["exponent"], row["constant"],
+                             row["slope"], row["passed"]])
+        for name, inter in BUILTIN_INTERACTIONS.items():
+            report = validate_interaction(inter, L=L)
+            verdicts[f"interaction:{name}"] = report.passed
+            for row in report.rows():
+                rows.append([f"interaction:{name}", row["check"], row["exponent"],
+                             row["constant"], row["slope"], row["passed"]])
+        files = [_write_csv(out_dir, "validate_bounds.csv",
+                            ["family", "check", "exponent", "constant", "slope", "passed"],
+                            rows)]
+        return {
+            "passed": bool(all(verdicts.values())),
+            "verdicts": {k: bool(v) for k, v in verdicts.items()},
+            "warnings": [],
+            "files": files,
+        }
+    return run
 
 
-_SUITE_FUNCTIONS = {
-    "propagate": suite_propagate,
-    "eps_sweep": suite_eps_sweep,
-    "parametrix": suite_parametrix,
-    "commutator": suite_commutator,
-    "sensitivity": suite_sensitivity,
-    "continuity": suite_continuity,
-    "two_particle": suite_two_particle,
-    "validate": suite_validate,
-}
+_SUITE_PLANS = {plan.__name__.removeprefix("plan_"): plan for plan in (
+    plan_propagate, plan_eps_sweep, plan_parametrix, plan_commutator,
+    plan_sensitivity, plan_continuity, plan_two_particle, plan_validate)}
+
+
+def _suite(plan):
+    """The suite of plan: (cfg, out_dir, **options) -> verdict."""
+    return lambda cfg, out_dir, **options: plan(cfg, **options)(out_dir)
+
+
+_SUITE_FUNCTIONS = {name: _suite(plan) for name, plan in _SUITE_PLANS.items()}
 
 
 def suite_function(name: str):

@@ -1,5 +1,6 @@
 """Command-line runner: exit codes, reports, determinism, error capture."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -145,12 +146,11 @@ def test_failing_suite_exits_1(tmp_path):
 
 
 def test_suite_error_is_recorded_without_aborting_siblings(tmp_path):
-    cfg = load_config(_write_yaml(tmp_path, {
-        "options": {
-            "two_particle": {"N": 300},
-            "validate": {"N": 128},
-        },
-    }))
+    # load_config rejects N = 300; a replaced section makes the suite raise
+    cfg = dataclasses.replace(load_config(None), options={
+        "two_particle": {"N": 300},
+        "validate": {"N": 128},
+    })
     out = tmp_path / "out"
     code, report = run_experiment(
         cfg, suites=("two_particle", "validate"), out_dir=str(out),

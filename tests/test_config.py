@@ -62,6 +62,10 @@ def test_grid_sizes_accept_whole_floats():
     {"use_preconditioner": False},    # a field that no longer exists
     {"solver_tol": 0},
     {"dt": 1.0e-3, "t_final": 1.0005},
+    {"save_every": 2.5},
+    {"krylov_dim": 2.5},
+    {"max_solver_iter": 2.5},         # would lift the iteration cap
+    {"save_every": True},
 ])
 def test_bad_propagator_block_rejected_at_load(block):
     with pytest.raises(ConfigError, match="^propagator: "):
@@ -161,6 +165,14 @@ def test_unknown_suite_option_keys_rejected():
     ({"continuity": {"t_final": 0.35, "dt": 0.1}}, "options.continuity.dt"),
     ({"two_particle": {"t_final": 0.0015, "dt": 5.0e-4}}, "options.two_particle.t_final"),
     ({"two_particle": {"factorization_dt": 0.3}}, "options.two_particle.factorization_dt"),
+    ({"sensitivity": {"width": 0}}, "options.sensitivity.width"),
+    ({"eps_sweep": {"eps_values": [2.0]}}, "options.eps_sweep.eps_values"),
+    ({"two_particle": {"krylov_dim": 0}}, "options.two_particle.krylov_dim"),
+    ({"sensitivity": {"taus": [5.0]}}, "options.sensitivity.taus"),  # rho - tau = -4
+    ({"propagate": {"norm_orders": [4]}}, "options.propagate.norm_orders"),
+    ({"eps_sweep": {"eps_values": []}}, "options.eps_sweep.eps_values"),
+    ({"sensitivity": {"taus": [1e-2, 0.0]}}, "options.sensitivity.taus"),
+    ({"continuity": {"deltas": []}}, "options.continuity.deltas"),
 ])
 def test_bad_suite_option_values_rejected_at_load(options, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):

@@ -27,7 +27,7 @@ from polyschro import (
 )
 from polyschro.config import from_mapping
 from polyschro.errors import ConfigError, SolverError
-from polyschro.suites import suite_propagate
+from polyschro.suites import run_suite
 from polyschro.twoparticle import TwoParticleHandle, TwoParticleSystem
 
 from conftest import MAGNETIC_2D, band_limited_state
@@ -68,6 +68,11 @@ def test_config_validation():
             PropagatorConfig(solver_tol=tol)
     with pytest.raises(ConfigError, match="max_solver_iter"):
         PropagatorConfig(max_solver_iter=0)
+    for name in ("max_solver_iter", "save_every", "krylov_dim"):
+        for bad in (2.5, True):
+            with pytest.raises(ConfigError, match=f"^{name} must be a whole number"):
+                PropagatorConfig(**{name: bad})
+        assert type(getattr(PropagatorConfig(**{name: 5.0}), name)) is int
 
 
 def test_single_step_is_scalar_cayley(harmonic_256):
@@ -816,7 +821,7 @@ def test_propagate_time_error_estimate_tracks_the_dt_over_4_gap(dt, tmp_path):
         "propagator": {"dt": dt, "t_final": 0.1, "save_every": 5},
         "initial_state": packet, "suites": ["propagate"],
     })
-    estimate = suite_propagate(cfg, str(tmp_path))["time_error_estimate"]
+    estimate = run_suite("propagate", cfg, str(tmp_path))["time_error_estimate"]
     handle = HamiltonianHandle(cfg.family, cfg.grid)
     u0 = gaussian_packet(cfg.grid, **packet)
     coarse, fine = (propagate(PropagatorConfig(dt=step_dt, t_final=0.1, save_every=5),
