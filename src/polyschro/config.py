@@ -145,7 +145,7 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
     initial_state = _mapping_of(data.pop("initial_state", {}), "initial_state",
                                 _keyword_defaults(initial_packet))
     _checked("initial_state", initial_packet, grid, **initial_state)
-    rho = _checked("rho", float, data.pop("rho", 0.0))
+    rho = _checked("rho", family.check_rho, data.pop("rho", 0.0))
 
     suites = data.pop("suites", list(SUITE_NAMES))
     if isinstance(suites, str):

@@ -5,8 +5,10 @@ A(t, x; rho), the declared polynomial growth order M (V is sandwiched by
 <x>^(2(M+1)) up to constants), the magnetic growth margin delta (|A| is
 expected to stay under <x>^(M+1-delta)), the particle mass, and the open
 parameter interval.  Potentials are expressions, not callbacks, so every
-t-, rho- and x-partial exists in closed form; the growth validators
-sample the exact d^alpha of each potential on every grid point.
+t-, rho- and x-partial exists in closed form.  The growth validators
+evaluate each exact d^alpha once, on the stack of all (t, rho) samples
+over every grid point, and reduce that stack to each check's constant
+and dyadic-shell slope.
 """
 
 from __future__ import annotations
@@ -27,6 +29,20 @@ RATIO_FLOOR = 1e-6
 
 def _as_expr(e):
     return e if isinstance(e, ex.Expr) else ex.parse(str(e))
+
+
+def _check_rho(rho, interval, owner: str) -> float:
+    """rho as a float; a FamilyError when it is no number or lies outside
+    the open interval (None: any number) of owner."""
+    try:
+        rho = float(rho)
+    except (TypeError, ValueError):
+        raise FamilyError(f"rho must be a number, got {rho!r} for {owner}") from None
+    if interval is not None:
+        lo, hi = interval
+        if not (lo < rho < hi):
+            raise FamilyError(f"rho={rho} outside the open interval ({lo}, {hi}) of {owner}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -132,13 +148,8 @@ class PotentialFamily:
         """2(M+1): the polynomial degree the confinement sandwich refers to."""
         return 2.0 * (self.growth_order + 1)
 
-    def check_rho(self, rho: float):
-        if self.rho_interval is not None:
-            lo, hi = self.rho_interval
-            if not (lo < rho < hi):
-                raise FamilyError(
-                    f"rho={rho} outside the open interval ({lo}, {hi}) of family {self.name!r}"
-                )
+    def check_rho(self, rho) -> float:
+        return _check_rho(rho, self.rho_interval, f"family {self.name!r}")
 
     def _env(self, t, rho, coords):
         env = {"t": t, "rho": rho}
@@ -210,13 +221,8 @@ class InteractionFamily:
     def w_rho(self):
         return self.w.diff("rho")
 
-    def check_rho(self, rho: float):
-        if self.rho_interval is not None:
-            lo, hi = self.rho_interval
-            if not (lo < rho < hi):
-                raise FamilyError(
-                    f"rho={rho} outside the open interval ({lo}, {hi}) of interaction {self.name!r}"
-                )
+    def check_rho(self, rho) -> float:
+        return _check_rho(rho, self.rho_interval, f"interaction {self.name!r}")
 
     @property
     def is_time_dependent(self) -> bool:
@@ -355,126 +361,83 @@ class ValidationReport:
         return [c.row() for c in self.checks]
 
 
-def _shell_edges(bracket: np.ndarray):
-    top = float(bracket.max())
-    edges = [1.0]
-    while edges[-1] < top:
-        edges.append(edges[-1] * 2.0)
-    return np.asarray(edges)
-
-
-def _shell_reduce(bracket: np.ndarray, values: np.ndarray, how: str):
-    """Per-dyadic-shell min or max of `values`, shells keyed by <x>."""
-    edges = _shell_edges(bracket)
+def _shell_reduce(bracket: np.ndarray, stack: np.ndarray, reduce):
+    """Geometric centers of the nonempty dyadic shells 2^k <= <x> < 2^(k+1)
+    and the (samples, shells) reduce (np.min or np.max) of each row of the
+    (samples, *bracket.shape) stack over each shell."""
+    top, lo = float(bracket.max()), 1.0
     centers, stats = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    while lo < top:
+        hi = 2.0 * lo
         mask = (bracket >= lo) & (bracket < hi)
-        if not mask.any():
-            continue
-        block = values[mask]
-        stats.append(block.min() if how == "min" else block.max())
-        centers.append(np.sqrt(lo * hi))
-    return np.asarray(centers), np.asarray(stats)
+        if mask.any():
+            centers.append(np.sqrt(lo * hi))
+            stats.append(reduce(stack[:, mask], axis=1))
+        lo = hi
+    return np.asarray(centers), np.reshape(np.transpose(stats), (len(stack), len(centers)))
 
 
-def _loglog_slope(centers, stats, tail: int | None = None):
-    """Least-squares slope of log(stats) against log(centers)."""
-    keep = stats > 0
-    centers, stats = centers[keep], stats[keep]
-    if tail is not None:
-        centers, stats = centers[-tail:], stats[-tail:]
-    if len(centers) < 2:
-        return np.nan
-    return float(np.polyfit(np.log(centers), np.log(stats), 1)[0])
+def _worst_slope(centers, stats, pick):
+    """pick (max or min) over the rows of stats of the least-squares slope
+    of log(row) against log(centers) on the outer three positive shells;
+    0.0 when no row has a finite one."""
+    slopes = []
+    for row in stats:
+        keep = row > 0
+        x, y = np.log(centers[keep][-3:]), np.log(row[keep][-3:])
+        if len(x) >= 2:
+            slopes.append(float(np.polyfit(x, y, 1)[0]))
+    return pick((s for s in slopes if np.isfinite(s)), default=0.0)
 
 
-def _witness(t, rho, coords, ratio, pick):
-    """The sample point where pick (np.argmax or np.argmin) lands on ratio."""
-    idx = np.unravel_index(pick(ratio), ratio.shape)
+def _witness(samples, coords, ratio, s, pick):
+    """The point of sample s where pick (np.argmax or np.argmin) lands on ratio[s]."""
+    idx = np.unravel_index(pick(ratio[s]), ratio.shape[1:])
+    t, rho = samples[s]
     xs = [float(c[idx]) for c in coords]
     return {"t": t, "rho": rho, "x": xs[0] if len(xs) == 1 else tuple(xs)}
 
 
-class _BoundAccumulator:
-    """Tracks one inequality across (t, rho) samples."""
+def _upper_check(label, exponent, stack, bracket, samples, coords) -> BoundCheck:
+    """|g| <= C <x>^p over the stacked samples of g.
 
-    def __init__(self, label: str, exponent: float):
-        self.label = label
-        self.exponent = exponent
-        self.constant = 0.0
-        self.worst_slope = -np.inf
-        self.witness = {}
-
-    def update(self, t, rho, coords, bracket, values):
-        ratio = np.abs(values) / bracket**self.exponent
-        peak = float(ratio.max())
-        if peak >= self.constant:
-            self.constant = peak
-            self.witness = _witness(t, rho, coords, ratio, np.argmax)
-        if peak <= RATIO_FLOOR:
-            return  # identically-small field: nothing to fit
-        centers, stats = _shell_reduce(bracket, ratio, "max")
-        # growth violations show up asymptotically, so fit the outer shells
-        # (matching the lower-bound check) and skip the transition region
-        slope = _loglog_slope(centers, stats, tail=3)
-        if np.isfinite(slope) and slope > self.worst_slope:
-            self.worst_slope = slope
-
-    def finish(self) -> BoundCheck:
-        slope = 0.0 if not np.isfinite(self.worst_slope) else self.worst_slope
-        passed = np.isfinite(self.constant) and slope <= SLOPE_TOL
-        return BoundCheck(
-            label=self.label,
-            exponent=self.exponent,
-            constant=self.constant,
-            slope=slope,
-            slope_limit=SLOPE_TOL,
-            passed=passed,
-            witness=self.witness,
-        )
+    The constant is the largest |g| / <x>^p, witnessed at its point in the
+    last sample that reaches it; the slope is the worst fit over the
+    samples whose peak ratio is above RATIO_FLOOR (an identically-small
+    field has nothing to fit).
+    """
+    ratio = np.abs(stack) / bracket**exponent
+    peaks = ratio.reshape(len(ratio), -1).max(axis=1)
+    constant = float(peaks.max())
+    last = int(np.flatnonzero(peaks == constant)[-1])
+    centers, stats = _shell_reduce(bracket, ratio[peaks > RATIO_FLOOR], np.max)
+    # growth violations show up asymptotically, so fit the outer shells
+    # (matching the lower-bound check) and skip the transition region
+    slope = _worst_slope(centers, stats, max)
+    return BoundCheck(label, exponent, constant, slope, SLOPE_TOL,
+                      np.isfinite(constant) and slope <= SLOPE_TOL,
+                      _witness(samples, coords, ratio, last, np.argmax))
 
 
-class _LowerGrowthAccumulator:
+def _lower_check(exponent, stack, bracket, samples, coords) -> BoundCheck:
     """Existence of C0 > 0, C1 >= 0 with V >= C0 <x>^p - C1, uniformly sampled.
 
     On a bounded sample the constants alone prove nothing (any C0 works with
     a huge C1), so the check is a decay test: the shell-minimum of
-    V / <x>^p must not fall off toward the box edge.
+    V / <x>^p must not fall off toward the box edge.  The constant is the
+    smallest outermost-shell minimum over the samples, the slope the
+    smallest fit, and the witness the point of the smallest ratio over
+    all samples.
     """
-
-    def __init__(self, exponent: float):
-        self.exponent = exponent
-        self.c0 = np.inf
-        self.worst_slope = np.inf
-        self.witness = {}
-        self.min_outer_ratio = np.inf
-
-    def update(self, t, rho, coords, bracket, values):
-        ratio = values / bracket**self.exponent
-        centers, stats = _shell_reduce(bracket, ratio, "min")
-        outer = float(stats[-1]) if len(stats) else float(ratio.min())
-        slope = _loglog_slope(centers, stats, tail=3)
-        bad = outer < self.min_outer_ratio or (np.isfinite(slope) and slope < self.worst_slope)
-        if outer < self.min_outer_ratio:
-            self.min_outer_ratio = outer
-        if np.isfinite(slope) and slope < self.worst_slope:
-            self.worst_slope = slope
-        if bad or not self.witness:
-            self.witness = _witness(t, rho, coords, ratio, np.argmin)
-        self.c0 = min(self.c0, outer)
-
-    def finish(self) -> BoundCheck:
-        slope = 0.0 if not np.isfinite(self.worst_slope) else self.worst_slope
-        passed = self.min_outer_ratio > RATIO_FLOOR and slope >= -SLOPE_TOL
-        return BoundCheck(
-            label="growth_lower",
-            exponent=self.exponent,
-            constant=float(self.c0),
-            slope=slope,
-            slope_limit=-SLOPE_TOL,
-            passed=passed,
-            witness=self.witness,
-        )
+    ratio = stack / bracket**exponent
+    lows = ratio.reshape(len(ratio), -1).min(axis=1)
+    centers, stats = _shell_reduce(bracket, ratio, np.min)
+    outer = stats[:, -1] if len(centers) else lows
+    constant = float(outer.min())
+    slope = _worst_slope(centers, stats, min)
+    return BoundCheck("growth_lower", exponent, constant, slope, -SLOPE_TOL,
+                      constant > RATIO_FLOOR and slope >= -SLOPE_TOL,
+                      _witness(samples, coords, ratio, int(np.argmin(lows)), np.argmin))
 
 
 def _alpha_label(alpha):
@@ -505,31 +468,36 @@ def _derivative(expr, alpha, names):
     return expr
 
 
-def _scan_bounds(groups, alphas, samples, names, coords, bracket, lower=None):
+def _scan_bounds(groups, alphas, samples, names, coords, bracket, lower=False):
     """Check |d^alpha g| <= C <x>^p for every group and alpha over the samples.
 
     A group is (prefix, g, p, zero_label, zero_p).  The check of alpha is
     labelled prefix_dx^alpha with exponent p; a group with a zero_label
     checks order zero under that label with exponent zero_p instead.
     d^alpha g is differentiated in closed form, alpha[k] times in names[k],
-    and sampled on every point of coords.  ``lower`` also sees the first
-    group's samples.  Returns the checks group by group in ``alphas``
-    order, ``lower`` first.
+    and evaluated once on the stack of all samples: t and rho enter as
+    (samples, 1, ...) columns against coords, giving one
+    (samples, *bracket.shape) array, so the memory of a scan grows with
+    samples x grid points (up to 27 x 256 in the validate suite).  With
+    ``lower`` the first group's order-zero stack also feeds the
+    growth_lower check.  Returns the checks group by group in ``alphas``
+    order, growth_lower first.
     """
+    shape = (len(samples), *bracket.shape)
+    column = (len(samples),) + (1,) * bracket.ndim
+    env = dict(zip(names, coords),
+               t=np.reshape([t for t, _ in samples], column),
+               rho=np.reshape([rho for _, rho in samples], column))
     checks = []
     for i, (prefix, expr, p, zero_label, zero_p) in enumerate(groups):
-        accs = [_BoundAccumulator(f"{prefix}_{_alpha_label(alpha)}", p) for alpha in alphas]
-        if zero_label is not None:
-            accs[0] = _BoundAccumulator(zero_label, zero_p)
-        derivs = [_derivative(expr, alpha, names) for alpha in alphas]
-        if i == 0 and lower is not None:
-            accs.insert(0, lower)
-            derivs.insert(0, expr)
-        for t, rho in samples:
-            env = dict(zip(names, coords), t=t, rho=rho)
-            for deriv, acc in zip(derivs, accs):
-                acc.update(t, rho, coords, bracket, ex.evaluate(deriv, out_shape=bracket.shape, **env))
-        checks += [acc.finish() for acc in accs]
+        for k, alpha in enumerate(alphas):
+            label, exponent = f"{prefix}_{_alpha_label(alpha)}", p
+            if k == 0 and zero_label is not None:
+                label, exponent = zero_label, zero_p
+            stack = ex.evaluate(_derivative(expr, alpha, names), out_shape=shape, **env)
+            if lower and i == 0 and k == 0:
+                checks.append(_lower_check(exponent, stack, bracket, samples, coords))
+            checks.append(_upper_check(label, exponent, stack, bracket, samples, coords))
     return checks
 
 
@@ -547,7 +515,10 @@ def validate_assumption(
     when that ratio grows toward the box edge (fitted dyadic-shell slope
     above SLOPE_TOL), i.e. when no constant can exist in the large-volume
     limit.  The lower confinement bound additionally requires the shell
-    minimum of V / <x>^(2(M+1)) not to decay toward the edge.
+    minimum of V / <x>^(2(M+1)) not to decay toward the edge.  Each
+    derivative is evaluated on all samples at once, so memory grows with
+    samples x grid points: on a 2-D N x N grid, one (samples, N, N) array
+    of floats per derivative.
     """
     if alpha_max < 1 or alpha_max > 4:
         raise FamilyError("alpha_max must be between 1 and 4")
@@ -566,8 +537,7 @@ def validate_assumption(
     checks = _scan_bounds(
         groups, multi_indices(fam.dim, alpha_max),
         _samples(t_samples, rho_samples, fam.rho_interval),
-        fam.coord_names, grid.mesh, np.sqrt(1.0 + grid.radius_sq),
-        lower=_LowerGrowthAccumulator(p_full),
+        fam.coord_names, grid.mesh, np.sqrt(1.0 + grid.radius_sq), lower=True,
     )
     return ValidationReport(family=fam.name, checks=tuple(checks))
 

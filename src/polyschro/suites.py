@@ -178,7 +178,7 @@ def plan_parametrix(cfg: ExperimentConfig, *, family="confined_quartic", L=10.0,
                     N=128, t=0.0, rho=0.0):
     """Residual decay of the approximate resolvent against the spectral shift."""
     fam = get_family(family)
-    fam.check_rho(rho)
+    rho, t = fam.check_rho(rho), float(t)
     grid = make_grid(1, L, N)
 
     def run(out_dir: str) -> dict:
@@ -207,6 +207,7 @@ def plan_commutator(cfg: ExperimentConfig, *, family="confined_quartic", L=10.0,
     """Uniform-in-eps bound of the cutoff/operator commutator."""
     fam = get_family(family)
     fam.check_rho(0.0)
+    t, mu = float(t), float(mu)
     grid = make_grid(1, L, N)
 
     def run(out_dir: str) -> dict:
@@ -373,25 +374,19 @@ def plan_validate(cfg: ExperimentConfig, *, L=10.0, N=256):
     grid = make_grid(1, L, N)
 
     def run(out_dir: str) -> dict:
-        rows, verdicts = [], {}
-        for name, fam in BUILTIN_FAMILIES.items():
-            report = validate_assumption(fam, grid)
-            verdicts[name] = report.passed
-            for row in report.rows():
-                rows.append([name, row["check"], row["exponent"], row["constant"],
-                             row["slope"], row["passed"]])
-        for name, inter in BUILTIN_INTERACTIONS.items():
-            report = validate_interaction(inter, L=L)
-            verdicts[f"interaction:{name}"] = report.passed
-            for row in report.rows():
-                rows.append([f"interaction:{name}", row["check"], row["exponent"],
-                             row["constant"], row["slope"], row["passed"]])
+        reports = [(name, validate_assumption(fam, grid))
+                   for name, fam in BUILTIN_FAMILIES.items()]
+        reports += [(f"interaction:{name}", validate_interaction(inter, L=L))
+                    for name, inter in BUILTIN_INTERACTIONS.items()]
+        verdicts = {name: bool(report.passed) for name, report in reports}
+        rows = [[name, row["check"], row["exponent"], row["constant"], row["slope"], row["passed"]]
+                for name, report in reports for row in report.rows()]
         files = [_write_csv(out_dir, "validate_bounds.csv",
                             ["family", "check", "exponent", "constant", "slope", "passed"],
                             rows)]
         return {
-            "passed": bool(all(verdicts.values())),
-            "verdicts": {k: bool(v) for k, v in verdicts.items()},
+            "passed": all(verdicts.values()),
+            "verdicts": verdicts,
             "warnings": [],
             "files": files,
         }

@@ -107,6 +107,16 @@ def test_unknown_propagator_key_exits_2(tmp_path):
     assert not (out / "report.json").exists()
 
 
+def test_top_level_rho_outside_family_interval_exits_2(tmp_path):
+    cfg = _write_yaml(tmp_path, {"family": "parametric_quartic", "suites": ["validate"]})
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["all", "--config", cfg, "--output-dir", str(out)])
+    assert result.exit_code == 2
+    err_text = result.stderr if result.stderr else result.output
+    assert "rho: rho=0.0 outside the open interval" in err_text
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("options, field", [
     ({"propagate": {"propagator": {"dtt": 1.0e-3}}}, "options.propagate.propagator: "),
     ({"parametrix": {"n_probe": 4}}, "options.parametrix: unknown keys"),

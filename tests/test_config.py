@@ -108,6 +108,17 @@ def test_inline_interaction_block():
     assert cfg.interaction.name == "pair"
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"family": "parametric_quartic"}, r"rho=0.0 outside the open interval \(0.4, 8.0\)"),
+    ({"family": "parametric_quartic", "rho": 8.0}, "rho=8.0 outside the open interval"),
+    ({"rho": "one"}, "rho must be a number"),
+])
+def test_top_level_rho_checked_against_family_at_load(doc, message):
+    with pytest.raises(ConfigError, match=f"^rho: {message}"):
+        from_mapping(doc)
+    assert from_mapping({"family": "parametric_quartic", "rho": 1}).rho == 1.0
+
+
 def test_suite_selection_and_deduplication():
     cfg = from_mapping({"suites": ["propagate", "validate", "propagate"]})
     assert cfg.suites == ("propagate", "validate")
@@ -173,6 +184,10 @@ def test_unknown_suite_option_keys_rejected():
     ({"eps_sweep": {"eps_values": []}}, "options.eps_sweep.eps_values"),
     ({"sensitivity": {"taus": [1e-2, 0.0]}}, "options.sensitivity.taus"),
     ({"continuity": {"deltas": []}}, "options.continuity.deltas"),
+    ({"parametrix": {"t": "noon"}}, "options.parametrix.t"),
+    ({"commutator": {"t": "noon"}}, "options.commutator.t"),
+    ({"commutator": {"mu": [0.5]}}, "options.commutator.mu"),
+    ({"parametrix": {"family": "harmonic", "rho": "one"}}, "options.parametrix.rho"),
 ])
 def test_bad_suite_option_values_rejected_at_load(options, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):

@@ -17,7 +17,7 @@ from polyschro import (
     validate_interaction,
 )
 from polyschro.errors import FamilyError
-from polyschro.potentials import divergence_a
+from polyschro.potentials import RATIO_FLOOR, divergence_a
 
 from conftest import MAGNETIC_2D
 
@@ -185,6 +185,31 @@ def test_validate_rho_family_pins_labels(validation_grid):
             + _labels("Vrho", ORDERS_1D) + _labels("A1rho", ORDERS_1D))
     assert [c.label for c in report.checks] == want
     assert report.passed
+
+
+@pytest.mark.parametrize("fam, grid", [
+    (get_family("parametric_quartic"), make_grid(1, 10.0, 256)),
+    (MAGNETIC_2D, make_grid(2, 10.0, 32)),
+], ids=["parametric_quartic", "magnetic_2d"])
+def test_validate_reduces_single_sample_checks(fam, grid):
+    """Over the (t, rho) samples, an upper check keeps the largest constant
+    and the largest slope of the samples whose peak ratio is above
+    RATIO_FLOOR (0.0 when none is); growth_lower keeps the smallest of both."""
+    ts = np.linspace(0.0, 2.0 * np.pi, 9)
+    rhos = (0.0,) if fam.rho_interval is None else np.linspace(*fam.rho_interval, 5)[1:-1]
+    report = validate_assumption(fam, grid, t_samples=ts, rho_samples=rhos)
+    singles = [validate_assumption(fam, grid, t_samples=[t], rho_samples=[rho]).checks
+               for t in ts for rho in rhos]
+    for i, check in enumerate(report.checks):
+        per_sample = [s[i] for s in singles]
+        assert {c.label for c in per_sample} == {check.label}
+        if check.label == "growth_lower":
+            assert check.constant == min(c.constant for c in per_sample)
+            assert check.slope == min(c.slope for c in per_sample)
+            continue
+        assert check.constant == max(c.constant for c in per_sample)
+        fitted = [c.slope for c in per_sample if c.constant > RATIO_FLOOR]
+        assert check.slope == max(fitted, default=0.0)
 
 
 def test_validate_interaction_pins_labels():

@@ -63,6 +63,16 @@ def test_cached_base_run_must_keep_its_states(setup):
             difference_quotient(fam, u0, 1.0, 1e-2, cfg, central=False, base_run=base)
 
 
+def test_one_sided_quotient_without_base_run_matches_cached_base(setup):
+    g, fam, u0, cfg = setup
+    base = propagate(replace(cfg, keep_states=True), HamiltonianHandle(fam, g, rho=1.0), u0)
+    fresh = difference_quotient(fam, u0, 1.0, 1e-2, cfg, central=False)
+    cached = difference_quotient(fam, u0, 1.0, 1e-2, cfg, central=False, base_run=base)
+    assert np.array_equal(fresh.times, cached.times)
+    assert np.array_equal(fresh.values, cached.values)
+    assert np.array_equal(fresh.norms, cached.norms)
+
+
 def test_continuity_curve_decreases_linearly(setup):
     g, fam, u0, cfg = setup
     curve = continuity_modulus(fam, u0, 1.0, (1e-1, 1e-2, 1e-3), cfg, a=0)
