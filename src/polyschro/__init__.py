@@ -38,7 +38,6 @@ from .propagator import (
     energy_estimate_check,
     propagate,
     propagate_inhomogeneous,
-    step,
 )
 from .symbols import (
     CutoffSpec,

@@ -3,10 +3,11 @@
 The file is a nested key/value mapping.  Families may be named from the
 builtin catalog or written inline with the small expression grammar; every
 validation error names the offending field path.  The options of a suite
-are the keyword parameters of its ``suites.plan_<name>`` function.  A
-given ``options.<suite>`` section is checked at load by building that
-plan, so every option passes the constructor its suite builds it with,
-and a rejected value is reported under ``options.<suite>.<key>``.
+are the keyword parameters of its ``suites.plan_<name>`` function.  The
+plan of every selected suite, and of every given ``options.<suite>``
+section, is built at load, so every option, default or given, passes the
+constructor its suite builds it with, and a rejected value is reported
+under ``options.<suite>.<key>`` (or ``options.<suite>`` for a default).
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
         seed=seed,
         options={k: dict(v) for k, v in options.items()},
     )
-    for name, section in options.items():
-        _check_suite_options(cfg, name, section, f"options.{name}")
+    for name in dict.fromkeys((*suites, *options)):
+        _check_suite_options(cfg, name, options.get(name, {}), f"options.{name}")
     return cfg
 
 

@@ -324,15 +324,14 @@ class NormOrder:
     """Order data of the polynomially weighted norm scale.
 
     a is the (integer, possibly negative) order; growth_order is the M of
-    the family the scale is calibrated to; mu_prime shifts the weight
-    symbol so its quantization stays positive definite (resolved per grid
-    when left at None).
+    the family the scale is calibrated to.  The shift mu' that keeps the
+    weight operator positive definite is a function of (grid, M, mass):
+    ``resolve_mu_prime``.
     """
 
     a: int
     growth_order: int
     mass: float = 1.0
-    mu_prime: float | None = None
 
     def __post_init__(self):
         if self.a != int(self.a):
@@ -353,8 +352,6 @@ class NormOrder:
 
 
 def resolve_mu_prime(order: NormOrder, grid: SpatialGrid) -> float:
-    if order.mu_prime is not None:
-        return order.mu_prime
     core = grid.dual_radius_sq / (2.0 * order.mass) + grid.bracket_weight(
         2.0 * (order.growth_order + 1)
     )
@@ -411,8 +408,8 @@ def _lambda_m_factor(order: NormOrder, grid: SpatialGrid):
 
     The kinetic part is ``_kinetic_matrix``, built afresh rather than
     copied from the cache, so no N x N circulant outlives the factor.
-    ``order`` carries a resolved mu', so the cache key is (grid,
-    growth_order, mass, mu').
+    ``order`` has a = -1, so the cache key is (grid, growth_order, mass),
+    which fixes mu'.
     """
     mu_p, _, weight = _lambda_m_parts(order, grid)
     mat = _kinetic_matrix(grid, order.mass)
@@ -436,7 +433,7 @@ def _lambda_m_power(order: NormOrder, vals: np.ndarray, grid: SpatialGrid) -> np
     """Lambda_M^a on raw values: one state or a (R, *grid.shape) stack."""
     n = int(order.a)
     if n < 0 and grid.d == 1:
-        factor = _lambda_m_factor(replace(order, a=-1, mu_prime=resolve_mu_prime(order, grid)), grid)
+        factor = _lambda_m_factor(replace(order, a=-1), grid)
         rows = vals.reshape(-1, grid.N)
         r = len(rows)
         for _ in range(-n):

@@ -452,16 +452,6 @@ def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorCon
     return out.reshape(shape), StepReport(iterations=k, residual=float(estimate))
 
 
-def step(cfg: PropagatorConfig, handle, t: float, u: WaveFunction) -> WaveFunction:
-    """Advance one step from time t, as propagate does; the operator is frozen at t + dt/2."""
-    op = _Operator(handle, cfg)
-    new_vals, rep = _advance(op, cfg, t, u.values.astype(complex))
-    if op.direct:
-        op.settle()
-        _check_cayley(rep.residual, t + 0.5 * cfg.dt, cfg)
-    return u.with_values(new_vals)
-
-
 def _advance(op: _Operator, cfg: PropagatorConfig, t: float, u: np.ndarray,
              source_mid: np.ndarray | None = None):
     """One step from t; a Crank-Nicolson step is u' = 2 (I + i tau H)^-1 (u - i tau f) - u."""
@@ -711,7 +701,6 @@ __all__ = [
     "StepReport",
     "EnergyFit",
     "SCHEMES",
-    "step",
     "propagate",
     "propagate_inhomogeneous",
     "propagate_variational",

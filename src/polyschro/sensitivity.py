@@ -1,19 +1,22 @@
-"""Parameter sensitivity of the flow: continuity moduli, difference
-quotients in the family parameter, and the variational equation.
+"""Parameter sensitivity of the flow: continuity moduli, central
+difference quotients in the family parameter, and the variational
+equation.
 
 The derivative of the solution with respect to the parameter rho is
 approached from two independent sides:
 
-* difference quotients of full propagations at shifted parameters,
+* central difference quotients (u(rho + tau) - u(rho - tau)) / (2 tau)
+  of full propagations at shifted parameters,
 * the variational equation i dw/dt = H(t) w + (dH/drho) u(t), w(0) = 0,
   stepped in lockstep with its base flow on the same Crank-Nicolson
   schedule.
 
 Their discrepancy, maximized over the recorded times, is the quantity
-the convergence checks fit against the offset tau.  Trajectories are
-``(records, *grid.shape)`` arrays, and each comparison takes one batched
-norm of the stacked differences.  Each result carries the boundary and
-solver warnings (``PropagationRun.warnings``) of the runs it made.
+the convergence checks fit against the offset tau.  Both sides are a
+``Trajectory``: ``(records, *grid.shape)`` values with their weighted
+norms, and each comparison takes one batched norm of the stacked
+differences.  Each result carries the boundary and solver warnings
+(``PropagationRun.warnings``) of the runs it made.
 """
 
 from __future__ import annotations
@@ -41,11 +44,23 @@ def _make_handle(system, grid, rho: float):
     return HamiltonianHandle(system, grid, rho=rho)
 
 
-def _trajectory_cfg(cfg: PropagatorConfig) -> PropagatorConfig:
-    """The same schedule, but guaranteed to retain states at record times."""
-    if cfg.keep_states:
-        return cfg
-    return replace(cfg, keep_states=True)
+def _run(system, u0: WaveFunction, rho: float, cfg: PropagatorConfig):
+    """Propagate u0 at rho on cfg's schedule, keeping the recorded states."""
+    return propagate(replace(cfg, keep_states=True), _make_handle(system, u0.grid, rho), u0)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Recorded values of a quotient or variational solution, with their norms."""
+
+    times: np.ndarray
+    values: np.ndarray
+    norms: np.ndarray
+    warnings: list
+
+    @property
+    def max_norm(self) -> float:
+        return float(np.max(self.norms))
 
 
 # ---------------------------------------------------------------------------
@@ -56,25 +71,17 @@ def _trajectory_cfg(cfg: PropagatorConfig) -> PropagatorConfig:
 class ContinuityCurve:
     """max_t of the weighted distance between runs at rho and rho + delta."""
 
-    rho: float
-    a: int
     deltas: np.ndarray
     moduli: np.ndarray
     warnings: list
 
-    def is_decreasing(self, floor: float = 1e-10) -> bool:
-        """Monotone decrease, with entries at or below floor treated as converged."""
+    def is_decreasing(self) -> bool:
+        """Monotone decrease, with entries at or below 1e-10 treated as converged."""
         m = self.moduli
         for i in range(len(m) - 1):
-            if m[i + 1] >= m[i] and m[i + 1] > floor:
+            if m[i + 1] >= m[i] and m[i + 1] > 1e-10:
                 return False
         return True
-
-    def rows(self):
-        return [
-            {"delta": float(d), "modulus": float(v)}
-            for d, v in zip(self.deltas, self.moduli)
-        ]
 
 
 def continuity_modulus(system, u0: WaveFunction, rho: float, deltas,
@@ -84,105 +91,45 @@ def continuity_modulus(system, u0: WaveFunction, rho: float, deltas,
     Each offset runs the full propagation at the shifted parameter; the
     states are compared at the recorded times of the shared schedule.
     """
-    cfg = _trajectory_cfg(cfg)
     grid = u0.grid
-    base_handle = _make_handle(system, grid, rho)
-    order = base_handle.norm_order(a)
-    base = propagate(cfg, base_handle, u0)
+    order = _make_handle(system, grid, rho).norm_order(a)
+    base = _run(system, u0, rho, cfg)
 
     moduli, warnings = [], base.warnings
     for delta in deltas:
         if delta == 0.0:
             moduli.append(0.0)
             continue
-        run = propagate(cfg, _make_handle(system, grid, rho + delta), u0)
+        run = _run(system, u0, rho + delta, cfg)
         warnings = warnings + run.warnings
         moduli.append(float(np.max(order.norm(run.states - base.states, grid))))
     return ContinuityCurve(
-        rho=rho, a=a, deltas=np.asarray(list(deltas), dtype=float),
+        deltas=np.asarray(list(deltas), dtype=float),
         moduli=np.asarray(moduli), warnings=warnings,
     )
 
 
 # ---------------------------------------------------------------------------
-# difference quotients
-
-
-@dataclass(frozen=True)
-class QuotientTrajectory:
-    """One quotient (u(rho + tau) - u(rho or rho - tau)) / span on a schedule."""
-
-    tau: float
-    central: bool
-    a: int
-    times: np.ndarray
-    values: np.ndarray
-    norms: np.ndarray
-    warnings: list
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.max(self.norms))
+# difference quotients and the variational equation
 
 
 def difference_quotient(system, u0: WaveFunction, rho: float, tau: float,
-                        cfg: PropagatorConfig, a: int = 0, central: bool = True,
-                        base_run=None) -> QuotientTrajectory:
-    """Quotient trajectory w_tau(t) from full propagations at shifted rho.
-
-    The one-sided variant divides u(rho + tau) - u(rho) by tau and can
-    reuse a cached base run; the central variant uses (u(rho + tau) -
-    u(rho - tau)) / (2 tau).
-    """
+                        cfg: PropagatorConfig, a: int = 0) -> Trajectory:
+    """Central quotient (u(rho + tau) - u(rho - tau)) / (2 tau) from full
+    propagations at the shifted parameters."""
     if tau == 0.0:
         raise ConfigError("difference quotient needs tau != 0")
-    cfg = _trajectory_cfg(cfg)
     grid = u0.grid
     order = _make_handle(system, grid, rho).norm_order(a)
-
-    plus = propagate(cfg, _make_handle(system, grid, rho + tau), u0)
-    if central:
-        ref = propagate(cfg, _make_handle(system, grid, rho - tau), u0)
-        span = 2.0 * tau
-    elif base_run is None:
-        ref = propagate(cfg, _make_handle(system, grid, rho), u0)
-        span = tau
-    else:
-        ref, span = base_run, tau
-        if ref.states is None or not np.array_equal(ref.times, plus.times):
-            raise ConfigError("base_run must keep its states on the schedule of cfg")
-
-    values = (plus.states - ref.states) / span
-    return QuotientTrajectory(
-        tau=tau, central=central, a=a, times=plus.times, values=values,
-        norms=order.norm(values, grid),
-        # a cached base run's warnings belong to its owner
-        warnings=plus.warnings + (ref.warnings if ref is not base_run else []),
-    )
-
-
-# ---------------------------------------------------------------------------
-# the variational equation
-
-
-@dataclass(frozen=True)
-class VariationalTrajectory:
-    """w(t) from the variational equation, with its recorded norms."""
-
-    rho: float
-    a: int
-    times: np.ndarray
-    values: np.ndarray
-    norms: np.ndarray
-    warnings: list
-
-    @property
-    def max_norm(self) -> float:
-        return float(np.max(self.norms))
+    plus = _run(system, u0, rho + tau, cfg)
+    minus = _run(system, u0, rho - tau, cfg)
+    values = (plus.states - minus.states) / (2.0 * tau)
+    return Trajectory(times=plus.times, values=values, norms=order.norm(values, grid),
+                      warnings=plus.warnings + minus.warnings)
 
 
 def solve_variational(system, u0: WaveFunction, rho: float,
-                      cfg: PropagatorConfig, a: int = 0) -> VariationalTrajectory:
+                      cfg: PropagatorConfig, a: int = 0) -> Trajectory:
     """Integrate i dw/dt = H w + (dH/drho) u(t), w(0) = 0.
 
     The base state u(t; rho) steps in lockstep with w
@@ -194,13 +141,10 @@ def solve_variational(system, u0: WaveFunction, rho: float,
     """
     grid = u0.grid
     handle = _make_handle(system, grid, rho)
-    order = handle.norm_order(a)
-    base, w_run = propagate_variational(_trajectory_cfg(cfg), handle, u0)
-    return VariationalTrajectory(
-        rho=rho, a=a, times=w_run.times, values=w_run.states,
-        norms=order.norm(w_run.states, grid),
-        warnings=base.warnings + w_run.warnings,
-    )
+    base, w_run = propagate_variational(replace(cfg, keep_states=True), handle, u0)
+    return Trajectory(times=w_run.times, values=w_run.states,
+                      norms=handle.norm_order(a).norm(w_run.states, grid),
+                      warnings=base.warnings + w_run.warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +155,9 @@ def solve_variational(system, u0: WaveFunction, rho: float,
 class SensitivityRun:
     """Quotient trajectories against the variational solution at one rho."""
 
-    rho: float
-    a: int
     taus: np.ndarray
     quotients: list
-    variational: VariationalTrajectory
+    variational: Trajectory
     discrepancies: np.ndarray
     warnings: list
 
@@ -226,47 +168,29 @@ class SensitivityRun:
             return np.log(d[:-1] / d[1:]) / np.log(t[:-1] / t[1:])
 
     @property
-    def max_quotient_norm(self) -> float:
-        return float(max(q.max_norm for q in self.quotients))
+    def quotient_norms(self) -> np.ndarray:
+        """max_t of each quotient's norm, one entry per tau."""
+        return np.array([q.max_norm for q in self.quotients])
 
     def quotient_to_variational_ratio(self) -> float:
-        return self.max_quotient_norm / self.variational.max_norm
-
-    def rows(self):
-        out = []
-        for q, disc in zip(self.quotients, self.discrepancies):
-            out.append({
-                "tau": float(q.tau),
-                "max_quotient_norm": q.max_norm,
-                "max_discrepancy": float(disc),
-            })
-        return out
+        return float(np.max(self.quotient_norms)) / self.variational.max_norm
 
 
 def sensitivity_sweep(system, u0: WaveFunction, rho: float, taus,
-                      cfg: PropagatorConfig, a: int = 0,
-                      central: bool = True) -> SensitivityRun:
-    """Difference quotients over a tau sweep against one variational solve."""
+                      cfg: PropagatorConfig, a: int = 0) -> SensitivityRun:
+    """Central difference quotients over a tau sweep against one variational solve."""
     grid = u0.grid
     variational = solve_variational(system, u0, rho, cfg, a=a)
     order = _make_handle(system, grid, rho).norm_order(a)
 
-    base_run = None
-    warnings = variational.warnings
-    if not central:
-        base_run = propagate(_trajectory_cfg(cfg), _make_handle(system, grid, rho), u0)
-        warnings = warnings + base_run.warnings
-
-    quotients, discrepancies = [], []
+    quotients, discrepancies, warnings = [], [], variational.warnings
     for tau in taus:
-        q = difference_quotient(
-            system, u0, rho, tau, cfg, a=a, central=central, base_run=base_run,
-        )
+        q = difference_quotient(system, u0, rho, tau, cfg, a=a)
         quotients.append(q)
         discrepancies.append(float(np.max(order.norm(q.values - variational.values, grid))))
         warnings = warnings + q.warnings
     return SensitivityRun(
-        rho=rho, a=a, taus=np.asarray(list(taus), dtype=float),
-        quotients=quotients, variational=variational,
-        discrepancies=np.asarray(discrepancies), warnings=warnings,
+        taus=np.asarray(list(taus), dtype=float), quotients=quotients,
+        variational=variational, discrepancies=np.asarray(discrepancies),
+        warnings=warnings,
     )

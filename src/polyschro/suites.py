@@ -249,7 +249,7 @@ def plan_sensitivity(cfg: ExperimentConfig, *, family="parametric_quartic", L=10
                                     (rho, *shifted, *rho_values))
 
     def run(out_dir: str) -> dict:
-        sweep = sensitivity_sweep(fam, u0, rho, taus, prop, a=0, central=True)
+        sweep = sensitivity_sweep(fam, u0, rho, taus, prop, a=0)
         orders = sweep.observed_orders()
         judged = [o for o, d in zip(orders, sweep.discrepancies[1:]) if d > ORDER_FLOOR]
         order_ok = bool(judged) and all(o >= MIN_ORDER for o in judged)
@@ -273,8 +273,7 @@ def plan_sensitivity(cfg: ExperimentConfig, *, family="parametric_quartic", L=10
         files = [
             _write_csv(out_dir, "sensitivity_quotients.csv",
                        ["tau", "max_quotient_norm", "max_discrepancy"],
-                       [[r["tau"], r["max_quotient_norm"], r["max_discrepancy"]]
-                        for r in sweep.rows()]),
+                       list(zip(taus, sweep.quotient_norms, sweep.discrepancies))),
             _write_csv(out_dir, "sensitivity_constants.csv",
                        ["rho", "constant"],
                        list(zip(rho_values, constants))),
@@ -309,8 +308,7 @@ def plan_continuity(cfg: ExperimentConfig, *, family="parametric_quartic", L=10.
     def run(out_dir: str) -> dict:
         curve = continuity_modulus(fam, u0, rho, deltas, prop, a=0)
         files = [_write_csv(out_dir, "continuity_modulus.csv",
-                            ["delta", "modulus"],
-                            [[r["delta"], r["modulus"]] for r in curve.rows()])]
+                            ["delta", "modulus"], list(zip(deltas, curve.moduli)))]
         return {
             "passed": bool(curve.is_decreasing()),
             "family": fam.name,

@@ -78,8 +78,7 @@ def sensitivity_block():
     grid = make_grid(1, 10.0, 256)
     u0 = gaussian_packet(grid, center=1.0, width=0.8)
     prop = PropagatorConfig(dt=1e-3, t_final=1.0, save_every=50, keep_states=False)
-    sweep = sensitivity_sweep(fam, u0, 1.0, (1e-1, 1e-2, 1e-3), prop, a=0,
-                              central=True)
+    sweep = sensitivity_sweep(fam, u0, 1.0, (1e-1, 1e-2, 1e-3), prop, a=0)
     u0_a1 = HamiltonianHandle(fam, grid, rho=1.0).norm_order(1).norm(u0)
     constants = [
         solve_variational(fam, u0, r, prop, a=0).max_norm / u0_a1

@@ -223,6 +223,16 @@ def test_propagate_overrides_merge_over_the_top_level_blocks():
         from_mapping({"options": {"propagate": {"initial_state": {"wavelength": 2.0}}}})
 
 
+def test_selected_suite_defaults_checked_at_load():
+    # the two_particle defaults step rho=0.1 and 0.0, outside this interaction's interval
+    doc = {"interaction": {"name": "pair", "w": "rho*r^2", "growth_order": 1,
+                           "delta": 1.0, "rho_interval": [0.5, 1]}}
+    with pytest.raises(ConfigError, match=r"^options\.two_particle: rho=0\.1 outside"):
+        from_mapping(doc)
+    assert from_mapping({**doc, "suites": ["propagate", "validate"]}).suites == (
+        "propagate", "validate")
+
+
 def test_yaml_file_round_trip(tmp_path):
     doc = {
         "family": "harmonic",

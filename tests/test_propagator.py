@@ -23,7 +23,6 @@ from polyschro import (
     make_grid,
     propagate,
     propagate_inhomogeneous,
-    step,
 )
 from polyschro.config import from_mapping
 from polyschro.errors import ConfigError, SolverError
@@ -80,19 +79,10 @@ def test_single_step_is_scalar_cayley(harmonic_256):
     g, handle = harmonic_256
     u = gaussian_packet(g, width=1.0)
     dt, energy = 1e-3, 0.5
-    out = step(PropagatorConfig(dt=dt, t_final=dt), handle, 0.0, u)
+    out = propagate(PropagatorConfig(dt=dt, t_final=dt), handle, u).final
     factor = (1 - 0.5j * dt * energy) / (1 + 0.5j * dt * energy)
     assert abs(abs(factor) - 1.0) < 1e-15
     assert np.max(np.abs(out.values - factor * u.values)) <= 1e-8
-
-
-def test_single_step_equals_one_step_of_propagate(quartic_256):
-    """step seeds the Cayley solve with the current state, as propagate does."""
-    g, handle = quartic_256
-    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
-    cfg = PropagatorConfig(dt=1e-3, t_final=1e-3)
-    assert np.array_equal(step(cfg, handle, 0.0, u0).values,
-                          propagate(cfg, handle, u0).final.values)
 
 
 def test_harmonic_ground_state_phase(harmonic_256):
@@ -457,15 +447,13 @@ def test_direct_residuals_are_checked_in_batches(quartic_direct_128, monkeypatch
 
 def test_direct_step_failure_names_its_own_step(quartic_direct_128, monkeypatch):
     """A direct step whose residual misses is checked only at the record,
-    yet the error names the step itself; step() checks at once."""
+    yet the error names the step itself."""
     g, handle, u0 = quartic_direct_128
     inverse = handle.cayley_inverse
     monkeypatch.setattr(handle, "cayley_inverse", lambda *key: inverse(*key) * (1 + 1e-9))
     cfg = PropagatorConfig(dt=1e-3, t_final=0.02, save_every=10)
     with pytest.raises(SolverError, match=r"Cayley solve stalled .* at step 1 \(t=0\.001\)"):
         propagate(cfg, handle, u0)
-    with pytest.raises(SolverError, match=r"Cayley solve stalled .* at t_mid=0\.0005"):
-        step(cfg, handle, 0.0, u0)
 
 
 def test_direct_run_warns_of_its_solver_misses(quartic_direct_128):
@@ -792,12 +780,12 @@ def test_one_cached_cayley_inverse_per_handle(harmonic_256):
     g, handle = harmonic_256
     u = gaussian_packet(g, width=1.0)
     cfg = PropagatorConfig(dt=1e-3, t_final=1e-3)
-    step(cfg, handle, 0.0, u)
+    propagate(cfg, handle, u)
     first = handle._cayley
-    step(cfg, handle, 1e-3, u)
+    propagate(replace(cfg, t0=1e-3, t_final=2e-3), handle, u)
     assert handle._cayley is first
     mollified = replace(cfg, eps=0.5)
-    step(mollified, handle, 0.0, u)
+    propagate(mollified, handle, u)
     assert handle._cayley is not first
     assert handle._cayley_key == (0.5 * cfg.dt, mollified.cutoff())
 

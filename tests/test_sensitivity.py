@@ -41,7 +41,7 @@ def setup():
 @pytest.fixture(scope="module")
 def central_sweep(setup):
     g, fam, u0, cfg = setup
-    return sensitivity_sweep(fam, u0, 1.0, (1e-1, 1e-2, 1e-3), cfg, a=0, central=True)
+    return sensitivity_sweep(fam, u0, 1.0, (1e-1, 1e-2, 1e-3), cfg, a=0)
 
 
 def test_tau_zero_rejected(setup):
@@ -50,37 +50,13 @@ def test_tau_zero_rejected(setup):
         difference_quotient(fam, u0, 1.0, 0.0, cfg)
 
 
-def test_cached_base_run_must_keep_its_states(setup):
-    g, fam, u0, cfg = setup
-    handle = HamiltonianHandle(fam, g, rho=1.0)
-    stateless = propagate(cfg, handle, u0)
-    # as many records as cfg's, at other times
-    other_times = propagate(replace(cfg, t_final=2 * cfg.t_final, save_every=2 * cfg.save_every,
-                                    keep_states=True), handle, u0)
-    assert len(other_times.times) == cfg.n_steps // cfg.save_every + 1
-    for base in (stateless, other_times):
-        with pytest.raises(ConfigError, match="base_run must keep its states"):
-            difference_quotient(fam, u0, 1.0, 1e-2, cfg, central=False, base_run=base)
-
-
-def test_one_sided_quotient_without_base_run_matches_cached_base(setup):
-    g, fam, u0, cfg = setup
-    base = propagate(replace(cfg, keep_states=True), HamiltonianHandle(fam, g, rho=1.0), u0)
-    fresh = difference_quotient(fam, u0, 1.0, 1e-2, cfg, central=False)
-    cached = difference_quotient(fam, u0, 1.0, 1e-2, cfg, central=False, base_run=base)
-    assert np.array_equal(fresh.times, cached.times)
-    assert np.array_equal(fresh.values, cached.values)
-    assert np.array_equal(fresh.norms, cached.norms)
-
-
 def test_continuity_curve_decreases_linearly(setup):
     g, fam, u0, cfg = setup
     curve = continuity_modulus(fam, u0, 1.0, (1e-1, 1e-2, 1e-3), cfg, a=0)
     assert curve.is_decreasing()
     ratios = curve.moduli[:-1] / curve.moduli[1:]
     assert np.all((5.0 <= ratios) & (ratios <= 20.0))
-    rows = curve.rows()
-    assert [r["delta"] for r in rows] == [1e-1, 1e-2, 1e-3]
+    assert curve.deltas.tolist() == [1e-1, 1e-2, 1e-3]
 
 
 def test_zero_offset_has_zero_modulus(setup):
@@ -126,20 +102,6 @@ def test_central_quotients_second_order(central_sweep):
     assert np.all(d[:-1] > d[1:])
 
 
-def test_one_sided_quotients_first_order(setup):
-    g, fam, u0, cfg = setup
-    run = sensitivity_sweep(fam, u0, 1.0, (1e-1, 1e-2), cfg, a=0, central=False)
-    orders = run.observed_orders()
-    assert np.all((0.7 <= orders) & (orders <= 1.3))
-
-
-def test_central_beats_one_sided_at_equal_tau(setup, central_sweep):
-    g, fam, u0, cfg = setup
-    one = sensitivity_sweep(fam, u0, 1.0, (1e-2,), cfg, a=0, central=False)
-    idx = list(central_sweep.taus).index(1e-2)
-    assert central_sweep.discrepancies[idx] < 0.1 * one.discrepancies[0]
-
-
 def test_quotients_track_variational_magnitude(central_sweep):
     ratio = central_sweep.quotient_to_variational_ratio()
     assert 0.5 <= ratio <= 2.0
@@ -148,7 +110,7 @@ def test_quotients_track_variational_magnitude(central_sweep):
 def test_cauchy_consistency_between_offsets(setup):
     """The gap to the limit is controlled by the gap between halvings."""
     g, fam, u0, cfg = setup
-    run = sensitivity_sweep(fam, u0, 1.0, (0.04, 0.02), cfg, a=0, central=True)
+    run = sensitivity_sweep(fam, u0, 1.0, (0.04, 0.02), cfg, a=0)
     q_big, q_half = run.quotients
     gap = max(
         WaveFunction(g, bv - hv).norm()
@@ -157,25 +119,16 @@ def test_cauchy_consistency_between_offsets(setup):
     assert run.discrepancies[0] <= 2.0 * gap
 
 
-def test_rows_expose_sweep_columns(central_sweep):
-    rows = central_sweep.rows()
-    assert len(rows) == 3
-    for row, tau, disc in zip(rows, central_sweep.taus, central_sweep.discrepancies):
-        assert row["tau"] == tau
-        assert row["max_discrepancy"] == disc
-        assert row["max_quotient_norm"] > 0
-
-
 def test_runs_near_the_edge_carry_one_warning_each(setup):
     g, fam, _, _ = setup
     u0 = gaussian_packet(g, center=9.5, width=0.8)
     cfg = PropagatorConfig(dt=1e-2, t_final=0.05, save_every=1, keep_states=False)
     curve = continuity_modulus(fam, u0, 1.0, (1e-1, 1e-2), cfg)
     assert len(curve.warnings) == 3
-    one_sided = sensitivity_sweep(fam, u0, 1.0, (1e-1, 1e-2), cfg, central=False)
-    # the variational base and w runs, the shared base run, two shifted runs
-    assert len(one_sided.warnings) == 5
-    assert all(w.startswith("boundary mass") for w in curve.warnings + one_sided.warnings)
+    sweep = sensitivity_sweep(fam, u0, 1.0, (1e-1, 1e-2), cfg)
+    # the variational base and w runs, then the plus and minus runs of each tau
+    assert len(sweep.warnings) == 6
+    assert all(w.startswith("boundary mass") for w in curve.warnings + sweep.warnings)
     inside = gaussian_packet(g, center=0.0, width=0.8)
     assert continuity_modulus(fam, inside, 1.0, (1e-1,), cfg).warnings == []
 

@@ -1,5 +1,6 @@
 """Suite bodies at reduced size: verdict keys, files, and judged quantities."""
 
+import csv
 import dataclasses
 import math
 
@@ -10,6 +11,12 @@ from polyschro.errors import GridError
 from polyschro.suites import run_suite
 
 CASES = {
+    "continuity": (
+        {"N": 64, "t_final": 0.05, "deltas": [0.1, 0.01]},
+        {"suite", "passed", "family", "rho", "deltas", "moduli", "warnings", "files"},
+        ["moduli"],
+        ["continuity_modulus.csv"],
+    ),
     "two_particle": (
         {"N": 32, "t_final": 0.02},
         {"suite", "passed", "family", "interaction", "rho", "max_norm_drift",
@@ -28,6 +35,12 @@ CASES = {
     ),
 }
 
+# CSV columns that must repeat a verdict list: file -> {column: verdict key}
+COLUMNS = {
+    "continuity_modulus.csv": {"delta": "deltas", "modulus": "moduli"},
+    "sensitivity_quotients.csv": {"tau": "taus", "max_discrepancy": "discrepancies"},
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_reduced_suite_verdict(name, tmp_path):
@@ -43,6 +56,11 @@ def test_reduced_suite_verdict(name, tmp_path):
         assert values and all(math.isfinite(v) for v in values), key
     assert isinstance(verdict["warnings"], list)
     assert all(isinstance(w, str) for w in verdict["warnings"])
+    for file in files:
+        with open(tmp_path / file) as fh:
+            table = list(csv.DictReader(fh))
+        for column, key in COLUMNS.get(file, {}).items():
+            assert [float(row[column]) for row in table] == verdict[key], (file, column)
 
 
 def test_suite_grid_size_must_be_a_whole_number(tmp_path):

@@ -215,7 +215,7 @@ def test_interaction_strength_sensitivity(pair_64):
     u0 = product_state(g2, gaussian_packet(g1, center=0.5, width=0.9),
                        gaussian_packet(g1, center=-0.3, width=1.1, momentum=0.4))
     cfg = PropagatorConfig(dt=5e-3, t_final=0.05, save_every=5, keep_states=False)
-    sweep = sensitivity_sweep(system, u0, 0.5, (1e-1, 1e-2), cfg, a=0, central=True)
+    sweep = sensitivity_sweep(system, u0, 0.5, (1e-1, 1e-2), cfg, a=0)
     assert sweep.discrepancies[0] > sweep.discrepancies[1]
     assert sweep.observed_orders()[0] >= 1.8
 
