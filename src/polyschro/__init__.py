@@ -13,10 +13,7 @@ from .grid import (
 from .operators import (
     HamiltonianHandle,
     NormOrder,
-    apply_hamiltonian,
     apply_lambdaM_power,
-    apply_mollified,
-    apply_rho_derivative,
     weighted_norm,
 )
 from .potentials import (
@@ -35,7 +32,6 @@ from .potentials import (
 from .propagator import (
     PropagationRun,
     PropagatorConfig,
-    energy_estimate_check,
     propagate,
     propagate_inhomogeneous,
 )
@@ -60,9 +56,7 @@ from .twoparticle import (
     PrimedNormOrder,
     TwoParticleHandle,
     TwoParticleSystem,
-    exchange_asymmetry,
     product_state,
-    propagate_two_particle,
     weighted_norm_primed,
 )
 from .config import ExperimentConfig, SUITE_NAMES, load_config

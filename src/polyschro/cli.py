@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 One subcommand per verification suite plus `all`; every subcommand takes
-the same config/output/seed/worker flags.  Exit code 0 means every
-selected suite passed, 1 means at least one failed, and 2 means the
-configuration did not validate.
+the same config/output/worker flags, and the deprecated --seed.  Exit
+code 0 means every selected suite passed, 1 means at least one failed,
+and 2 means the configuration did not validate.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import sys
 import traceback
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import click
@@ -25,9 +26,10 @@ def run_experiment(cfg: ExperimentConfig, suites=None, out_dir=None,
                    seed=None, workers: int = 1) -> tuple:
     """Run the selected suites, emit the report, and return (exit_code, report).
 
-    `seed` is accepted for compatibility and ignored: no suite draws
-    random numbers.  A suite that raises is recorded as a failed verdict
-    with the error message; it never aborts its siblings.
+    `seed` is accepted and ignored without a warning: no suite draws
+    random numbers, and perfbench/workloads.py still passes it.  A suite
+    that raises is recorded as a failed verdict with the error message;
+    it never aborts its siblings.
     """
     chosen = tuple(suites) if suites else cfg.suites
     for name in chosen:  # an unknown name raises before any suite runs
@@ -63,18 +65,20 @@ def _common_options(fn):
     fn = click.option("--output-dir", type=click.Path(), default=None,
                       help="Artifact directory (overrides the config).")(fn)
     fn = click.option("--seed", type=int, default=None,
-                      help="Accepted and ignored: no suite output depends on it.")(fn)
+                      help="Deprecated and ignored: no suite output depends on it.")(fn)
     fn = click.option("--workers", type=int, default=1, show_default=True,
                       help="Concurrent suite jobs.")(fn)
     return fn
 
 
 def _execute(config_path, output_dir, seed, workers, suites):
+    if seed is not None:
+        warnings.warn("--seed changes no output and will be removed", FutureWarning,
+                      stacklevel=2)
     try:
         cfg = load_config(config_path)
-        code, report = run_experiment(
-            cfg, suites=suites, out_dir=output_dir, seed=seed, workers=workers,
-        )
+        code, report = run_experiment(cfg, suites=suites, out_dir=output_dir,
+                                      workers=workers)
     except ConfigError as err:
         click.echo(f"config error: {err}", err=True)
         sys.exit(2)

@@ -13,6 +13,7 @@ under ``options.<suite>.<key>`` (or ``options.<suite>`` for a default).
 from __future__ import annotations
 
 import inspect
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,6 @@ class ExperimentConfig:
     rho: float
     suites: tuple
     output_dir: str
-    seed: int  # accepted; no suite reads it
     options: dict = field(default_factory=dict)
 
     def suite_options(self, name: str) -> dict:
@@ -159,9 +159,12 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
     suites = tuple(s for s in suites if not (s in seen or seen.add(s)))
 
     output_dir = str(data.pop("output_dir", "polyschro_out"))
-    seed = data.pop("seed", 20260814)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed: expected an integer, got {seed!r}")
+    if "seed" in data:
+        seed = data.pop("seed")
+        if not isinstance(seed, int):
+            raise ConfigError(f"seed: expected an integer, got {seed!r}")
+        warnings.warn("the config key seed changes no output and will be removed",
+                      FutureWarning, stacklevel=2)
 
     options = _require_mapping(data.pop("options", {}), "options")
     for name, section in options.items():
@@ -180,7 +183,6 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
         rho=rho,
         suites=suites,
         output_dir=output_dir,
-        seed=seed,
         options={k: dict(v) for k, v in options.items()},
     )
     for name in dict.fromkeys((*suites, *options)):

@@ -299,14 +299,6 @@ def evaluate(expr: Expr, out_shape=None, **env):
     return arr
 
 
-def differentiate(expr: Expr, var: str) -> Expr:
-    return expr.diff(var)
-
-
-def is_zero(expr: Expr) -> bool:
-    return isinstance(expr, Const) and expr.value == 0.0
-
-
 __all__ = [
     "Expr",
     "Const",
@@ -316,6 +308,4 @@ __all__ = [
     "Call",
     "parse",
     "evaluate",
-    "differentiate",
-    "is_zero",
 ]

@@ -301,20 +301,6 @@ class HamiltonianHandle:
         return NormOrder(a=a, growth_order=self.fam.growth_order, mass=self.mass)
 
 
-def apply_hamiltonian(handle: HamiltonianHandle, t: float, f: WaveFunction) -> WaveFunction:
-    return f.with_values(handle.apply(t, f.values))
-
-
-def apply_mollified(
-    handle: HamiltonianHandle, cutoff: CutoffSpec, t: float, f: WaveFunction
-) -> WaveFunction:
-    return f.with_values(handle.apply_mollified(t, f.values, cutoff))
-
-
-def apply_rho_derivative(handle: HamiltonianHandle, t: float, f: WaveFunction) -> WaveFunction:
-    return f.with_values(handle.apply_rho_derivative(t, f.values))
-
-
 # ---------------------------------------------------------------------------
 # weight operator and norms
 
@@ -460,8 +446,9 @@ def weighted_norm(order: NormOrder, f, grid: SpatialGrid | None = None):
     derivative norms up to order 2a plus the norm of <x>^(2a(M+1)) f.
     Negative orders are measured through the inverse weight operator,
     ||Lambda_M^a f||: in 1-D by a Cholesky factor of the matrix of
-    Lambda_M, built on the first call for each (grid, M, mass, mu') and
-    cached; in 2-D by conjugate gradients to 1e-12 relative residual.
+    Lambda_M, built on the first call for each (grid, growth order, mass),
+    which fixes mu', and cached; in 2-D by conjugate gradients to 1e-12
+    relative residual.
 
     f is a WaveFunction, or raw values on ``grid``: one state, or a
     (R, *grid.shape) stack, which gives an array of R norms.
@@ -484,9 +471,6 @@ __all__ = [
     "axis_terms",
     "gauge_phase",
     "NormOrder",
-    "apply_hamiltonian",
-    "apply_mollified",
-    "apply_rho_derivative",
     "apply_lambdaM_power",
     "weighted_norm",
     "resolve_mu_prime",

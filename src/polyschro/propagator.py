@@ -14,7 +14,7 @@ matvec with the dense inverse, built once and cached on the handle.
 Such a direct step parks its solution and right-hand side on the
 operator, and the stepping loop checks the parked residuals in one
 batched apply: when NORM_BATCH steps are pending, at every record and
-at the end of ``step``.  A direct step that misses its tolerance thus
+at the end of the run.  A direct step that misses its tolerance thus
 raises at most NORM_BATCH - 1 steps later, naming its own step.
 Every other Cayley step (time-dependent, composite or larger grids) is
 one solve by the module's restarted GMRES (Saad and Schultz 1986), which
@@ -133,6 +133,9 @@ class _Operator:
         self.handle = handle
         self.grid = handle.grid
         self.cutoff = cfg.cutoff()
+        if self.cutoff is not None and not hasattr(handle, "apply_mollified"):
+            raise ConfigError(f"mollified propagation is single-particle only, "
+                              f"not for a {type(handle).__name__}")
         self.precondition = self.cutoff is None
         self.direct = (cfg.scheme == "crank_nicolson_midpoint" and self.grid.d == 1
                        and self.grid.N <= DIRECT_MAX_N and not handle.time_dependent)
@@ -674,35 +677,12 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
     return [rec.run for rec in recs]
 
 
-@dataclass(frozen=True)
-class EnergyFit:
-    """Smallest C with ||u(t)||_a <= e^{C t} ||u(0)||_a along the run."""
-
-    a: int
-    growth_rate: float
-    passed: bool
-
-
-def energy_estimate_check(run: PropagationRun, a: int = 0) -> EnergyFit:
-    times = run.times
-    series = run.norm_series(a)
-    base = series[0]
-    if base <= 0:
-        raise ConfigError("initial norm vanishes; no growth estimate possible")
-    mask = times > run.cfg.t0
-    rates = np.log(series[mask] / base) / (times[mask] - run.cfg.t0)
-    c = float(np.max(rates)) if mask.any() else 0.0
-    return EnergyFit(a=a, growth_rate=c, passed=bool(np.isfinite(c)))
-
-
 __all__ = [
     "PropagatorConfig",
     "PropagationRun",
     "StepReport",
-    "EnergyFit",
     "SCHEMES",
     "propagate",
     "propagate_inhomogeneous",
     "propagate_variational",
-    "energy_estimate_check",
 ]

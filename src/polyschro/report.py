@@ -1,9 +1,9 @@
 """Deterministic experiment reports: verdicts plus a hashed file manifest.
 
-The report carries no timestamps or host data, so identical seeded runs
-produce byte-identical report files.  The CSV tables it lists are written
-by ``write_csv`` with 17 significant digits, so they repeat byte for byte
-as well.
+The report carries no timestamps or host data, so runs of one config at
+one BLAS thread count produce byte-identical report files.  The CSV
+tables it lists are written by ``write_csv`` with 17 significant digits,
+so they repeat byte for byte as well.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from .errors import ConfigError, GridError
 from .grid import SpatialGrid, WaveFunction, _values_of, derivative_norm_sum, l2_norm
 from .operators import HamiltonianHandle, Memo
 from .potentials import InteractionFamily, PotentialFamily
-from .propagator import PropagatorConfig, PropagationRun, propagate
+from .propagator import propagate  # unused here; perfbench/tracer.py wraps this name
 
 MAX_AXIS_POINTS = 256
 
@@ -97,8 +97,9 @@ def _nonzero(arr: np.ndarray):
 class TwoParticleHandle:
     """Bound (system, rho) pair exposing the composite operator.
 
-    Mirrors the single-particle handle interface, so the steppers and the
-    sensitivity entry points work unchanged on composite states.  Each
+    Mirrors the single-particle handle interface but for the mollified
+    apply, so the steppers and the sensitivity entry points work unchanged
+    on composite states; a mollified run is single-particle only.  Each
     particle is a 1-D ``HamiltonianHandle`` on the line grid
     (``particles``); two particles of one family share one handle, since
     both run at the same rho.  The memo holds, per time, (W, H_1, H_2^T)
@@ -185,9 +186,6 @@ class TwoParticleHandle:
         """(dH/drho) f = dW f + dH_1 f + f dH_2^T."""
         return _apply_fields(self._rho_fields[self._key(t)], f)
 
-    def apply_mollified(self, t, f, cutoff):
-        raise ConfigError("mollified propagation is single-particle only")
-
     def norm_order(self, a: int) -> "PrimedNormOrder":
         return PrimedNormOrder(a=a, growth_orders=self.system.growth_orders)
 
@@ -238,15 +236,7 @@ def weighted_norm_primed(order: PrimedNormOrder, f, grid: SpatialGrid | None = N
 
 
 # ---------------------------------------------------------------------------
-# propagation and helpers
-
-
-def propagate_two_particle(system: TwoParticleSystem, cfg: PropagatorConfig,
-                           u0: WaveFunction, norm_orders=(),
-                           rho: float = 0.0) -> PropagationRun:
-    """Propagate a composite state with the shared stepper harness."""
-    handle = TwoParticleHandle(system, rho=rho)
-    return propagate(cfg, handle, u0, norm_orders=norm_orders)
+# composite states
 
 
 def product_state(grid: SpatialGrid, g1, g2) -> WaveFunction:
@@ -256,12 +246,3 @@ def product_state(grid: SpatialGrid, g1, g2) -> WaveFunction:
     if v1.shape != (grid.N,) or v2.shape != (grid.N,):
         raise GridError("product factors must be sampled on the grid axis")
     return WaveFunction(grid, np.outer(v1, v2))
-
-
-def exchange_asymmetry(f: WaveFunction) -> float:
-    """Relative deviation of the state from particle-exchange symmetry."""
-    v = f.values
-    scale = float(np.abs(v).max())
-    if scale == 0.0:
-        return 0.0
-    return float(np.abs(v - v.T).max() / scale)

@@ -20,9 +20,9 @@ import conftest
 from polyschro import (
     HamiltonianHandle,
     PropagatorConfig,
+    TwoParticleHandle,
     TwoParticleSystem,
     WaveFunction,
-    apply_hamiltonian,
     commutator_probe,
     eval_symbol,
     gaussian_packet,
@@ -32,7 +32,6 @@ from polyschro import (
     parametrix_residual,
     product_state,
     propagate,
-    propagate_two_particle,
     quantize_symbol,
     ramped_quartic_family,
     sensitivity_sweep,
@@ -214,12 +213,12 @@ def test_criterion_09_two_particle_drift_and_factorization():
     u0 = product_state(grid2, p1, p2)
 
     cn = PropagatorConfig(dt=1e-3, t_final=0.5, save_every=50, keep_states=False)
-    run = propagate_two_particle(system, cn, u0, rho=0.1)
+    run = propagate(cn, TwoParticleHandle(system, rho=0.1), u0)
     drift = run.max_norm_drift
 
     lanczos = PropagatorConfig(scheme="lanczos_expmid", dt=1e-3, t_final=0.5,
                                save_every=10**9, keep_states=False, krylov_dim=32)
-    free = propagate_two_particle(system, lanczos, u0, rho=0.0)
+    free = propagate(lanczos, TwoParticleHandle(system, rho=0.0), u0)
     handle1 = HamiltonianHandle(fam, grid1)
     f1 = propagate(lanczos, handle1, p1).final.values
     f2 = propagate(lanczos, handle1, p2).final.values
@@ -257,7 +256,7 @@ def test_criterion_10_quantization_and_operator_dense_oracles():
     h_err = 0.0
     for _ in range(20):
         v = rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N)
-        got = apply_hamiltonian(handle, t, WaveFunction(grid, v)).values
+        got = handle.apply(t, v)
         h_err = max(h_err, np.max(np.abs(got - dense_h @ v))
                     / np.linalg.norm(v))
 

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import warnings
 
 import pytest
 import yaml
@@ -62,7 +63,8 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
             "parametrix": {"N": 64},
         },
     }
-    cfg = load_config(_write_yaml(tmp_path, doc))
+    with pytest.warns(FutureWarning, match="seed"):
+        cfg = load_config(_write_yaml(tmp_path, doc))
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     run_experiment(cfg, out_dir=str(out1), workers=1)
     run_experiment(cfg, out_dir=str(out2), workers=1)
@@ -75,8 +77,11 @@ def test_same_seed_runs_are_byte_identical(tmp_path):
 def test_outputs_do_not_depend_on_the_seed(tmp_path):
     cfg = load_config(_write_yaml(tmp_path, {"suites": ["parametrix", "commutator"]}))
     out1, out52 = tmp_path / "seed1", tmp_path / "seed52"
-    run_experiment(cfg, out_dir=str(out1), seed=1, workers=1)
-    run_experiment(cfg, out_dir=str(out52), seed=52, workers=1)
+    with warnings.catch_warnings():
+        # the library keyword stays silent
+        warnings.simplefilter("error", FutureWarning)
+        run_experiment(cfg, out_dir=str(out1), seed=1, workers=1)
+        run_experiment(cfg, out_dir=str(out52), seed=52, workers=1)
     assert (out1 / "report.json").read_bytes() == (out52 / "report.json").read_bytes()
     for name in ("parametrix_residuals.csv", "commutator_bounds.csv"):
         assert (out1 / name).read_bytes() == (out52 / name).read_bytes()
@@ -84,6 +89,18 @@ def test_outputs_do_not_depend_on_the_seed(tmp_path):
     assert rows[0] == "mu,excess,residual"
     assert len(rows) == 1 + 8
     assert _read_report(out52)["suites"]["parametrix"]["passed"] is True
+
+
+def test_seed_flag_warns_once_and_changes_no_output(tmp_path):
+    cfg = _write_yaml(tmp_path, {"options": {"validate": {"N": 128}}})
+    plain, seeded = tmp_path / "plain", tmp_path / "seeded"
+    args = ["validate", "--config", cfg, "--output-dir"]
+    assert CliRunner().invoke(main, [*args, str(plain)]).exit_code == 0
+    with pytest.warns(FutureWarning) as caught:
+        result = CliRunner().invoke(main, [*args, str(seeded), "--seed", "5"])
+    assert result.exit_code == 0, result.output
+    assert [str(w.message) for w in caught] == ["--seed changes no output and will be removed"]
+    assert (plain / "report.json").read_bytes() == (seeded / "report.json").read_bytes()
 
 
 def test_unknown_family_exits_2_and_names_field(tmp_path):

@@ -1,5 +1,7 @@
 """YAML experiment configuration: defaults, validation, round trips."""
 
+import warnings
+
 import pytest
 import yaml
 
@@ -15,7 +17,6 @@ def test_defaults():
     assert cfg.grid.d == 1 and cfg.grid.L == 10.0 and cfg.grid.N == 512
     assert cfg.suites == SUITE_NAMES
     assert len(cfg.suites) == 8
-    assert cfg.seed == 20260814
     assert cfg.rho == 0.0
     assert cfg.output_dir == "polyschro_out"
 
@@ -137,9 +138,17 @@ def test_empty_suites_rejected():
 
 
 def test_seed_must_be_integer():
+    """The deprecated seed key is type-checked, warns once, and is not kept."""
     with pytest.raises(ConfigError, match="seed"):
         from_mapping({"seed": "lucky"})
-    assert from_mapping({"seed": 7}).seed == 7
+    with pytest.warns(FutureWarning) as caught:
+        cfg = from_mapping({"seed": 7})
+    assert [str(w.message) for w in caught] == [
+        "the config key seed changes no output and will be removed"]
+    assert not hasattr(cfg, "seed")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FutureWarning)
+        from_mapping(None)
 
 
 def test_initial_state_keys_validated():
@@ -245,12 +254,12 @@ def test_yaml_file_round_trip(tmp_path):
     }
     path = tmp_path / "exp.yaml"
     path.write_text(yaml.safe_dump(doc))
-    cfg = load_config(str(path))
+    with pytest.warns(FutureWarning, match="seed"):
+        cfg = load_config(str(path))
     assert cfg.family.name == "harmonic"
     assert cfg.grid.N == 64
     assert cfg.propagator == {"dt": 2.0e-3, "t_final": 0.1}
     assert cfg.suites == ("propagate", "validate")
-    assert cfg.seed == 99
     assert cfg.output_dir == "out_here"
 
 

@@ -15,10 +15,7 @@ from polyschro import (
     NormOrder,
     PotentialFamily,
     WaveFunction,
-    apply_hamiltonian,
     apply_lambdaM_power,
-    apply_mollified,
-    apply_rho_derivative,
     eval_potential,
     gaussian_packet,
     get_family,
@@ -53,23 +50,23 @@ def test_free_hamiltonian_plane_wave_eigenvalue():
     handle = HamiltonianHandle(fam, g)
     kappa = g.dual_axis[9]
     f = WaveFunction(g, np.exp(1j * kappa * g.axis))
-    out = apply_hamiltonian(handle, 0.0, f)
-    np.testing.assert_allclose(out.values, kappa**2 / (2 * fam.mass) * f.values, atol=1e-12)
+    out = handle.apply(0.0, f.values)
+    np.testing.assert_allclose(out, kappa**2 / (2 * fam.mass) * f.values, atol=1e-12)
 
 
 def test_harmonic_ground_state_eigenvalue(ground_state_512):
     g, f = ground_state_512
     handle = HamiltonianHandle(get_family("harmonic"), g)
-    out = apply_hamiltonian(handle, 0.0, f)
-    assert np.max(np.abs(out.values - 0.5 * f.values)) <= 1e-8
+    out = handle.apply(0.0, f.values)
+    assert np.max(np.abs(out - 0.5 * f.values)) <= 1e-8
 
 
 def test_hamiltonian_hermitian(quartic_handle, rng):
     g = quartic_handle.grid
     for t in (0.0, 0.7):
         f, h = random_pair(g, rng)
-        lhs = l2_inner_product(apply_hamiltonian(quartic_handle, t, f), h)
-        rhs = l2_inner_product(f, apply_hamiltonian(quartic_handle, t, h))
+        lhs = l2_inner_product(quartic_handle.apply(t, f.values), h)
+        rhs = l2_inner_product(f, quartic_handle.apply(t, h.values))
         assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
@@ -77,20 +74,20 @@ def test_hamiltonian_linear(quartic_handle, rng):
     g = quartic_handle.grid
     f, h = random_pair(g, rng)
     combo = f.with_values(2.0 * f.values - 1.5j * h.values)
-    lhs = apply_hamiltonian(quartic_handle, 0.3, combo)
-    rhs = (2.0 * apply_hamiltonian(quartic_handle, 0.3, f).values
-           - 1.5j * apply_hamiltonian(quartic_handle, 0.3, h).values)
-    np.testing.assert_allclose(lhs.values, rhs, atol=1e-12 * np.max(np.abs(rhs)))
+    lhs = quartic_handle.apply(0.3, combo.values)
+    rhs = (2.0 * quartic_handle.apply(0.3, f.values)
+           - 1.5j * quartic_handle.apply(0.3, h.values))
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12 * np.max(np.abs(rhs)))
 
 
 def test_zero_gauge_reduces_to_kinetic_plus_potential(rng):
     g = make_grid(1, 8.0, 64)
     handle = HamiltonianHandle(get_family("harmonic"), g)
     f = band_limited_state(g, rng)
-    out = apply_hamiltonian(handle, 0.0, f)
+    out = handle.apply(0.0, f.values)
     kinetic = g.ifft(g.dual_radius_sq / 2.0 * g.fft(f.values))
     want = kinetic + g.axis**2 / 2 * f.values
-    np.testing.assert_allclose(out.values, want, atol=1e-13)
+    np.testing.assert_allclose(out, want, atol=1e-13)
 
 
 def test_gauge_translation_consistency(rng):
@@ -101,26 +98,26 @@ def test_gauge_translation_consistency(rng):
     plain = get_family("harmonic")
     f = band_limited_state(g, rng)
     phase = np.exp(1j * c * g.axis)
-    lhs = apply_hamiltonian(HamiltonianHandle(gauged, g), 0.0, f.with_values(phase * f.values))
-    rhs = phase * apply_hamiltonian(HamiltonianHandle(plain, g), 0.0, f).values
-    assert np.max(np.abs(lhs.values - rhs)) <= 1e-8
+    lhs = HamiltonianHandle(gauged, g).apply(0.0, phase * f.values)
+    rhs = phase * HamiltonianHandle(plain, g).apply(0.0, f.values)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
 def test_mollified_matches_plain_for_tiny_eps(quartic_handle, rng):
     g = quartic_handle.grid
     f = gaussian_packet(g, center=0.5, width=1.0)
     spec = CutoffSpec(eps=1e-5, mu=0.0)
-    plain = apply_hamiltonian(quartic_handle, 0.0, f)
-    moll = apply_mollified(quartic_handle, spec, 0.0, f)
-    assert WaveFunction(g, moll.values - plain.values).norm() <= 1e-2 * plain.norm()
+    plain = f.with_values(quartic_handle.apply(0.0, f.values))
+    moll = quartic_handle.apply_mollified(0.0, f.values, spec)
+    assert WaveFunction(g, moll - plain.values).norm() <= 1e-2 * plain.norm()
 
 
 def test_mollified_hermitian(quartic_handle, rng):
     g = quartic_handle.grid
     spec = CutoffSpec(eps=0.5, mu=1.0)
     f, h = random_pair(g, rng)
-    lhs = l2_inner_product(apply_mollified(quartic_handle, spec, 0.2, f), h)
-    rhs = l2_inner_product(f, apply_mollified(quartic_handle, spec, 0.2, h))
+    lhs = l2_inner_product(quartic_handle.apply_mollified(0.2, f.values, spec), h)
+    rhs = l2_inner_product(f, quartic_handle.apply_mollified(0.2, h.values, spec))
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
@@ -128,9 +125,9 @@ def test_mollified_unit_profile_recovers_hamiltonian(quartic_handle, rng):
     g = quartic_handle.grid
     spec = CutoffSpec(eps=1.0, mu=0.0, profile="one")
     f = band_limited_state(g, rng)
-    plain = apply_hamiltonian(quartic_handle, 0.4, f)
-    moll = apply_mollified(quartic_handle, spec, 0.4, f)
-    np.testing.assert_allclose(moll.values, plain.values, atol=1e-10 * np.max(np.abs(plain.values)))
+    plain = quartic_handle.apply(0.4, f.values)
+    moll = quartic_handle.apply_mollified(0.4, f.values, spec)
+    np.testing.assert_allclose(moll, plain, atol=1e-10 * np.max(np.abs(plain)))
 
 
 def test_lambda_power_zero_is_identity(rng):
@@ -283,16 +280,16 @@ def test_rho_derivative_is_closed_form(rng):
     fam = get_family("parametric_quartic")
     handle = HamiltonianHandle(fam, g, rho=1.0)
     f = band_limited_state(g, rng)
-    out = apply_rho_derivative(handle, 0.0, f)
-    np.testing.assert_allclose(out.values, g.axis**4 / 4 * f.values, atol=1e-13)
+    out = handle.apply_rho_derivative(0.0, f.values)
+    np.testing.assert_allclose(out, g.axis**4 / 4 * f.values, atol=1e-13)
 
 
 def test_rho_derivative_hermitian(rng):
     g = make_grid(1, 8.0, 64)
     handle = HamiltonianHandle(get_family("parametric_quartic"), g, rho=1.0)
     f, h = random_pair(g, rng)
-    lhs = l2_inner_product(apply_rho_derivative(handle, 0.0, f), h)
-    rhs = l2_inner_product(f, apply_rho_derivative(handle, 0.0, h))
+    lhs = l2_inner_product(handle.apply_rho_derivative(0.0, f.values), h)
+    rhs = l2_inner_product(f, handle.apply_rho_derivative(0.0, h.values))
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1e-30)
 
 

@@ -20,14 +20,12 @@ from polyschro import (
     TwoParticleSystem,
     WaveFunction,
     eval_potential,
-    exchange_asymmetry,
     gaussian_packet,
     get_family,
     get_interaction,
     make_grid,
     product_state,
     propagate,
-    propagate_two_particle,
     sensitivity_sweep,
 )
 from polyschro.errors import ConfigError, FamilyError, GridError
@@ -128,11 +126,19 @@ def test_parameter_derivative_closed_form(pair_64):
     assert np.max(np.abs(out - expected)) <= 1e-12
 
 
-def test_mollified_composite_flow_is_rejected(pair_64):
+def test_mollified_composite_flow_is_rejected(pair_64, monkeypatch):
+    """The run refuses before its first step, naming the handle."""
     g1, g2, system = pair_64
-    handle = TwoParticleHandle(system, rho=0.0)
-    with pytest.raises(ConfigError):
-        handle.apply_mollified(0.0, np.zeros(g2.shape), None)
+    applies = []
+    apply = TwoParticleHandle.apply
+    monkeypatch.setattr(TwoParticleHandle, "apply",
+                        lambda handle, *args: applies.append(args) or apply(handle, *args))
+    phi = gaussian_packet(g1, width=1.0)
+    cfg = PropagatorConfig(dt=2.5e-3, t_final=0.01, eps=0.5, keep_states=False)
+    with pytest.raises(ConfigError, match="single-particle only") as err:
+        propagate(cfg, TwoParticleHandle(system, rho=0.0), product_state(g2, phi, phi))
+    assert "TwoParticleHandle" in str(err.value)
+    assert applies == []
 
 
 def test_primed_norm_product_gaussian_oracle():
@@ -186,11 +192,13 @@ def test_exchange_symmetry_is_preserved(pair_64):
     g1, g2, system = pair_64
     phi = gaussian_packet(g1, center=0.8, width=0.9)
     u0 = product_state(g2, phi, phi)
-    assert exchange_asymmetry(u0) <= 1e-15
+    v = u0.values
+    assert np.abs(v - v.T).max() / np.abs(v).max() <= 1e-15
     cfg = PropagatorConfig(dt=2.5e-3, t_final=0.05, save_every=10**9,
                            keep_states=False)
-    run = propagate_two_particle(system, cfg, u0, rho=0.5)
-    assert exchange_asymmetry(run.final) <= 1e-10
+    run = propagate(cfg, TwoParticleHandle(system, rho=0.5), u0)
+    v = run.final.values
+    assert np.abs(v - v.T).max() / np.abs(v).max() <= 1e-10
     assert run.max_norm_drift <= 1e-10
 
 
@@ -201,7 +209,7 @@ def test_zero_interaction_factorizes(pair_64):
     u0 = product_state(g2, p1, p2)
     cfg = PropagatorConfig(scheme="lanczos_expmid", dt=2.5e-3, t_final=0.1,
                            save_every=10**9, keep_states=False, krylov_dim=32)
-    composite = propagate_two_particle(system, cfg, u0, rho=0.0)
+    composite = propagate(cfg, TwoParticleHandle(system, rho=0.0), u0)
     h1 = HamiltonianHandle(system.fam1, g1)
     f1 = propagate(cfg, h1, p1).final.values
     f2 = propagate(cfg, h1, p2).final.values
@@ -320,13 +328,13 @@ def test_time_free_system_samples_its_fields_once(pair_64, monkeypatch):
     u0 = product_state(g2, gaussian_packet(g1, center=0.5, width=0.9),
                        gaussian_packet(g1, center=-0.3, width=1.1))
     cfg = PropagatorConfig(dt=2.5e-3, t_final=0.025, save_every=10**9, keep_states=False)
-    propagate_two_particle(system, cfg, u0, rho=0.5)
+    propagate(cfg, TwoParticleHandle(system, rho=0.5), u0)
     assert len(calls) == 1
     # both particles are harmonic: one shared handle
     assert len(particle_calls) == 1
     harm, quartic, soft = system.fam1, get_family("confined_quartic"), system.interaction
     mixed = TwoParticleSystem(get_family("parametric_quartic"), harm, soft, g2)
-    propagate_two_particle(mixed, cfg, u0, rho=0.5)
+    propagate(cfg, TwoParticleHandle(mixed, rho=0.5), u0)
     assert len(calls) == 2
     assert len(particle_calls) == 3
     assert not TwoParticleHandle(system).time_dependent
@@ -363,7 +371,7 @@ def test_each_distinct_particle_builds_once_per_own_time(names, builds, scheme, 
     u0 = product_state(g2, gaussian_packet(g1, center=0.5, width=0.9),
                        gaussian_packet(g1, center=-0.3, width=1.1))
     cfg = PropagatorConfig(scheme=scheme, dt=1e-3, t_final=5e-3, keep_states=False)
-    propagate_two_particle(system, cfg, u0, rho=0.5)
+    propagate(cfg, TwoParticleHandle(system, rho=0.5), u0)
     assert Counter(built) == builds
 
 
