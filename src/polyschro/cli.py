@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 One subcommand per verification suite plus `all`; every subcommand takes
-the same config/output/worker flags, and the deprecated --seed.  Exit
-code 0 means every selected suite passed, 1 means at least one failed,
-and 2 means the configuration did not validate.
+the same config/output/worker flags.  Exit code 0 means every selected
+suite passed, 1 means at least one failed, and 2 means the
+configuration did not validate.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import os
 import sys
 import traceback
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import click
@@ -64,19 +63,14 @@ def _common_options(fn):
                       help="YAML experiment config; defaults apply when omitted.")(fn)
     fn = click.option("--output-dir", type=click.Path(), default=None,
                       help="Artifact directory (overrides the config).")(fn)
-    fn = click.option("--seed", type=int, default=None,
-                      help="Deprecated and ignored: no suite output depends on it.")(fn)
     fn = click.option("--workers", type=int, default=1, show_default=True,
                       help="Concurrent suite jobs.")(fn)
     return fn
 
 
-def _execute(config_path, output_dir, seed, workers, suites):
-    if seed is not None:
-        warnings.warn("--seed changes no output and will be removed", FutureWarning,
-                      stacklevel=2)
+def _execute(config_path, output_dir, workers, suites):
     try:
-        cfg = load_config(config_path)
+        cfg = load_config(config_path, suites or ())
         code, report = run_experiment(cfg, suites=suites, out_dir=output_dir,
                                       workers=workers)
     except ConfigError as err:
@@ -100,8 +94,8 @@ def main():
 def _make_suite_command(suite_name: str):
     @main.command(name=suite_name, help=f"Run the {suite_name} suite.")
     @_common_options
-    def _cmd(config_path, output_dir, seed, workers):
-        _execute(config_path, output_dir, seed, workers, suites=(suite_name,))
+    def _cmd(config_path, output_dir, workers):
+        _execute(config_path, output_dir, workers, suites=(suite_name,))
 
     return _cmd
 
@@ -112,8 +106,8 @@ for _name in SUITE_NAMES:
 
 @main.command(name="all", help="Run every suite selected by the config.")
 @_common_options
-def _all(config_path, output_dir, seed, workers):
-    _execute(config_path, output_dir, seed, workers, suites=None)
+def _all(config_path, output_dir, workers):
+    _execute(config_path, output_dir, workers, suites=None)
 
 
 if __name__ == "__main__":

@@ -8,12 +8,13 @@ plan of every selected suite, and of every given ``options.<suite>``
 section, is built at load, so every option, default or given, passes the
 constructor its suite builds it with, and a rejected value is reported
 under ``options.<suite>.<key>`` (or ``options.<suite>`` for a default).
+So is the plan of a suite run in place of the selection, such as a CLI
+subcommand's.
 """
 
 from __future__ import annotations
 
 import inspect
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,8 +132,12 @@ def _check_suite_options(cfg: ExperimentConfig, name: str, section: dict,
         raise ConfigError(f"{path}.{key}: {err}" if key else f"{path}: {err}") from err
 
 
-def from_mapping(data: dict | None) -> ExperimentConfig:
-    """Build a validated config from a parsed mapping (None = all defaults)."""
+def from_mapping(data: dict | None, run_suites=()) -> ExperimentConfig:
+    """Build a validated config from a parsed mapping (None = all defaults).
+
+    run_suites names suites to be run in place of the config's selection;
+    their plans are built at load too.
+    """
     data = dict(data or {})
 
     family = _resolve_potential(data.pop("family", "confined_quartic"), "family",
@@ -153,18 +158,12 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
         suites = [suites]
     if not suites:
         raise ConfigError("suites: the selection must be nonempty")
-    for name in suites:
+    for name in (*suites, *run_suites):
         _checked("suites", suite_function, name)
     seen = set()
     suites = tuple(s for s in suites if not (s in seen or seen.add(s)))
 
     output_dir = str(data.pop("output_dir", "polyschro_out"))
-    if "seed" in data:
-        seed = data.pop("seed")
-        if not isinstance(seed, int):
-            raise ConfigError(f"seed: expected an integer, got {seed!r}")
-        warnings.warn("the config key seed changes no output and will be removed",
-                      FutureWarning, stacklevel=2)
 
     options = _require_mapping(data.pop("options", {}), "options")
     for name, section in options.items():
@@ -185,15 +184,16 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
         output_dir=output_dir,
         options={k: dict(v) for k, v in options.items()},
     )
-    for name in dict.fromkeys((*suites, *options)):
+    for name in dict.fromkeys((*suites, *run_suites, *options)):
         _check_suite_options(cfg, name, options.get(name, {}), f"options.{name}")
     return cfg
 
 
-def load_config(path: str | None) -> ExperimentConfig:
-    """Parse the YAML file at path; None yields the all-defaults config."""
+def load_config(path: str | None, run_suites=()) -> ExperimentConfig:
+    """Parse the YAML file at path; None yields the all-defaults config.
+    run_suites is passed on to ``from_mapping``."""
     if path is None:
-        return from_mapping(None)
+        return from_mapping(None, run_suites)
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -205,4 +205,4 @@ def load_config(path: str | None) -> ExperimentConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    return from_mapping(data)
+    return from_mapping(data, run_suites)

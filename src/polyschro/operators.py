@@ -165,6 +165,7 @@ class HamiltonianHandle:
 
     def __init__(self, fam: PotentialFamily, grid: SpatialGrid, rho: float = 0.0):
         fam.check_rho(rho)
+        fam.check_grid(grid)
         self.fam = fam
         self.grid = grid
         self.rho = rho

@@ -151,6 +151,13 @@ class PotentialFamily:
     def check_rho(self, rho) -> float:
         return _check_rho(rho, self.rho_interval, f"family {self.name!r}")
 
+    def check_grid(self, grid: SpatialGrid) -> None:
+        """Reject a grid of another dimension."""
+        if grid.d != self.dim:
+            raise FamilyError(
+                f"family {self.name!r} is {self.dim}-dimensional, grid is {grid.d}-dimensional"
+            )
+
     def _env(self, t, rho, coords):
         env = {"t": t, "rho": rho}
         for name, arr in zip(self.coord_names, coords):
@@ -162,10 +169,7 @@ def _sample(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid, exprs
     """Evaluate expressions of fam on the grid; rejects bad rho, a grid of
     another dimension, and non-finite values."""
     fam.check_rho(rho)
-    if grid.d != fam.dim:
-        raise FamilyError(
-            f"family {fam.name!r} is {fam.dim}-dimensional, grid is {grid.d}-dimensional"
-        )
+    fam.check_grid(grid)
     env = fam._env(t, rho, grid.mesh)
     return [ex.evaluate(e, out_shape=grid.shape, **env) for e in exprs]
 

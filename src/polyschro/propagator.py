@@ -11,11 +11,12 @@ Two schemes share the record-keeping harness:
 On a 1-D grid of at most DIRECT_MAX_N points, a family without t has
 one Cayley matrix for the whole run, plain or mollified.  Its step is a
 matvec with the dense inverse, built once and cached on the handle.
-Such a direct step parks its solution and right-hand side on the
-operator, and the stepping loop checks the parked residuals in one
-batched apply: when NORM_BATCH steps are pending, at every record and
-at the end of the run.  A direct step that misses its tolerance thus
-raises at most NORM_BATCH - 1 steps later, naming its own step.
+Such a direct step parks its solution and right-hand side on the run's
+operator, which owns the step rule, and the operator checks the parked
+residuals in one batched apply: before a step would park more than
+NORM_BATCH, and at every record.  A direct step that misses its
+tolerance thus raises at most NORM_BATCH - 1 steps later, naming its
+own step.
 Every other Cayley step (time-dependent, composite or larger grids) is
 one solve by the module's restarted GMRES (Saad and Schultz 1986), which
 keeps scipy's stopping rule.  Plain flows precondition it with the
@@ -35,7 +36,9 @@ SolverError; there is no fallback.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -53,6 +56,11 @@ GMRES_RESTART = 40
 # records whose norms are taken in one batch, and direct steps whose
 # residuals are checked in one: 16 N=512 states add 0.4 MB
 NORM_BATCH = 16
+
+
+def _finite(value) -> bool:
+    """Whether value is a finite real number."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -96,8 +104,13 @@ class PropagatorConfig:
             raise ConfigError(
                 f"t_final - t0 = {span} is not an integer multiple of dt = {self.dt}"
             )
-        if not (np.isfinite(self.solver_tol) and self.solver_tol > 0):
-            raise ConfigError("solver_tol must be finite and positive")
+        for name in ("solver_tol", "boundary_tol"):
+            if not (_finite(getattr(self, name)) and getattr(self, name) > 0):
+                raise ConfigError(f"{name} must be finite and positive")
+        if not _finite(self.cutoff_mu):
+            raise ConfigError("cutoff_mu must be a finite number")
+        if not isinstance(self.keep_states, bool):
+            raise ConfigError("keep_states must be true or false")
         for name in ("max_solver_iter", "save_every", "krylov_dim"):
             object.__setattr__(self, name, _whole(getattr(self, name), name, ConfigError))
         if self.max_solver_iter < 1:
@@ -126,25 +139,29 @@ class StepReport:
 
 
 class _Operator:
-    """The time-frozen operator the steps work with, and the direct steps
-    whose residual check is pending (``park`` and ``settle``)."""
+    """The time-frozen operator of one run and its step rule, resolved
+    once: ``apply`` (H, or X* H X when mollified) and the direct or the
+    GMRES Cayley solve.  A direct step is parked until ``settle``."""
 
     def __init__(self, handle, cfg: PropagatorConfig):
-        self.handle = handle
-        self.grid = handle.grid
+        self.handle, self.grid, self.cfg = handle, handle.grid, cfg
+        self.tau = 0.5 * cfg.dt
         self.cutoff = cfg.cutoff()
-        if self.cutoff is not None and not hasattr(handle, "apply_mollified"):
+        if self.cutoff is None:
+            self.apply = handle.apply
+        elif hasattr(handle, "apply_mollified"):
+            self.apply = partial(handle.apply_mollified, cutoff=self.cutoff)
+        else:
             raise ConfigError(f"mollified propagation is single-particle only, "
                               f"not for a {type(handle).__name__}")
-        self.precondition = self.cutoff is None
-        self.direct = (cfg.scheme == "crank_nicolson_midpoint" and self.grid.d == 1
-                       and self.grid.N <= DIRECT_MAX_N and not handle.time_dependent)
+        direct = (cfg.scheme == "crank_nicolson_midpoint" and self.grid.d == 1
+                  and self.grid.N <= DIRECT_MAX_N and not handle.time_dependent)
+        # a function, not a bound method: a cycle through self would keep
+        # the handle and its dense inverse until the cycle collector runs
+        self._solve = _Operator._park if direct else _cayley_solve
         self.krylov_k = 0  # the Lanczos basis size of the run's last step
         self._inv_kin = None, None  # (tau, (I + i tau K)^-1) of the last tau
-        # the reports of the parked direct steps, their (t_mid, tau), and
-        # their solutions x and right-hand sides b as rows of one buffer
-        self.parked, self._frozen = [], None
-        self._xb = np.empty((2, NORM_BATCH, self.grid.N), dtype=complex) if self.direct else None
+        self.parked = []  # (n, report, x, b) of the direct steps not yet checked
 
     def inverse_kinetic(self, tau: float) -> np.ndarray:
         """(1 + i tau K)^-1 on the dual grid, cached for the last tau."""
@@ -152,60 +169,71 @@ class _Operator:
             self._inv_kin = tau, 1.0 / (1.0 + 1j * tau * self.handle.kinetic_multiplier)
         return self._inv_kin[1]
 
-    def apply(self, t, f):
-        if self.cutoff is None:
-            return self.handle.apply(t, f)
-        return self.handle.apply_mollified(t, f, self.cutoff)
+    def step(self, n: int, u: np.ndarray, source_mid: np.ndarray | None = None) -> tuple:
+        """(u_{n+1}, its StepReport) from u_n.  A Crank-Nicolson step is
+        u' = 2 (I + i tau Op)^-1 (u - i tau f) - u, f the source at t_mid."""
+        t_mid = _t_mid(self.cfg, n)
+        if self.cfg.scheme == "lanczos_expmid":
+            return _lanczos_expm(self, t_mid, u, self.cfg)
+        rhs = u if source_mid is None else u - 1j * self.tau * source_mid
+        v, rep = self._solve(self, n, t_mid, rhs)
+        return 2.0 * v - u, rep
 
-    def park(self, t_mid: float, tau: float, rhs: np.ndarray) -> tuple:
-        """A direct step: x = (I + i tau Op)^-1 rhs by the handle's cached
+    def _park(self, n: int, t_mid: float, rhs: np.ndarray) -> tuple:
+        """Direct step n: x = (I + i tau Op)^-1 rhs by the handle's cached
         dense inverse.  Its report counts one iteration and gets its
-        residual from ``settle``; x is a buffer row, valid until then."""
-        x, b = self._xb[:, len(self.parked)]
-        b[...] = rhs
-        np.matmul(self.handle.cayley_inverse(t_mid, tau, self.cutoff), b, out=x)
+        residual from ``settle``, which runs first when NORM_BATCH steps
+        are parked already."""
+        if len(self.parked) == NORM_BATCH:
+            self.settle()
+        x = self.handle.cayley_inverse(t_mid, self.tau, self.cutoff) @ rhs
         rep = StepReport(iterations=1)
-        self.parked.append(rep)
-        self._frozen = t_mid, tau
+        self.parked.append((n, rep, x, rhs))
         return x, rep
 
     def settle(self):
-        """Give each parked report its residual ||x + i tau Op x - b|| / ||b||,
-        with one apply on the stack of parked x (Op has no t, so any
-        parked t_mid freezes it); a zero b reports no iteration and
-        residual 0."""
+        """Give each parked step its residual ||x + i tau Op x - b|| / ||b||,
+        with one apply on the stack of parked x (Op has no t, so the last
+        parked t_mid freezes it), and check it with ``_check_cayley``; a
+        zero b reports no iteration and residual 0."""
         if not self.parked:
             return
-        xs, bs = self._xb[:, :len(self.parked)]
-        t_mid, tau = self._frozen
-        diffs = xs + 1j * tau * self.apply(t_mid, xs) - bs
-        for rep, diff, b in zip(self.parked, diffs, bs):
+        steps, self.parked = self.parked, []
+        xs = np.stack([x for _, _, x, _ in steps])
+        bs = np.stack([b for _, _, _, b in steps])
+        diffs = xs + 1j * self.tau * self.apply(_t_mid(self.cfg, steps[-1][0]), xs) - bs
+        for (n, rep, _, b), diff in zip(steps, diffs):
             b_norm = np.linalg.norm(b)
             if b_norm == 0.0:
                 rep.iterations = 0
             else:
                 rep.residual = float(np.linalg.norm(diff) / b_norm)
-        self.parked.clear()
+            _check_cayley(rep.residual, n, self.cfg)
 
 
-def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
-                  cfg: PropagatorConfig) -> tuple:
-    """Solve (I + i tau Op(t_mid)) x = rhs.
+def _t_mid(cfg: PropagatorConfig, n: int) -> float:
+    """The midpoint time of step n, the step from t0 + n dt."""
+    return cfg.t0 + n * cfg.dt + 0.5 * cfg.dt
 
-    A direct operator multiplies by the handle's cached dense inverse and
-    parks the step (``_Operator.park``): its residual is measured later,
-    in one batched apply with the other pending direct steps, and checked
-    by ``_check_cayley``.  Any other runs gmres from x0 = M b.  For plain
-    flows M is the gauge-twisted split of ``_preconditioner``, so x0 is
-    the split-step Cayley predictor, and the inner iterations run on the
-    fused operator M A, one apply and one transform pair each.  Mollified
-    flows iterate on A itself (M = I).  gmres returns the true residual of
-    its solution, so no extra apply is needed, and the step is checked at
-    once.  Either way the step's residual is ||A x - rhs|| / ||rhs||.
+
+def _at_step(cfg: PropagatorConfig, n: int) -> str:
+    """Where step n ends, as an error names it."""
+    return f"at step {n + 1} (t={cfg.t0 + (n + 1) * cfg.dt:.6g})"
+
+
+def _cayley_solve(op: _Operator, n: int, t_mid: float, rhs: np.ndarray) -> tuple:
+    """Solve (I + i tau Op(t_mid)) x = rhs for Cayley step n by gmres.
+
+    This is every Cayley step but the direct ones, which ``_Operator``
+    parks and checks in batches.  gmres runs from x0 = M b.  For plain
+    flows M is the gauge-twisted ``_Split``, so x0 is the split-step
+    Cayley predictor, and the inner iterations run on the fused operator
+    M A, one apply and one transform pair each.  Mollified flows iterate
+    on A itself (M = I).  gmres returns the true residual of its
+    solution, so no extra apply is needed, and ``_check_cayley`` checks
+    the step at once.  The step's residual is ||A x - rhs|| / ||rhs||.
     """
-    if op.direct:
-        return op.park(t_mid, tau, rhs)
-    shape = op.grid.shape
+    cfg, tau, shape = op.cfg, op.tau, op.grid.shape
 
     def a_matvec(v):
         v = v.reshape(shape)
@@ -221,7 +249,7 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
         nonlocal iters
         iters += 1
 
-    split = _preconditioner(op, t_mid, tau)
+    split = _Split(op, t_mid, tau) if op.cutoff is None else None
     x, info, res = gmres(a_matvec, b, split, rtol=cfg.solver_tol,
                          maxiter=cfg.max_solver_iter, callback=count,
                          pmatvec=None if split is None else split.fused)
@@ -229,25 +257,18 @@ def _cayley_solve(op: _Operator, t_mid: float, tau: float, rhs: np.ndarray,
     if not np.isfinite(true_res):
         # a blow-up: the stepping loop reports the non-finite state
         return np.full(shape, np.nan, dtype=complex), StepReport(iters, np.nan)
-    _check_cayley(true_res, t_mid, cfg, converged=info == 0)
+    _check_cayley(true_res, n, cfg, converged=info == 0)
     return x.reshape(shape), StepReport(iterations=iters, residual=float(true_res))
 
 
-def _check_cayley(residual: float, t_mid: float, cfg: PropagatorConfig, converged: bool = True):
-    """Raise SolverError for a Cayley step that did not converge or whose
+def _check_cayley(residual: float, n: int, cfg: PropagatorConfig, converged: bool = True):
+    """Raise SolverError for Cayley step n if it did not converge or its
     relative residual is not within 50 solver_tol (a NaN one included)."""
     if not (converged and residual <= 50 * cfg.solver_tol):
         raise SolverError(
             f"Cayley solve stalled at relative residual {residual:.3e} "
-            f"(target {cfg.solver_tol:g}) at t_mid={t_mid}"
+            f"(target {cfg.solver_tol:g}) at t_mid={_t_mid(cfg, n)} {_at_step(cfg, n)}"
         )
-
-
-def _preconditioner(op: _Operator, t_mid, tau):
-    """The gauge-twisted split of (I + i tau H(t_mid)) for plain flows, else None (M = I)."""
-    if not op.precondition:
-        return None
-    return _Split(op, t_mid, tau)
 
 
 class _Split:
@@ -455,18 +476,6 @@ def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorCon
     return out.reshape(shape), StepReport(iterations=k, residual=float(estimate))
 
 
-def _advance(op: _Operator, cfg: PropagatorConfig, t: float, u: np.ndarray,
-             source_mid: np.ndarray | None = None):
-    """One step from t; a Crank-Nicolson step is u' = 2 (I + i tau H)^-1 (u - i tau f) - u."""
-    t_mid = t + 0.5 * cfg.dt
-    tau = 0.5 * cfg.dt
-    if cfg.scheme == "lanczos_expmid":
-        return _lanczos_expm(op, t_mid, u, cfg)
-    rhs = u if source_mid is None else u - 1j * tau * source_mid
-    v, rep = _cayley_solve(op, t_mid, tau, rhs, cfg)
-    return 2.0 * v - u, rep
-
-
 @dataclass
 class PropagationRun:
     """Recorded trajectory: norms, boundary mass, solver effort, states."""
@@ -545,29 +554,28 @@ class _Recorder:
             run.states = self.store
         self.run, self.mask = run, boundary_mask
         self.count = self.filled = 0  # rows recorded; rows whose norms are filled
-        self.iterations, self.residual = 0, 0.0
-
-    def tally(self, rep: StepReport, t: float):
-        """Add the solver effort of the step to t to the interval since the
-        last record, and flag a residual above solver_tol."""
-        self.iterations += rep.iterations
-        self.residual = max(self.residual, rep.residual)
-        tol = self.run.cfg.solver_tol
-        if rep.residual > tol:
-            self.run.solver_flags.append(
-                f"solver residual {rep.residual:.3e} above solver_tol {tol:g} at t={t:.6g}")
+        self.steps = []  # (report, t) of each step to t since the last row
 
     def record(self, t, u_vals):
-        """One row; its solver columns cover the steps since the previous row."""
+        """One row.  Its solver columns sum the iterations and keep the
+        worst residual of the steps since the previous row; a step whose
+        residual is above solver_tol is flagged."""
         run, i = self.run, self.count
+        tol, iterations, residual = run.cfg.solver_tol, 0, 0.0
+        for rep, t_step in self.steps:
+            iterations += rep.iterations
+            residual = max(residual, rep.residual)
+            if rep.residual > tol:
+                run.solver_flags.append(f"solver residual {rep.residual:.3e} above "
+                                        f"solver_tol {tol:g} at t={t_step:.6g}")
+        self.steps.clear()
         self.store[i % len(self.store)] = u_vals
         total = np.sum(np.abs(u_vals) ** 2)
         edge = float(np.sum(np.abs(u_vals[self.mask]) ** 2) / total) if total > 0 else 0.0
         run.times[i] = t
         run.data["boundary_mass"][i] = edge
-        run.data["solver_iterations"][i] = self.iterations
-        run.data["solver_residual"][i] = self.residual
-        self.iterations, self.residual = 0, 0.0
+        run.data["solver_iterations"][i] = iterations
+        run.data["solver_residual"][i] = residual
         self.count += 1
         if edge > run.cfg.boundary_tol:
             run.flags.append(f"boundary mass {edge:.3e} above {run.cfg.boundary_tol:g} at t={t:.6g}")
@@ -614,7 +622,9 @@ def propagate_variational(cfg: PropagatorConfig, handle, u0: WaveFunction) -> tu
 
 def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) -> list:
     """The one stepping loop: the run of u0's flow, forced by source(t_mid)
-    if given, and with tangent the run of w (``propagate_variational``)."""
+    if given, and with tangent the run of w (``propagate_variational``).
+    It steps, checks that each new state is finite, and at each saved
+    step settles the operator, then records."""
     _check_same_grid(u0.grid, handle.grid, error=ConfigError)
     if (source is not None or tangent) and cfg.scheme != "crank_nicolson_midpoint":
         raise ConfigError("inhomogeneous runs need the crank_nicolson_midpoint scheme")
@@ -629,47 +639,22 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
     recs = [_Recorder(PropagationRun(handle.grid, c, norm_orders), mask) for c in cfgs]
     for rec, x in zip(recs, (u, w)):
         rec.record(cfg.t0, x)
-    pending = []  # (recorder, report, index n) of the steps not yet tallied
-
-    def at_step(n):
-        return f"at step {n + 1} (t={cfg.t0 + (n + 1) * cfg.dt:.6g})"
-
-    def settle():
-        """Measure the parked direct residuals, then check and tally the pending steps in order."""
-        op.settle()
-        for rec, rep, n in pending:
-            if op.direct:
-                try:
-                    _check_cayley(rep.residual, cfg.t0 + n * cfg.dt + 0.5 * cfg.dt, cfg)
-                except SolverError as exc:
-                    raise SolverError(f"{exc} {at_step(n)}") from exc
-            rec.tally(rep, cfg.t0 + (n + 1) * cfg.dt)
-        pending.clear()
-
     for n in range(cfg.n_steps):
-        t = cfg.t0 + n * cfg.dt
-        t_mid = t + 0.5 * cfg.dt
-        t_next = cfg.t0 + (n + 1) * cfg.dt
+        t_mid = _t_mid(cfg, n)
         f = None if source is None else _values_of(source(t_mid), handle.grid)[0]
-        try:
-            u_next, rep = _advance(op, cfg, t, u, f)
-            reps = [rep]
-            if tangent:
-                f = handle.apply_rho_derivative(t_mid, 0.5 * (u + u_next))
-                w, rep = _advance(op, cfg, t, w, f)
-                reps.append(rep)
-        except SolverError as exc:
-            raise SolverError(f"{exc} {at_step(n)}") from exc
+        u_next, rep = op.step(n, u, f)
+        reps = [rep]
+        if tangent:
+            w, rep = op.step(n, w, handle.apply_rho_derivative(t_mid, 0.5 * (u + u_next)))
+            reps.append(rep)
         u = u_next
+        t_next = cfg.t0 + (n + 1) * cfg.dt
         for rec, x, rep in zip(recs, (u, w), reps):
             if not np.isfinite(x).all():
-                raise SolverError(f"state became non-finite {at_step(n)}")
-            pending.append((rec, rep, n))
-        saved = (n + 1) % cfg.save_every == 0 or n + 1 == cfg.n_steps
-        # settle before another step could park more than NORM_BATCH
-        if saved or len(pending) + len(recs) > NORM_BATCH:
-            settle()
-        if saved:
+                raise SolverError(f"state became non-finite {_at_step(cfg, n)}")
+            rec.steps.append((rep, t_next))
+        if (n + 1) % cfg.save_every == 0 or n + 1 == cfg.n_steps:
+            op.settle()
             for rec, x in zip(recs, (u, w)):
                 rec.record(t_next, x)
     for rec, x in zip(recs, (u, w)):

@@ -53,18 +53,16 @@ def test_report_manifest_hashes_artifacts(tmp_path):
         assert hashlib.sha256(payload).hexdigest() == digest
 
 
-def test_same_seed_runs_are_byte_identical(tmp_path):
+def test_repeat_runs_are_byte_identical(tmp_path):
     doc = {
         "suites": ["eps_sweep", "parametrix"],
-        "seed": 424242,
         "options": {
             "eps_sweep": {"N": 64, "t_final": 0.05, "dt": 2.5e-3,
                           "eps_values": [1.0, 0.5]},
             "parametrix": {"N": 64},
         },
     }
-    with pytest.warns(FutureWarning, match="seed"):
-        cfg = load_config(_write_yaml(tmp_path, doc))
+    cfg = load_config(_write_yaml(tmp_path, doc))
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     run_experiment(cfg, out_dir=str(out1), workers=1)
     run_experiment(cfg, out_dir=str(out2), workers=1)
@@ -91,16 +89,13 @@ def test_outputs_do_not_depend_on_the_seed(tmp_path):
     assert _read_report(out52)["suites"]["parametrix"]["passed"] is True
 
 
-def test_seed_flag_warns_once_and_changes_no_output(tmp_path):
-    cfg = _write_yaml(tmp_path, {"options": {"validate": {"N": 128}}})
-    plain, seeded = tmp_path / "plain", tmp_path / "seeded"
-    args = ["validate", "--config", cfg, "--output-dir"]
-    assert CliRunner().invoke(main, [*args, str(plain)]).exit_code == 0
-    with pytest.warns(FutureWarning) as caught:
-        result = CliRunner().invoke(main, [*args, str(seeded), "--seed", "5"])
-    assert result.exit_code == 0, result.output
-    assert [str(w.message) for w in caught] == ["--seed changes no output and will be removed"]
-    assert (plain / "report.json").read_bytes() == (seeded / "report.json").read_bytes()
+def test_seed_flag_is_rejected(tmp_path):
+    """No suite draws random numbers, so there is no --seed flag."""
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["validate", "--output-dir", str(out), "--seed", "5"])
+    assert result.exit_code == 2
+    assert "No such option '--seed'" in (result.stderr if result.stderr else result.output)
+    assert not out.exists()
 
 
 def test_unknown_family_exits_2_and_names_field(tmp_path):
@@ -112,6 +107,22 @@ def test_unknown_family_exits_2_and_names_field(tmp_path):
     err_text = result.stderr if result.stderr else result.output
     assert "config error" in err_text
     assert "family" in err_text
+
+
+def test_subcommand_suite_is_checked_at_load(tmp_path):
+    """A subcommand's suite is checked at load even when the config's
+    suites leave it out: a bad default exits 2 before any report."""
+    cfg = _write_yaml(tmp_path, {
+        "suites": ["validate"],
+        "interaction": {"name": "pair", "w": "rho*r^2", "growth_order": 1,
+                        "delta": 1.0, "rho_interval": [0.5, 1]},
+    })
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["two_particle", "--config", cfg, "--output-dir", str(out)])
+    assert result.exit_code == 2
+    err_text = result.stderr if result.stderr else result.output
+    assert "config error: options.two_particle: rho=0.1 outside" in err_text
+    assert not (out / "report.json").exists()
 
 
 def test_unknown_propagator_key_exits_2(tmp_path):

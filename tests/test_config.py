@@ -1,7 +1,5 @@
 """YAML experiment configuration: defaults, validation, round trips."""
 
-import warnings
-
 import pytest
 import yaml
 
@@ -67,10 +65,27 @@ def test_grid_sizes_accept_whole_floats():
     {"krylov_dim": 2.5},
     {"max_solver_iter": 2.5},         # would lift the iteration cap
     {"save_every": True},
+    {"boundary_tol": "x"},
+    {"boundary_tol": 0.0},
+    {"cutoff_mu": float("nan")},
+    {"keep_states": "no"},
 ])
 def test_bad_propagator_block_rejected_at_load(block):
     with pytest.raises(ConfigError, match="^propagator: "):
         from_mapping({"propagator": block})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"grid": {"d": 2, "N": 16}}, "'confined_quartic' is 1-dimensional, grid is 2-dimensional"),
+    ({"family": {"name": "planar", "v": "x1^2 + x2^2", "a": ["0", "0"],
+                 "growth_order": 0, "delta": 1.0, "dim": 2}},
+     "'planar' is 2-dimensional, grid is 1-dimensional"),
+])
+def test_family_and_grid_dimensions_must_agree(doc, message):
+    """The propagate suite's handle rejects them at load, not at its first step."""
+    with pytest.raises(ConfigError) as caught:
+        from_mapping(doc)
+    assert str(caught.value) == f"options.propagate: family {message}"
 
 
 def test_inline_family_block():
@@ -137,18 +152,10 @@ def test_empty_suites_rejected():
         from_mapping({"suites": []})
 
 
-def test_seed_must_be_integer():
-    """The deprecated seed key is type-checked, warns once, and is not kept."""
-    with pytest.raises(ConfigError, match="seed"):
-        from_mapping({"seed": "lucky"})
-    with pytest.warns(FutureWarning) as caught:
-        cfg = from_mapping({"seed": 7})
-    assert [str(w.message) for w in caught] == [
-        "the config key seed changes no output and will be removed"]
-    assert not hasattr(cfg, "seed")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", FutureWarning)
-        from_mapping(None)
+def test_seed_key_is_rejected():
+    """The seed key, which no suite ever read, is an unknown top-level key."""
+    with pytest.raises(ConfigError, match=r"^unknown top-level keys \['seed'\]"):
+        from_mapping({"seed": 7})
 
 
 def test_initial_state_keys_validated():
@@ -197,6 +204,7 @@ def test_unknown_suite_option_keys_rejected():
     ({"commutator": {"t": "noon"}}, "options.commutator.t"),
     ({"commutator": {"mu": [0.5]}}, "options.commutator.mu"),
     ({"parametrix": {"family": "harmonic", "rho": "one"}}, "options.parametrix.rho"),
+    ({"eps_sweep": {"cutoff_mu": "a"}}, "options.eps_sweep.cutoff_mu"),
 ])
 def test_bad_suite_option_values_rejected_at_load(options, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):
@@ -242,6 +250,19 @@ def test_selected_suite_defaults_checked_at_load():
         "propagate", "validate")
 
 
+def test_run_suites_are_checked_outside_the_selection():
+    """A suite run in place of the selection, as by a CLI subcommand, has
+    its plan built at load too."""
+    doc = {"suites": ["validate"],
+           "interaction": {"name": "pair", "w": "rho*r^2", "growth_order": 1,
+                           "delta": 1.0, "rho_interval": [0.5, 1]}}
+    assert from_mapping(doc).suites == ("validate",)
+    with pytest.raises(ConfigError, match=r"^options\.two_particle: rho=0\.1 outside"):
+        from_mapping(doc, run_suites=("two_particle",))
+    with pytest.raises(ConfigError, match="^suites: unknown suite 'spectral_gap'"):
+        from_mapping(doc, run_suites=("spectral_gap",))
+
+
 def test_yaml_file_round_trip(tmp_path):
     doc = {
         "family": "harmonic",
@@ -249,13 +270,11 @@ def test_yaml_file_round_trip(tmp_path):
         "propagator": {"dt": 2.0e-3, "t_final": 0.1},
         "initial_state": {"center": 0.5},
         "suites": ["propagate", "validate"],
-        "seed": 99,
         "output_dir": "out_here",
     }
     path = tmp_path / "exp.yaml"
     path.write_text(yaml.safe_dump(doc))
-    with pytest.warns(FutureWarning, match="seed"):
-        cfg = load_config(str(path))
+    cfg = load_config(str(path))
     assert cfg.family.name == "harmonic"
     assert cfg.grid.N == 64
     assert cfg.propagator == {"dt": 2.0e-3, "t_final": 0.1}

@@ -24,7 +24,7 @@ from polyschro import (
     weighted_norm,
 )
 from polyschro import operators
-from polyschro.errors import ConfigError, SolverError
+from polyschro.errors import ConfigError, FamilyError, SolverError
 from polyschro.operators import resolve_mu_prime
 from polyschro.potentials import BUILTIN_FAMILIES
 from polyschro.symbols import dense_matrix
@@ -456,3 +456,9 @@ def test_batched_norms_match_single_norms(d, rng):
         want = [weighted_norm(order, WaveFunction(g, f)) for f in stack]
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+def test_handle_rejects_a_grid_of_another_dimension():
+    with pytest.raises(FamilyError, match="family 'magnetic_2d' is 2-dimensional, "
+                                          "grid is 1-dimensional"):
+        HamiltonianHandle(MAGNETIC_2D, make_grid(1, 6.0, 16))

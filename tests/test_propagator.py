@@ -1,7 +1,10 @@
 """Time stepping: unitarity, convergence order, sources, and diagnostics."""
 
 import csv
+import gc
+import itertools
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -448,6 +451,81 @@ def test_direct_step_failure_names_its_own_step(quartic_direct_128, monkeypatch)
         propagate(cfg, handle, u0)
 
 
+def test_lockstep_direct_residuals_are_checked_in_batches(quartic_direct_128, monkeypatch):
+    """The lockstep variational run parks a u and a w step for each step:
+    its checks stack at most NORM_BATCH rows, each of its 2 n_steps steps
+    is checked once, in order, and both runs' residual columns are bit
+    for bit those of one check per step."""
+    g, handle, u0 = quartic_direct_128
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, save_every=20, keep_states=False)
+    tau = 0.5 * cfg.dt
+    inverse = handle.cayley_inverse(0.0, tau)
+
+    def direct_step(state, b):
+        x = inverse @ b
+        residual = np.linalg.norm(x + 1j * tau * handle.apply(0.0, x) - b) / np.linalg.norm(b)
+        return 2.0 * x - state, residual
+
+    u, w, expected = u0.values.astype(complex), np.zeros(g.shape, dtype=complex), []
+    for n in range(cfg.n_steps):
+        u_next, res_u = direct_step(u, u)
+        t_mid = cfg.t0 + n * cfg.dt + 0.5 * cfg.dt
+        f = handle.apply_rho_derivative(t_mid, 0.5 * (u + u_next))
+        w, res_w = direct_step(w, w - 1j * tau * f)
+        u = u_next
+        expected += [(n, res_u), (n, res_w)]
+    shapes, checked = [], []
+    apply, check = handle.apply, propagator._check_cayley
+    monkeypatch.setattr(handle, "apply", lambda t, f: shapes.append(f.shape) or apply(t, f))
+    monkeypatch.setattr(propagator, "_check_cayley", lambda res, n, cfg, **kw: (
+        checked.append((n, res)) or check(res, n, cfg, **kw)))
+    run_u, run_w = propagator.propagate_variational(cfg, handle, u0)
+    assert all(len(s) == 2 and 1 <= s[0] <= propagator.NORM_BATCH for s in shapes)
+    assert sum(s[0] for s in shapes) == 2 * cfg.n_steps
+    assert checked == expected
+    for run, residuals in ((run_u, expected[0::2]), (run_w, expected[1::2])):
+        residuals = [r for _, r in residuals]
+        worst = [max(residuals[:20]), max(residuals[20:40]), max(residuals[40:])]
+        assert run.data["solver_residual"][1:].tolist() == worst
+        assert run.data["solver_iterations"][1:].tolist() == [20, 20, 10]
+
+
+def test_lockstep_w_step_failure_names_its_own_step(quartic_direct_128, monkeypatch):
+    """A w step whose direct residual misses is checked in a later batch,
+    yet the error names its step."""
+    g, handle, u0 = quartic_direct_128
+    calls, inverse = itertools.count(), handle.cayley_inverse
+    # the calls alternate u and w steps; spoil the w step of step 5 only
+    monkeypatch.setattr(handle, "cayley_inverse", lambda *key: inverse(*key) * (
+        1 + 1e-9 if next(calls) == 2 * 4 + 1 else 1))
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.02, save_every=20)
+    with pytest.raises(SolverError, match=r"Cayley solve stalled .* at step 5 \(t=0\.005\)"):
+        propagator.propagate_variational(cfg, handle, u0)
+
+
+@pytest.mark.parametrize("scheme, eps, name", [
+    ("crank_nicolson_midpoint", None, "parametric_quartic"),   # direct
+    ("crank_nicolson_midpoint", 0.5, "parametric_quartic"),    # direct, mollified
+    ("crank_nicolson_midpoint", None, "confined_quartic"),     # GMRES
+    ("lanczos_expmid", None, "confined_quartic"),
+])
+def test_run_frees_its_handle_without_the_cycle_collector(scheme, eps, name):
+    """The run's operator holds no reference cycle, so a handle and its
+    dense inverse go as soon as their last user drops them."""
+    g = make_grid(1, 10.0, 64)
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    cfg = PropagatorConfig(scheme=scheme, dt=1e-3, t_final=0.02, eps=eps)
+    gc.disable()
+    try:
+        handle = HamiltonianHandle(get_family(name), g, rho=1.0)
+        ref = weakref.ref(handle)
+        propagate(cfg, handle, u0)
+        del handle
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_direct_run_warns_of_its_solver_misses(quartic_direct_128):
     """A solver_tol just below the dense inverse's residuals, within the
     factor 50 that raises, flags the steps in one warning line."""
@@ -602,7 +680,7 @@ def test_gmres_matches_scipy_gmres(tau, precondition):
     g = make_grid(1, 10.0, 128)
     handle = HamiltonianHandle(get_family("confined_quartic"), g)
     t = 0.3
-    psolve = (propagator._preconditioner(propagator._Operator(handle, PropagatorConfig()), t, tau)
+    psolve = (propagator._Split(propagator._Operator(handle, PropagatorConfig()), t, tau)
               if precondition else None)
     b = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5).values
 
@@ -731,7 +809,7 @@ def test_fused_operator_matches_preconditioned_matvec(name, twisted, rng):
     """The fused operator gmres iterates on is M A, with M the split's psolve."""
     handle, t = _fused_case(name)
     tau = 5e-4
-    split = propagator._preconditioner(propagator._Operator(handle, PropagatorConfig()), t, tau)
+    split = propagator._Split(propagator._Operator(handle, PropagatorConfig()), t, tau)
     assert (split.twist is not None) == twisted
     shape = handle.grid.shape
 
