@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import click
 
-from .config import SUITE_NAMES, ExperimentConfig, load_config
+from .config import SUITE_NAMES, ExperimentConfig, check_plan, load_config
 from .errors import ConfigError
 from .report import emit_report
 from .suites import run_suite, suite_function
@@ -31,8 +31,10 @@ def run_experiment(cfg: ExperimentConfig, suites=None, out_dir=None,
     it never aborts its siblings.
     """
     chosen = tuple(suites) if suites else cfg.suites
-    for name in chosen:  # an unknown name raises before any suite runs
+    for name in chosen:  # an unknown name or a rejected plan raises before any suite runs
         suite_function(name)
+        if name not in cfg.suites:  # loading built the plans of cfg.suites only
+            check_plan(cfg, name)
     out_dir = out_dir if out_dir is not None else cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
 
@@ -70,7 +72,7 @@ def _common_options(fn):
 
 def _execute(config_path, output_dir, workers, suites):
     try:
-        cfg = load_config(config_path, suites or ())
+        cfg = load_config(config_path)
         code, report = run_experiment(cfg, suites=suites, out_dir=output_dir,
                                       workers=workers)
     except ConfigError as err:

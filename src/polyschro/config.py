@@ -109,14 +109,13 @@ def _resolve_grid(value, path: str) -> SpatialGrid:
                     data.get("N", 512))
 
 
-def _check_suite_options(cfg: ExperimentConfig, name: str, section: dict,
-                         path: str) -> None:
-    """Build suite name's plan from section, merged over its defaults.
+def check_plan(cfg: ExperimentConfig, name: str) -> None:
+    """Build suite name's plan from cfg's options.<name>, merged over its defaults.
 
     A rejected section is reported under its first key, in signature
     order, that the plan rejects on its own, else under its first key.
     """
-    plan = _SUITE_PLANS[name]
+    plan, section, path = _SUITE_PLANS[name], cfg.suite_options(name), f"options.{name}"
 
     def rejection(options):
         try:
@@ -185,15 +184,14 @@ def from_mapping(data: dict | None, run_suites=()) -> ExperimentConfig:
         options={k: dict(v) for k, v in options.items()},
     )
     for name in dict.fromkeys((*suites, *run_suites, *options)):
-        _check_suite_options(cfg, name, options.get(name, {}), f"options.{name}")
+        check_plan(cfg, name)
     return cfg
 
 
-def load_config(path: str | None, run_suites=()) -> ExperimentConfig:
-    """Parse the YAML file at path; None yields the all-defaults config.
-    run_suites is passed on to ``from_mapping``."""
+def load_config(path: str | None) -> ExperimentConfig:
+    """Parse the YAML file at path; None yields the all-defaults config."""
     if path is None:
-        return from_mapping(None, run_suites)
+        return from_mapping(None)
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -205,4 +203,4 @@ def load_config(path: str | None, run_suites=()) -> ExperimentConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    return from_mapping(data, run_suites)
+    return from_mapping(data)

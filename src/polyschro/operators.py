@@ -275,25 +275,39 @@ class HamiltonianHandle:
         hxf = self.apply(t, xf)
         return adjoint_quantize_symbol(X, hxf)
 
-    def cayley_inverse(self, t: float, tau: float, cutoff: CutoffSpec | None = None) -> np.ndarray:
-        """The dense (I + i tau Op)^-1, Op = H or X* H X, of a family without t.
+    def cayley_inverse(self, t: float, tau: float, cutoff: CutoffSpec | None = None) -> tuple:
+        """(inv, delta): the dense inv = (I + i tau Op)^-1, Op = H or X* H X, of a
+        family without t, and its defect delta = ||(I + i tau Op) inv - I||_F,
+        which bounds ||(I + i tau Op) inv b - b|| / ||b|| for every b, up to
+        the rounding of inv b.
 
-        Built from Op's dense matrix at time t (``matrix`` for H, one
-        identity-stack call for X* H X) and cached for one (tau, cutoff)
-        key; a new key replaces the old inverse, so a handle holds at most
-        one N x N matrix.
+        inv comes from Op's dense matrix at time t (``matrix`` for H, one
+        identity-stack call for X* H X).  Op inv is the kernel's action on
+        inv's columns: one ``apply`` on their stack for H, which checks
+        ``matrix`` against the FFT kernel, and the product with X* H X's
+        matrix, itself the kernel's image of the identity stack.  The pair
+        is cached for one (tau, cutoff) key; a new key replaces it, so a
+        handle holds at most one N x N inverse.
         """
         if self._cayley_key != (tau, cutoff):
-            # release the old inverse before the new one is built
+            # release the old pair before the new one is built
             self._cayley_key, self._cayley = None, None
+            size, itau = self.grid.size, 1j * tau
+            mat = self.matrix(t) if cutoff is None else dense_matrix(
+                partial(self.apply_mollified, t, cutoff=cutoff), self.grid)
+            cayley = mat * itau
+            cayley.flat[:: size + 1] += 1.0
+            inverse = inv(cayley, overwrite_a=True, check_finite=False, assume_a="general")
             if cutoff is None:
-                mat = self.matrix(t)
+                # the rows of inverse.T are inv's columns
+                op_inv = self.apply(t, inverse.T.reshape((size,) + self.grid.shape))
+                op_inv = op_inv.reshape(size, size).T
             else:
-                mat = dense_matrix(partial(self.apply_mollified, t, cutoff=cutoff), self.grid)
-            mat *= 1j * tau
-            diag = np.arange(self.grid.size)
-            mat[diag, diag] += 1.0
-            self._cayley = inv(mat, overwrite_a=True, check_finite=False, assume_a="general")
+                op_inv = mat @ inverse
+            op_inv *= itau
+            op_inv += inverse
+            op_inv.flat[:: size + 1] -= 1.0
+            self._cayley = inverse, float(np.linalg.norm(op_inv))
             self._cayley_key = (tau, cutoff)
         return self._cayley
 

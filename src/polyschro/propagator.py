@@ -10,13 +10,11 @@ Two schemes share the record-keeping harness:
 
 On a 1-D grid of at most DIRECT_MAX_N points, a family without t has
 one Cayley matrix for the whole run, plain or mollified.  Its step is a
-matvec with the dense inverse, built once and cached on the handle.
-Such a direct step parks its solution and right-hand side on the run's
-operator, which owns the step rule, and the operator checks the parked
-residuals in one batched apply: before a step would park more than
-NORM_BATCH, and at every record.  A direct step that misses its
-tolerance thus raises at most NORM_BATCH - 1 steps later, naming its
-own step.
+matvec with the dense inverse, built once and cached on the handle with
+its defect delta = ||(I + i tau Op) inv - I||_F, measured by the operator
+kernel.  delta bounds the relative residual of every step taken with the
+inverse, so it is each such step's residual, and the run's operator
+checks it once, before the first step.
 Every other Cayley step (time-dependent, composite or larger grids) is
 one solve by the module's restarted GMRES (Saad and Schultz 1986), which
 keeps scipy's stopping rule.  Plain flows precondition it with the
@@ -53,8 +51,7 @@ SCHEMES = ("crank_nicolson_midpoint", "lanczos_expmid")
 # the largest 1-D grid in use; its dense Cayley inverse takes 4 MB
 DIRECT_MAX_N = 512
 GMRES_RESTART = 40
-# records whose norms are taken in one batch, and direct steps whose
-# residuals are checked in one: 16 N=512 states add 0.4 MB
+# records whose norms are taken in one batch: 16 N=512 states take 0.13 MB
 NORM_BATCH = 16
 
 
@@ -94,6 +91,9 @@ class PropagatorConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; known: {SCHEMES}")
+        for name in ("dt", "t0", "t_final"):
+            if not _finite(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number")
         if not (self.dt > 0):
             raise ConfigError("dt must be positive")
         span = self.t_final - self.t0
@@ -119,7 +119,7 @@ class PropagatorConfig:
             raise ConfigError("save_every must be >= 1")
         if self.krylov_dim < 1:
             raise ConfigError("krylov_dim must be >= 1")
-        if self.eps is not None and not (0 < self.eps <= 1):
+        if self.eps is not None and not (_finite(self.eps) and 0 < self.eps <= 1):
             raise ConfigError("eps must lie in (0, 1]")
 
     @property
@@ -141,7 +141,9 @@ class StepReport:
 class _Operator:
     """The time-frozen operator of one run and its step rule, resolved
     once: ``apply`` (H, or X* H X when mollified) and the direct or the
-    GMRES Cayley solve.  A direct step is parked until ``settle``."""
+    GMRES Cayley solve.  A direct run takes the handle's cached inverse
+    and its defect delta here, and a delta above 50 solver_tol raises
+    before the first step; each direct step then reports delta."""
 
     def __init__(self, handle, cfg: PropagatorConfig):
         self.handle, self.grid, self.cfg = handle, handle.grid, cfg
@@ -158,10 +160,13 @@ class _Operator:
                   and self.grid.N <= DIRECT_MAX_N and not handle.time_dependent)
         # a function, not a bound method: a cycle through self would keep
         # the handle and its dense inverse until the cycle collector runs
-        self._solve = _Operator._park if direct else _cayley_solve
+        self._solve = _Operator._direct if direct else _cayley_solve
+        if direct:
+            self.inverse, self.delta = handle.cayley_inverse(_t_mid(cfg, 0), self.tau,
+                                                             self.cutoff)
+            _check_cayley(self.delta, 0, cfg)
         self.krylov_k = 0  # the Lanczos basis size of the run's last step
         self._inv_kin = None, None  # (tau, (I + i tau K)^-1) of the last tau
-        self.parked = []  # (n, report, x, b) of the direct steps not yet checked
 
     def inverse_kinetic(self, tau: float) -> np.ndarray:
         """(1 + i tau K)^-1 on the dual grid, cached for the last tau."""
@@ -179,36 +184,12 @@ class _Operator:
         v, rep = self._solve(self, n, t_mid, rhs)
         return 2.0 * v - u, rep
 
-    def _park(self, n: int, t_mid: float, rhs: np.ndarray) -> tuple:
-        """Direct step n: x = (I + i tau Op)^-1 rhs by the handle's cached
-        dense inverse.  Its report counts one iteration and gets its
-        residual from ``settle``, which runs first when NORM_BATCH steps
-        are parked already."""
-        if len(self.parked) == NORM_BATCH:
-            self.settle()
-        x = self.handle.cayley_inverse(t_mid, self.tau, self.cutoff) @ rhs
-        rep = StepReport(iterations=1)
-        self.parked.append((n, rep, x, rhs))
-        return x, rep
-
-    def settle(self):
-        """Give each parked step its residual ||x + i tau Op x - b|| / ||b||,
-        with one apply on the stack of parked x (Op has no t, so the last
-        parked t_mid freezes it), and check it with ``_check_cayley``; a
-        zero b reports no iteration and residual 0."""
-        if not self.parked:
-            return
-        steps, self.parked = self.parked, []
-        xs = np.stack([x for _, _, x, _ in steps])
-        bs = np.stack([b for _, _, _, b in steps])
-        diffs = xs + 1j * self.tau * self.apply(_t_mid(self.cfg, steps[-1][0]), xs) - bs
-        for (n, rep, _, b), diff in zip(steps, diffs):
-            b_norm = np.linalg.norm(b)
-            if b_norm == 0.0:
-                rep.iterations = 0
-            else:
-                rep.residual = float(np.linalg.norm(diff) / b_norm)
-            _check_cayley(rep.residual, n, self.cfg)
+    def _direct(self, n: int, t_mid: float, rhs: np.ndarray) -> tuple:
+        """Direct step n: x = (I + i tau Op)^-1 rhs by the dense inverse,
+        one iteration with residual delta; a zero rhs reports none."""
+        if not rhs.any():
+            return np.zeros_like(rhs), StepReport()
+        return self.inverse @ rhs, StepReport(1, self.delta)
 
 
 def _t_mid(cfg: PropagatorConfig, n: int) -> float:
@@ -225,7 +206,7 @@ def _cayley_solve(op: _Operator, n: int, t_mid: float, rhs: np.ndarray) -> tuple
     """Solve (I + i tau Op(t_mid)) x = rhs for Cayley step n by gmres.
 
     This is every Cayley step but the direct ones, which ``_Operator``
-    parks and checks in batches.  gmres runs from x0 = M b.  For plain
+    takes with the dense inverse.  gmres runs from x0 = M b.  For plain
     flows M is the gauge-twisted ``_Split``, so x0 is the split-step
     Cayley predictor, and the inner iterations run on the fused operator
     M A, one apply and one transform pair each.  Mollified flows iterate
@@ -508,9 +489,12 @@ class PropagationRun:
     @property
     def warnings(self) -> list:
         """The boundary and the solver flags as at most one line each: the
-        first flag, and how many followed."""
+        first flag, and how many followed; the solver line then also names
+        the largest residual."""
         lines = []
-        for flags, unit in ((self.flags, "records"), (self.solver_flags, "steps")):
+        largest = (f", largest {self.data['solver_residual'].max():.3e}"
+                   if self.solver_flags else "")
+        for flags, unit in ((self.flags, "records"), (self.solver_flags, "steps" + largest)):
             if flags:
                 later = len(flags) - 1
                 lines.append(flags[0] + (f" (and {later} later {unit})" if later else ""))
@@ -623,8 +607,8 @@ def propagate_variational(cfg: PropagatorConfig, handle, u0: WaveFunction) -> tu
 def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) -> list:
     """The one stepping loop: the run of u0's flow, forced by source(t_mid)
     if given, and with tangent the run of w (``propagate_variational``).
-    It steps, checks that each new state is finite, and at each saved
-    step settles the operator, then records."""
+    It steps, checks that each new state is finite, and records each
+    saved step."""
     _check_same_grid(u0.grid, handle.grid, error=ConfigError)
     if (source is not None or tangent) and cfg.scheme != "crank_nicolson_midpoint":
         raise ConfigError("inhomogeneous runs need the crank_nicolson_midpoint scheme")
@@ -654,7 +638,6 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
                 raise SolverError(f"state became non-finite {_at_step(cfg, n)}")
             rec.steps.append((rep, t_next))
         if (n + 1) % cfg.save_every == 0 or n + 1 == cfg.n_steps:
-            op.settle()
             for rec, x in zip(recs, (u, w)):
                 rec.record(t_next, x)
     for rec, x in zip(recs, (u, w)):

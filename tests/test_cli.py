@@ -109,20 +109,34 @@ def test_unknown_family_exits_2_and_names_field(tmp_path):
     assert "family" in err_text
 
 
+# selects validate only, with an interaction that two_particle's default rho = 0.1 lies outside
+_NARROW_PAIR = {
+    "suites": ["validate"],
+    "interaction": {"name": "pair", "w": "rho*r^2", "growth_order": 1,
+                    "delta": 1.0, "rho_interval": [0.5, 1]},
+}
+
+
 def test_subcommand_suite_is_checked_at_load(tmp_path):
-    """A subcommand's suite is checked at load even when the config's
-    suites leave it out: a bad default exits 2 before any report."""
-    cfg = _write_yaml(tmp_path, {
-        "suites": ["validate"],
-        "interaction": {"name": "pair", "w": "rho*r^2", "growth_order": 1,
-                        "delta": 1.0, "rho_interval": [0.5, 1]},
-    })
+    """A subcommand's suite is checked before any suite runs even when the
+    config's suites leave it out: a bad default exits 2 before any report."""
+    cfg = _write_yaml(tmp_path, _NARROW_PAIR)
     out = tmp_path / "o"
     result = CliRunner().invoke(main, ["two_particle", "--config", cfg, "--output-dir", str(out)])
     assert result.exit_code == 2
     err_text = result.stderr if result.stderr else result.output
     assert "config error: options.two_particle: rho=0.1 outside" in err_text
     assert not (out / "report.json").exists()
+
+
+def test_run_experiment_checks_a_suite_outside_the_selection(tmp_path):
+    """run_experiment builds the plan of a chosen suite that the config's
+    suites leave out, so a bad default raises before any suite runs."""
+    cfg = load_config(_write_yaml(tmp_path, _NARROW_PAIR))
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match=r"^options\.two_particle: rho=0\.1 outside"):
+        run_experiment(cfg, suites=["two_particle"], out_dir=str(out))
+    assert not out.exists()
 
 
 def test_unknown_propagator_key_exits_2(tmp_path):

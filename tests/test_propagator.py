@@ -2,13 +2,15 @@
 
 import csv
 import gc
-import itertools
 import re
 import weakref
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from polyschro import operators, propagator
@@ -68,6 +70,13 @@ def test_config_validation():
             PropagatorConfig(solver_tol=tol)
     with pytest.raises(ConfigError, match="max_solver_iter"):
         PropagatorConfig(max_solver_iter=0)
+    for name, bad in (("dt", "x"), ("t0", None), ("t_final", "1"),
+                      ("t_final", float("inf")), ("dt", float("nan"))):
+        with pytest.raises(ConfigError, match=f"^{name} must be a finite number"):
+            PropagatorConfig(**{name: bad})
+    for bad in ("a", float("nan")):
+        with pytest.raises(ConfigError, match="eps"):
+            PropagatorConfig(eps=bad)
     for name in ("max_solver_iter", "save_every", "krylov_dim"):
         for bad in (2.5, True):
             with pytest.raises(ConfigError, match=f"^{name} must be a whole number"):
@@ -395,7 +404,9 @@ def test_capped_lanczos_run_warns_of_its_solver_misses(quartic_256):
     assert run.data["solver_residual"].max() > cfg.solver_tol
     (line,) = run.warnings
     assert line.startswith("solver residual")
-    assert "above solver_tol 1e-11 at t=0.001 (and 2 later steps)" in line
+    largest = run.data["solver_residual"].max()
+    assert line.endswith(f"above solver_tol 1e-11 at t=0.001 (and 2 later steps, "
+                         f"largest {largest:.3e})")
 
 
 @pytest.mark.parametrize("name", ["confined_quartic", "harmonic"])
@@ -416,91 +427,91 @@ def quartic_direct_128():
     return g, handle, gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
 
 
-def test_direct_residuals_are_checked_in_batches(quartic_direct_128, monkeypatch):
-    """The dense inverse's steps check their residuals in stacks of at most
-    NORM_BATCH rows, and each record keeps the worst of its steps,
-    bit for bit as one check per step gives it."""
+def test_direct_residuals_are_bounded_by_the_inverse_defect(quartic_direct_128, monkeypatch):
+    """Every step taken with the dense inverse has a kernel residual of at
+    most the inverse's defect delta, which each record reports; a run
+    whose inverse is cached already makes no apply."""
     g, handle, u0 = quartic_direct_128
     cfg = PropagatorConfig(dt=1e-3, t_final=0.2, save_every=50, keep_states=False)
     tau = 0.5 * cfg.dt
-    inverse = handle.cayley_inverse(0.0, tau)
+    inverse, delta = handle.cayley_inverse(0.0, tau)
     u, residuals = u0.values.astype(complex), []
     for _ in range(cfg.n_steps):
         x = inverse @ u
         residuals.append(np.linalg.norm(x + 1j * tau * handle.apply(0.0, x) - u)
                          / np.linalg.norm(u))
         u = 2.0 * x - u
-    shapes, apply = [], handle.apply
-    monkeypatch.setattr(handle, "apply", lambda t, f: shapes.append(f.shape) or apply(t, f))
+    # 1e-15 covers the rounding of the product inverse @ u
+    assert max(residuals) <= delta + 1e-15
+    applies = []
+    monkeypatch.setattr(handle, "apply", lambda t, f: applies.append(f.shape))
     run = propagate(cfg, handle, u0)
-    assert all(len(s) == 2 and 1 <= s[0] <= propagator.NORM_BATCH for s in shapes)
-    assert sum(s[0] for s in shapes) == cfg.n_steps
-    worst = np.max(np.reshape(residuals, (4, 50)), axis=1)
-    assert run.data["solver_residual"][1:].tolist() == worst.tolist()
+    assert applies == []
+    assert run.data["solver_residual"][1:].tolist() == [delta] * 4
     assert run.data["solver_iterations"][1:].tolist() == [50] * 4
 
 
-def test_direct_step_failure_names_its_own_step(quartic_direct_128, monkeypatch):
-    """A direct step whose residual misses is checked only at the record,
-    yet the error names the step itself."""
+@pytest.mark.parametrize("run", [propagate, propagator.propagate_variational])
+def test_direct_step_failure_names_its_own_step(quartic_direct_128, monkeypatch, run):
+    """A dense inverse whose defect misses raises before the first step,
+    and the error names that step."""
     g, handle, u0 = quartic_direct_128
-    inverse = handle.cayley_inverse
-    monkeypatch.setattr(handle, "cayley_inverse", lambda *key: inverse(*key) * (1 + 1e-9))
+    inv = operators.inv
+    monkeypatch.setattr(operators, "inv", lambda *args, **kw: inv(*args, **kw) * (1 + 1e-9))
     cfg = PropagatorConfig(dt=1e-3, t_final=0.02, save_every=10)
     with pytest.raises(SolverError, match=r"Cayley solve stalled .* at step 1 \(t=0\.001\)"):
-        propagate(cfg, handle, u0)
+        run(cfg, handle, u0)
 
 
-def test_lockstep_direct_residuals_are_checked_in_batches(quartic_direct_128, monkeypatch):
-    """The lockstep variational run parks a u and a w step for each step:
-    its checks stack at most NORM_BATCH rows, each of its 2 n_steps steps
-    is checked once, in order, and both runs' residual columns are bit
-    for bit those of one check per step."""
+def test_lockstep_direct_residuals_are_bounded_by_the_inverse_defect(quartic_direct_128,
+                                                                      monkeypatch):
+    """The lockstep variational run takes a u and a w step with the dense
+    inverse for each step: each of the 2 n_steps kernel residuals is at
+    most its defect delta, both runs' records report delta, and a run
+    whose inverse is cached already makes no apply."""
     g, handle, u0 = quartic_direct_128
     cfg = PropagatorConfig(dt=1e-3, t_final=0.05, save_every=20, keep_states=False)
     tau = 0.5 * cfg.dt
-    inverse = handle.cayley_inverse(0.0, tau)
+    inverse, delta = handle.cayley_inverse(0.0, tau)
 
     def direct_step(state, b):
         x = inverse @ b
         residual = np.linalg.norm(x + 1j * tau * handle.apply(0.0, x) - b) / np.linalg.norm(b)
         return 2.0 * x - state, residual
 
-    u, w, expected = u0.values.astype(complex), np.zeros(g.shape, dtype=complex), []
+    u, w, residuals = u0.values.astype(complex), np.zeros(g.shape, dtype=complex), []
     for n in range(cfg.n_steps):
         u_next, res_u = direct_step(u, u)
         t_mid = cfg.t0 + n * cfg.dt + 0.5 * cfg.dt
         f = handle.apply_rho_derivative(t_mid, 0.5 * (u + u_next))
         w, res_w = direct_step(w, w - 1j * tau * f)
         u = u_next
-        expected += [(n, res_u), (n, res_w)]
-    shapes, checked = [], []
-    apply, check = handle.apply, propagator._check_cayley
-    monkeypatch.setattr(handle, "apply", lambda t, f: shapes.append(f.shape) or apply(t, f))
-    monkeypatch.setattr(propagator, "_check_cayley", lambda res, n, cfg, **kw: (
-        checked.append((n, res)) or check(res, n, cfg, **kw)))
+        residuals += [res_u, res_w]
+    assert max(residuals) <= delta + 1e-15
+    applies = []
+    monkeypatch.setattr(handle, "apply", lambda t, f: applies.append(f.shape))
     run_u, run_w = propagator.propagate_variational(cfg, handle, u0)
-    assert all(len(s) == 2 and 1 <= s[0] <= propagator.NORM_BATCH for s in shapes)
-    assert sum(s[0] for s in shapes) == 2 * cfg.n_steps
-    assert checked == expected
-    for run, residuals in ((run_u, expected[0::2]), (run_w, expected[1::2])):
-        residuals = [r for _, r in residuals]
-        worst = [max(residuals[:20]), max(residuals[20:40]), max(residuals[40:])]
-        assert run.data["solver_residual"][1:].tolist() == worst
+    assert applies == []
+    for run in (run_u, run_w):
+        assert run.data["solver_residual"][1:].tolist() == [delta] * 3
         assert run.data["solver_iterations"][1:].tolist() == [20, 20, 10]
 
 
-def test_lockstep_w_step_failure_names_its_own_step(quartic_direct_128, monkeypatch):
-    """A w step whose direct residual misses is checked in a later batch,
-    yet the error names its step."""
-    g, handle, u0 = quartic_direct_128
-    calls, inverse = itertools.count(), handle.cayley_inverse
-    # the calls alternate u and w steps; spoil the w step of step 5 only
-    monkeypatch.setattr(handle, "cayley_inverse", lambda *key: inverse(*key) * (
-        1 + 1e-9 if next(calls) == 2 * 4 + 1 else 1))
-    cfg = PropagatorConfig(dt=1e-3, t_final=0.02, save_every=20)
-    with pytest.raises(SolverError, match=r"Cayley solve stalled .* at step 5 \(t=0\.005\)"):
-        propagator.propagate_variational(cfg, handle, u0)
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), tau=st.sampled_from([5e-4, 5e-3]),
+       eps=st.sampled_from([None, 1 / 16]))
+def test_inverse_defect_bounds_every_kernel_residual(parametric_128, seed, tau, eps):
+    """For any b, x = inv b solves (I + i tau Op) x = b to within the
+    inverse's defect delta, Op the kernel's H or X* H X."""
+    g, handle, _ = parametric_128
+    cutoff = PropagatorConfig(eps=eps).cutoff()
+    inverse, delta = handle.cayley_inverse(0.0, tau, cutoff)
+    op = handle.apply if cutoff is None else partial(handle.apply_mollified, cutoff=cutoff)
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
+    x = inverse @ b
+    residual = np.linalg.norm(x + 1j * tau * op(0.0, x) - b) / np.linalg.norm(b)
+    assert residual <= delta + 1e-15
 
 
 @pytest.mark.parametrize("scheme, eps, name", [
@@ -567,7 +578,12 @@ def test_solver_failure_names_step_and_time():
 
 
 class _BlowUpHandle(HamiltonianHandle):
-    """Harmonic operator that returns NaN from t = 0.005 on."""
+    """Harmonic operator that returns NaN from t = 0.005 on; time-dependent,
+    since its apply depends on t."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.time_dependent = True
 
     def apply(self, t, f):
         out = super().apply(t, f)
