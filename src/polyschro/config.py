@@ -8,8 +8,8 @@ plan of every selected suite, and of every given ``options.<suite>``
 section, is built at load, so every option, default or given, passes the
 constructor its suite builds it with, and a rejected value is reported
 under ``options.<suite>.<key>`` (or ``options.<suite>`` for a default).
-So is the plan of a suite run in place of the selection, such as a CLI
-subcommand's.
+A suite run in place of the selection, such as a CLI subcommand's, has
+its plan built by ``cli.run_experiment`` before any suite runs.
 """
 
 from __future__ import annotations
@@ -89,15 +89,8 @@ def _resolve_potential(value, path: str, cls, lookup, keys):
         return value
     if isinstance(value, str):
         return _checked(path, lookup, value)
-    data = _mapping_of(value, path, keys)
+    kwargs = {"name": "custom", **_mapping_of(value, path, keys)}
     try:
-        kwargs = dict(data)
-        kwargs.setdefault("name", "custom")
-        if "a" in kwargs and isinstance(kwargs["a"], (list, tuple)):
-            kwargs["a"] = tuple(str(c) for c in kwargs["a"])
-        if kwargs.get("rho_interval") is not None:
-            lo, hi = kwargs["rho_interval"]
-            kwargs["rho_interval"] = (float(lo), float(hi))
         return cls(**kwargs)
     except (FamilyError, TypeError, ValueError) as err:
         raise ConfigError(f"{path}: {err}") from err
@@ -131,12 +124,8 @@ def check_plan(cfg: ExperimentConfig, name: str) -> None:
         raise ConfigError(f"{path}.{key}: {err}" if key else f"{path}: {err}") from err
 
 
-def from_mapping(data: dict | None, run_suites=()) -> ExperimentConfig:
-    """Build a validated config from a parsed mapping (None = all defaults).
-
-    run_suites names suites to be run in place of the config's selection;
-    their plans are built at load too.
-    """
+def from_mapping(data: dict | None) -> ExperimentConfig:
+    """Build a validated config from a parsed mapping (None = all defaults)."""
     data = dict(data or {})
 
     family = _resolve_potential(data.pop("family", "confined_quartic"), "family",
@@ -157,7 +146,7 @@ def from_mapping(data: dict | None, run_suites=()) -> ExperimentConfig:
         suites = [suites]
     if not suites:
         raise ConfigError("suites: the selection must be nonempty")
-    for name in (*suites, *run_suites):
+    for name in suites:
         _checked("suites", suite_function, name)
     seen = set()
     suites = tuple(s for s in suites if not (s in seen or seen.add(s)))
@@ -183,7 +172,7 @@ def from_mapping(data: dict | None, run_suites=()) -> ExperimentConfig:
         output_dir=output_dir,
         options={k: dict(v) for k, v in options.items()},
     )
-    for name in dict.fromkeys((*suites, *run_suites, *options)):
+    for name in dict.fromkeys((*suites, *options)):
         check_plan(cfg, name)
     return cfg
 

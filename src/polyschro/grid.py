@@ -7,6 +7,8 @@ multiplier and the quantization rules stay exact for one-sided symbols.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -121,6 +123,12 @@ class SpatialGrid:
 
     def ifft(self, values: np.ndarray) -> np.ndarray:
         return sfft.ifftn(values, None, (-2, -1)) if self.d > 1 else sfft.ifft(values)
+
+
+def _finite(value) -> bool:
+    """Whether value is a finite real number, and not a bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _whole(value, name: str, error=GridError) -> int:

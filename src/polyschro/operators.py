@@ -27,16 +27,16 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.linalg import cho_factor, cho_solve, circulant, inv
+from scipy.linalg import cho_factor, cho_solve, circulant
 
 from .errors import ConfigError, SolverError
 from .grid import SpatialGrid, WaveFunction, _values_of, derivative_norm_sum, l2_norm
 from .potentials import PotentialFamily, eval_potential, partial_rho
-from .symbols import CutoffSpec, adjoint_quantize_symbol, dense_matrix, eval_symbol, quantize_symbol
+from .symbols import CutoffSpec, adjoint_quantize_symbol, eval_symbol, quantize_symbol
 
 _CACHE_SLOTS = 4
 # an N=512 factor holds 2 MB, and no 1-D grid in use is larger
@@ -174,7 +174,6 @@ class HamiltonianHandle:
         self._fields = Memo(self._hamiltonian_fields)
         self._rho_fields = Memo(self._derivative_fields)
         self._chi = Memo(self._cutoff_symbol)
-        self._cayley_key, self._cayley = None, None
 
     def _key(self, t: float) -> float:
         """The memo key of time t."""
@@ -274,42 +273,6 @@ class HamiltonianHandle:
         xf = quantize_symbol(X, f)
         hxf = self.apply(t, xf)
         return adjoint_quantize_symbol(X, hxf)
-
-    def cayley_inverse(self, t: float, tau: float, cutoff: CutoffSpec | None = None) -> tuple:
-        """(inv, delta): the dense inv = (I + i tau Op)^-1, Op = H or X* H X, of a
-        family without t, and its defect delta = ||(I + i tau Op) inv - I||_F,
-        which bounds ||(I + i tau Op) inv b - b|| / ||b|| for every b, up to
-        the rounding of inv b.
-
-        inv comes from Op's dense matrix at time t (``matrix`` for H, one
-        identity-stack call for X* H X).  Op inv is the kernel's action on
-        inv's columns: one ``apply`` on their stack for H, which checks
-        ``matrix`` against the FFT kernel, and the product with X* H X's
-        matrix, itself the kernel's image of the identity stack.  The pair
-        is cached for one (tau, cutoff) key; a new key replaces it, so a
-        handle holds at most one N x N inverse.
-        """
-        if self._cayley_key != (tau, cutoff):
-            # release the old pair before the new one is built
-            self._cayley_key, self._cayley = None, None
-            size, itau = self.grid.size, 1j * tau
-            mat = self.matrix(t) if cutoff is None else dense_matrix(
-                partial(self.apply_mollified, t, cutoff=cutoff), self.grid)
-            cayley = mat * itau
-            cayley.flat[:: size + 1] += 1.0
-            inverse = inv(cayley, overwrite_a=True, check_finite=False, assume_a="general")
-            if cutoff is None:
-                # the rows of inverse.T are inv's columns
-                op_inv = self.apply(t, inverse.T.reshape((size,) + self.grid.shape))
-                op_inv = op_inv.reshape(size, size).T
-            else:
-                op_inv = mat @ inverse
-            op_inv *= itau
-            op_inv += inverse
-            op_inv.flat[:: size + 1] -= 1.0
-            self._cayley = inverse, float(np.linalg.norm(op_inv))
-            self._cayley_key = (tau, cutoff)
-        return self._cayley
 
     def norm_order(self, a: int) -> "NormOrder":
         """Weighted-norm order calibrated to this family's growth."""

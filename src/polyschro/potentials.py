@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import FamilyError
-from .grid import SpatialGrid, multi_indices
+from .grid import SpatialGrid, _finite, _whole, multi_indices
 
 # shell-fit tolerances for the empirical bound checks
 SLOPE_TOL = 0.25
@@ -43,6 +43,28 @@ def _check_rho(rho, interval, owner: str) -> float:
         if not (lo < rho < hi):
             raise FamilyError(f"rho={rho} outside the open interval ({lo}, {hi}) of {owner}")
     return rho
+
+
+def _check_growth_data(owner, mass=1.0) -> None:
+    """Check the growth data that a family and an interaction share.
+
+    growth_order must be a whole number >= 0 (a bool is none), delta and
+    mass finite and positive, and rho_interval None or a pair lo < hi of
+    finite numbers, which is stored as floats.  A FamilyError names the
+    field otherwise.
+    """
+    if _whole(owner.growth_order, "growth_order", FamilyError) < 0:
+        raise FamilyError(f"growth_order must be >= 0, got {owner.growth_order!r}")
+    for name, value in (("delta", owner.delta), ("mass", mass)):
+        if not (_finite(value) and value > 0):
+            raise FamilyError(f"{name} must be a finite positive number, got {value!r}")
+    if owner.rho_interval is not None:
+        pair = owner.rho_interval
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(map(_finite, pair)) and pair[0] < pair[1]):
+            raise FamilyError(f"rho_interval must be a pair lo < hi of finite numbers, "
+                              f"got {pair!r}")
+        object.__setattr__(owner, "rho_interval", (float(pair[0]), float(pair[1])))
 
 
 @dataclass(frozen=True)
@@ -78,6 +100,8 @@ class PotentialFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "v", _as_expr(self.v))
+        if not isinstance(self.a, (list, tuple)):
+            raise FamilyError(f"a must be a list of component expressions, got {self.a!r}")
         object.__setattr__(self, "a", tuple(_as_expr(c) for c in self.a))
         if self.dim not in (1, 2):
             raise FamilyError(f"dim must be 1 or 2, got {self.dim}")
@@ -85,16 +109,7 @@ class PotentialFamily:
             raise FamilyError(
                 f"vector potential needs {self.dim} components, got {len(self.a)}"
             )
-        if self.growth_order < 0 or self.growth_order != int(self.growth_order):
-            raise FamilyError("growth_order must be a nonnegative integer")
-        if not (self.delta > 0):
-            raise FamilyError("delta must be positive")
-        if not (self.mass > 0):
-            raise FamilyError("mass must be positive")
-        if self.rho_interval is not None:
-            lo, hi = self.rho_interval
-            if not lo < hi:
-                raise FamilyError("rho_interval must be a nonempty open interval")
+        _check_growth_data(self, self.mass)
         allowed = self._allowed_vars()
         for label, e in [("V", self.v)] + [(f"A{i+1}", c) for i, c in enumerate(self.a)]:
             extra = e.free_vars() - allowed
@@ -209,10 +224,7 @@ class InteractionFamily:
 
     def __post_init__(self):
         object.__setattr__(self, "w", _as_expr(self.w))
-        if self.growth_order < 0:
-            raise FamilyError("growth_order must be nonnegative")
-        if not (self.delta > 0):
-            raise FamilyError("delta must be positive")
+        _check_growth_data(self)
         extra = self.w.free_vars() - {"t", "r", "rho"}
         if extra:
             raise FamilyError(f"W uses unknown variables {sorted(extra)}")

@@ -10,11 +10,11 @@ Two schemes share the record-keeping harness:
 
 On a 1-D grid of at most DIRECT_MAX_N points, a family without t has
 one Cayley matrix for the whole run, plain or mollified.  Its step is a
-matvec with the dense inverse, built once and cached on the handle with
-its defect delta = ||(I + i tau Op) inv - I||_F, measured by the operator
-kernel.  delta bounds the relative residual of every step taken with the
-inverse, so it is each such step's residual, and the run's operator
-checks it once, before the first step.
+matvec with the dense inverse, which the run builds once, with its
+defect delta = ||(I + i tau Op) inv - I||_F measured by the operator
+kernel, and frees when it returns.  delta bounds the relative residual
+of every step taken with the inverse, so it is each such step's
+residual, and the run's operator checks it once, before the first step.
 Every other Cayley step (time-dependent, composite or larger grids) is
 one solve by the module's restarted GMRES (Saad and Schultz 1986), which
 keeps scipy's stopping rule.  Plain flows precondition it with the
@@ -34,18 +34,17 @@ SolverError; there is no fallback.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, inv
 
 from .errors import ConfigError, SolverError
-from .grid import WaveFunction, _check_same_grid, _values_of, _whole, l2_norm
+from .grid import WaveFunction, _check_same_grid, _finite, _values_of, _whole, l2_norm
 from .operators import solve_hermitian_cg  # unused here; perfbench/tracer.py wraps this name
 from .report import write_csv
-from .symbols import CutoffSpec
+from .symbols import CutoffSpec, dense_matrix
 
 SCHEMES = ("crank_nicolson_midpoint", "lanczos_expmid")
 # the largest 1-D grid in use; its dense Cayley inverse takes 4 MB
@@ -53,11 +52,6 @@ DIRECT_MAX_N = 512
 GMRES_RESTART = 40
 # records whose norms are taken in one batch: 16 N=512 states take 0.13 MB
 NORM_BATCH = 16
-
-
-def _finite(value) -> bool:
-    """Whether value is a finite real number."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -138,12 +132,44 @@ class StepReport:
     residual: float = 0.0
 
 
+def _cayley_inverse(handle, t: float, tau: float, cutoff: CutoffSpec | None) -> tuple:
+    """(inv, delta): the dense inv = (I + i tau Op)^-1, Op = H or X* H X, of a
+    family without t, and its defect delta = ||(I + i tau Op) inv - I||_F,
+    which bounds ||(I + i tau Op) inv b - b|| / ||b|| for every b, up to
+    the rounding of inv b.
+
+    inv comes from Op's dense matrix at time t (``handle.matrix`` for H,
+    one identity-stack call for X* H X).  Op inv is the kernel's action on
+    inv's columns: one ``handle.apply`` on their stack for H, which checks
+    ``matrix`` against the FFT kernel, and the product with X* H X's
+    matrix, itself the kernel's image of the identity stack.
+    """
+    grid = handle.grid
+    size, itau = grid.size, 1j * tau
+    mat = handle.matrix(t) if cutoff is None else dense_matrix(
+        partial(handle.apply_mollified, t, cutoff=cutoff), grid)
+    cayley = mat * itau
+    cayley.flat[:: size + 1] += 1.0
+    inverse = inv(cayley, overwrite_a=True, check_finite=False, assume_a="general")
+    if cutoff is None:
+        # the rows of inverse.T are inv's columns
+        op_inv = handle.apply(t, inverse.T.reshape((size,) + grid.shape))
+        op_inv = op_inv.reshape(size, size).T
+    else:
+        op_inv = mat @ inverse
+    op_inv *= itau
+    op_inv += inverse
+    op_inv.flat[:: size + 1] -= 1.0
+    return inverse, float(np.linalg.norm(op_inv))
+
+
 class _Operator:
     """The time-frozen operator of one run and its step rule, resolved
     once: ``apply`` (H, or X* H X when mollified) and the direct or the
-    GMRES Cayley solve.  A direct run takes the handle's cached inverse
-    and its defect delta here, and a delta above 50 solver_tol raises
-    before the first step; each direct step then reports delta."""
+    GMRES Cayley solve.  A direct run builds its dense inverse and the
+    inverse's defect delta here, and a delta above 50 solver_tol raises
+    before the first step; each direct step then reports delta.  The
+    inverse lives as long as the operator, that is, until the run returns."""
 
     def __init__(self, handle, cfg: PropagatorConfig):
         self.handle, self.grid, self.cfg = handle, handle.grid, cfg
@@ -162,17 +188,12 @@ class _Operator:
         # the handle and its dense inverse until the cycle collector runs
         self._solve = _Operator._direct if direct else _cayley_solve
         if direct:
-            self.inverse, self.delta = handle.cayley_inverse(_t_mid(cfg, 0), self.tau,
-                                                             self.cutoff)
+            self.inverse, self.delta = _cayley_inverse(handle, _t_mid(cfg, 0), self.tau,
+                                                       self.cutoff)
             _check_cayley(self.delta, 0, cfg)
+        # (1 + i tau K)^-1 on the dual grid, the split's kinetic factor
+        self.inv_kin = 1.0 / (1.0 + 1j * self.tau * handle.kinetic_multiplier)
         self.krylov_k = 0  # the Lanczos basis size of the run's last step
-        self._inv_kin = None, None  # (tau, (I + i tau K)^-1) of the last tau
-
-    def inverse_kinetic(self, tau: float) -> np.ndarray:
-        """(1 + i tau K)^-1 on the dual grid, cached for the last tau."""
-        if self._inv_kin[0] != tau:
-            self._inv_kin = tau, 1.0 / (1.0 + 1j * tau * self.handle.kinetic_multiplier)
-        return self._inv_kin[1]
 
     def step(self, n: int, u: np.ndarray, source_mid: np.ndarray | None = None) -> tuple:
         """(u_{n+1}, its StepReport) from u_n.  A Crank-Nicolson step is
@@ -230,7 +251,7 @@ def _cayley_solve(op: _Operator, n: int, t_mid: float, rhs: np.ndarray) -> tuple
         nonlocal iters
         iters += 1
 
-    split = _Split(op, t_mid, tau) if op.cutoff is None else None
+    split = _Split(op, t_mid) if op.cutoff is None else None
     x, info, res = gmres(a_matvec, b, split, rtol=cfg.solver_tol,
                          maxiter=cfg.max_solver_iter, callback=count,
                          pmatvec=None if split is None else split.fused)
@@ -258,14 +279,14 @@ class _Split:
     The handle's ``gauge_split`` gives (phi, V_g) with
     H ~ e^{i phi} K e^{-i phi} + V_g, K the kinetic multiplier; where phi
     is None the twist is left out.  Both factors are exact inverses, each
-    diagonal in one basis.  The factors are built once per (t_mid, tau)
-    and shared by x0 = M b, the restarts' M r and the fused operator.
+    diagonal in one basis.  The potential factor is built once per step
+    and shared by x0 = M b, the restarts' M r and the fused operator;
+    tau and the kinetic factor are the operator's, built once per run.
     """
 
-    def __init__(self, op: _Operator, t_mid: float, tau: float):
+    def __init__(self, op: _Operator, t_mid: float):
         phi, v_g = op.handle.gauge_split(t_mid)
-        self.op, self.t_mid, self.itau = op, t_mid, 1j * tau
-        self.inv_kin = op.inverse_kinetic(tau)
+        self.op, self.t_mid, self.itau = op, t_mid, 1j * op.tau
         # e^{-i phi} (I + i tau V_g)^-1, the diagonal applied before the transform
         self.pre = 1.0 / (1.0 + self.itau * v_g)
         self.twist = None
@@ -277,7 +298,7 @@ class _Split:
         """e^{i phi} (I + i tau K)^-1 w; raveled."""
         grid = self.op.grid
         spec = grid.fft(w)
-        spec *= self.inv_kin
+        spec *= self.op.inv_kin
         w = grid.ifft(spec)
         if self.twist is not None:
             w *= self.twist

@@ -212,12 +212,13 @@ def plan_commutator(cfg: ExperimentConfig, *, family="confined_quartic", L=10.0,
 
     def run(out_dir: str) -> dict:
         result = commutator_probe(fam, grid, t=t, mu=mu)
+        ratio = float(result.max_min_ratio)
         files = [_write_csv(out_dir, "commutator_bounds.csv", ["eps", "bound"],
                             list(zip(result.eps_values, result.bounds)))]
         return {
-            "passed": bool(not result.diverged),
+            "passed": ratio <= RATIO_LIMIT,
             "family": fam.name,
-            "max_min_ratio": float(result.max_min_ratio),
+            "max_min_ratio": ratio,
             "ratio_limit": RATIO_LIMIT,
             "sup_bound": float(np.max(result.bounds)),
             "warnings": [],

@@ -377,11 +377,6 @@ class CommutatorProbeResult:
         hi = float(self.bounds.max())
         return np.inf if lo == 0.0 else hi / lo
 
-    @property
-    def diverged(self) -> bool:
-        """Growth by more than 10x across the eps range."""
-        return bool(self.max_min_ratio > 10.0)
-
 
 def commutator_probe(
     fam: PotentialFamily,
@@ -397,9 +392,9 @@ def commutator_probe(
     quantized gaussian cutoff with H.  The shift mu cancels in the
     commutator, but it still enters the cutoff argument.  A bound curve
     that grows as eps decreases contradicts the uniform bound the cutoff
-    calculus guarantees, so the result carries a divergence flag on a 10x
-    spread.  A non-finite commutator matrix raises SolverError naming its
-    eps.
+    calculus guarantees; the result's ``max_min_ratio`` measures the
+    spread, which the commutator suite judges.  A non-finite commutator
+    matrix raises SolverError naming its eps.
     """
     from .operators import HamiltonianHandle
 

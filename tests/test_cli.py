@@ -9,7 +9,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from polyschro import load_config
+from polyschro import cli, load_config
 from polyschro.cli import main, run_experiment
 from polyschro.errors import ConfigError
 
@@ -117,7 +117,7 @@ _NARROW_PAIR = {
 }
 
 
-def test_subcommand_suite_is_checked_at_load(tmp_path):
+def test_subcommand_suite_is_checked_before_any_suite_runs(tmp_path):
     """A subcommand's suite is checked before any suite runs even when the
     config's suites leave it out: a bad default exits 2 before any report."""
     cfg = _write_yaml(tmp_path, _NARROW_PAIR)
@@ -130,13 +130,17 @@ def test_subcommand_suite_is_checked_at_load(tmp_path):
 
 
 def test_run_experiment_checks_a_suite_outside_the_selection(tmp_path):
-    """run_experiment builds the plan of a chosen suite that the config's
-    suites leave out, so a bad default raises before any suite runs."""
+    """run_experiment checks the name and builds the plan of a chosen suite
+    that the config's suites leave out, so a bad default or an unknown
+    name raises before any suite runs."""
     cfg = load_config(_write_yaml(tmp_path, _NARROW_PAIR))
+    assert cfg.suites == ("validate",)
     out = tmp_path / "o"
-    with pytest.raises(ConfigError, match=r"^options\.two_particle: rho=0\.1 outside"):
-        run_experiment(cfg, suites=["two_particle"], out_dir=str(out))
-    assert not out.exists()
+    for suite, message in (("two_particle", r"^options\.two_particle: rho=0\.1 outside"),
+                           ("spectral_gap", r"^unknown suite 'spectral_gap'")):
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg, suites=["validate", suite], out_dir=str(out))
+        assert not out.exists()
 
 
 def test_unknown_propagator_key_exits_2(tmp_path):
@@ -276,3 +280,14 @@ def test_verdicts_surface_boundary_warnings(tmp_path):
     assert len(edge) == 2
     assert all(w.startswith("boundary mass") and "later records" in w for w in edge)
     assert propagate_warnings(0.0, "centre") == []
+
+
+def test_unexpected_error_exits_1(tmp_path, monkeypatch):
+    """An error that is not a ConfigError prints its traceback and exits 1."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    result = CliRunner().invoke(main, ["validate", "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 1
+    assert "RuntimeError: disk on fire" in (result.stderr or result.output)

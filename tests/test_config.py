@@ -250,19 +250,6 @@ def test_selected_suite_defaults_checked_at_load():
         "propagate", "validate")
 
 
-def test_run_suites_are_checked_outside_the_selection():
-    """A suite run in place of the selection, as by a CLI subcommand, has
-    its plan built at load too."""
-    doc = {"suites": ["validate"],
-           "interaction": {"name": "pair", "w": "rho*r^2", "growth_order": 1,
-                           "delta": 1.0, "rho_interval": [0.5, 1]}}
-    assert from_mapping(doc).suites == ("validate",)
-    with pytest.raises(ConfigError, match=r"^options\.two_particle: rho=0\.1 outside"):
-        from_mapping(doc, run_suites=("two_particle",))
-    with pytest.raises(ConfigError, match="^suites: unknown suite 'spectral_gap'"):
-        from_mapping(doc, run_suites=("spectral_gap",))
-
-
 def test_yaml_file_round_trip(tmp_path):
     doc = {
         "family": "harmonic",
@@ -293,3 +280,9 @@ def test_missing_file_and_bad_yaml(tmp_path):
     listy.write_text("- a\n- b\n")
     with pytest.raises(ConfigError, match="mapping"):
         load_config(str(listy))
+
+
+def test_empty_yaml_file_loads_the_defaults(tmp_path):
+    path = tmp_path / "empty.yaml"
+    path.write_text("")
+    assert load_config(str(path)) == from_mapping(None)

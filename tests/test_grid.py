@@ -291,3 +291,20 @@ def test_raw_value_helpers_check_the_grid(name, rng):
     if not name.startswith(("quantize", "adjoint")):
         with pytest.raises(GridError, match="raw values need a grid"):
             helper(f.values, None)
+
+
+_LINE = make_grid(1, 10.0, 32)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: WaveFunction(_LINE, np.zeros(16)),
+     "values shape (16,) does not match grid shape (32,)"),
+    (lambda: spectral_derivative(gaussian_packet(_LINE), axis=1),
+     "axis 1 out of range for d=1"),
+    (lambda: spectral_derivative(gaussian_packet(_LINE), order=-1),
+     "derivative order must be >= 0"),
+])
+def test_grid_rejections_name_the_field(build, message):
+    with pytest.raises(GridError) as caught:
+        build()
+    assert str(caught.value) == message

@@ -462,3 +462,12 @@ def test_handle_rejects_a_grid_of_another_dimension():
     with pytest.raises(FamilyError, match="family 'magnetic_2d' is 2-dimensional, "
                                           "grid is 1-dimensional"):
         HamiltonianHandle(MAGNETIC_2D, make_grid(1, 6.0, 16))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: NormOrder(a=1.5, growth_order=1), "order a must be an integer"),
+])
+def test_operator_rejections_name_the_field(build, message):
+    with pytest.raises(ConfigError) as caught:
+        build()
+    assert str(caught.value) == message

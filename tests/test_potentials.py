@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+import yaml
+from click.testing import CliRunner
 
 from polyschro import (
     BUILTIN_FAMILIES,
@@ -16,6 +18,7 @@ from polyschro import (
     validate_assumption,
     validate_interaction,
 )
+from polyschro.cli import main
 from polyschro.errors import FamilyError
 from polyschro.potentials import RATIO_FLOOR, divergence_a
 
@@ -313,3 +316,57 @@ def test_nonfinite_family_rejected():
     fam = PotentialFamily(name="logarithmic", v="sqrt(x)", a=("0",), growth_order=0, delta=1.0)
     with pytest.raises(Exception):
         eval_potential(fam, 0.0, 0.0, make_grid(1, 6.0, 64))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: validate_assumption(get_family("harmonic"), make_grid(1, 10.0, 32), alpha_max=5),
+     "alpha_max must be between 1 and 4"),
+    (lambda: validate_assumption(get_family("harmonic"), make_grid(2, 10.0, 16)),
+     "grid dimension does not match the family"),
+])
+def test_validator_rejections_name_the_field(build, message):
+    with pytest.raises(FamilyError) as caught:
+        build()
+    assert str(caught.value) == message
+
+
+_FAMILY = {"name": "f", "v": "x^2", "a": ["0"], "growth_order": 1, "delta": 1.0}
+_PAIR = {"name": "w", "w": "r^2", "growth_order": 1, "delta": 1.0}
+
+
+@pytest.mark.parametrize("key, change, message", [
+    ("family", {"a": "x"}, "a must be a list of component expressions, got 'x'"),
+    ("family", {"a": "cos(t)"}, "a must be a list of component expressions, got 'cos(t)'"),
+    ("family", {"growth_order": 0.5}, "growth_order must be a whole number, got 0.5"),
+    ("family", {"growth_order": True}, "growth_order must be a whole number, got True"),
+    ("family", {"growth_order": "two"}, "growth_order must be a whole number, got 'two'"),
+    ("family", {"growth_order": -1}, "growth_order must be >= 0, got -1"),
+    ("family", {"delta": "x"}, "delta must be a finite positive number, got 'x'"),
+    ("family", {"delta": float("inf")}, "delta must be a finite positive number, got inf"),
+    ("family", {"mass": 0}, "mass must be a finite positive number, got 0"),
+    ("family", {"mass": "heavy"}, "mass must be a finite positive number, got 'heavy'"),
+    ("family", {"rho_interval": [2, 1]},
+     "rho_interval must be a pair lo < hi of finite numbers, got [2, 1]"),
+    ("family", {"rho_interval": [1]}, "rho_interval must be a pair lo < hi of finite numbers, got [1]"),
+    ("interaction", {"growth_order": 0.5}, "growth_order must be a whole number, got 0.5"),
+    ("interaction", {"growth_order": True}, "growth_order must be a whole number, got True"),
+    ("interaction", {"delta": float("inf")},
+     "delta must be a finite positive number, got inf"),
+    ("interaction", {"rho_interval": [2, 1]},
+     "rho_interval must be a pair lo < hi of finite numbers, got [2, 1]"),
+    ("interaction", {"rho_interval": [1]}, "rho_interval must be a pair lo < hi of finite numbers, got [1]"),
+])
+def test_family_growth_data_is_checked_alike(tmp_path, key, change, message):
+    """A family and an interaction reject the same growth data with the same
+    FamilyError, and a config block with it exits 2 naming its key."""
+    cls, base = (PotentialFamily, _FAMILY) if key == "family" else (InteractionFamily, _PAIR)
+    block = {**base, **change}
+    with pytest.raises(FamilyError) as caught:
+        cls(**block)
+    assert str(caught.value) == message
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump({key: block}))
+    result = CliRunner().invoke(main, ["validate", "--config", str(path),
+                                       "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert f"config error: {key}: {message}" in (result.stderr or result.output)

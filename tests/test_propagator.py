@@ -427,14 +427,26 @@ def quartic_direct_128():
     return g, handle, gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
 
 
+def _counted_applies(handle, monkeypatch) -> list:
+    """The shapes handle.apply is called on from now, calling through."""
+    shapes, apply = [], handle.apply
+
+    def counted(t, f):
+        shapes.append(f.shape)
+        return apply(t, f)
+
+    monkeypatch.setattr(handle, "apply", counted)
+    return shapes
+
+
 def test_direct_residuals_are_bounded_by_the_inverse_defect(quartic_direct_128, monkeypatch):
     """Every step taken with the dense inverse has a kernel residual of at
-    most the inverse's defect delta, which each record reports; a run
-    whose inverse is cached already makes no apply."""
+    most the inverse's defect delta, which each record reports; the run
+    makes one apply, on the stack of the inverse's columns, for delta."""
     g, handle, u0 = quartic_direct_128
     cfg = PropagatorConfig(dt=1e-3, t_final=0.2, save_every=50, keep_states=False)
     tau = 0.5 * cfg.dt
-    inverse, delta = handle.cayley_inverse(0.0, tau)
+    inverse, delta = propagator._cayley_inverse(handle, 0.0, tau, None)
     u, residuals = u0.values.astype(complex), []
     for _ in range(cfg.n_steps):
         x = inverse @ u
@@ -443,10 +455,9 @@ def test_direct_residuals_are_bounded_by_the_inverse_defect(quartic_direct_128, 
         u = 2.0 * x - u
     # 1e-15 covers the rounding of the product inverse @ u
     assert max(residuals) <= delta + 1e-15
-    applies = []
-    monkeypatch.setattr(handle, "apply", lambda t, f: applies.append(f.shape))
+    applies = _counted_applies(handle, monkeypatch)
     run = propagate(cfg, handle, u0)
-    assert applies == []
+    assert applies == [(g.N, g.N)]
     assert run.data["solver_residual"][1:].tolist() == [delta] * 4
     assert run.data["solver_iterations"][1:].tolist() == [50] * 4
 
@@ -456,8 +467,8 @@ def test_direct_step_failure_names_its_own_step(quartic_direct_128, monkeypatch,
     """A dense inverse whose defect misses raises before the first step,
     and the error names that step."""
     g, handle, u0 = quartic_direct_128
-    inv = operators.inv
-    monkeypatch.setattr(operators, "inv", lambda *args, **kw: inv(*args, **kw) * (1 + 1e-9))
+    inv = propagator.inv
+    monkeypatch.setattr(propagator, "inv", lambda *args, **kw: inv(*args, **kw) * (1 + 1e-9))
     cfg = PropagatorConfig(dt=1e-3, t_final=0.02, save_every=10)
     with pytest.raises(SolverError, match=r"Cayley solve stalled .* at step 1 \(t=0\.001\)"):
         run(cfg, handle, u0)
@@ -467,12 +478,12 @@ def test_lockstep_direct_residuals_are_bounded_by_the_inverse_defect(quartic_dir
                                                                       monkeypatch):
     """The lockstep variational run takes a u and a w step with the dense
     inverse for each step: each of the 2 n_steps kernel residuals is at
-    most its defect delta, both runs' records report delta, and a run
-    whose inverse is cached already makes no apply."""
+    most its defect delta, both runs' records report delta, and the run
+    makes one apply, on the stack of the inverse's columns, for delta."""
     g, handle, u0 = quartic_direct_128
     cfg = PropagatorConfig(dt=1e-3, t_final=0.05, save_every=20, keep_states=False)
     tau = 0.5 * cfg.dt
-    inverse, delta = handle.cayley_inverse(0.0, tau)
+    inverse, delta = propagator._cayley_inverse(handle, 0.0, tau, None)
 
     def direct_step(state, b):
         x = inverse @ b
@@ -488,10 +499,9 @@ def test_lockstep_direct_residuals_are_bounded_by_the_inverse_defect(quartic_dir
         u = u_next
         residuals += [res_u, res_w]
     assert max(residuals) <= delta + 1e-15
-    applies = []
-    monkeypatch.setattr(handle, "apply", lambda t, f: applies.append(f.shape))
+    applies = _counted_applies(handle, monkeypatch)
     run_u, run_w = propagator.propagate_variational(cfg, handle, u0)
-    assert applies == []
+    assert applies == [(g.N, g.N)]
     for run in (run_u, run_w):
         assert run.data["solver_residual"][1:].tolist() == [delta] * 3
         assert run.data["solver_iterations"][1:].tolist() == [20, 20, 10]
@@ -505,7 +515,7 @@ def test_inverse_defect_bounds_every_kernel_residual(parametric_128, seed, tau, 
     inverse's defect delta, Op the kernel's H or X* H X."""
     g, handle, _ = parametric_128
     cutoff = PropagatorConfig(eps=eps).cutoff()
-    inverse, delta = handle.cayley_inverse(0.0, tau, cutoff)
+    inverse, delta = propagator._cayley_inverse(handle, 0.0, tau, cutoff)
     op = handle.apply if cutoff is None else partial(handle.apply_mollified, cutoff=cutoff)
     rng = np.random.default_rng(seed)
     b = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
@@ -520,17 +530,28 @@ def test_inverse_defect_bounds_every_kernel_residual(parametric_128, seed, tau, 
     ("crank_nicolson_midpoint", None, "confined_quartic"),     # GMRES
     ("lanczos_expmid", None, "confined_quartic"),
 ])
-def test_run_frees_its_handle_without_the_cycle_collector(scheme, eps, name):
-    """The run's operator holds no reference cycle, so a handle and its
-    dense inverse go as soon as their last user drops them."""
+def test_run_frees_its_handle_without_the_cycle_collector(scheme, eps, name, monkeypatch):
+    """The run's operator holds no reference cycle, so a direct run's dense
+    inverse goes when the run returns, and a handle as soon as its last
+    user drops it."""
     g = make_grid(1, 10.0, 64)
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
     cfg = PropagatorConfig(scheme=scheme, dt=1e-3, t_final=0.02, eps=eps)
+    inverses, build = [], propagator._cayley_inverse
+
+    def watched(*args):
+        inverse, delta = build(*args)
+        inverses.append(weakref.ref(inverse))
+        return inverse, delta
+
+    monkeypatch.setattr(propagator, "_cayley_inverse", watched)
     gc.disable()
     try:
         handle = HamiltonianHandle(get_family(name), g, rho=1.0)
         ref = weakref.ref(handle)
         propagate(cfg, handle, u0)
+        assert len(inverses) == (name == "parametric_quartic")
+        assert all(inverse() is None for inverse in inverses)
         del handle
         assert ref() is None
     finally:
@@ -664,22 +685,38 @@ def test_time_free_inhomogeneous_flow_matches_dense_cayley_recursion(parametric_
     assert run.data["solver_iterations"][1:].tolist() == [1] * cfg.n_steps
 
 
+def _counted(monkeypatch, name) -> list:
+    """One entry per call of propagator.<name> from now, calling through."""
+    calls, fn = [], getattr(propagator, name)
+    monkeypatch.setattr(propagator, name,
+                        lambda *args, **kwargs: calls.append(1) or fn(*args, **kwargs))
+    return calls
+
+
 @pytest.mark.parametrize("name, N", [
     ("confined_quartic", 128),                            # time-dependent
     ("parametric_quartic", 2 * propagator.DIRECT_MAX_N),  # above the cap
 ])
 def test_gmres_still_steps_other_flows(name, N, monkeypatch):
-    calls = []
-    solve = propagator.gmres
-    monkeypatch.setattr(propagator, "gmres",
-                        lambda *args, **kwargs: calls.append(1) or solve(*args, **kwargs))
+    calls, inverses = _counted(monkeypatch, "gmres"), _counted(monkeypatch, "_cayley_inverse")
     g = make_grid(1, 10.0, N)
     fam = get_family(name)
     handle = HamiltonianHandle(fam, g, rho=1.0 if fam.rho_interval else 0.0)
     cfg = PropagatorConfig(dt=1e-3, t_final=5e-3, keep_states=False)
     propagate(cfg, handle, gaussian_packet(g, center=1.0, width=0.8))
     assert len(calls) == cfg.n_steps
-    assert handle._cayley is None
+    assert len(inverses) == 0
+
+
+@pytest.mark.parametrize("run", [propagate, propagator.propagate_variational])
+def test_direct_run_builds_one_inverse(quartic_direct_128, monkeypatch, run):
+    """A direct run, plain or lockstep, builds its dense inverse once and
+    takes no GMRES step."""
+    g, handle, u0 = quartic_direct_128
+    calls, inverses = _counted(monkeypatch, "gmres"), _counted(monkeypatch, "_cayley_inverse")
+    run(PropagatorConfig(dt=1e-3, t_final=5e-3, keep_states=False), handle, u0)
+    assert len(calls) == 0
+    assert len(inverses) == 1
 
 
 @pytest.mark.parametrize("tau, precondition", [
@@ -696,8 +733,8 @@ def test_gmres_matches_scipy_gmres(tau, precondition):
     g = make_grid(1, 10.0, 128)
     handle = HamiltonianHandle(get_family("confined_quartic"), g)
     t = 0.3
-    psolve = (propagator._Split(propagator._Operator(handle, PropagatorConfig()), t, tau)
-              if precondition else None)
+    op = propagator._Operator(handle, PropagatorConfig(dt=2 * tau, t_final=2 * tau))
+    psolve = propagator._Split(op, t) if precondition else None
     b = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5).values
 
     def matvec(v):
@@ -824,8 +861,9 @@ def _fused_case(name):
 def test_fused_operator_matches_preconditioned_matvec(name, twisted, rng):
     """The fused operator gmres iterates on is M A, with M the split's psolve."""
     handle, t = _fused_case(name)
-    tau = 5e-4
-    split = propagator._Split(propagator._Operator(handle, PropagatorConfig()), t, tau)
+    op = propagator._Operator(handle, PropagatorConfig(dt=1e-3))
+    tau = op.tau
+    split = propagator._Split(op, t)
     assert (split.twist is not None) == twisted
     shape = handle.grid.shape
 
@@ -860,20 +898,6 @@ def test_time_free_handle_samples_its_fields_once(monkeypatch):
     handle = HamiltonianHandle(get_family("harmonic"), g)
     propagate(PropagatorConfig(dt=1e-3, t_final=0.05, eps=0.5), handle, u0)
     assert calls == {"eval_potential": 2, "eval_symbol": 1}
-
-
-def test_one_cached_cayley_inverse_per_handle(harmonic_256):
-    g, handle = harmonic_256
-    u = gaussian_packet(g, width=1.0)
-    cfg = PropagatorConfig(dt=1e-3, t_final=1e-3)
-    propagate(cfg, handle, u)
-    first = handle._cayley
-    propagate(replace(cfg, t0=1e-3, t_final=2e-3), handle, u)
-    assert handle._cayley is first
-    mollified = replace(cfg, eps=0.5)
-    propagate(mollified, handle, u)
-    assert handle._cayley is not first
-    assert handle._cayley_key == (0.5 * cfg.dt, mollified.cutoff())
 
 
 def test_initial_state_must_share_the_handle_grid():
@@ -940,3 +964,29 @@ def test_gauge_split_takes_the_field_into_the_kinetic_term():
     w = free.system.interaction.on(0.3, 0.1, free.system.relative_coordinate)
     assert phi is None
     np.testing.assert_array_equal(v_g, w + v[:, None] + v[None, :])
+
+
+def _lanczos_source_run(run):
+    """run on a small harmonic flow with the lanczos_expmid scheme."""
+    g = make_grid(1, 10.0, 32)
+    handle, u0 = HamiltonianHandle(get_family("harmonic"), g), gaussian_packet(g)
+    cfg = PropagatorConfig(scheme="lanczos_expmid", dt=1e-3, t_final=1e-3)
+    if run is propagate_inhomogeneous:
+        return run(cfg, handle, u0, lambda t: np.zeros(g.shape))
+    return run(cfg, handle, u0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: PropagatorConfig(t0=1.0, t_final=1.0), "t_final must exceed t0"),
+    (lambda: PropagatorConfig(t0=1.0, t_final=0.5), "t_final must exceed t0"),
+    (lambda: PropagatorConfig(save_every=0), "save_every must be >= 1"),
+    (lambda: PropagatorConfig(dt=True), "dt must be a finite number"),
+    (lambda: _lanczos_source_run(propagate_inhomogeneous),
+     "inhomogeneous runs need the crank_nicolson_midpoint scheme"),
+    (lambda: _lanczos_source_run(propagator.propagate_variational),
+     "inhomogeneous runs need the crank_nicolson_midpoint scheme"),
+])
+def test_propagator_rejections_name_the_field(build, message):
+    with pytest.raises(ConfigError) as caught:
+        build()
+    assert str(caught.value) == message

@@ -304,7 +304,6 @@ def test_commutator_uniform_in_eps():
     g = make_grid(1, 10.0, 128)
     probe = commutator_probe(get_family("confined_quartic"), g, t=3 * np.pi / 2, mu=0.5)
     assert probe.max_min_ratio < 10.0
-    assert not probe.diverged
 
 
 def test_commutator_is_linear_in_cutoff_symbol(rng):
@@ -335,3 +334,25 @@ def test_symbol_field_records_metadata():
     assert field.kind == "h"
     assert field.t == 0.25
     assert field.values.shape == (g.N, g.N)
+
+
+_LINE = make_grid(1, 10.0, 32)
+# h = xi^2/2 vanishes at xi = 0 however large x is: no ellipticity constant exists
+_FREE = PotentialFamily(name="free", v="0", a=("0",), growth_order=0, delta=1.0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: SymbolField(_LINE, np.zeros((32, 16))), GridError,
+     "symbol shape (32, 16), expected (32, 32)"),
+    (lambda: eval_symbol("h", get_family("harmonic"), make_grid(1, 10.0, 8192)), GridError,
+     "symbol field would need 67108864 entries (limit 16777216); "
+     "use a coarser grid for symbol work"),
+    (lambda: eval_symbol("chi_eps", get_family("harmonic"), _LINE), SymbolDomainError,
+     "chi_eps needs a CutoffSpec"),
+    (lambda: ellipticity_constants(_FREE, _LINE), SymbolDomainError,
+     "symbol is not elliptic on the grid (nonpositive ratio to the weight)"),
+])
+def test_symbol_rejections_name_the_field(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message

@@ -27,11 +27,12 @@ from polyschro import (
     product_state,
     propagate,
     sensitivity_sweep,
+    weighted_norm_primed,
 )
 from polyschro.errors import ConfigError, FamilyError, GridError
 from polyschro.operators import apply_expanded, axis_terms
 from polyschro.potentials import partial_rho
-from conftest import RHO_MAGNETIC, band_limited_state
+from conftest import MAGNETIC_2D, RHO_MAGNETIC, band_limited_state
 
 
 @pytest.fixture(scope="module")
@@ -446,3 +447,17 @@ def test_batched_primed_norms_match_single_norms(rng):
         want = [order.norm(WaveFunction(g2, f)) for f in stack]
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: TwoParticleSystem(MAGNETIC_2D, get_family("harmonic"), get_interaction("soft_pair"),
+                               make_grid(2, 10.0, 32)),
+     ConfigError, "per-particle family 'magnetic_2d' must be one-dimensional"),
+    (lambda: weighted_norm_primed(PrimedNormOrder(a=1, growth_orders=(0, 0)),
+                                  gaussian_packet(make_grid(1, 10.0, 32))),
+     GridError, "primed norms are defined on composite grids"),
+])
+def test_twoparticle_rejections_name_the_field(build, error, message):
+    with pytest.raises(error) as caught:
+        build()
+    assert str(caught.value) == message
