@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from polyschro import load_config
+from polyschro.cli import run_experiment
 from polyschro.config import SUITE_NAMES, from_mapping
 from polyschro.errors import ConfigError
 
@@ -248,6 +249,22 @@ def test_selected_suite_defaults_checked_at_load():
         from_mapping(doc)
     assert from_mapping({**doc, "suites": ["propagate", "validate"]}).suites == (
         "propagate", "validate")
+
+
+def test_run_suites_are_checked_outside_the_selection(tmp_path):
+    """A suite run in place of the selection, as by a CLI subcommand, is
+    checked by name and has its plan built before any suite runs."""
+    doc = {"suites": ["validate"],
+           "interaction": {"name": "pair", "w": "rho*r^2", "growth_order": 1,
+                           "delta": 1.0, "rho_interval": [0.5, 1]}}
+    cfg = from_mapping(doc)
+    assert cfg.suites == ("validate",)
+    out = tmp_path / "o"
+    for suite, message in (("two_particle", r"^options\.two_particle: rho=0\.1 outside"),
+                           ("spectral_gap", r"^unknown suite 'spectral_gap'")):
+        with pytest.raises(ConfigError, match=message):
+            run_experiment(cfg, suites=["validate", suite], out_dir=str(out))
+        assert not out.exists()
 
 
 def test_yaml_file_round_trip(tmp_path):
