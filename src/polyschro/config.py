@@ -37,7 +37,7 @@ def _keyword_defaults(fn) -> dict:
 SUITE_OPTIONS = {name: _keyword_defaults(plan) for name, plan in _SUITE_PLANS.items()}
 SUITE_NAMES = tuple(SUITE_OPTIONS)
 
-_FAMILY_KEYS = {"name", "v", "a", "growth_order", "delta", "mass", "rho_interval", "dim"}
+_FAMILY_KEYS = {"name", "v", "a", "growth_order", "delta", "mass", "rho_interval"}
 _INTERACTION_KEYS = {"name", "w", "growth_order", "delta", "rho_interval"}
 
 
@@ -97,9 +97,8 @@ def _resolve_potential(value, path: str, cls, lookup, keys):
 
 
 def _resolve_grid(value, path: str) -> SpatialGrid:
-    data = _mapping_of(value, path, {"d", "L", "N"})
-    return _checked(path, make_grid, data.get("d", 1), data.get("L", 10.0),
-                    data.get("N", 512))
+    data = _mapping_of(value, path, {"L", "N"})
+    return _checked(path, make_grid, 1, data.get("L", 10.0), data.get("N", 512))
 
 
 def check_plan(cfg: ExperimentConfig, name: str) -> None:

@@ -10,7 +10,7 @@ expression) before ``ast.parse``.
 
 Operators: + - * / ^ with Python's precedence, unary + and -; exponents
 must fold to a constant.  Functions: sin, cos, exp, sqrt, of one argument.
-Variables are free names (typically t, x or x1/x2, r, rho); evaluation
+Variables are free names (typically t, x, r, rho); evaluation
 broadcasts numpy arrays bound to them.  Numerals are decimal (``2``,
 ``0.5``, ``.5``, ``1e-3``).  Anything else raises ExpressionError: other
 syntax, comments, non-ASCII text, keywords as names, and Python-only

@@ -1,22 +1,23 @@
-"""Matrix-free operators: Hamiltonian, its mollification, weight powers, norms.
+"""Matrix-free operators of one particle on a line: Hamiltonian, its
+mollification, weight powers, norms.
 
-The Hamiltonian (1/2m)|p - A|^2 + V is applied in the expanded symmetric
+The Hamiltonian (1/2m)(p - A)^2 + V is applied in the expanded symmetric
 three-term form
 
-    p^2 f / 2m  -  (A . p f + p . (A f)) / 2m  +  (|A|^2 / 2m + V) f,
+    p^2 f / 2m  -  (A p f + p (A f)) / 2m  +  (A^2 / 2m + V) f,
 
 with p realized spectrally, which is Hermitian on the periodic grid in
 exact arithmetic.  One kernel, ``apply_expanded``, evaluates that form
-axis by axis for every handle, on one state or on a (B, *grid.shape)
-stack.  ``HamiltonianHandle.matrix`` fills the dense matrix of the same
+along the last axis, on one state or on a (B, N) stack.
+``HamiltonianHandle.matrix`` fills the dense N x N matrix of the same
 form from the same memoized fields,
 
-    K + diag(V + |A|^2/2m) - sum_k (C_k diag(A_k/2m) + diag(A_k/2m) C_k),
+    K + diag(V + A^2/2m) - (C diag(A/2m) + diag(A/2m) C),
 
-with K = F^-1 diag(|xi|^2/2m) F and C_k = F^-1 diag(xi_k) F the t-free
+with K = F^-1 diag(xi^2/2m) F and C = F^-1 diag(xi) F the t-free
 circulants of the grid; it is the one route to a dense matrix of H.
 dH/drho has the same form with (A, V) replaced by
-(dA/drho, dV/drho + A . dA/drho / m) and no kinetic term.  The
+(dA/drho, dV/drho + A dA/drho / m) and no kinetic term.  The
 mollified operator sandwiches H between a quantized low-energy cutoff
 and its exact discrete adjoint, so it is Hermitian by construction
 whatever the quantization error; its dense matrix is one
@@ -33,8 +34,9 @@ import numpy as np
 from scipy import fft as sfft
 from scipy.linalg import cho_factor, cho_solve, circulant
 
-from .errors import ConfigError, SolverError
-from .grid import SpatialGrid, WaveFunction, _values_of, derivative_norm_sum, l2_norm
+from .errors import ConfigError, GridError, SolverError
+from .grid import (SpatialGrid, WaveFunction, _finite, _values_of, _whole, derivative_norm_sum,
+                   l2_norm)
 from .potentials import PotentialFamily, eval_potential, partial_rho
 from .symbols import CutoffSpec, adjoint_quantize_symbol, eval_symbol, quantize_symbol
 
@@ -65,26 +67,22 @@ class Memo(dict):
         return hit
 
 
-def axis_terms(grid: SpatialGrid, k: int, mass: float, a) -> tuple:
-    """Kernel data of axis k: (k - d, xi_k, xi_k/2m, xi_k^2/2m, A_k, A_k/2m).
+def axis_terms(grid: SpatialGrid, mass: float, a) -> tuple:
+    """Kernel data of the line: (xi, xi/2m, xi^2/2m, A, A/2m).
 
-    k - d addresses axis k from the end, so leading batch axes broadcast.
-    xi_k is the dual axis broadcast along axis k of the grid; A_k must
-    broadcast against the grid's shape.  A field whose samples are all
-    zero is stored as None, so the kernel skips its transforms.
+    A field whose samples are all zero is stored as None, so the kernel
+    skips its transforms.
     """
-    shape = [1] * grid.d
-    shape[k] = grid.N
-    xi = grid.dual_axis.reshape(shape)
+    xi = grid.dual_axis
     xi_2m = xi / (2.0 * mass)
     if not np.any(a):
-        return (k - grid.d, xi, xi_2m, xi * xi_2m, None, None)
-    return (k - grid.d, xi, xi_2m, xi * xi_2m, a, a / (2.0 * mass))
+        return (xi, xi_2m, xi * xi_2m, None, None)
+    return (xi, xi_2m, xi * xi_2m, a, a / (2.0 * mass))
 
 
 def _kinetic_matrix(grid: SpatialGrid, mass: float) -> np.ndarray:
-    """F^-1 diag(xi^2/2m) F along one axis of the grid: real and symmetric,
-    because the multiplier is real and even."""
+    """F^-1 diag(xi^2/2m) F on the line grid: real and symmetric, because
+    the multiplier is real and even."""
     return circulant(sfft.ifft(grid.dual_axis**2 / (2.0 * mass)).real)
 
 
@@ -98,7 +96,7 @@ def _kinetic_circulant(grid: SpatialGrid, mass: float) -> np.ndarray:
 
 @lru_cache(maxsize=_FACTOR_SLOTS)
 def _momentum_circulant(grid: SpatialGrid) -> np.ndarray:
-    """F^-1 diag(xi) F along one axis of the grid, read-only."""
+    """F^-1 diag(xi) F on the line grid, read-only."""
     mat = circulant(sfft.ifft(grid.dual_axis))
     mat.setflags(write=False)
     return mat
@@ -111,46 +109,46 @@ def gauge_phase(a: np.ndarray, dx: float) -> np.ndarray:
     return phi
 
 
-def apply_expanded(f: np.ndarray, diag: np.ndarray, axes, kinetic: bool = True) -> np.ndarray:
-    """diag f plus, per axis k, (p_k^2 - A_k p_k - p_k A_k) f / 2m_k.
+def apply_expanded(f: np.ndarray, diag: np.ndarray, terms, kinetic: bool = True) -> np.ndarray:
+    """diag f plus (p^2 - A p - p A) f / 2m along the last axis.
 
-    With G = F_k f and H = F_k(A_k f) on each axis (F_k the one-axis
-    transform) this is
+    With G = F f and H = F(A f) (F the transform along the last axis)
+    this is
 
-        F_k^-1(xi_k/2m_k (xi_k G - H)) - (A_k/2m_k) F_k^-1(xi_k G),
+        F^-1(xi/2m (xi G - H)) - (A/2m) F^-1(xi G),
 
     two paired transforms: G and H in one call on a (2, *f.shape) buffer,
-    and both inverse transforms in one more.  When A_k is None it is
-    F_k^-1(xi_k^2/2m_k G), two passes.  kinetic=False drops the p_k^2
-    term, which dH/drho does not have.  ``axes`` holds ``axis_terms``
-    tuples; f may have leading batch axes.
+    and both inverse transforms in one more.  When A is None it is
+    F^-1(xi^2/2m G), two passes.  kinetic=False drops the p^2 term,
+    which dH/drho does not have.  ``terms`` is an ``axis_terms`` tuple;
+    f may have leading batch axes.
     """
     f = np.asarray(f, dtype=complex)
     out = diag * f
+    xi, xi_2m, kin, a, a_2m = terms
     # the axis goes in positionally (n=None): keyword dispatch costs about
-    # half a microsecond per transform, a few percent of a 1-D apply
-    for k, xi, xi_2m, kin, a, a_2m in axes:
-        if a is None:
-            if kinetic:
-                out += sfft.ifft(kin * sfft.fft(f, None, k), None, k)
-            continue
-        pair = np.empty((2, *f.shape), dtype=complex)
-        pair[0] = f
-        np.multiply(a, f, out=pair[1])
-        # overwrite_x: the spectrum may be the buffer itself, so each slot
-        # is read before it is written
-        spec = sfft.fft(pair, None, k, None, True)
-        xi_g = xi * spec[0]
+    # half a microsecond per transform, a few percent of an apply
+    if a is None:
         if kinetic:
-            np.subtract(xi_g, spec[1], out=spec[1])
-        spec[1] *= xi_2m
-        spec[0] = xi_g
-        back = sfft.ifft(spec, None, k, None, True)
-        if kinetic:
-            out += back[1]
-        else:
-            out -= back[1]
-        out -= a_2m * back[0]
+            out += sfft.ifft(kin * sfft.fft(f, None, -1), None, -1)
+        return out
+    pair = np.empty((2, *f.shape), dtype=complex)
+    pair[0] = f
+    np.multiply(a, f, out=pair[1])
+    # overwrite_x: the spectrum may be the buffer itself, so each slot
+    # is read before it is written
+    spec = sfft.fft(pair, None, -1, None, True)
+    xi_g = xi * spec[0]
+    if kinetic:
+        np.subtract(xi_g, spec[1], out=spec[1])
+    spec[1] *= xi_2m
+    spec[0] = xi_g
+    back = sfft.ifft(spec, None, -1, None, True)
+    if kinetic:
+        out += back[1]
+    else:
+        out -= back[1]
+    out -= a_2m * back[0]
     return out
 
 
@@ -181,30 +179,22 @@ class HamiltonianHandle:
 
     @cached_property
     def kinetic_multiplier(self) -> np.ndarray:
-        """|xi|^2 / 2m on the dual grid."""
+        """xi^2 / 2m on the dual grid."""
         return self.grid.dual_radius_sq / (2.0 * self.mass)
 
     def _hamiltonian_fields(self, t: float):
-        """(V + |A|^2/2m, kernel axis data of A) at time t."""
-        V, A = eval_potential(self.fam, t, self.rho, self.grid)
-        a_sq = np.zeros(self.grid.shape)
-        for comp in A:
-            a_sq = a_sq + comp**2
-        axes = tuple(axis_terms(self.grid, k, self.mass, comp) for k, comp in enumerate(A))
-        pot = V + a_sq / (2.0 * self.mass)
+        """(V + A^2/2m, kernel data of A) at time t."""
+        V, (a,) = eval_potential(self.fam, t, self.rho, self.grid)
+        pot = V + a**2 / (2.0 * self.mass)
         pot.setflags(write=False)
-        return pot, axes
+        return pot, axis_terms(self.grid, self.mass, a)
 
     def _derivative_fields(self, t: float):
-        """(dV + A . dA / m, kernel axis data of dA) at time t."""
-        dV, dA = partial_rho(self.fam, t, self.rho, self.grid)
-        _, axes = self._fields[t]
-        cross = np.zeros(self.grid.shape)
-        for (*_, a, _), da in zip(axes, dA):
-            if a is not None:
-                cross = cross + a * da
-        dA_axes = tuple(axis_terms(self.grid, k, self.mass, da) for k, da in enumerate(dA))
-        return dV + cross / self.mass, dA_axes
+        """(dV + A dA / m, kernel data of dA) at time t."""
+        dV, (da,) = partial_rho(self.fam, t, self.rho, self.grid)
+        a = self._fields[t][1][3]
+        cross = 0.0 if a is None else a * da
+        return dV + cross / self.mass, axis_terms(self.grid, self.mass, da)
 
     def potential_multiplier(self, t: float) -> np.ndarray:
         """V + |A|^2/2m: the x-diagonal part of the expanded form (read-only)."""
@@ -213,14 +203,12 @@ class HamiltonianHandle:
     def gauge_split(self, t: float) -> tuple:
         """(phi, V_g) with H(t) ~ e^{i phi} p^2/2m e^{-i phi} + V_g.
 
-        In 1-D, phi' = A turns (p - A)^2 into p^2 exactly in the continuum,
-        and V_g = V.  phi is the cumulative trapezoid of A with phi[0] = 0.
-        With no field, or on a 2-D grid (where A_k depends on both
-        coordinates), phi is None and V_g the full potential multiplier.
+        phi' = A turns (p - A)^2 into p^2 exactly in the continuum, and
+        V_g = V.  phi is the cumulative trapezoid of A with phi[0] = 0.
+        With no field, phi is None and V_g the full potential multiplier.
         """
-        pot, axes = self._fields[self._key(t)]
-        a, a_2m = axes[0][4:]
-        if self.grid.d > 1 or a is None:
+        pot, (*_, a, a_2m) = self._fields[self._key(t)]
+        if a is None:
             return None, pot
         return gauge_phase(a, self.grid.dx), pot - a * a_2m
 
@@ -233,34 +221,21 @@ class HamiltonianHandle:
         return apply_expanded(f, *self._rho_fields[self._key(t)], kinetic=False)
 
     def matrix(self, t: float, derivative: bool = False) -> np.ndarray:
-        """The dense grid.size x grid.size matrix of H(t), or of (dH/drho)(t).
+        """The dense N x N matrix of H(t), or of (dH/drho)(t).
 
         Filled from the memoized fields in the kernel's closed form
-        K + diag(pot) - sum_k (a_k,i + a_k,j) C_k,ij, a_k = A_k/2m, which is
-        C_k diag(a_k) + diag(a_k) C_k entry by entry.  derivative drops K
-        and takes the dH/drho fields.  On a 2-D grid an axis circulant
-        enters as its Kronecker product with the identity; C_k is built
-        only for an axis with a field.
+        K + diag(pot) - (a_i + a_j) C_ij, a = A/2m, which is
+        C diag(a) + diag(a) C entry by entry.  derivative drops K and
+        takes the dH/drho fields.
         """
-        grid, n = self.grid, self.grid.size
-        pot, axes = (self._rho_fields if derivative else self._fields)[self._key(t)]
-
-        def embed(mat, k):
-            """The axis-k matrix mat acting on the raveled grid."""
-            if grid.d == 1:
-                return mat
-            eye = np.eye(grid.N)
-            return np.kron(mat, eye) if k == 0 else np.kron(eye, mat)
-
+        n = self.grid.N
+        pot, (*_, a_2m) = (self._rho_fields if derivative else self._fields)[self._key(t)]
         out = np.zeros((n, n), dtype=complex)
         if not derivative:
-            for k in range(grid.d):
-                out += embed(_kinetic_circulant(grid, self.mass), k)
-        for k, (*_, a_2m) in enumerate(axes):
-            if a_2m is not None:
-                a = np.broadcast_to(a_2m, grid.shape).ravel()
-                out -= np.add.outer(a, a) * embed(_momentum_circulant(grid), k)
-        out.flat[:: n + 1] += pot.ravel()
+            out += _kinetic_circulant(self.grid, self.mass)
+        if a_2m is not None:
+            out -= np.add.outer(a_2m, a_2m) * _momentum_circulant(self.grid)
+        out.flat[:: n + 1] += pot
         return out
 
     def _cutoff_symbol(self, key):
@@ -302,10 +277,10 @@ class NormOrder:
             raise ConfigError("order a must be an integer")
         if abs(self.a) > 3:
             raise ConfigError(f"orders are capped at |a| <= 3, got {self.a}")
-        if self.growth_order < 0:
-            raise ConfigError("growth_order must be >= 0")
-        if self.mass <= 0:
-            raise ConfigError("mass must be positive")
+        if _whole(self.growth_order, "growth_order", ConfigError) < 0:
+            raise ConfigError(f"growth_order must be >= 0, got {self.growth_order!r}")
+        if not (_finite(self.mass) and self.mass > 0):
+            raise ConfigError(f"mass must be a finite positive number, got {self.mass!r}")
 
     @property
     def weight_exponent(self) -> float:
@@ -334,6 +309,7 @@ def _lambda_m_apply(mu_p, kin, weight, grid, f):
     return mu_p * f + grid.ifft(kin * grid.fft(f)) + weight * f
 
 
+# kept for perfbench/tracer.py, which wraps this name; no code calls it
 def solve_hermitian_cg(apply_op, b, tol: float = 1e-12, maxiter: int = 20000):
     """Conjugate gradients for a Hermitian positive-definite operator.
 
@@ -385,10 +361,9 @@ def _lambda_m_factor(order: NormOrder, grid: SpatialGrid):
 def apply_lambdaM_power(order: NormOrder, f: WaveFunction) -> WaveFunction:
     """Integer power of the weight operator mu' + p^2/2m + <x>^(2(M+1)).
 
-    Negative powers solve Lambda_M x = f: in 1-D with the cached Cholesky
-    factor of its matrix, the real and imaginary parts as two right-hand
-    sides; in 2-D by conjugate gradients on the (Hermitian,
-    positive-definite) operator itself, to 1e-12 relative residual.
+    Negative powers solve Lambda_M x = f on a 1-D grid with the cached
+    Cholesky factor of its matrix, the real and imaginary parts as two
+    right-hand sides; on a 2-D grid they raise GridError.
     """
     return f.with_values(_lambda_m_power(order, f.values.astype(complex), f.grid))
 
@@ -396,25 +371,22 @@ def apply_lambdaM_power(order: NormOrder, f: WaveFunction) -> WaveFunction:
 def _lambda_m_power(order: NormOrder, vals: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Lambda_M^a on raw values: one state or a (R, *grid.shape) stack."""
     n = int(order.a)
-    if n < 0 and grid.d == 1:
-        factor = _lambda_m_factor(replace(order, a=-1), grid)
-        rows = vals.reshape(-1, grid.N)
-        r = len(rows)
-        for _ in range(-n):
-            # the real and the imaginary part of every row: 2R right-hand sides
-            x = cho_solve(factor, np.concatenate([rows.real, rows.imag]).T, check_finite=False)
-            rows = (x[:, :r] + 1j * x[:, r:]).T
-        return rows.reshape(vals.shape)
-    mu_p, kin, weight = _lambda_m_parts(order, grid)
-    op = lambda g: _lambda_m_apply(mu_p, kin, weight, grid, g)
-    for _ in range(n):
-        vals = op(vals)
-    if n < 0:
-        rows = vals.reshape(-1, *grid.shape)
-        for _ in range(-n):
-            rows = np.stack([solve_hermitian_cg(op, row)[0] for row in rows])
-        vals = rows.reshape(vals.shape)
-    return vals
+    if n >= 0:
+        mu_p, kin, weight = _lambda_m_parts(order, grid)
+        for _ in range(n):
+            vals = _lambda_m_apply(mu_p, kin, weight, grid, vals)
+        return vals
+    if grid.d != 1:
+        raise GridError(f"order a={order.a} is negative: Lambda_M is inverted on 1-D grids "
+                        f"only, not on {grid}")
+    factor = _lambda_m_factor(replace(order, a=-1), grid)
+    rows = vals.reshape(-1, grid.N)
+    r = len(rows)
+    for _ in range(-n):
+        # the real and the imaginary part of every row: 2R right-hand sides
+        x = cho_solve(factor, np.concatenate([rows.real, rows.imag]).T, check_finite=False)
+        rows = (x[:, :r] + 1j * x[:, r:]).T
+    return rows.reshape(vals.shape)
 
 
 def weighted_norm(order: NormOrder, f, grid: SpatialGrid | None = None):
@@ -423,10 +395,9 @@ def weighted_norm(order: NormOrder, f, grid: SpatialGrid | None = None):
     a = 0 is the plain L2 norm.  For a >= 1 the norm is the sum of all
     derivative norms up to order 2a plus the norm of <x>^(2a(M+1)) f.
     Negative orders are measured through the inverse weight operator,
-    ||Lambda_M^a f||: in 1-D by a Cholesky factor of the matrix of
-    Lambda_M, built on the first call for each (grid, growth order, mass),
-    which fixes mu', and cached; in 2-D by conjugate gradients to 1e-12
-    relative residual.
+    ||Lambda_M^a f||, on a 1-D grid only: by a Cholesky factor of the
+    matrix of Lambda_M, built on the first call for each (grid, growth
+    order, mass), which fixes mu', and cached.
 
     f is a WaveFunction, or raw values on ``grid``: one state, or a
     (R, *grid.shape) stack, which gives an array of R norms.
@@ -452,5 +423,4 @@ __all__ = [
     "apply_lambdaM_power",
     "weighted_norm",
     "resolve_mu_prime",
-    "solve_hermitian_cg",
 ]

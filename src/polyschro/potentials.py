@@ -1,14 +1,15 @@
 """Potential families with closed-form partials, and growth-bound validators.
 
-A family packages the scalar potential V(t, x; rho), a vector potential
-A(t, x; rho), the declared polynomial growth order M (V is sandwiched by
-<x>^(2(M+1)) up to constants), the magnetic growth margin delta (|A| is
-expected to stay under <x>^(M+1-delta)), the particle mass, and the open
-parameter interval.  Potentials are expressions, not callbacks, so every
+A family describes one particle on a line.  It packages the scalar
+potential V(t, x; rho), the vector potential A(t, x; rho), the declared
+polynomial growth order M (V is sandwiched by <x>^(2(M+1)) up to
+constants), the magnetic growth margin delta (|A| is expected to stay
+under <x>^(M+1-delta)), the particle mass, and the open parameter
+interval.  Potentials are expressions, not callbacks, so every
 t-, rho- and x-partial exists in closed form.  The growth validators
-evaluate each exact d^alpha once, on the stack of all (t, rho) samples
-over every grid point, and reduce that stack to each check's constant
-and dyadic-shell slope.
+evaluate each exact x-derivative once, on the stack of all (t, rho)
+samples over every grid point, and reduce that stack to each check's
+constant and dyadic-shell slope.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import expressions as ex
 from .errors import FamilyError
-from .grid import SpatialGrid, _finite, _whole, multi_indices
+from .grid import SpatialGrid, _finite, _whole
 
 # shell-fit tolerances for the empirical bound checks
 SLOPE_TOL = 0.25
@@ -69,15 +70,16 @@ def _check_growth_data(owner, mass=1.0) -> None:
 
 @dataclass(frozen=True)
 class PotentialFamily:
-    """Electric + magnetic potential pair with declared growth data.
+    """Electric + magnetic potential pair of one particle on a line, with
+    declared growth data.
 
     Parameters
     ----------
     name : str
     v : str or Expr
-        Scalar potential; variables t, rho and x (d=1) or x1, x2 (d=2).
-    a : sequence of str or Expr
-        Vector potential components, one per axis.
+        Scalar potential in the variables t, rho and x.
+    a : sequence of one str or Expr
+        The vector potential A, as a one-element list.
     growth_order : int
         The integer M >= 0 in the confinement sandwich
         C0 <x>^(2(M+1)) - C1 <= V <= C2 <x>^(2(M+1)).
@@ -86,7 +88,6 @@ class PotentialFamily:
     mass : float
     rho_interval : (float, float) or None
         Open parameter interval; None marks a parameter-free family.
-    dim : int
     """
 
     name: str
@@ -96,33 +97,19 @@ class PotentialFamily:
     delta: float
     mass: float = 1.0
     rho_interval: tuple | None = None
-    dim: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "v", _as_expr(self.v))
         if not isinstance(self.a, (list, tuple)):
             raise FamilyError(f"a must be a list of component expressions, got {self.a!r}")
         object.__setattr__(self, "a", tuple(_as_expr(c) for c in self.a))
-        if self.dim not in (1, 2):
-            raise FamilyError(f"dim must be 1 or 2, got {self.dim}")
-        if len(self.a) != self.dim:
-            raise FamilyError(
-                f"vector potential needs {self.dim} components, got {len(self.a)}"
-            )
+        if len(self.a) != 1:
+            raise FamilyError(f"vector potential needs 1 component, got {len(self.a)}")
         _check_growth_data(self, self.mass)
-        allowed = self._allowed_vars()
-        for label, e in [("V", self.v)] + [(f"A{i+1}", c) for i, c in enumerate(self.a)]:
-            extra = e.free_vars() - allowed
+        for label, e in (("V", self.v), ("A1", self.a[0])):
+            extra = e.free_vars() - {"x", "t", "rho"}
             if extra:
                 raise FamilyError(f"{label} uses unknown variables {sorted(extra)}")
-
-    def _allowed_vars(self):
-        coords = {"x"} if self.dim == 1 else {"x1", "x2"}
-        return coords | {"t", "rho"}
-
-    @property
-    def coord_names(self):
-        return ("x",) if self.dim == 1 else ("x1", "x2")
 
     @cached_property
     def v_t(self):
@@ -134,19 +121,16 @@ class PotentialFamily:
 
     @cached_property
     def a_t(self):
-        return tuple(c.diff("t") for c in self.a)
+        return self.a[0].diff("t")
 
     @cached_property
     def a_rho(self):
-        return tuple(c.diff("rho") for c in self.a)
+        return self.a[0].diff("rho")
 
     @cached_property
     def div_a(self):
-        """sum_j d(A_j)/d(x_j), the divergence entering the symmetrized symbol."""
-        total = ex.ZERO
-        for c, name in zip(self.a, self.coord_names):
-            total = ex.add(total, c.diff(name))
-        return total
+        """dA/dx, the divergence entering the symmetrized symbol."""
+        return self.a[0].diff("x")
 
     @property
     def is_rho_dependent(self) -> bool:
@@ -167,42 +151,34 @@ class PotentialFamily:
         return _check_rho(rho, self.rho_interval, f"family {self.name!r}")
 
     def check_grid(self, grid: SpatialGrid) -> None:
-        """Reject a grid of another dimension."""
-        if grid.d != self.dim:
-            raise FamilyError(
-                f"family {self.name!r} is {self.dim}-dimensional, grid is {grid.d}-dimensional"
-            )
-
-    def _env(self, t, rho, coords):
-        env = {"t": t, "rho": rho}
-        for name, arr in zip(self.coord_names, coords):
-            env[name] = arr
-        return env
+        """Reject a grid that is not a line."""
+        if grid.d != 1:
+            raise FamilyError(f"family {self.name!r} is 1-dimensional, "
+                              f"grid is {grid.d}-dimensional")
 
 
 def _sample(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid, exprs) -> list:
-    """Evaluate expressions of fam on the grid; rejects bad rho, a grid of
-    another dimension, and non-finite values."""
+    """Evaluate expressions of fam on the grid; rejects bad rho, a grid
+    that is not a line, and non-finite values."""
     fam.check_rho(rho)
     fam.check_grid(grid)
-    env = fam._env(t, rho, grid.mesh)
-    return [ex.evaluate(e, out_shape=grid.shape, **env) for e in exprs]
+    return [ex.evaluate(e, out_shape=grid.shape, t=t, rho=rho, x=grid.axis) for e in exprs]
 
 
 def eval_potential(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid):
     """Sample (V, A) on the grid; rejects non-finite values and bad rho."""
-    V, *A = _sample(fam, t, rho, grid, (fam.v, *fam.a))
-    return V, tuple(A)
+    V, A = _sample(fam, t, rho, grid, (fam.v, fam.a[0]))
+    return V, (A,)
 
 
 def partial_rho(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid):
     """Closed-form parameter partials (dV/drho, dA/drho) on the grid."""
-    dV, *dA = _sample(fam, t, rho, grid, (fam.v_rho, *fam.a_rho))
-    return dV, tuple(dA)
+    dV, dA = _sample(fam, t, rho, grid, (fam.v_rho, fam.a_rho))
+    return dV, (dA,)
 
 
 def divergence_a(fam: PotentialFamily, t: float, rho: float, grid: SpatialGrid) -> np.ndarray:
-    """div A on the grid."""
+    """div A = dA/dx on the grid."""
     (div,) = _sample(fam, t, rho, grid, (fam.div_a,))
     return div
 
@@ -406,15 +382,13 @@ def _worst_slope(centers, stats, pick):
     return pick((s for s in slopes if np.isfinite(s)), default=0.0)
 
 
-def _witness(samples, coords, ratio, s, pick):
+def _witness(samples, x, ratio, s, pick):
     """The point of sample s where pick (np.argmax or np.argmin) lands on ratio[s]."""
-    idx = np.unravel_index(pick(ratio[s]), ratio.shape[1:])
     t, rho = samples[s]
-    xs = [float(c[idx]) for c in coords]
-    return {"t": t, "rho": rho, "x": xs[0] if len(xs) == 1 else tuple(xs)}
+    return {"t": t, "rho": rho, "x": float(x[pick(ratio[s])])}
 
 
-def _upper_check(label, exponent, stack, bracket, samples, coords) -> BoundCheck:
+def _upper_check(label, exponent, stack, bracket, samples, x) -> BoundCheck:
     """|g| <= C <x>^p over the stacked samples of g.
 
     The constant is the largest |g| / <x>^p, witnessed at its point in the
@@ -432,10 +406,10 @@ def _upper_check(label, exponent, stack, bracket, samples, coords) -> BoundCheck
     slope = _worst_slope(centers, stats, max)
     return BoundCheck(label, exponent, constant, slope, SLOPE_TOL,
                       np.isfinite(constant) and slope <= SLOPE_TOL,
-                      _witness(samples, coords, ratio, last, np.argmax))
+                      _witness(samples, x, ratio, last, np.argmax))
 
 
-def _lower_check(exponent, stack, bracket, samples, coords) -> BoundCheck:
+def _lower_check(exponent, stack, bracket, samples, x) -> BoundCheck:
     """Existence of C0 > 0, C1 >= 0 with V >= C0 <x>^p - C1, uniformly sampled.
 
     On a bounded sample the constants alone prove nothing (any C0 works with
@@ -453,11 +427,7 @@ def _lower_check(exponent, stack, bracket, samples, coords) -> BoundCheck:
     slope = _worst_slope(centers, stats, min)
     return BoundCheck("growth_lower", exponent, constant, slope, -SLOPE_TOL,
                       constant > RATIO_FLOOR and slope >= -SLOPE_TOL,
-                      _witness(samples, coords, ratio, int(np.argmin(lows)), np.argmin))
-
-
-def _alpha_label(alpha):
-    return "dx^" + "".join(str(k) for k in alpha)
+                      _witness(samples, x, ratio, int(np.argmin(lows)), np.argmin))
 
 
 def _samples(t_samples, rho_samples, interval):
@@ -476,44 +446,35 @@ def _samples(t_samples, rho_samples, interval):
     return [(t, rho) for t in t_samples for rho in rho_samples]
 
 
-def _derivative(expr, alpha, names):
-    """The closed-form d^alpha expr: alpha[k] differentiations in names[k]."""
-    for name, order in zip(names, alpha):
-        for _ in range(order):
-            expr = expr.diff(name)
-    return expr
+def _scan_bounds(groups, max_order, samples, name, x, bracket, lower=False):
+    """Check |d^k g| <= C <x>^p for every group and k <= max_order over the samples.
 
-
-def _scan_bounds(groups, alphas, samples, names, coords, bracket, lower=False):
-    """Check |d^alpha g| <= C <x>^p for every group and alpha over the samples.
-
-    A group is (prefix, g, p, zero_label, zero_p).  The check of alpha is
-    labelled prefix_dx^alpha with exponent p; a group with a zero_label
+    A group is (prefix, g, p, zero_label, zero_p).  The check of order k
+    is labelled prefix_dx^k with exponent p; a group with a zero_label
     checks order zero under that label with exponent zero_p instead.
-    d^alpha g is differentiated in closed form, alpha[k] times in names[k],
-    and evaluated once on the stack of all samples: t and rho enter as
-    (samples, 1, ...) columns against coords, giving one
-    (samples, *bracket.shape) array, so the memory of a scan grows with
-    samples x grid points (up to 27 x 256 in the validate suite).  With
-    ``lower`` the first group's order-zero stack also feeds the
-    growth_lower check.  Returns the checks group by group in ``alphas``
-    order, growth_lower first.
+    d^k g is differentiated in closed form, k times in the coordinate
+    name, and evaluated once on the stack of all samples: t and rho enter
+    as (samples, 1) columns against the points x, giving one
+    (samples, len(x)) array, so the memory of a scan grows with samples x
+    grid points (up to 27 x 256 in the validate suite).  With ``lower``
+    the first group's order-zero stack also feeds the growth_lower check.
+    Returns the checks group by group in order k, growth_lower first.
     """
-    shape = (len(samples), *bracket.shape)
-    column = (len(samples),) + (1,) * bracket.ndim
-    env = dict(zip(names, coords),
-               t=np.reshape([t for t, _ in samples], column),
-               rho=np.reshape([rho for _, rho in samples], column))
+    shape, column = (len(samples), len(x)), (len(samples), 1)
+    env = {name: x, "t": np.reshape([t for t, _ in samples], column),
+           "rho": np.reshape([rho for _, rho in samples], column)}
     checks = []
     for i, (prefix, expr, p, zero_label, zero_p) in enumerate(groups):
-        for k, alpha in enumerate(alphas):
-            label, exponent = f"{prefix}_{_alpha_label(alpha)}", p
+        for k in range(max_order + 1):
+            label, exponent = f"{prefix}_dx^{k}", p
             if k == 0 and zero_label is not None:
                 label, exponent = zero_label, zero_p
-            stack = ex.evaluate(_derivative(expr, alpha, names), out_shape=shape, **env)
+            if k:
+                expr = expr.diff(name)
+            stack = ex.evaluate(expr, out_shape=shape, **env)
             if lower and i == 0 and k == 0:
-                checks.append(_lower_check(exponent, stack, bracket, samples, coords))
-            checks.append(_upper_check(label, exponent, stack, bracket, samples, coords))
+                checks.append(_lower_check(exponent, stack, bracket, samples, x))
+            checks.append(_upper_check(label, exponent, stack, bracket, samples, x))
     return checks
 
 
@@ -533,27 +494,24 @@ def validate_assumption(
     limit.  The lower confinement bound additionally requires the shell
     minimum of V / <x>^(2(M+1)) not to decay toward the edge.  Each
     derivative is evaluated on all samples at once, so memory grows with
-    samples x grid points: on a 2-D N x N grid, one (samples, N, N) array
-    of floats per derivative.
+    samples x grid points: one (samples, N) array of floats per
+    derivative.
     """
     if alpha_max < 1 or alpha_max > 4:
         raise FamilyError("alpha_max must be between 1 and 4")
-    if fam.dim != grid.d:
-        raise FamilyError("grid dimension does not match the family")
+    fam.check_grid(grid)
     p_full = fam.weight_exponent  # 2(M+1)
     p_mag = fam.growth_order + 1.0  # M+1
     groups = [("V", fam.v, p_full, "growth_upper", p_full),
-              ("Vt", fam.v_t, p_full, None, None)]
-    for j, (a, a_t) in enumerate(zip(fam.a, fam.a_t), start=1):
-        groups += [(f"A{j}", a, p_mag, f"A{j}_size", p_mag - fam.delta),
-                   (f"A{j}t", a_t, p_mag, None, None)]
+              ("Vt", fam.v_t, p_full, None, None),
+              ("A1", fam.a[0], p_mag, "A1_size", p_mag - fam.delta),
+              ("A1t", fam.a_t, p_mag, None, None)]
     if fam.is_rho_dependent:
-        groups.append(("Vrho", fam.v_rho, p_full, None, None))
-        groups += [(f"A{j}rho", c, p_mag, None, None) for j, c in enumerate(fam.a_rho, start=1)]
+        groups += [("Vrho", fam.v_rho, p_full, None, None),
+                   ("A1rho", fam.a_rho, p_mag, None, None)]
     checks = _scan_bounds(
-        groups, multi_indices(fam.dim, alpha_max),
-        _samples(t_samples, rho_samples, fam.rho_interval),
-        fam.coord_names, grid.mesh, np.sqrt(1.0 + grid.radius_sq), lower=True,
+        groups, alpha_max, _samples(t_samples, rho_samples, fam.rho_interval),
+        "x", grid.axis, np.sqrt(1.0 + grid.radius_sq), lower=True,
     )
     return ValidationReport(family=fam.name, checks=tuple(checks))
 
@@ -579,9 +537,8 @@ def validate_interaction(
               ("Wt", inter.w_t, p_full, None, None),
               ("Wrho", inter.w_rho, p_full, None, None)]
     checks = _scan_bounds(
-        groups, multi_indices(1, alpha_max),
-        _samples(t_samples, rho_samples, inter.rho_interval),
-        ("r",), (r,), np.sqrt(1.0 + r**2),
+        groups, alpha_max, _samples(t_samples, rho_samples, inter.rho_interval),
+        "r", r, np.sqrt(1.0 + r**2),
     )
     return ValidationReport(family=inter.name, checks=tuple(checks))
 

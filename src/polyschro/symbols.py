@@ -1,16 +1,17 @@
-"""Phase-space symbols on the grid and their quantization.
+"""Phase-space symbols on the line grid and their quantization.
 
-Symbols are sampled on the product of the spatial grid and its FFT dual.
-Quantization is the x-left (Kohn-Nirenberg) rule
+Symbols are sampled on the product of the 1-D spatial grid and its FFT
+dual, an N x N array indexed (x, xi).  Quantization is the x-left
+(Kohn-Nirenberg) rule
 
-    (Op(s) f)(x_j) = (1/N^d) sum_k e^{i x_j . xi_k} s(x_j, xi_k) fhat(xi_k),
+    (Op(s) f)(x_j) = (1/N) sum_k e^{i x_j xi_k} s(x_j, xi_k) fhat(xi_k),
 
 which on the periodic grid reduces *exactly* to a Fourier multiplier for
 s = b(xi) and to pointwise multiplication for s = a(x).  The adjoint is the
 conjugate-transpose action, applied through the reversed factorization
 (x-weighted forward transform, then inverse FFT), never by materializing
 the operator matrix in the position basis.  Both take one state or a
-(B, *grid.shape) stack, like the operator kernel, and ``dense_matrix``
+(B, N) stack, like the operator kernel, and ``dense_matrix``
 builds the dense matrix of a quantized symbol, or of the mollified
 operator, in one call on the identity stack.  The parametrix and
 commutator checks take exact 2-norms of such matrices and of H's own,
@@ -31,7 +32,7 @@ from .errors import GridError, SolverError, SymbolDomainError
 from .grid import SpatialGrid, WaveFunction, _values_of
 from .potentials import PotentialFamily, divergence_a, eval_potential
 
-MAX_FIELD_ENTRIES = 2**24  # symbol storage is O(N^2d); keep it desk-sized
+MAX_FIELD_ENTRIES = 2**24  # symbol storage is O(N^2); keep it desk-sized
 
 SYMBOL_KINDS = ("h", "h_s", "p_mu", "chi_eps")
 
@@ -79,7 +80,7 @@ class CutoffSpec:
 
 @dataclass(frozen=True, eq=False)
 class SymbolField:
-    """A symbol sampled on grid x dual-grid, with its evaluation context."""
+    """A symbol sampled on a line grid x its dual, with its evaluation context."""
 
     grid: SpatialGrid
     values: np.ndarray = field(repr=False)
@@ -88,8 +89,10 @@ class SymbolField:
     rho: float = 0.0
 
     def __post_init__(self):
+        if self.grid.d != 1:
+            raise GridError(f"symbols live on 1-D grids, not on {self.grid}")
         arr = np.asarray(self.values)
-        want = self.grid.shape + self.grid.shape
+        want = (self.grid.N, self.grid.N)
         if arr.shape != want:
             raise GridError(f"symbol shape {arr.shape}, expected {want}")
         object.__setattr__(self, "values", arr)
@@ -97,14 +100,14 @@ class SymbolField:
     @cached_property
     def _forward_matrix(self):
         # combined kernel*symbol matrix, reused across the states it is
-        # applied to; the quantization reads it only in 1-D
+        # applied to
         return _dft_kernel(self.grid.N) * self.values
 
 
 def _check_field_budget(grid: SpatialGrid):
-    if grid.size**2 > MAX_FIELD_ENTRIES:
+    if grid.N**2 > MAX_FIELD_ENTRIES:
         raise GridError(
-            f"symbol field would need {grid.size**2} entries "
+            f"symbol field would need {grid.N**2} entries "
             f"(limit {MAX_FIELD_ENTRIES}); use a coarser grid for symbol work"
         )
 
@@ -116,27 +119,10 @@ def _dft_kernel(N: int) -> np.ndarray:
     return np.exp(2j * np.pi * jk / N)
 
 
-def _dual_parts(grid: SpatialGrid):
-    """The dual axes, each broadcastable over grid.shape + grid.shape."""
-    d, N = grid.d, grid.N
-    xis = []
-    for axis in range(d):
-        sxi = [1] * (2 * d)
-        sxi[d + axis] = N
-        xis.append(grid.dual_axis.reshape(sxi))
-    return xis
-
-
 def _base_symbol(fam: PotentialFamily, grid: SpatialGrid, t: float, rho: float):
-    """h = |xi - A(x)|^2 / 2m + V(x) on phase space (real array)."""
-    V, A = eval_potential(fam, t, rho, grid)
-    xis = _dual_parts(grid)
-    d = grid.d
-    extra = (np.newaxis,) * d
-    kin = np.zeros(grid.shape + grid.shape)
-    for a_comp, xi in zip(A, xis):
-        kin = kin + (xi - a_comp[(...,) + extra]) ** 2
-    return kin / (2.0 * fam.mass) + V[(...,) + extra]
+    """h = (xi - A(x))^2 / 2m + V(x) on phase space (real N x N array)."""
+    V, (a,) = eval_potential(fam, t, rho, grid)
+    return (grid.dual_axis - a[:, None]) ** 2 / (2.0 * fam.mass) + V[:, None]
 
 
 def eval_symbol(
@@ -171,8 +157,7 @@ def eval_symbol(
         return SymbolField(grid, vals, kind, t, rho)
 
     div = divergence_a(fam, t, rho, grid)
-    extra = (np.newaxis,) * grid.d
-    h_s = h + 1j * div[(...,) + extra] / (2.0 * fam.mass)
+    h_s = h + 1j * div[:, None] / (2.0 * fam.mass)
     if kind == "h_s":
         return SymbolField(grid, h_s, kind, t, rho)
 
@@ -181,10 +166,8 @@ def eval_symbol(
     floor = 1e-10 * max(1.0, abs(mu))
     m = float(shifted.min())
     if m <= floor:
-        idx = np.unravel_index(np.argmin(shifted), shifted.shape)
-        d = grid.d
-        x_pt = tuple(float(grid.axis[i]) for i in idx[:d])
-        xi_pt = tuple(float(grid.dual_axis[i]) for i in idx[d:])
+        i, k = np.unravel_index(np.argmin(shifted), shifted.shape)
+        x_pt, xi_pt = float(grid.axis[i]), float(grid.dual_axis[k])
         raise SymbolDomainError(
             f"mu={mu} is below the admissible range: mu + h = {m:.6g} at x={x_pt}, xi={xi_pt}",
             point=(x_pt, xi_pt),
@@ -193,20 +176,13 @@ def eval_symbol(
 
 
 def quantize_symbol(symbol: SymbolField, f):
-    """Apply the quantized symbol to a state or a (B, *grid.shape) stack.
+    """Apply the quantized symbol to a state or a (B, N) stack.
 
     Returns the same type it was given (WaveFunction in, WaveFunction out).
     """
     grid = symbol.grid
     fv, _ = _values_of(f, grid)
-    if grid.d == 1:
-        F = sfft.fft(fv)
-        out = F @ symbol._forward_matrix.T / grid.N
-    else:
-        F = sfft.fftn(fv, axes=(-2, -1))
-        E = _dft_kernel(grid.N)
-        out = np.einsum("ac,bd,abcd,...cd->...ab", E, E, symbol.values, F, optimize=True)
-        out = out / grid.size
+    out = sfft.fft(fv) @ symbol._forward_matrix.T / grid.N
     if isinstance(f, WaveFunction):
         return WaveFunction(grid, out)
     return out
@@ -216,13 +192,7 @@ def adjoint_quantize_symbol(symbol: SymbolField, f):
     """Apply the adjoint of the quantized symbol (exact discrete adjoint)."""
     grid = symbol.grid
     fv, _ = _values_of(f, grid)
-    if grid.d == 1:
-        G = fv @ symbol._forward_matrix.conj()
-        out = sfft.ifft(G)
-    else:
-        E = _dft_kernel(grid.N).conj()
-        G = np.einsum("ac,bd,abcd,...ab->...cd", E, E, symbol.values.conj(), fv, optimize=True)
-        out = sfft.ifftn(G, axes=(-2, -1))
+    out = sfft.ifft(fv @ symbol._forward_matrix.conj())
     if isinstance(f, WaveFunction):
         return WaveFunction(grid, out)
     return out
@@ -254,12 +224,7 @@ def ellipticity_constants(
     rho: float = 0.0,
 ) -> EllipticityScan:
     _check_field_budget(grid)
-    xis = _dual_parts(grid)
-    xi_sq = np.zeros(grid.shape + grid.shape)
-    for xi in xis:
-        xi_sq = xi_sq + xi**2
-    extra = (np.newaxis,) * grid.d
-    theta = 1.0 + xi_sq + grid.bracket_weight(fam.weight_exponent)[(...,) + extra]
+    theta = 1.0 + grid.dual_axis**2 + grid.bracket_weight(fam.weight_exponent)[:, None]
 
     c0 = np.inf
     c1 = 0.0
@@ -287,16 +252,14 @@ def ellipticity_constants(
 
 
 def dense_matrix(apply, grid: SpatialGrid) -> np.ndarray:
-    """The grid.size x grid.size matrix of a linear map on raw state arrays.
+    """The N x N matrix of a linear map on raw state arrays of a line grid.
 
-    ``apply`` must take a (B, *grid.shape) stack of states.  One call on
+    ``apply`` must take a (B, N) stack of states.  One call on
     the identity stack gives the images of the unit vectors as rows; the
     result is their transpose, a Fortran-ordered view that LAPACK takes
     without a copy.
     """
-    size = grid.size
-    eye = np.eye(size, dtype=complex).reshape((size,) + grid.shape)
-    return apply(eye).reshape(size, size).T
+    return apply(np.eye(grid.N, dtype=complex)).T
 
 
 def _finite_norm(mat: np.ndarray, what: str) -> float:
@@ -323,9 +286,9 @@ def parametrix_residual(
 ) -> ParametrixResult:
     """Operator 2-norm of (mu + H) Op(1/(mu + h_s)) - I over a range of mu.
 
-    Each residual is the exact 2-norm of the dense grid.size x grid.size
-    residual matrix; its decay against (mu - c1) is fitted on a log-log
-    scale.  First-order symbol calculus predicts a -1/2 slope.  A
+    Each residual is the exact 2-norm of the dense N x N residual
+    matrix; its decay against (mu - c1) is fitted on a log-log scale.
+    First-order symbol calculus predicts a -1/2 slope.  A
     non-finite residual matrix raises SolverError naming its mu.
     """
     from .operators import HamiltonianHandle
@@ -340,7 +303,7 @@ def parametrix_residual(
     mu_values = np.asarray(mu_values, dtype=float)
 
     h_mat = HamiltonianHandle(fam, grid, rho=rho).matrix(t)
-    diag = np.arange(grid.size)
+    diag = np.arange(grid.N)
     residuals = np.empty(mu_values.shape)
     for i, mu in enumerate(mu_values):
         p_field = eval_symbol("p_mu", fam, grid, t=t, rho=rho, mu=mu)

@@ -49,11 +49,6 @@ class TwoParticleSystem:
     grid: SpatialGrid
 
     def __post_init__(self):
-        for fam in (self.fam1, self.fam2):
-            if fam.dim != 1:
-                raise ConfigError(
-                    f"per-particle family {fam.name!r} must be one-dimensional"
-                )
         if self.grid.d != 2:
             raise GridError("the composite grid must be two-dimensional")
         if self.grid.N > MAX_AXIS_POINTS:

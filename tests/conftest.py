@@ -24,12 +24,12 @@ RHO_MAGNETIC = PotentialFamily(
     rho_interval=(-2.0, 2.0),
 )
 
-# A 2-D magnetic family with a non-unit mass.  A2 grows like |x|^2 along
-# the diagonal, so it breaks the declared margin |A| <= C <x>^(M+1-delta).
-MAGNETIC_2D = PotentialFamily(
-    name="magnetic_2d", v="(1 + x1^2 + x2^2)^2",
-    a=("sin(t) * x2", "cos(t) * x1 * (1 + x2^2)^(1/2)"),
-    growth_order=1, delta=1.0, mass=2.0, dim=2,
+# A magnetic family with a non-unit mass and a field that is odd in x at
+# some times and even at others.
+HEAVY_MAGNETIC = PotentialFamily(
+    name="heavy_magnetic", v="(1 + x^2)^2",
+    a=("sin(t) * x + cos(t) * (1 + x^2)^(1/2)",),
+    growth_order=1, delta=1.0, mass=2.0,
 )
 
 
@@ -44,19 +44,12 @@ def pytest_terminal_summary(terminalreporter):
 def dense_quantization_matrix(grid, symbol_values):
     """The Kohn-Nirenberg operator as an explicit matrix.
 
-    (Sf)(x_j) = N^{-d} sum_k e^{i x_j . xi_k} s(x_j, xi_k) sum_l e^{-i xi_k . x_l} f(x_l)
+    (Sf)(x_j) = N^{-1} sum_k e^{i x_j xi_k} s(x_j, xi_k) sum_l e^{-i xi_k x_l} f(x_l)
     """
-    if grid.d == 1:
-        x, xi = grid.axis, grid.dual_axis
-        phase_out = np.exp(1j * np.outer(x, xi))
-        phase_in = np.exp(-1j * np.outer(xi, x))
-        return (phase_out * symbol_values) @ phase_in / grid.N
     x, xi = grid.axis, grid.dual_axis
-    e_out = np.exp(1j * np.outer(x, xi))
-    s = symbol_values.reshape(grid.N, grid.N, grid.N, grid.N)
-    mat = np.einsum("ak,bl,abkl,ck,dl->abcd", e_out, e_out, s,
-                    np.conj(e_out), np.conj(e_out), optimize=True)
-    return mat.reshape(grid.size, grid.size) / grid.N**2
+    phase_out = np.exp(1j * np.outer(x, xi))
+    phase_in = np.exp(-1j * np.outer(xi, x))
+    return (phase_out * symbol_values) @ phase_in / grid.N
 
 
 def dense_confined_quartic_hamiltonian(grid, t):

@@ -262,7 +262,7 @@ def test_verdicts_surface_boundary_warnings(tmp_path):
     """A packet started near the box edge flags its run and its half-dt run."""
     def propagate_warnings(center, out):
         cfg = load_config(_write_yaml(tmp_path, {
-            "family": "harmonic", "grid": {"d": 1, "L": 5.0, "N": 128},
+            "family": "harmonic", "grid": {"L": 5.0, "N": 128},
             "propagator": {"dt": 1e-2, "t_final": 0.1, "save_every": 2},
             "initial_state": {"center": center, "width": 0.8, "momentum": 0.5},
             "suites": ["propagate", "parametrix"],

@@ -2,9 +2,10 @@
 
 import pytest
 import yaml
+from click.testing import CliRunner
 
 from polyschro import load_config
-from polyschro.cli import run_experiment
+from polyschro.cli import main, run_experiment
 from polyschro.config import SUITE_NAMES, from_mapping
 from polyschro.errors import ConfigError
 
@@ -37,7 +38,7 @@ def test_unknown_top_level_key_rejected():
 
 def test_unknown_grid_key_rejected():
     with pytest.raises(ConfigError, match="grid"):
-        from_mapping({"grid": {"d": 1, "points": 64}})
+        from_mapping({"grid": {"L": 8.0, "points": 64}})
 
 
 def test_bad_grid_values_reported_under_grid():
@@ -45,14 +46,14 @@ def test_bad_grid_values_reported_under_grid():
         from_mapping({"grid": {"N": 7}})
 
 
-@pytest.mark.parametrize("block,field", [({"N": 100.7}, "N"), ({"d": 1.9}, "d"), ({"N": "256"}, "N")])
+@pytest.mark.parametrize("block,field", [({"N": 100.7}, "N"), ({"N": True}, "N"), ({"N": "256"}, "N")])
 def test_grid_sizes_must_be_whole_numbers(block, field):
     with pytest.raises(ConfigError, match=f"^grid: {field} must be a whole number"):
         from_mapping({"grid": block})
 
 
 def test_grid_sizes_accept_whole_floats():
-    grid = from_mapping({"grid": {"d": 1.0, "N": 256.0}}).grid
+    grid = from_mapping({"grid": {"L": 8, "N": 256.0}}).grid
     assert (grid.d, grid.N) == (1, 256)
     assert type(grid.N) is int
 
@@ -76,17 +77,24 @@ def test_bad_propagator_block_rejected_at_load(block):
         from_mapping({"propagator": block})
 
 
+_PLANAR = {"name": "planar", "v": "x^2", "a": ["0"], "growth_order": 0, "delta": 1.0}
+
+
 @pytest.mark.parametrize("doc, message", [
-    ({"grid": {"d": 2, "N": 16}}, "'confined_quartic' is 1-dimensional, grid is 2-dimensional"),
-    ({"family": {"name": "planar", "v": "x1^2 + x2^2", "a": ["0", "0"],
-                 "growth_order": 0, "delta": 1.0, "dim": 2}},
-     "'planar' is 2-dimensional, grid is 1-dimensional"),
+    ({"grid": {"d": 2, "N": 16}}, "grid: unknown keys ['d']"),
+    ({"family": {**_PLANAR, "dim": 2}}, "family: unknown keys ['dim']"),
+    ({"family": {**_PLANAR, "v": "x1^2"}}, "family: V uses unknown variables ['x1']"),
 ])
-def test_family_and_grid_dimensions_must_agree(doc, message):
-    """The propagate suite's handle rejects them at load, not at its first step."""
-    with pytest.raises(ConfigError) as caught:
-        from_mapping(doc)
-    assert str(caught.value) == f"options.propagate: family {message}"
+def test_families_and_grids_are_one_dimensional(tmp_path, doc, message):
+    """A config that sets the dimension keys, or writes a coordinate of a
+    second axis, exits 2 naming its field."""
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["validate", "--config", str(path),
+                                       "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert f"config error: {message}" in (result.stderr or result.output)
+    assert not (tmp_path / "o").exists()
 
 
 def test_inline_family_block():
@@ -270,7 +278,7 @@ def test_run_suites_are_checked_outside_the_selection(tmp_path):
 def test_yaml_file_round_trip(tmp_path):
     doc = {
         "family": "harmonic",
-        "grid": {"d": 1, "L": 8.0, "N": 64},
+        "grid": {"L": 8.0, "N": 64},
         "propagator": {"dt": 2.0e-3, "t_final": 0.1},
         "initial_state": {"center": 0.5},
         "suites": ["propagate", "validate"],

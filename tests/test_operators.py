@@ -24,12 +24,12 @@ from polyschro import (
     weighted_norm,
 )
 from polyschro import operators
-from polyschro.errors import ConfigError, FamilyError, SolverError
+from polyschro.errors import ConfigError, FamilyError, GridError, SolverError
 from polyschro.operators import resolve_mu_prime
 from polyschro.potentials import BUILTIN_FAMILIES
 from polyschro.symbols import dense_matrix
 
-from conftest import MAGNETIC_2D, RHO_MAGNETIC, band_limited_state
+from conftest import HEAVY_MAGNETIC, RHO_MAGNETIC, band_limited_state
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +166,17 @@ def test_lambda_positive_definite(rng):
         assert quad >= mu_p * f.norm() ** 2 - 1e-10
 
 
+def test_cg_matches_a_dense_solve(rng):
+    """CG on a small Hermitian positive-definite matrix meets np.linalg.solve."""
+    m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    mat = m @ m.conj().T + 6.0 * np.eye(6)
+    b = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    x, iters = operators.solve_hermitian_cg(lambda v: mat @ v, b)
+    assert 0 < iters <= 20
+    want = np.linalg.solve(mat, b)
+    assert np.linalg.norm(x - want) <= 1e-11 * np.linalg.norm(want)
+
+
 def test_cg_zero_rhs_and_iteration_miss():
     op = lambda v: np.array([1.0, 100.0]) * v
     x, iters = operators.solve_hermitian_cg(op, np.zeros(2, dtype=complex))
@@ -181,6 +192,11 @@ def test_norm_order_validation():
         NormOrder(a=1, growth_order=-1)
     with pytest.raises(ConfigError):
         NormOrder(a=1, growth_order=0, mass=0.0)
+
+
+def test_norm_order_takes_whole_growth_orders_and_finite_masses():
+    assert NormOrder(a=1, growth_order=2.0, mass=2).growth_order == 2.0
+    assert NormOrder(a=1, growth_order=np.int64(1), mass=np.float64(0.5)).mass == 0.5
 
 
 def test_weighted_norm_zero_order_is_l2():
@@ -242,23 +258,20 @@ def test_lambda_factor_cached_per_grid_value(rng):
     assert (info.hits, info.misses) == (1, 2)
 
 
-def test_lambda_inverse_round_trip_2d(grid_2d, rng, monkeypatch):
-    cg_calls = []
-    cg = operators.solve_hermitian_cg
-    monkeypatch.setattr(operators, "solve_hermitian_cg",
-                        lambda *a, **k: cg_calls.append(1) or cg(*a, **k))
-    f = band_limited_state(grid_2d, rng)
-    up = apply_lambdaM_power(NormOrder(a=1, growth_order=1), f)
-    back = apply_lambdaM_power(NormOrder(a=-1, growth_order=1), up)
-    assert cg_calls == [1]
-    assert np.max(np.abs(back.values - f.values)) <= 1e-8
-
-
-def test_negative_order_norm_uses_inverse_2d(grid_2d, rng):
-    order = NormOrder(a=-1, growth_order=1)
-    f = band_limited_state(grid_2d, rng)
-    direct = apply_lambdaM_power(order, f).norm()
-    assert weighted_norm(order, f) == pytest.approx(direct, rel=1e-12)
+@pytest.mark.parametrize("a", [-1, -3])
+def test_negative_orders_on_a_2d_grid_raise(a, rng):
+    """Lambda_M is inverted on 1-D grids only; a 2-D grid gets a GridError
+    naming the order and the grid, from the norm and from the power."""
+    g = make_grid(2, 6.0, 16)
+    order = NormOrder(a=a, growth_order=1)
+    f = band_limited_state(g, rng)
+    message = rf"order a={a} is negative: .* not on SpatialGrid\(d=2, L=6.0, N=16\)"
+    with pytest.raises(GridError, match=message):
+        weighted_norm(order, f)
+    with pytest.raises(GridError, match=message):
+        weighted_norm(order, np.stack([f.values, f.values]), g)
+    with pytest.raises(GridError, match=message):
+        apply_lambdaM_power(order, f)
 
 
 def test_norm_equivalence_band(rng):
@@ -307,63 +320,46 @@ def test_rho_derivative_matches_central_difference(fam, rng):
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(plus) / h
 
 
-def _momentum_matrices(grid):
-    """Dense p_k = F^-1 xi_k F on the row-major ravel of the grid, one per axis."""
-    dft = np.fft.fft(np.eye(grid.N), axis=0)
-    p = np.fft.ifft(grid.dual_axis[:, None] * dft, axis=0)
-    if grid.d == 1:
-        return [p]
-    eye = np.eye(grid.N)
-    return [np.kron(p, eye), np.kron(eye, p)]
-
-
-@pytest.mark.parametrize("fam", [get_family("confined_quartic"), MAGNETIC_2D],
+@pytest.mark.parametrize("fam", [get_family("confined_quartic"), HEAVY_MAGNETIC],
                          ids=lambda fam: fam.name)
 def test_magnetic_apply_matches_dense_oracle(fam):
-    """H = sum_k (p_k - A_k)^2 / 2m + V with dense DFT momentum matrices."""
-    g = make_grid(fam.dim, 6.0, 16)
+    """H = (p - A)^2 / 2m + V with a dense DFT momentum matrix."""
+    g = make_grid(1, 6.0, 16)
     t = 0.7
-    V, A = eval_potential(fam, t, 0.0, g)
-    oracle = np.diag(V.ravel()).astype(complex)
-    for p, a in zip(_momentum_matrices(g), A):
-        kinetic_momentum = p - np.diag(a.ravel())
-        oracle += kinetic_momentum @ kinetic_momentum / (2.0 * fam.mass)
+    V, (a,) = eval_potential(fam, t, 0.0, g)
+    p = np.fft.ifft(g.dual_axis[:, None] * np.fft.fft(np.eye(g.N), axis=0), axis=0)
+    kinetic_momentum = p - np.diag(a)
+    oracle = np.diag(V) + kinetic_momentum @ kinetic_momentum / (2.0 * fam.mass)
     handle = HamiltonianHandle(fam, g)
-    got = np.column_stack([handle.apply(t, e.reshape(g.shape)).ravel()
-                           for e in np.eye(g.size, dtype=complex)])
+    got = np.column_stack([handle.apply(t, e) for e in np.eye(g.N, dtype=complex)])
     assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
-# 2-D, magnetic, non-unit mass, and with fields that move with rho
-RHO_MAGNETIC_2D = replace(MAGNETIC_2D, name="rho_magnetic_2d",
-                          v="(1 + x1^2 + x2^2)^2 + rho * x1^2",
-                          a=("rho * sin(t) * x2", "cos(t) * x1 * (1 + x2^2)^(1/2)"),
-                          rho_interval=(-2.0, 2.0))
 MATRIX_FAMILIES = [*BUILTIN_FAMILIES.values(), RHO_MAGNETIC,
-                   replace(RHO_MAGNETIC, name="heavy_rho_magnetic", mass=2.0), RHO_MAGNETIC_2D]
+                   replace(RHO_MAGNETIC, name="heavy_rho_magnetic", mass=2.0)]
 
 
 @pytest.mark.parametrize("fam", MATRIX_FAMILIES, ids=lambda fam: fam.name)
 def test_matrix_matches_the_kernel_on_the_identity_stack(fam):
     """The closed-form dense H and dH/drho equal the kernel's images of the unit vectors."""
-    g = make_grid(fam.dim, 6.0, 128 if fam.dim == 1 else 16)
+    g = make_grid(1, 6.0, 128)
     rho = 0.0 if fam.rho_interval is None else 0.5
     handle = HamiltonianHandle(fam, g, rho=rho)
     t = 0.7
     for derivative, apply in ((False, handle.apply), (True, handle.apply_rho_derivative)):
         want = dense_matrix(partial(apply, t), g)
         got = handle.matrix(t, derivative=derivative)
-        assert got.shape == (g.size, g.size)
+        assert got.shape == (g.N, g.N)
         assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("fam", [get_family("confined_quartic"), MAGNETIC_2D],
+@pytest.mark.parametrize("fam", [get_family("confined_quartic"), HEAVY_MAGNETIC],
                          ids=lambda fam: fam.name)
 def test_stacked_states_match_single_applies(fam, rng):
-    """A (B, *grid.shape) stack gives the B single images: bit for bit
-    through the kernel (apply_expanded), to rounding through the quantized
-    cutoff of the mollified operator."""
-    g = make_grid(fam.dim, 6.0, 16)
+    """A (B, N) stack gives the B single images: bit for bit through the
+    kernel (apply_expanded), to rounding through the quantized cutoff of
+    the mollified operator."""
+    g = make_grid(1, 6.0, 16)
     handle = HamiltonianHandle(fam, g)
     t = 0.7
     stack = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
@@ -396,11 +392,11 @@ def test_handle_rejects_rho_outside_interval():
         HamiltonianHandle(get_family("parametric_quartic"), g, rho=100.0)
 
 
-@pytest.mark.parametrize("fam", [get_family("confined_quartic"), MAGNETIC_2D],
+@pytest.mark.parametrize("fam", [get_family("confined_quartic"), HEAVY_MAGNETIC],
                          ids=lambda fam: fam.name)
 def test_potential_multiplier_is_read_only(fam):
     """The memoized diagonal is shared by every apply at its time."""
-    g = make_grid(fam.dim, 6.0, 16)
+    g = make_grid(1, 6.0, 16)
     handle = HamiltonianHandle(fam, g)
     f = np.ones(g.shape, dtype=complex)
     before = handle.apply(0.7, f)
@@ -412,45 +408,46 @@ def test_potential_multiplier_is_read_only(fam):
     np.testing.assert_array_equal(handle.apply(0.7, f), before)
 
 
-def _four_call_kernel(f, diag, axes, kinetic=True):
+def _four_call_kernel(f, diag, terms, kinetic=True):
     """apply_expanded with one transform per call: F f, F(A f) and two inverses."""
     f = np.asarray(f, dtype=complex)
     out = diag * f
-    for k, xi, xi_2m, kin, a, a_2m in axes:
-        if a is None:
-            if kinetic:
-                out += sfft.ifft(kin * sfft.fft(f, None, k), None, k)
-            continue
-        xi_g = xi * sfft.fft(f, None, k)
+    xi, xi_2m, kin, a, a_2m = terms
+    if a is None:
         if kinetic:
-            out += sfft.ifft(xi_2m * (xi_g - sfft.fft(a * f, None, k)), None, k)
-        else:
-            out -= sfft.ifft(xi_2m * sfft.fft(a * f, None, k), None, k)
-        out -= a_2m * sfft.ifft(xi_g, None, k)
+            out += sfft.ifft(kin * sfft.fft(f))
+        return out
+    xi_g = xi * sfft.fft(f)
+    if kinetic:
+        out += sfft.ifft(xi_2m * (xi_g - sfft.fft(a * f)))
+    else:
+        out -= sfft.ifft(xi_2m * sfft.fft(a * f))
+    out -= a_2m * sfft.ifft(xi_g)
     return out
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_paired_transforms_match_the_four_call_kernel(d, rng):
+def test_paired_transforms_match_the_four_call_kernel(rng):
     """Pairing F f with F(A f), and the two inverses, changes no bit: for one
-    state, for a stack, and without the kinetic term (dH/drho)."""
-    g = make_grid(d, 6.0, 64 if d == 1 else 16)
-    axes = tuple(operators.axis_terms(g, k, 2.0, a)
-                 for k, a in enumerate(rng.standard_normal((d,) + g.shape)))
+    state, for a stack, without the kinetic term (dH/drho), and without a
+    field."""
+    g = make_grid(1, 6.0, 64)
     diag = rng.standard_normal(g.shape)
-    for shape in (g.shape, (3,) + g.shape):
-        f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        for kinetic in (True, False):
-            assert np.array_equal(operators.apply_expanded(f, diag, axes, kinetic),
-                                  _four_call_kernel(f, diag, axes, kinetic))
+    for a in (rng.standard_normal(g.shape), np.zeros(g.shape)):
+        terms = operators.axis_terms(g, 2.0, a)
+        for shape in (g.shape, (3,) + g.shape):
+            f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for kinetic in (True, False):
+                assert np.array_equal(operators.apply_expanded(f, diag, terms, kinetic),
+                                      _four_call_kernel(f, diag, terms, kinetic))
 
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_batched_norms_match_single_norms(d, rng):
-    """A (R, *grid.shape) stack gives the R norms of its states, for every order."""
+    """A (R, *grid.shape) stack gives the R norms of its states, for every
+    order; negative orders are 1-D only."""
     g = make_grid(d, 6.0, 64 if d == 1 else 16)
     stack = np.stack([band_limited_state(g, rng).values for _ in range(3)])
-    for a in range(-1, 4):
+    for a in range(-1 if d == 1 else 0, 4):
         order = NormOrder(a=a, growth_order=1)
         got = weighted_norm(order, stack, g)
         want = [weighted_norm(order, WaveFunction(g, f)) for f in stack]
@@ -459,13 +456,21 @@ def test_batched_norms_match_single_norms(d, rng):
 
 
 def test_handle_rejects_a_grid_of_another_dimension():
-    with pytest.raises(FamilyError, match="family 'magnetic_2d' is 2-dimensional, "
-                                          "grid is 1-dimensional"):
-        HamiltonianHandle(MAGNETIC_2D, make_grid(1, 6.0, 16))
+    with pytest.raises(FamilyError, match="family 'heavy_magnetic' is 1-dimensional, "
+                                          "grid is 2-dimensional"):
+        HamiltonianHandle(HEAVY_MAGNETIC, make_grid(2, 6.0, 16))
 
 
 @pytest.mark.parametrize("build, message", [
     (lambda: NormOrder(a=1.5, growth_order=1), "order a must be an integer"),
+    (lambda: NormOrder(a=1, growth_order=0.5), "growth_order must be a whole number, got 0.5"),
+    (lambda: NormOrder(a=1, growth_order=True), "growth_order must be a whole number, got True"),
+    (lambda: NormOrder(a=1, growth_order=-1), "growth_order must be >= 0, got -1"),
+    (lambda: NormOrder(a=1, growth_order=1, mass=float("inf")),
+     "mass must be a finite positive number, got inf"),
+    (lambda: NormOrder(a=1, growth_order=1, mass=float("nan")),
+     "mass must be a finite positive number, got nan"),
+    (lambda: NormOrder(a=1, growth_order=1, mass=True), "mass must be a finite positive number, got True"),
 ])
 def test_operator_rejections_name_the_field(build, message):
     with pytest.raises(ConfigError) as caught:

@@ -22,7 +22,7 @@ from polyschro.cli import main
 from polyschro.errors import FamilyError
 from polyschro.potentials import RATIO_FLOOR, divergence_a
 
-from conftest import MAGNETIC_2D
+from conftest import HEAVY_MAGNETIC
 
 
 @pytest.fixture(scope="module")
@@ -75,10 +75,8 @@ def test_rho_outside_declared_interval_rejected():
 
 @pytest.mark.parametrize("sample", [eval_potential, partial_rho, divergence_a])
 def test_samplers_reject_a_grid_of_another_dimension(sample):
-    fam = PotentialFamily(name="swirl", v="x1^2 + x2^2", a=("x2", "-x1"),
-                          growth_order=0, delta=1.0, dim=2)
-    with pytest.raises(FamilyError, match="2-dimensional, grid is 1-dimensional"):
-        sample(fam, 0.0, 0.0, make_grid(1, 6.0, 64))
+    with pytest.raises(FamilyError, match="'heavy_magnetic' is 1-dimensional, grid is 2-dimensional"):
+        sample(HEAVY_MAGNETIC, 0.0, 0.0, make_grid(2, 6.0, 16))
 
 
 def test_unknown_family_name_rejected():
@@ -135,20 +133,6 @@ def test_validate_derivatives_are_exact(validation_grid):
     assert harmonic["V_dx^4"].constant == 0.0
 
 
-def test_validate_2d_derivative_index_k_differentiates_axis_k():
-    g = make_grid(2, 10.0, 32)
-    fam = PotentialFamily(name="anisotropic", v="x1^4 + 2*x2^2", a=("0", "0"),
-                          growth_order=1, delta=1.0, dim=2)
-    checks = {c.label: c for c in validate_assumption(fam, g).checks}
-    x1, _ = g.mesh
-    weight = (1.0 + g.radius_sq) ** 2
-    assert checks["V_dx^20"].constant == pytest.approx((12.0 * x1**2 / weight).max(), rel=1e-12)
-    assert checks["V_dx^10"].constant == pytest.approx((4.0 * np.abs(x1) ** 3 / weight).max(), rel=1e-12)
-
-
-# 2-D derivative orders in check order: first axis outer, total order <= 4
-ORDERS_2D = ["00", "01", "02", "03", "04", "10", "11", "12", "13",
-             "20", "21", "22", "30", "31", "40"]
 ORDERS_1D = ["0", "1", "2", "3", "4"]
 
 
@@ -157,28 +141,6 @@ def _labels(prefix, orders, zero_label=None):
     if zero_label is not None:
         labels[0] = zero_label
     return labels
-
-
-def test_validate_2d_family_pins_labels_and_verdict():
-    g = make_grid(2, 10.0, 32)
-    report = validate_assumption(MAGNETIC_2D, g)
-    want = ["growth_lower"] + _labels("V", ORDERS_2D, "growth_upper") + _labels("Vt", ORDERS_2D)
-    for j in (1, 2):
-        want += _labels(f"A{j}", ORDERS_2D, f"A{j}_size") + _labels(f"A{j}t", ORDERS_2D)
-    assert [c.label for c in report.checks] == want
-    assert len(want) == 91
-    assert not report.passed
-    assert [c.label for c in report.failures] == ["A2_size"]
-    exponents = {c.label: c.exponent for c in report.checks}
-    assert exponents["growth_lower"] == exponents["Vt_dx^00"] == exponents["V_dx^40"] == 4.0
-    assert exponents["A1_size"] == exponents["A2_size"] == 1.0
-    assert exponents["A1t_dx^00"] == exponents["A2_dx^11"] == 2.0
-    # the mixed derivative of V = (1 + |x|^2)^2 is 8 x1 x2
-    x1, x2 = g.mesh
-    ratio = np.abs(8.0 * x1 * x2) / (1.0 + x1**2 + x2**2) ** 2
-    checks = {c.label: c for c in report.checks}
-    assert checks["V_dx^11"].constant == pytest.approx(ratio.max(), rel=1e-9)
-    assert len(checks["A2_size"].witness["x"]) == 2
 
 
 def test_validate_rho_family_pins_labels(validation_grid):
@@ -192,8 +154,8 @@ def test_validate_rho_family_pins_labels(validation_grid):
 
 @pytest.mark.parametrize("fam, grid", [
     (get_family("parametric_quartic"), make_grid(1, 10.0, 256)),
-    (MAGNETIC_2D, make_grid(2, 10.0, 32)),
-], ids=["parametric_quartic", "magnetic_2d"])
+    (HEAVY_MAGNETIC, make_grid(1, 10.0, 256)),
+], ids=["parametric_quartic", "heavy_magnetic"])
 def test_validate_reduces_single_sample_checks(fam, grid):
     """Over the (t, rho) samples, an upper check keeps the largest constant
     and the largest slope of the samples whose peak ratio is above
@@ -322,7 +284,7 @@ def test_nonfinite_family_rejected():
     (lambda: validate_assumption(get_family("harmonic"), make_grid(1, 10.0, 32), alpha_max=5),
      "alpha_max must be between 1 and 4"),
     (lambda: validate_assumption(get_family("harmonic"), make_grid(2, 10.0, 16)),
-     "grid dimension does not match the family"),
+     "family 'harmonic' is 1-dimensional, grid is 2-dimensional"),
 ])
 def test_validator_rejections_name_the_field(build, message):
     with pytest.raises(FamilyError) as caught:
@@ -332,6 +294,18 @@ def test_validator_rejections_name_the_field(build, message):
 
 _FAMILY = {"name": "f", "v": "x^2", "a": ["0"], "growth_order": 1, "delta": 1.0}
 _PAIR = {"name": "w", "w": "r^2", "growth_order": 1, "delta": 1.0}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"v": "x1^2"}, "V uses unknown variables ['x1']"),
+    ({"a": ["x2"]}, "A1 uses unknown variables ['x2']"),
+    ({"a": ["0", "0"]}, "vector potential needs 1 component, got 2"),
+    ({"a": []}, "vector potential needs 1 component, got 0"),
+])
+def test_family_is_one_dimensional(change, message):
+    with pytest.raises(FamilyError) as caught:
+        PotentialFamily(**{**_FAMILY, **change})
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("key, change, message", [

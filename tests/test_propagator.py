@@ -32,7 +32,7 @@ from polyschro.errors import ConfigError, SolverError
 from polyschro.suites import run_suite
 from polyschro.twoparticle import TwoParticleHandle, TwoParticleSystem
 
-from conftest import MAGNETIC_2D, band_limited_state
+from conftest import band_limited_state
 
 
 @pytest.fixture(scope="module")
@@ -843,7 +843,7 @@ def test_split_cayley_predictor_bounds_gmres_iterations():
 
 
 def _fused_case(name):
-    """(handle, t) of a plain flow the split twists (or, 2-D, does not)."""
+    """(handle, t) of a plain flow the split twists (or, without a field, does not)."""
     if name == "quartic_512":
         g = make_grid(1, 10.0, 512)
         return HamiltonianHandle(get_family("confined_quartic"), g), 0.3
@@ -852,11 +852,11 @@ def _fused_case(name):
         quartic = get_family("confined_quartic")
         system = TwoParticleSystem(quartic, quartic, get_interaction("soft_pair"), g)
         return TwoParticleHandle(system, rho=0.1), 0.3
-    return HamiltonianHandle(MAGNETIC_2D, make_grid(2, 6.0, 32)), 0.3
+    return HamiltonianHandle(get_family("harmonic"), make_grid(1, 6.0, 64)), 0.3
 
 
 @pytest.mark.parametrize("name, twisted", [
-    ("quartic_512", True), ("composite_32", True), ("magnetic_2d", False),
+    ("quartic_512", True), ("composite_32", True), ("harmonic_64", False),
 ])
 def test_fused_operator_matches_preconditioned_matvec(name, twisted, rng):
     """The fused operator gmres iterates on is M A, with M the split's psolve."""
@@ -915,7 +915,7 @@ def test_propagate_time_error_estimate_tracks_the_dt_over_4_gap(dt, tmp_path):
     the gap between the dt run and a dt/4 run."""
     packet = {"center": 1.0, "width": 0.8, "momentum": 0.5}
     cfg = from_mapping({
-        "family": "confined_quartic", "grid": {"d": 1, "L": 10.0, "N": 128},
+        "family": "confined_quartic", "grid": {"L": 10.0, "N": 128},
         "propagator": {"dt": dt, "t_final": 0.1, "save_every": 5},
         "initial_state": packet, "suites": ["propagate"],
     })

@@ -30,9 +30,7 @@ from polyschro import (
     weighted_norm_primed,
 )
 from polyschro.errors import ConfigError, FamilyError, GridError
-from polyschro.operators import apply_expanded, axis_terms
-from polyschro.potentials import partial_rho
-from conftest import MAGNETIC_2D, RHO_MAGNETIC, band_limited_state
+from conftest import RHO_MAGNETIC, band_limited_state
 
 
 @pytest.fixture(scope="module")
@@ -390,27 +388,17 @@ def test_zero_interaction_is_stored_as_none(pair_64):
     np.testing.assert_array_equal(v_g, v[:, None] + v[None, :])
 
 
-def _bcast(arr, k):
-    return arr[:, None] if k == 0 else arr[None, :]
-
-
 def _kernel_apply(system, rho, t, f, derivative=False):
-    """H f (or dH/drho f) through the FFT kernel on the broadcast fields."""
+    """H f (or dH/drho f) as W f plus each particle's FFT kernel along its
+    own axis: the rows of f are states of the second particle, its columns
+    states of the first."""
     g1 = make_grid(1, system.grid.L, system.grid.N)
     inter = system.interaction
     w_of = inter.rho_partial_on if derivative else inter.on
-    diag = w_of(t, rho, system.relative_coordinate).astype(float)
-    axes = []
-    for k, fam in enumerate((system.fam1, system.fam2)):
-        v, (a,) = eval_potential(fam, t, rho, g1)
-        if derivative:
-            dv, (da,) = partial_rho(fam, t, rho, g1)
-            diag = diag + _bcast(dv + a * da / fam.mass, k)
-            a = da
-        else:
-            diag = diag + _bcast(v + a**2 / (2.0 * fam.mass), k)
-        axes.append(axis_terms(system.grid, k, fam.mass, _bcast(a, k)))
-    return apply_expanded(f, diag, axes, kinetic=not derivative)
+    first, second = (HamiltonianHandle(fam, g1, rho=rho) for fam in (system.fam1, system.fam2))
+    apply_of = (lambda h: h.apply_rho_derivative) if derivative else (lambda h: h.apply)
+    return (w_of(t, rho, system.relative_coordinate) * f
+            + apply_of(first)(t, f.T).T + apply_of(second)(t, f))
 
 
 # both particles magnetic with rho-dependent A, and of unequal masses
@@ -450,9 +438,6 @@ def test_batched_primed_norms_match_single_norms(rng):
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: TwoParticleSystem(MAGNETIC_2D, get_family("harmonic"), get_interaction("soft_pair"),
-                               make_grid(2, 10.0, 32)),
-     ConfigError, "per-particle family 'magnetic_2d' must be one-dimensional"),
     (lambda: weighted_norm_primed(PrimedNormOrder(a=1, growth_orders=(0, 0)),
                                   gaussian_packet(make_grid(1, 10.0, 32))),
      GridError, "primed norms are defined on composite grids"),
