@@ -16,8 +16,8 @@ form from the same memoized fields,
 
 with K = F^-1 diag(xi^2/2m) F and C = F^-1 diag(xi) F the t-free
 circulants of the grid; it is the one route to a dense matrix of H.
-dH/drho has the same form with (A, V) replaced by
-(dA/drho, dV/drho + A dA/drho / m) and no kinetic term.  The
+dH/drho, which only the kernel applies, has the same form with (A, V)
+replaced by (dA/drho, dV/drho + A dA/drho / m) and no kinetic term.  The
 mollified operator sandwiches H between a quantized low-energy cutoff
 and its exact discrete adjoint, so it is Hermitian by construction
 whatever the quantization error; its dense matrix is one
@@ -220,19 +220,17 @@ class HamiltonianHandle:
         """(dH/drho)(t) f: the operator driving the variational equation."""
         return apply_expanded(f, *self._rho_fields[self._key(t)], kinetic=False)
 
-    def matrix(self, t: float, derivative: bool = False) -> np.ndarray:
-        """The dense N x N matrix of H(t), or of (dH/drho)(t).
+    def matrix(self, t: float) -> np.ndarray:
+        """The dense N x N matrix of H(t).
 
         Filled from the memoized fields in the kernel's closed form
         K + diag(pot) - (a_i + a_j) C_ij, a = A/2m, which is
-        C diag(a) + diag(a) C entry by entry.  derivative drops K and
-        takes the dH/drho fields.
+        C diag(a) + diag(a) C entry by entry.
         """
         n = self.grid.N
-        pot, (*_, a_2m) = (self._rho_fields if derivative else self._fields)[self._key(t)]
+        pot, (*_, a_2m) = self._fields[self._key(t)]
         out = np.zeros((n, n), dtype=complex)
-        if not derivative:
-            out += _kinetic_circulant(self.grid, self.mass)
+        out += _kinetic_circulant(self.grid, self.mass)
         if a_2m is not None:
             out -= np.add.outer(a_2m, a_2m) * _momentum_circulant(self.grid)
         out.flat[:: n + 1] += pot
@@ -258,6 +256,14 @@ class HamiltonianHandle:
 # weight operator and norms
 
 
+def _whole_order(a) -> int:
+    """The norm order a as an int; a whole float such as 2.0 passes, 1.5 or True raise."""
+    try:
+        return _whole(a, "a", ConfigError)
+    except ConfigError:
+        raise ConfigError("order a must be an integer") from None
+
+
 @dataclass(frozen=True)
 class NormOrder:
     """Order data of the polynomially weighted norm scale.
@@ -273,8 +279,7 @@ class NormOrder:
     mass: float = 1.0
 
     def __post_init__(self):
-        if self.a != int(self.a):
-            raise ConfigError("order a must be an integer")
+        object.__setattr__(self, "a", _whole_order(self.a))
         if abs(self.a) > 3:
             raise ConfigError(f"orders are capped at |a| <= 3, got {self.a}")
         if _whole(self.growth_order, "growth_order", ConfigError) < 0:

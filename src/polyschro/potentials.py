@@ -224,6 +224,7 @@ class InteractionFamily:
         self.check_rho(rho)
         return ex.evaluate(self.w, out_shape=np.shape(r), t=t, rho=rho, r=r)
 
+    # kept for perfbench/tracer.py, which wraps this name; no code in the package calls it
     def rho_partial_on(self, t: float, rho: float, r: np.ndarray) -> np.ndarray:
         self.check_rho(rho)
         return ex.evaluate(self.w_rho, out_shape=np.shape(r), t=t, rho=rho, r=r)

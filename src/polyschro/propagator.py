@@ -633,6 +633,9 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
     _check_same_grid(u0.grid, handle.grid, error=ConfigError)
     if (source is not None or tangent) and cfg.scheme != "crank_nicolson_midpoint":
         raise ConfigError("inhomogeneous runs need the crank_nicolson_midpoint scheme")
+    if tangent and not hasattr(handle, "apply_rho_derivative"):
+        raise ConfigError(f"the parameter derivative is single-particle only, "
+                          f"not for a {type(handle).__name__}")
     norm_orders = tuple(
         o if hasattr(o, "a") else handle.norm_order(int(o)) for o in norm_orders
     )

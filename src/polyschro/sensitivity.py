@@ -1,6 +1,7 @@
-"""Parameter sensitivity of the flow: continuity moduli, central
-difference quotients in the family parameter, and the variational
-equation.
+"""Parameter sensitivity of the flow of one particle: continuity moduli,
+central difference quotients in the family parameter, and the
+variational equation.  Every entry point takes a ``PotentialFamily``;
+dH/drho is single-particle only.
 
 The derivative of the solution with respect to the parameter rho is
 approached from two independent sides:
@@ -28,25 +29,14 @@ import numpy as np
 from .errors import ConfigError
 from .grid import WaveFunction
 from .operators import HamiltonianHandle
+from .potentials import PotentialFamily
 from .propagator import PropagatorConfig, propagate, propagate_variational
 from .propagator import propagate_inhomogeneous  # unused here; perfbench/tracer.py wraps this name
-from .twoparticle import TwoParticleHandle, TwoParticleSystem
 
 
-def _make_handle(system, grid, rho: float):
-    """Bind (system, rho) to an operator handle.
-
-    Accepts a single-particle PotentialFamily or a TwoParticleSystem, so
-    every entry point below works for both.
-    """
-    if isinstance(system, TwoParticleSystem):
-        return TwoParticleHandle(system, rho=rho)
-    return HamiltonianHandle(system, grid, rho=rho)
-
-
-def _run(system, u0: WaveFunction, rho: float, cfg: PropagatorConfig):
+def _run(fam: PotentialFamily, u0: WaveFunction, rho: float, cfg: PropagatorConfig):
     """Propagate u0 at rho on cfg's schedule, keeping the recorded states."""
-    return propagate(replace(cfg, keep_states=True), _make_handle(system, u0.grid, rho), u0)
+    return propagate(replace(cfg, keep_states=True), HamiltonianHandle(fam, u0.grid, rho=rho), u0)
 
 
 @dataclass(frozen=True)
@@ -84,7 +74,7 @@ class ContinuityCurve:
         return True
 
 
-def continuity_modulus(system, u0: WaveFunction, rho: float, deltas,
+def continuity_modulus(fam: PotentialFamily, u0: WaveFunction, rho: float, deltas,
                        cfg: PropagatorConfig, a: int = 0) -> ContinuityCurve:
     """Distance curve delta -> max_t ||u(t; rho + delta) - u(t; rho)||_a.
 
@@ -92,15 +82,15 @@ def continuity_modulus(system, u0: WaveFunction, rho: float, deltas,
     states are compared at the recorded times of the shared schedule.
     """
     grid = u0.grid
-    order = _make_handle(system, grid, rho).norm_order(a)
-    base = _run(system, u0, rho, cfg)
+    order = HamiltonianHandle(fam, grid, rho=rho).norm_order(a)
+    base = _run(fam, u0, rho, cfg)
 
     moduli, warnings = [], base.warnings
     for delta in deltas:
         if delta == 0.0:
             moduli.append(0.0)
             continue
-        run = _run(system, u0, rho + delta, cfg)
+        run = _run(fam, u0, rho + delta, cfg)
         warnings = warnings + run.warnings
         moduli.append(float(np.max(order.norm(run.states - base.states, grid))))
     return ContinuityCurve(
@@ -113,22 +103,22 @@ def continuity_modulus(system, u0: WaveFunction, rho: float, deltas,
 # difference quotients and the variational equation
 
 
-def difference_quotient(system, u0: WaveFunction, rho: float, tau: float,
+def difference_quotient(fam: PotentialFamily, u0: WaveFunction, rho: float, tau: float,
                         cfg: PropagatorConfig, a: int = 0) -> Trajectory:
     """Central quotient (u(rho + tau) - u(rho - tau)) / (2 tau) from full
     propagations at the shifted parameters."""
     if tau == 0.0:
         raise ConfigError("difference quotient needs tau != 0")
     grid = u0.grid
-    order = _make_handle(system, grid, rho).norm_order(a)
-    plus = _run(system, u0, rho + tau, cfg)
-    minus = _run(system, u0, rho - tau, cfg)
+    order = HamiltonianHandle(fam, grid, rho=rho).norm_order(a)
+    plus = _run(fam, u0, rho + tau, cfg)
+    minus = _run(fam, u0, rho - tau, cfg)
     values = (plus.states - minus.states) / (2.0 * tau)
     return Trajectory(times=plus.times, values=values, norms=order.norm(values, grid),
                       warnings=plus.warnings + minus.warnings)
 
 
-def solve_variational(system, u0: WaveFunction, rho: float,
+def solve_variational(fam: PotentialFamily, u0: WaveFunction, rho: float,
                       cfg: PropagatorConfig, a: int = 0) -> Trajectory:
     """Integrate i dw/dt = H w + (dH/drho) u(t), w(0) = 0.
 
@@ -140,7 +130,7 @@ def solve_variational(system, u0: WaveFunction, rho: float,
     scheme order.  Only w's states are kept, at the record times.
     """
     grid = u0.grid
-    handle = _make_handle(system, grid, rho)
+    handle = HamiltonianHandle(fam, grid, rho=rho)
     base, w_run = propagate_variational(replace(cfg, keep_states=True), handle, u0)
     return Trajectory(times=w_run.times, values=w_run.states,
                       norms=handle.norm_order(a).norm(w_run.states, grid),
@@ -176,16 +166,16 @@ class SensitivityRun:
         return float(np.max(self.quotient_norms)) / self.variational.max_norm
 
 
-def sensitivity_sweep(system, u0: WaveFunction, rho: float, taus,
+def sensitivity_sweep(fam: PotentialFamily, u0: WaveFunction, rho: float, taus,
                       cfg: PropagatorConfig, a: int = 0) -> SensitivityRun:
     """Central difference quotients over a tau sweep against one variational solve."""
     grid = u0.grid
-    variational = solve_variational(system, u0, rho, cfg, a=a)
-    order = _make_handle(system, grid, rho).norm_order(a)
+    variational = solve_variational(fam, u0, rho, cfg, a=a)
+    order = HamiltonianHandle(fam, grid, rho=rho).norm_order(a)
 
     quotients, discrepancies, warnings = [], [], variational.warnings
     for tau in taus:
-        q = difference_quotient(system, u0, rho, tau, cfg, a=a)
+        q = difference_quotient(fam, u0, rho, tau, cfg, a=a)
         quotients.append(q)
         discrepancies.append(float(np.max(order.norm(q.values - variational.values, grid))))
         warnings = warnings + q.warnings

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError
-from .grid import SpatialGrid, WaveFunction, gaussian_packet, make_grid
+from .grid import SpatialGrid, WaveFunction, _finite, gaussian_packet, make_grid
 from .operators import HamiltonianHandle
 from .potentials import (
     BUILTIN_FAMILIES,
@@ -73,6 +73,13 @@ def initial_packet(grid: SpatialGrid, *, center=1.0, width=0.8,
                    momentum=0.5) -> WaveFunction:
     """The propagate suite's initial state; config ``initial_state`` overrides."""
     return gaussian_packet(grid, center=center, width=width, momentum=momentum)
+
+
+def _finite_number(value, name: str) -> float:
+    """value as a float; a ConfigError unless it is a finite real number."""
+    if not _finite(value):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _sweep(values, name: str) -> tuple:
@@ -178,7 +185,7 @@ def plan_parametrix(cfg: ExperimentConfig, *, family="confined_quartic", L=10.0,
                     N=128, t=0.0, rho=0.0):
     """Residual decay of the approximate resolvent against the spectral shift."""
     fam = get_family(family)
-    rho, t = fam.check_rho(rho), float(t)
+    rho, t = fam.check_rho(rho), _finite_number(t, "t")
     grid = make_grid(1, L, N)
 
     def run(out_dir: str) -> dict:
@@ -207,7 +214,7 @@ def plan_commutator(cfg: ExperimentConfig, *, family="confined_quartic", L=10.0,
     """Uniform-in-eps bound of the cutoff/operator commutator."""
     fam = get_family(family)
     fam.check_rho(0.0)
-    t, mu = float(t), float(mu)
+    t, mu = _finite_number(t, "t"), _finite_number(mu, "mu")
     grid = make_grid(1, L, N)
 
     def run(out_dir: str) -> dict:

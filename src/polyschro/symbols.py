@@ -29,7 +29,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import GridError, SolverError, SymbolDomainError
-from .grid import SpatialGrid, WaveFunction, _values_of
+from .grid import SpatialGrid, WaveFunction, _finite, _values_of
 from .potentials import PotentialFamily, divergence_a, eval_potential
 
 MAX_FIELD_ENTRIES = 2**24  # symbol storage is O(N^2); keep it desk-sized
@@ -37,45 +37,21 @@ MAX_FIELD_ENTRIES = 2**24  # symbol storage is O(N^2); keep it desk-sized
 SYMBOL_KINDS = ("h", "h_s", "p_mu", "chi_eps")
 
 
-def _gaussian_profile(s):
-    return np.exp(-np.square(s))
-
-
-def _unit_profile(s):
-    return np.ones_like(np.asarray(s, dtype=float))
-
-
-CUTOFF_PROFILES = {
-    "gaussian": _gaussian_profile,
-    "one": _unit_profile,
-}
-
-
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Low-energy cutoff chi(eps * (mu + h)).
-
-    The profile must be 1 at the origin; "gaussian" is exp(-s^2), "one" is
-    the constant profile (formally eps-free, used to recover the plain
-    Hamiltonian in tests).
-    """
+    """Low-energy cutoff chi(eps * (mu + h)) with the gaussian profile chi(s) = exp(-s^2)."""
 
     eps: float
     mu: float = 0.0
-    profile: str = "gaussian"
 
     def __post_init__(self):
-        if not (0.0 < self.eps <= 1.0):
+        if not (_finite(self.eps) and 0.0 < self.eps <= 1.0):
             raise SymbolDomainError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.profile not in CUTOFF_PROFILES:
-            known = ", ".join(sorted(CUTOFF_PROFILES))
-            raise SymbolDomainError(f"unknown cutoff profile {self.profile!r}; known: {known}")
-        fn = CUTOFF_PROFILES[self.profile]
-        if not np.isclose(float(fn(0.0)), 1.0, rtol=0, atol=1e-14):
-            raise SymbolDomainError("cutoff profile must equal 1 at the origin")
+        if not _finite(self.mu):
+            raise SymbolDomainError(f"cutoff mu must be a finite number, got {self.mu!r}")
 
     def __call__(self, s):
-        return CUTOFF_PROFILES[self.profile](s)
+        return np.exp(-np.square(s))
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,7 +355,6 @@ def commutator_probe(
 __all__ = [
     "SymbolField",
     "CutoffSpec",
-    "CUTOFF_PROFILES",
     "SYMBOL_KINDS",
     "eval_symbol",
     "quantize_symbol",

@@ -12,10 +12,10 @@ the line grid (``HamiltonianHandle.matrix``), built once for each of the
 particle's own times: once per run for a family without t, and once for
 both particles when they share a family.  The composite operator
 therefore has no kernel, fields or gauge rule of its own, and an apply
-is two N x N matrix products instead of eight one-axis FFT passes.
-dH/drho is (dW, dH_1/drho, dH_2/drho), built the same way.  Weighted
-norms carry one polynomial weight per particle, calibrated to that
-particle's growth order.
+is two N x N matrix products instead of eight one-axis FFT passes.  The
+parameter derivative dH/drho is single-particle only.  Weighted norms
+carry one polynomial weight per particle, calibrated to that particle's
+growth order.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, GridError
-from .grid import SpatialGrid, WaveFunction, _values_of, derivative_norm_sum, l2_norm
-from .operators import HamiltonianHandle, Memo
+from .grid import SpatialGrid, WaveFunction, _values_of, _whole, derivative_norm_sum, l2_norm
+from .operators import HamiltonianHandle, Memo, _whole_order
 from .potentials import InteractionFamily, PotentialFamily
 from .propagator import propagate  # unused here; perfbench/tracer.py wraps this name
 
@@ -72,38 +72,20 @@ def _axis_broadcast(arr: np.ndarray, axis: int) -> np.ndarray:
     return arr[:, None] if axis == 0 else arr[None, :]
 
 
-def _apply_fields(fields, f: np.ndarray) -> np.ndarray:
-    """diag f + m0 f + f m1, skipping each term stored as None."""
-    diag, m0, m1 = fields
-    f = np.asarray(f, dtype=complex)
-    out = np.zeros(f.shape, dtype=complex) if m0 is None else m0 @ f
-    if diag is not None:
-        out += diag * f
-    if m1 is not None:
-        out += f @ m1
-    return out
-
-
-def _nonzero(arr: np.ndarray):
-    """arr, or None when all its entries are zero."""
-    return arr if arr.any() else None
-
-
 class TwoParticleHandle:
     """Bound (system, rho) pair exposing the composite operator.
 
     Mirrors the single-particle handle interface but for the mollified
-    apply, so the steppers and the sensitivity entry points work unchanged
-    on composite states; a mollified run is single-particle only.  Each
-    particle is a 1-D ``HamiltonianHandle`` on the line grid
+    apply and the parameter derivative, so the steppers work unchanged on
+    composite states; a mollified or a variational run is single-particle
+    only.  Each particle is a 1-D ``HamiltonianHandle`` on the line grid
     (``particles``); two particles of one family share one handle, since
-    both run at the same rho.  The memo holds, per time, (W, H_1, H_2^T)
-    and (dW, dH_1, dH_2^T), with H_k the dense matrix of particle k's
-    operator; a system without t in either family or in W has one set for
-    all times.  Each distinct particle also memoizes its matrices under
-    its own memo key, so a family without t builds them once per run
-    beside a partner with t.  A field or matrix whose entries are all zero
-    is stored as None and skipped.
+    both run at the same rho.  The memo holds, per time, (W, H_1, H_2^T),
+    with H_k the dense matrix of particle k's operator and W None when it
+    is zero everywhere; a system without t in either family or in W has
+    one set for all times.  Each distinct particle also memoizes its
+    matrix under its own memo key, so a family without t builds it once
+    per run beside a partner with t.
     """
 
     def __init__(self, system: TwoParticleSystem, rho: float = 0.0):
@@ -119,8 +101,7 @@ class TwoParticleHandle:
         self.time_dependent = (any(h.time_dependent for h in self.particles)
                                or system.interaction.is_time_dependent)
         self._fields = Memo(self._hamiltonian_fields)
-        self._rho_fields = Memo(self._derivative_fields)
-        self._matrices = {h: Memo(self._particle_matrix) for h in self.particles}
+        self._matrices = {h: Memo(h.matrix) for h in self.particles}
 
     def _key(self, t: float) -> float:
         """The memo key of time t."""
@@ -132,29 +113,11 @@ class TwoParticleHandle:
         k1, k2 = (h.kinetic_multiplier for h in self.particles)
         return k1[:, None] + k2[None, :]
 
-    def _particle_matrix(self, key):
-        """Particle h's matrix at its memo key: H, or dH/drho with derivative.
-
-        A zero matrix, as dH/drho has on a particle whose fields do not
-        move with rho, is None.
-        """
-        h, t, derivative = key
-        return _nonzero(h.matrix(t, derivative))
-
-    def _particle_matrices(self, t: float, derivative: bool) -> tuple:
-        """(M_1, M_2^T), so that M_1 @ f + f @ M_2^T applies both to f."""
-        m1, m2 = (self._matrices[h][h, h._key(t), derivative] for h in self.particles)
-        return m1, None if m2 is None else m2.T
-
     def _hamiltonian_fields(self, t: float):
-        """(W, H_1, H_2^T) at time t."""
+        """(W, H_1, H_2^T) at time t, so that W f + H_1 @ f + f @ H_2^T is H f."""
         w = self.system.interaction.on(t, self.rho, self.system.relative_coordinate)
-        return (_nonzero(w), *self._particle_matrices(t, False))
-
-    def _derivative_fields(self, t: float):
-        """(dW, dH_1, dH_2^T) at time t, the rho-derivatives of the fields."""
-        dw = self.system.interaction.rho_partial_on(t, self.rho, self.system.relative_coordinate)
-        return (_nonzero(dw), *self._particle_matrices(t, True))
+        h1, h2 = (self._matrices[h][h._key(t)] for h in self.particles)
+        return (w if w.any() else None), h1, h2.T
 
     def gauge_split(self, t: float) -> tuple:
         """(phi, V_g) with H(t) ~ e^{i phi} K e^{-i phi} + V_g, K the kinetic multiplier.
@@ -174,12 +137,14 @@ class TwoParticleHandle:
         return phi1[:, None] + phi2[None, :], v_g
 
     def apply(self, t: float, f: np.ndarray) -> np.ndarray:
-        """(H_1 (x) I + I (x) H_2 + W) f = W f + H_1 f + f H_2^T."""
-        return _apply_fields(self._fields[self._key(t)], f)
-
-    def apply_rho_derivative(self, t: float, f: np.ndarray) -> np.ndarray:
-        """(dH/drho) f = dW f + dH_1 f + f dH_2^T."""
-        return _apply_fields(self._rho_fields[self._key(t)], f)
+        """(H_1 (x) I + I (x) H_2 + W) f = H_1 f + W f + f H_2^T."""
+        w, h1, h2t = self._fields[self._key(t)]
+        f = np.asarray(f, dtype=complex)
+        out = h1 @ f
+        if w is not None:
+            out += w * f
+        out += f @ h2t
+        return out
 
     def norm_order(self, a: int) -> "PrimedNormOrder":
         return PrimedNormOrder(a=a, growth_orders=self.system.growth_orders)
@@ -197,10 +162,15 @@ class PrimedNormOrder:
     growth_orders: tuple
 
     def __post_init__(self):
-        if self.a != int(self.a) or self.a < 0:
+        object.__setattr__(self, "a", _whole_order(self.a))
+        if self.a < 0:
             raise ConfigError("primed norm orders must be nonnegative integers")
-        if any(m < 0 for m in self.growth_orders):
+        orders = tuple(_whole(m, "growth order", ConfigError) for m in self.growth_orders)
+        if len(orders) != 2:
+            raise ConfigError(f"a primed norm takes two growth orders, got {len(orders)}")
+        if min(orders) < 0:
             raise ConfigError("growth orders must be nonnegative")
+        object.__setattr__(self, "growth_orders", orders)
 
     def weight_exponent(self, k: int) -> float:
         return 2.0 * self.a * (self.growth_orders[k] + 1)

@@ -220,6 +220,16 @@ def test_bad_suite_option_values_rejected_at_load(options, field):
         from_mapping({"options": options})
 
 
+@pytest.mark.parametrize("suite, key", [
+    ("commutator", "mu"), ("commutator", "t"), ("parametrix", "t"),
+])
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_probe_options_rejected_at_load(suite, key, value):
+    with pytest.raises(ConfigError, match=rf"^options\.{suite}\.{key}: {key} must be a finite "
+                                          rf"number, got {value!r}$"):
+        from_mapping({"options": {suite: {key: value}}})
+
+
 def test_suite_option_values_are_checked_together():
     # valid only together: the default t_final = 1.0 is no whole number of 0.3 steps
     cfg = from_mapping({"options": {"sensitivity": {"dt": 0.3, "t_final": 0.9}}})

@@ -27,7 +27,7 @@ from polyschro import operators
 from polyschro.errors import ConfigError, FamilyError, GridError, SolverError
 from polyschro.operators import resolve_mu_prime
 from polyschro.potentials import BUILTIN_FAMILIES
-from polyschro.symbols import dense_matrix
+from polyschro.symbols import dense_matrix, eval_symbol, quantize_symbol
 
 from conftest import HEAVY_MAGNETIC, RHO_MAGNETIC, band_limited_state
 
@@ -121,13 +121,17 @@ def test_mollified_hermitian(quartic_handle, rng):
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
-def test_mollified_unit_profile_recovers_hamiltonian(quartic_handle, rng):
-    g = quartic_handle.grid
-    spec = CutoffSpec(eps=1.0, mu=0.0, profile="one")
+def test_mollified_apply_matches_the_dense_sandwich(quartic_handle, rng):
+    """X* H X f, with X the dense matrix of the quantized cutoff and H the
+    closed-form matrix of the Hamiltonian."""
+    g, t = quartic_handle.grid, 0.4
+    spec = CutoffSpec(eps=0.5, mu=1.0)
+    X = dense_matrix(partial(quantize_symbol, eval_symbol(
+        "chi_eps", quartic_handle.fam, g, t=t, cutoff=spec)), g)
     f = band_limited_state(g, rng)
-    plain = quartic_handle.apply(0.4, f.values)
-    moll = quartic_handle.apply_mollified(0.4, f.values, spec)
-    np.testing.assert_allclose(moll, plain, atol=1e-10 * np.max(np.abs(plain)))
+    want = X.conj().T @ (quartic_handle.matrix(t) @ (X @ f.values))
+    moll = quartic_handle.apply_mollified(t, f.values, spec)
+    assert np.linalg.norm(moll - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_lambda_power_zero_is_identity(rng):
@@ -196,6 +200,11 @@ def test_norm_order_validation():
 
 def test_norm_order_takes_whole_growth_orders_and_finite_masses():
     assert NormOrder(a=1, growth_order=2.0, mass=2).growth_order == 2.0
+    whole = NormOrder(a=2.0, growth_order=1).a
+    assert whole == 2 and type(whole) is int
+    for a in (True, "1", None):
+        with pytest.raises(ConfigError, match="^order a must be an integer$"):
+            NormOrder(a=a, growth_order=1)
     assert NormOrder(a=1, growth_order=np.int64(1), mass=np.float64(0.5)).mass == 0.5
 
 
@@ -341,16 +350,15 @@ MATRIX_FAMILIES = [*BUILTIN_FAMILIES.values(), RHO_MAGNETIC,
 
 @pytest.mark.parametrize("fam", MATRIX_FAMILIES, ids=lambda fam: fam.name)
 def test_matrix_matches_the_kernel_on_the_identity_stack(fam):
-    """The closed-form dense H and dH/drho equal the kernel's images of the unit vectors."""
+    """The closed-form dense H equals the kernel's images of the unit vectors."""
     g = make_grid(1, 6.0, 128)
     rho = 0.0 if fam.rho_interval is None else 0.5
     handle = HamiltonianHandle(fam, g, rho=rho)
     t = 0.7
-    for derivative, apply in ((False, handle.apply), (True, handle.apply_rho_derivative)):
-        want = dense_matrix(partial(apply, t), g)
-        got = handle.matrix(t, derivative=derivative)
-        assert got.shape == (g.N, g.N)
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    want = dense_matrix(partial(handle.apply, t), g)
+    got = handle.matrix(t)
+    assert got.shape == (g.N, g.N)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("fam", [get_family("confined_quartic"), HEAVY_MAGNETIC],

@@ -10,16 +10,12 @@ from polyschro import (
     HamiltonianHandle,
     PotentialFamily,
     PropagatorConfig,
-    TwoParticleHandle,
-    TwoParticleSystem,
     WaveFunction,
     continuity_modulus,
     difference_quotient,
     gaussian_packet,
     get_family,
-    get_interaction,
     make_grid,
-    product_state,
     propagate,
     propagate_inhomogeneous,
     sensitivity_sweep,
@@ -133,26 +129,6 @@ def test_runs_near_the_edge_carry_one_warning_each(setup):
     assert continuity_modulus(fam, inside, 1.0, (1e-1,), cfg).warnings == []
 
 
-def _pair(L, N):
-    g2 = make_grid(2, L, N)
-    system = TwoParticleSystem(get_family("harmonic"), get_family("harmonic"),
-                               get_interaction("soft_pair"), g2)
-    g1 = make_grid(1, L, N)
-    u0 = product_state(g2, gaussian_packet(g1, center=0.5, width=0.9),
-                       gaussian_packet(g1, center=-0.3, width=1.1, momentum=0.4))
-    return system, u0
-
-
-def test_composite_runs_compare_grids_by_value():
-    system, _ = _pair(8.0, 32)
-    _, other_L = _pair(9.0, 32)
-    cfg = PropagatorConfig(dt=5e-3, t_final=0.01, save_every=1, keep_states=False)
-    with pytest.raises(ConfigError, match="different grids"):
-        continuity_modulus(system, other_L, 0.5, (1e-2,), cfg)
-    with pytest.raises(ConfigError, match="different grids"):
-        solve_variational(system, other_L, 0.5, cfg)
-
-
 def _two_pass_variational(handle, u0, cfg):
     """w on cfg's records by two passes: a step-dense base run, then the
     forced run whose source reads the two base states around each half step."""
@@ -178,20 +154,14 @@ def _gmres_case():
     return RHO_MAGNETIC, u0, 0.5, HamiltonianHandle(RHO_MAGNETIC, g, rho=0.5)
 
 
-def _composite_case():
-    system, u0 = _pair(8.0, 32)
-    return system, u0, 0.5, TwoParticleHandle(system, rho=0.5)
-
-
 @pytest.mark.parametrize("case, bound", [
     (_dense_case, 1e-12),      # the dense Cayley inverse
     (_gmres_case, 1e-9),       # time-dependent and magnetic: GMRES
-    (_composite_case, 1e-9),   # the composite grid
 ])
 def test_lockstep_variational_matches_two_pass_solve(case, bound):
-    system, u0, rho, handle = case()
+    fam, u0, rho, handle = case()
     cfg = PropagatorConfig(dt=2e-3, t_final=0.1, save_every=10, keep_states=False)
-    w = solve_variational(system, u0, rho, cfg)
+    w = solve_variational(fam, u0, rho, cfg)
     ref = _two_pass_variational(handle, u0, cfg)
     assert w.values.shape == ref.shape == (6, *u0.grid.shape)
     gap = np.linalg.norm((w.values - ref)[1:].reshape(5, -1), axis=1)

@@ -81,8 +81,12 @@ def test_cutoff_spec_validation():
         CutoffSpec(eps=0.0, mu=0.0)
     with pytest.raises(SymbolDomainError):
         CutoffSpec(eps=2.0, mu=0.0)
-    with pytest.raises(SymbolDomainError):
-        CutoffSpec(eps=0.5, mu=0.0, profile="triangle")
+    for eps in (True, "x", float("nan")):
+        with pytest.raises(SymbolDomainError, match=r"eps must lie in \(0, 1\]"):
+            CutoffSpec(eps=eps, mu=0.0)
+    for mu in (float("inf"), float("nan"), True):
+        with pytest.raises(SymbolDomainError, match="cutoff mu must be a finite number"):
+            CutoffSpec(eps=0.5, mu=mu)
 
 
 def test_parametrix_symbol_is_pointwise_reciprocal():

@@ -26,10 +26,10 @@ from polyschro import (
     make_grid,
     product_state,
     propagate,
-    sensitivity_sweep,
     weighted_norm_primed,
 )
 from polyschro.errors import ConfigError, FamilyError, GridError
+from polyschro.propagator import propagate_variational
 from conftest import RHO_MAGNETIC, band_limited_state
 
 
@@ -109,22 +109,6 @@ def test_composite_operator_is_hermitian(rng):
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
-def test_parameter_derivative_closed_form(pair_64):
-    g1, g2, system = pair_64
-    mixed = TwoParticleSystem(
-        get_family("parametric_quartic"), get_family("harmonic"),
-        get_interaction("soft_pair"), g2,
-    )
-    handle = TwoParticleHandle(mixed, rho=1.0)
-    u = product_state(g2, gaussian_packet(g1, center=0.4, width=0.9),
-                      gaussian_packet(g1, width=1.0))
-    out = handle.apply_rho_derivative(0.0, u.values)
-    x1 = g2.mesh[0]
-    r = mixed.relative_coordinate
-    expected = (x1**4 / 4.0 + 1.0 + r**2) * u.values
-    assert np.max(np.abs(out - expected)) <= 1e-12
-
-
 def test_mollified_composite_flow_is_rejected(pair_64, monkeypatch):
     """The run refuses before its first step, naming the handle."""
     g1, g2, system = pair_64
@@ -137,6 +121,22 @@ def test_mollified_composite_flow_is_rejected(pair_64, monkeypatch):
     with pytest.raises(ConfigError, match="single-particle only") as err:
         propagate(cfg, TwoParticleHandle(system, rho=0.0), product_state(g2, phi, phi))
     assert "TwoParticleHandle" in str(err.value)
+    assert applies == []
+
+
+def test_variational_composite_flow_is_rejected(pair_64, monkeypatch):
+    """dH/drho is single-particle only: the run refuses before its first step."""
+    g1, g2, system = pair_64
+    applies = []
+    apply = TwoParticleHandle.apply
+    monkeypatch.setattr(TwoParticleHandle, "apply",
+                        lambda handle, *args: applies.append(args) or apply(handle, *args))
+    phi = gaussian_packet(g1, width=1.0)
+    cfg = PropagatorConfig(dt=2.5e-3, t_final=0.01, keep_states=False)
+    with pytest.raises(ConfigError) as err:
+        propagate_variational(cfg, TwoParticleHandle(system, rho=0.5), product_state(g2, phi, phi))
+    assert str(err.value) == ("the parameter derivative is single-particle only, "
+                              "not for a TwoParticleHandle")
     assert applies == []
 
 
@@ -179,6 +179,23 @@ def test_primed_norm_validation():
     order = PrimedNormOrder(a=1, growth_orders=(0, 1))
     assert order.weight_exponent(0) == 2.0
     assert order.weight_exponent(1) == 4.0
+    whole = PrimedNormOrder(a=2.0, growth_orders=[1.0, 0])
+    assert whole == PrimedNormOrder(a=2, growth_orders=(1, 0))
+    assert type(whole.a) is int and all(type(m) is int for m in whole.growth_orders)
+
+
+@pytest.mark.parametrize("a, growth_orders, message", [
+    (True, (0, 0), "order a must be an integer"),
+    (0.5, (0, 0), "order a must be an integer"),
+    (1, (0.5, 1), "growth order must be a whole number, got 0.5"),
+    (1, (1, True), "growth order must be a whole number, got True"),
+    (1, (1,), "a primed norm takes two growth orders, got 1"),
+    (1, (1, 1, 1), "a primed norm takes two growth orders, got 3"),
+])
+def test_primed_norm_orders_are_whole_numbers(a, growth_orders, message):
+    with pytest.raises(ConfigError) as caught:
+        PrimedNormOrder(a=a, growth_orders=growth_orders)
+    assert str(caught.value) == message
 
 
 def test_product_state_rejects_off_axis_factors(pair_64):
@@ -214,17 +231,6 @@ def test_zero_interaction_factorizes(pair_64):
     f2 = propagate(cfg, h1, p2).final.values
     gap = np.max(np.abs(composite.final.values - np.outer(f1, f2)))
     assert gap <= 1e-8
-
-
-def test_interaction_strength_sensitivity(pair_64):
-    """Quotients in the coupling agree with the variational solve at O(tau^2)."""
-    g1, g2, system = pair_64
-    u0 = product_state(g2, gaussian_packet(g1, center=0.5, width=0.9),
-                       gaussian_packet(g1, center=-0.3, width=1.1, momentum=0.4))
-    cfg = PropagatorConfig(dt=5e-3, t_final=0.05, save_every=5, keep_states=False)
-    sweep = sensitivity_sweep(system, u0, 0.5, (1e-1, 1e-2), cfg, a=0)
-    assert sweep.discrepancies[0] > sweep.discrepancies[1]
-    assert sweep.observed_orders()[0] >= 1.8
 
 
 HEAVY_MAGNETIC = PotentialFamily(name="heavy_magnetic", v="(1 + x^2)^2",
@@ -284,28 +290,11 @@ def test_composite_apply_is_symmetric_on_rough_states(pair):
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
-@pytest.mark.parametrize("pair", sorted(FAMILY_PAIRS))
-def test_composite_rho_derivative_matches_central_difference(pair):
-    """H is at most quadratic in rho, so the central difference is exact."""
-    fams = [_family(name) for name in FAMILY_PAIRS[pair]]
-    g2 = make_grid(2, 6.0, 16)
-    system = TwoParticleSystem(*fams, get_interaction("soft_pair"), g2)
-    rho, h, t = 0.5, 0.25, 0.7
-    rng = np.random.default_rng(12)
-    f = rng.standard_normal(g2.shape) + 1j * rng.standard_normal(g2.shape)
-    plus = TwoParticleHandle(system, rho=rho + h).apply(t, f)
-    minus = TwoParticleHandle(system, rho=rho - h).apply(t, f)
-    want = (plus - minus) / (2.0 * h)
-    got = TwoParticleHandle(system, rho=rho).apply_rho_derivative(t, f)
-    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(plus) / h
-
-
 def test_dropped_composite_handle_is_freed_without_the_cycle_collector(pair_64):
     g1, g2, system = pair_64
     handle = TwoParticleHandle(system, rho=0.5)
     f = np.ones(g2.shape, dtype=complex)
     handle.apply(0.0, f)
-    handle.apply_rho_derivative(0.0, f)
     ref = weakref.ref(handle)
     gc.disable()
     try:
@@ -388,17 +377,14 @@ def test_zero_interaction_is_stored_as_none(pair_64):
     np.testing.assert_array_equal(v_g, v[:, None] + v[None, :])
 
 
-def _kernel_apply(system, rho, t, f, derivative=False):
-    """H f (or dH/drho f) as W f plus each particle's FFT kernel along its
-    own axis: the rows of f are states of the second particle, its columns
-    states of the first."""
+def _kernel_apply(system, rho, t, f):
+    """H f as W f plus each particle's FFT kernel along its own axis: the
+    rows of f are states of the second particle, its columns states of
+    the first."""
     g1 = make_grid(1, system.grid.L, system.grid.N)
-    inter = system.interaction
-    w_of = inter.rho_partial_on if derivative else inter.on
     first, second = (HamiltonianHandle(fam, g1, rho=rho) for fam in (system.fam1, system.fam2))
-    apply_of = (lambda h: h.apply_rho_derivative) if derivative else (lambda h: h.apply)
-    return (w_of(t, rho, system.relative_coordinate) * f
-            + apply_of(first)(t, f.T).T + apply_of(second)(t, f))
+    return (system.interaction.on(t, rho, system.relative_coordinate) * f
+            + first.apply(t, f.T).T + second.apply(t, f))
 
 
 # both particles magnetic with rho-dependent A, and of unequal masses
@@ -412,10 +398,8 @@ def test_composite_matrices_match_the_fft_kernel():
     handle = TwoParticleHandle(system, rho=rho)
     rng = np.random.default_rng(13)
     f = rng.standard_normal(g2.shape) + 1j * rng.standard_normal(g2.shape)
-    for derivative, got in ((False, handle.apply(t, f)),
-                            (True, handle.apply_rho_derivative(t, f))):
-        want = _kernel_apply(system, rho, t, f, derivative)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    want = _kernel_apply(system, rho, t, f)
+    assert np.linalg.norm(handle.apply(t, f) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_composite_matrix_is_hermitian():
