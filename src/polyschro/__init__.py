@@ -53,11 +53,9 @@ from .sensitivity import (
     solve_variational,
 )
 from .twoparticle import (
-    PrimedNormOrder,
     TwoParticleHandle,
     TwoParticleSystem,
     product_state,
-    weighted_norm_primed,
 )
 from .config import ExperimentConfig, SUITE_NAMES, load_config
 from .report import emit_report

@@ -47,8 +47,9 @@ class SpatialGrid:
             raise GridError(f"N must be an integer >= 8, got {self.N!r}")
         if self.N % 2 != 0:
             raise GridError(f"N must be even, got {self.N}")
-        if not (np.isfinite(self.L) and self.L > 0):
+        if not (_finite(self.L) and self.L > 0):
             raise GridError(f"L must be positive and finite, got {self.L!r}")
+        object.__setattr__(self, "L", float(self.L))
 
     @property
     def dx(self) -> float:
@@ -144,7 +145,7 @@ def _whole(value, name: str, error=GridError) -> int:
 
 def make_grid(d: int, L: float, N: int) -> SpatialGrid:
     """Build a grid; raises GridError on unusable parameters, naming the field."""
-    return SpatialGrid(d=_whole(d, "d"), L=float(L), N=_whole(N, "N"))
+    return SpatialGrid(d=_whole(d, "d"), L=L, N=_whole(N, "N"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,6 +290,8 @@ def derivative_norm_sum(values: np.ndarray, grid: SpatialGrid, max_order: int):
 
 def gaussian_packet(grid: SpatialGrid, center=0.0, width: float = 1.0, momentum=0.0) -> WaveFunction:
     """Normalized Gaussian wave packet; the default smooth test state."""
+    if not (_finite(width) and width > 0):
+        raise GridError(f"width must be a finite positive number, got {width!r}")
     centers = np.broadcast_to(np.atleast_1d(center), (grid.d,))
     momenta = np.broadcast_to(np.atleast_1d(momentum), (grid.d,))
     phase = np.zeros(grid.shape)

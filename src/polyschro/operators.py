@@ -1,5 +1,5 @@
-"""Matrix-free operators of one particle on a line: Hamiltonian, its
-mollification, weight powers, norms.
+"""Matrix-free operators of one particle on a line (Hamiltonian, its
+mollification, weight powers) and the weighted norms of one particle or two.
 
 The Hamiltonian (1/2m)(p - A)^2 + V is applied in the expanded symmetric
 three-term form
@@ -249,47 +249,51 @@ class HamiltonianHandle:
 
     def norm_order(self, a: int) -> "NormOrder":
         """Weighted-norm order calibrated to this family's growth."""
-        return NormOrder(a=a, growth_order=self.fam.growth_order, mass=self.mass)
+        return NormOrder(a=a, growth_orders=(self.fam.growth_order,), mass=self.mass)
 
 
 # ---------------------------------------------------------------------------
 # weight operator and norms
 
 
-def _whole_order(a) -> int:
-    """The norm order a as an int; a whole float such as 2.0 passes, 1.5 or True raise."""
-    try:
-        return _whole(a, "a", ConfigError)
-    except ConfigError:
-        raise ConfigError("order a must be an integer") from None
-
-
 @dataclass(frozen=True)
 class NormOrder:
     """Order data of the polynomially weighted norm scale.
 
-    a is the (integer, possibly negative) order; growth_order is the M of
-    the family the scale is calibrated to.  The shift mu' that keeps the
-    weight operator positive definite is a function of (grid, M, mass):
-    ``resolve_mu_prime``.
+    a is the (integer, possibly negative) order; growth_orders holds one
+    growth order M per grid axis: (M,) for one particle on a line, and
+    (M_1, M_2) on the composite grid of two, one per particle.  The
+    shift mu' that keeps the 1-D weight operator positive definite is a
+    function of (grid, M, mass): ``resolve_mu_prime``.
     """
 
     a: int
-    growth_order: int
+    growth_orders: tuple
     mass: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _whole_order(self.a))
+        try:  # a whole float such as 2.0 passes; 1.5 or True raise
+            object.__setattr__(self, "a", _whole(self.a, "a", ConfigError))
+        except ConfigError:
+            raise ConfigError("order a must be an integer") from None
         if abs(self.a) > 3:
             raise ConfigError(f"orders are capped at |a| <= 3, got {self.a}")
-        if _whole(self.growth_order, "growth_order", ConfigError) < 0:
-            raise ConfigError(f"growth_order must be >= 0, got {self.growth_order!r}")
+        try:
+            orders = tuple(_whole(m, "growth_order", ConfigError) for m in self.growth_orders)
+        except TypeError:
+            orders = ()
+        if not orders:
+            raise ConfigError(f"growth_orders must be a nonempty sequence, "
+                              f"got {self.growth_orders!r}")
+        if min(orders) < 0:
+            raise ConfigError(f"growth_order must be >= 0, got {min(orders)}")
+        object.__setattr__(self, "growth_orders", orders)
         if not (_finite(self.mass) and self.mass > 0):
             raise ConfigError(f"mass must be a finite positive number, got {self.mass!r}")
 
-    @property
-    def weight_exponent(self) -> float:
-        return 2.0 * abs(self.a) * (self.growth_order + 1)
+    def weight_exponent(self, k: int) -> float:
+        """2|a|(M_k + 1): the exponent of the weight along axis k."""
+        return 2.0 * abs(self.a) * (self.growth_orders[k] + 1)
 
     def norm(self, f, grid: SpatialGrid | None = None):
         return weighted_norm(self, f, grid)
@@ -297,7 +301,7 @@ class NormOrder:
 
 def resolve_mu_prime(order: NormOrder, grid: SpatialGrid) -> float:
     core = grid.dual_radius_sq / (2.0 * order.mass) + grid.bracket_weight(
-        2.0 * (order.growth_order + 1)
+        2.0 * (order.growth_orders[0] + 1)
     )
     # scanned minimum plus one keeps the quantized operator safely definite
     return 1.0 + max(0.0, 1.0 - float(core.min()))
@@ -306,7 +310,7 @@ def resolve_mu_prime(order: NormOrder, grid: SpatialGrid) -> float:
 def _lambda_m_parts(order: NormOrder, grid: SpatialGrid):
     mu_p = resolve_mu_prime(order, grid)
     kin = grid.dual_radius_sq / (2.0 * order.mass)
-    weight = grid.bracket_weight(2.0 * (order.growth_order + 1))
+    weight = grid.bracket_weight(2.0 * (order.growth_orders[0] + 1))
     return mu_p, kin, weight
 
 
@@ -353,7 +357,7 @@ def _lambda_m_factor(order: NormOrder, grid: SpatialGrid):
 
     The kinetic part is ``_kinetic_matrix``, built afresh rather than
     copied from the cache, so no N x N circulant outlives the factor.
-    ``order`` has a = -1, so the cache key is (grid, growth_order, mass),
+    ``order`` has a = -1, so the cache key is (grid, growth_orders, mass),
     which fixes mu'.
     """
     mu_p, _, weight = _lambda_m_parts(order, grid)
@@ -366,24 +370,25 @@ def _lambda_m_factor(order: NormOrder, grid: SpatialGrid):
 def apply_lambdaM_power(order: NormOrder, f: WaveFunction) -> WaveFunction:
     """Integer power of the weight operator mu' + p^2/2m + <x>^(2(M+1)).
 
-    Negative powers solve Lambda_M x = f on a 1-D grid with the cached
-    Cholesky factor of its matrix, the real and imaginary parts as two
-    right-hand sides; on a 2-D grid they raise GridError.
+    Lambda_M is the operator of one particle on a line: an order with
+    another number of growth orders, or a 2-D grid, raises GridError.
+    Negative powers solve Lambda_M x = f with the cached Cholesky factor
+    of its matrix, the real and imaginary parts as two right-hand sides.
     """
     return f.with_values(_lambda_m_power(order, f.values.astype(complex), f.grid))
 
 
 def _lambda_m_power(order: NormOrder, vals: np.ndarray, grid: SpatialGrid) -> np.ndarray:
     """Lambda_M^a on raw values: one state or a (R, *grid.shape) stack."""
+    if grid.d != 1 or len(order.growth_orders) != 1:
+        raise GridError(f"order a={order.a}: Lambda_M acts on 1-D grids with one growth "
+                        f"order, not on {grid} with {order.growth_orders}")
     n = int(order.a)
     if n >= 0:
         mu_p, kin, weight = _lambda_m_parts(order, grid)
         for _ in range(n):
             vals = _lambda_m_apply(mu_p, kin, weight, grid, vals)
         return vals
-    if grid.d != 1:
-        raise GridError(f"order a={order.a} is negative: Lambda_M is inverted on 1-D grids "
-                        f"only, not on {grid}")
     factor = _lambda_m_factor(replace(order, a=-1), grid)
     rows = vals.reshape(-1, grid.N)
     r = len(rows)
@@ -398,23 +403,29 @@ def weighted_norm(order: NormOrder, f, grid: SpatialGrid | None = None):
     """Polynomially weighted Sobolev-type norm of order a.
 
     a = 0 is the plain L2 norm.  For a >= 1 the norm is the sum of all
-    derivative norms up to order 2a plus the norm of <x>^(2a(M+1)) f.
-    Negative orders are measured through the inverse weight operator,
-    ||Lambda_M^a f||, on a 1-D grid only: by a Cholesky factor of the
-    matrix of Lambda_M, built on the first call for each (grid, growth
-    order, mass), which fixes mu', and cached.
+    derivative norms up to order 2a plus, for each axis k, the norm of
+    <x_k>^(2a(M_k+1)) f: on the composite grid, one weight per particle
+    in its own coordinate.  Negative orders are measured through the
+    inverse weight operator, ||Lambda_M^a f||, on a 1-D grid only: by a
+    Cholesky factor of the matrix of Lambda_M, built on the first call
+    for each (grid, growth order, mass), which fixes mu', and cached.
 
     f is a WaveFunction, or raw values on ``grid``: one state, or a
     (R, *grid.shape) stack, which gives an array of R norms.
     """
     vals, grid = _values_of(f, grid)
+    if len(order.growth_orders) != grid.d:
+        raise GridError(f"a norm order needs one growth order per axis: got "
+                        f"{len(order.growth_orders)} for {grid}")
     a = int(order.a)
     if a < 0:
         vals = _lambda_m_power(order, vals.astype(complex), grid)
     if a <= 0:
         return l2_norm(vals, grid)
     total = derivative_norm_sum(vals, grid, 2 * a)
-    total += l2_norm(grid.bracket_weight(order.weight_exponent) * vals, grid)
+    for k in range(grid.d):  # the weight of axis k, broadcast along axis k
+        weight = (1.0 + grid.axis**2) ** (order.weight_exponent(k) / 2.0)
+        total += l2_norm(weight.reshape((-1,) + (1,) * (grid.d - 1 - k)) * vals, grid)
     return total
 
 

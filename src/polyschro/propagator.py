@@ -58,21 +58,20 @@ NORM_BATCH = 16
 class PropagatorConfig:
     """Stepper parameters.
 
-    t_final must be an integer number of steps; eps switches the run to the
-    mollified Hamiltonian with the given cutoff strength.  solver_tol is the
-    relative residual target of the Cayley solve and the target of the
-    Lanczos error estimate; a Cayley solve that misses it raises
-    SolverError.  max_solver_iter caps the inner GMRES iterations of one
-    Cayley solve, summed over its restarts.  krylov_dim caps the Lanczos
-    basis, and a step that reaches the cap keeps its result and reports
-    its estimate as the step residual.  A run whose step residuals rise
-    above solver_tol says so in one line of its warnings.
+    A run starts at t = 0, and t_final must be an integer number of steps;
+    eps switches the run to the mollified Hamiltonian with the given cutoff
+    strength.  solver_tol is the relative residual target of the Cayley
+    solve and the target of the Lanczos error estimate; a Cayley solve that
+    misses it raises SolverError.  max_solver_iter caps the inner GMRES
+    iterations of one Cayley solve, summed over its restarts.  krylov_dim
+    caps the Lanczos basis, and a step that reaches the cap keeps its
+    result and reports its estimate as the step residual.  A run whose step
+    residuals rise above solver_tol says so in one line of its warnings.
     """
 
     scheme: str = "crank_nicolson_midpoint"
     dt: float = 1e-3
     t_final: float = 1.0
-    t0: float = 0.0
     solver_tol: float = 1e-11
     max_solver_iter: int = 4000
     krylov_dim: int = 24
@@ -85,18 +84,17 @@ class PropagatorConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; known: {SCHEMES}")
-        for name in ("dt", "t0", "t_final"):
+        for name in ("dt", "t_final"):
             if not _finite(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number")
         if not (self.dt > 0):
             raise ConfigError("dt must be positive")
-        span = self.t_final - self.t0
-        if span <= 0:
-            raise ConfigError("t_final must exceed t0")
-        n = span / self.dt
+        if self.t_final <= 0:
+            raise ConfigError("t_final must be positive")
+        n = self.t_final / self.dt
         if abs(n - round(n)) > 1e-9 * max(1.0, n):
             raise ConfigError(
-                f"t_final - t0 = {span} is not an integer multiple of dt = {self.dt}"
+                f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}"
             )
         for name in ("solver_tol", "boundary_tol"):
             if not (_finite(getattr(self, name)) and getattr(self, name) > 0):
@@ -118,7 +116,7 @@ class PropagatorConfig:
 
     @property
     def n_steps(self) -> int:
-        return int(round((self.t_final - self.t0) / self.dt))
+        return int(round(self.t_final / self.dt))
 
     def cutoff(self) -> CutoffSpec | None:
         if self.eps is None:
@@ -214,13 +212,13 @@ class _Operator:
 
 
 def _t_mid(cfg: PropagatorConfig, n: int) -> float:
-    """The midpoint time of step n, the step from t0 + n dt."""
-    return cfg.t0 + n * cfg.dt + 0.5 * cfg.dt
+    """The midpoint time of step n, the step from n dt."""
+    return n * cfg.dt + 0.5 * cfg.dt
 
 
 def _at_step(cfg: PropagatorConfig, n: int) -> str:
     """Where step n ends, as an error names it."""
-    return f"at step {n + 1} (t={cfg.t0 + (n + 1) * cfg.dt:.6g})"
+    return f"at step {n + 1} (t={(n + 1) * cfg.dt:.6g})"
 
 
 def _cayley_solve(op: _Operator, n: int, t_mid: float, rhs: np.ndarray) -> tuple:
@@ -646,7 +644,7 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
     cfgs = (replace(cfg, keep_states=False), cfg) if tangent else (cfg,)
     recs = [_Recorder(PropagationRun(handle.grid, c, norm_orders), mask) for c in cfgs]
     for rec, x in zip(recs, (u, w)):
-        rec.record(cfg.t0, x)
+        rec.record(0.0, x)
     for n in range(cfg.n_steps):
         t_mid = _t_mid(cfg, n)
         f = None if source is None else _values_of(source(t_mid), handle.grid)[0]
@@ -656,7 +654,7 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
             w, rep = op.step(n, w, handle.apply_rho_derivative(t_mid, 0.5 * (u + u_next)))
             reps.append(rep)
         u = u_next
-        t_next = cfg.t0 + (n + 1) * cfg.dt
+        t_next = (n + 1) * cfg.dt
         for rec, x, rep in zip(recs, (u, w), reps):
             if not np.isfinite(x).all():
                 raise SolverError(f"state became non-finite {_at_step(cfg, n)}")

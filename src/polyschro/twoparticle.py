@@ -13,9 +13,10 @@ particle's own times: once per run for a family without t, and once for
 both particles when they share a family.  The composite operator
 therefore has no kernel, fields or gauge rule of its own, and an apply
 is two N x N matrix products instead of eight one-axis FFT passes.  The
-parameter derivative dH/drho is single-particle only.  Weighted norms
-carry one polynomial weight per particle, calibrated to that particle's
-growth order.
+parameter derivative dH/drho is single-particle only.  A weighted norm
+is ``operators.weighted_norm`` with one growth order per particle, so it
+carries one polynomial weight per particle, in that particle's own
+coordinate; negative orders are single-particle only.
 """
 
 from __future__ import annotations
@@ -26,8 +27,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, GridError
-from .grid import SpatialGrid, WaveFunction, _values_of, _whole, derivative_norm_sum, l2_norm
-from .operators import HamiltonianHandle, Memo, _whole_order
+from .grid import SpatialGrid, WaveFunction
+from .operators import HamiltonianHandle, Memo, NormOrder
+# kept for perfbench/tracer.py, which wraps this name; no code calls it
+from .operators import weighted_norm as weighted_norm_primed
 from .potentials import InteractionFamily, PotentialFamily
 from .propagator import propagate  # unused here; perfbench/tracer.py wraps this name
 
@@ -68,24 +71,20 @@ class TwoParticleSystem:
         return (self.fam1.growth_order, self.fam2.growth_order)
 
 
-def _axis_broadcast(arr: np.ndarray, axis: int) -> np.ndarray:
-    return arr[:, None] if axis == 0 else arr[None, :]
-
-
 class TwoParticleHandle:
     """Bound (system, rho) pair exposing the composite operator.
 
     Mirrors the single-particle handle interface but for the mollified
-    apply and the parameter derivative, so the steppers work unchanged on
-    composite states; a mollified or a variational run is single-particle
-    only.  Each particle is a 1-D ``HamiltonianHandle`` on the line grid
-    (``particles``); two particles of one family share one handle, since
-    both run at the same rho.  The memo holds, per time, (W, H_1, H_2^T),
-    with H_k the dense matrix of particle k's operator and W None when it
-    is zero everywhere; a system without t in either family or in W has
-    one set for all times.  Each distinct particle also memoizes its
-    matrix under its own memo key, so a family without t builds it once
-    per run beside a partner with t.
+    apply, the parameter derivative and the negative norm orders, so the
+    steppers work unchanged on composite states; a mollified or a
+    variational run is single-particle only.  Each particle is a 1-D
+    ``HamiltonianHandle`` on the line grid (``particles``); two particles
+    of one family share one handle, since both run at the same rho.  The
+    memo holds, per time, (W, H_1, H_2^T), with H_k the dense matrix of
+    particle k's operator and W None when it is zero everywhere; a system
+    without t in either family or in W has one set for all times.  Each
+    distinct particle also memoizes its matrix under its own memo key, so a
+    family without t builds it once per run beside a partner with t.
     """
 
     def __init__(self, system: TwoParticleSystem, rho: float = 0.0):
@@ -146,58 +145,12 @@ class TwoParticleHandle:
         out += f @ h2t
         return out
 
-    def norm_order(self, a: int) -> "PrimedNormOrder":
-        return PrimedNormOrder(a=a, growth_orders=self.system.growth_orders)
-
-
-# ---------------------------------------------------------------------------
-# primed weighted norms
-
-
-@dataclass(frozen=True)
-class PrimedNormOrder:
-    """Composite-norm order: one polynomial weight per particle."""
-
-    a: int
-    growth_orders: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", _whole_order(self.a))
-        if self.a < 0:
-            raise ConfigError("primed norm orders must be nonnegative integers")
-        orders = tuple(_whole(m, "growth order", ConfigError) for m in self.growth_orders)
-        if len(orders) != 2:
-            raise ConfigError(f"a primed norm takes two growth orders, got {len(orders)}")
-        if min(orders) < 0:
-            raise ConfigError("growth orders must be nonnegative")
-        object.__setattr__(self, "growth_orders", orders)
-
-    def weight_exponent(self, k: int) -> float:
-        return 2.0 * self.a * (self.growth_orders[k] + 1)
-
-    def norm(self, f, grid: SpatialGrid | None = None):
-        return weighted_norm_primed(self, f, grid)
-
-
-def weighted_norm_primed(order: PrimedNormOrder, f, grid: SpatialGrid | None = None):
-    """Sum of derivative norms up to order 2a plus per-particle weights.
-
-    The a = 0 case is the plain composite L2 norm; the weights use the
-    particle's own coordinate only, never the full radius.  f is a
-    WaveFunction, or raw values on ``grid``: one state, or a
-    (R, *grid.shape) stack, which gives an array of R norms.
-    """
-    vals, grid = _values_of(f, grid)
-    if grid.d != 2:
-        raise GridError("primed norms are defined on composite grids")
-    if order.a == 0:
-        return l2_norm(vals, grid)
-    total = derivative_norm_sum(vals, grid, 2 * order.a)
-    axis_weight = 1.0 + grid.axis**2
-    for k in (0, 1):
-        wk = axis_weight ** (order.weight_exponent(k) / 2.0)
-        total += l2_norm(_axis_broadcast(wk, k) * vals, grid)
-    return total
+    def norm_order(self, a: int) -> NormOrder:
+        """Weighted-norm order with one growth order per particle; a >= 0."""
+        order = NormOrder(a=a, growth_orders=self.system.growth_orders)
+        if order.a < 0:
+            raise ConfigError(f"composite norm orders must be nonnegative, got {order.a}")
+        return order
 
 
 # ---------------------------------------------------------------------------

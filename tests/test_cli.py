@@ -163,9 +163,9 @@ def test_top_level_rho_outside_family_interval_exits_2(tmp_path):
     ({"propagate": {"propagator": {"dtt": 1.0e-3}}}, "options.propagate.propagator: "),
     ({"parametrix": {"n_probe": 4}}, "options.parametrix: unknown keys"),
     ({"validate": {"N": 64.5}}, "options.validate.N: N must be a whole number"),
-    ({"sensitivity": {"dt": 3.0e-4}}, "options.sensitivity.dt: t_final - t0 = 1.0 is not"),
+    ({"sensitivity": {"dt": 3.0e-4}}, "options.sensitivity.dt: t_final = 1.0 is not"),
     ({"propagate": {"initial_state": {"width": 0}}},
-     "options.propagate.initial_state: wavefunction values must be finite"),
+     "options.propagate.initial_state: width must be a finite positive number, got 0"),
 ])
 def test_bad_suite_options_exit_2(tmp_path, options, field):
     cfg = _write_yaml(tmp_path, {"options": options, "suites": ["propagate", "parametrix"]})

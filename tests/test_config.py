@@ -52,6 +52,13 @@ def test_grid_sizes_must_be_whole_numbers(block, field):
         from_mapping({"grid": block})
 
 
+@pytest.mark.parametrize("L", [True, "x", float("inf"), 0.0])
+def test_grid_length_must_be_a_finite_positive_number(L):
+    """A bool L is rejected like a bool N, not read as L = 1.0."""
+    with pytest.raises(ConfigError, match=rf"^grid: L must be positive and finite, got {L!r}$"):
+        from_mapping({"grid": {"L": L}})
+
+
 def test_grid_sizes_accept_whole_floats():
     grid = from_mapping({"grid": {"L": 8, "N": 256.0}}).grid
     assert (grid.d, grid.N) == (1, 256)
@@ -71,6 +78,7 @@ def test_grid_sizes_accept_whole_floats():
     {"boundary_tol": 0.0},
     {"cutoff_mu": float("nan")},
     {"keep_states": "no"},
+    {"t0": 0.5},                      # runs start at t = 0
 ])
 def test_bad_propagator_block_rejected_at_load(block):
     with pytest.raises(ConfigError, match="^propagator: "):
@@ -173,8 +181,10 @@ def test_initial_state_keys_validated():
     assert cfg.initial_state["width"] == 0.8
     with pytest.raises(ConfigError, match="initial_state"):
         from_mapping({"initial_state": {"wavelength": 2.0}})
-    with pytest.raises(ConfigError, match="^initial_state: wavefunction values must be finite"):
-        from_mapping({"initial_state": {"width": 0}})
+    for width in (0, -1.0, float("inf"), True):
+        with pytest.raises(ConfigError, match=rf"^initial_state: width must be a finite "
+                                              rf"positive number, got {width!r}$"):
+            from_mapping({"initial_state": {"width": width}})
 
 
 def test_suite_options_sections_validated():
@@ -214,6 +224,7 @@ def test_unknown_suite_option_keys_rejected():
     ({"commutator": {"mu": [0.5]}}, "options.commutator.mu"),
     ({"parametrix": {"family": "harmonic", "rho": "one"}}, "options.parametrix.rho"),
     ({"eps_sweep": {"cutoff_mu": "a"}}, "options.eps_sweep.cutoff_mu"),
+    ({"eps_sweep": {"width": -1.0}}, "options.eps_sweep.width"),
 ])
 def test_bad_suite_option_values_rejected_at_load(options, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):

@@ -17,7 +17,6 @@ from polyschro.errors import GridError
 from polyschro.grid import derivative_norm_sum, multi_indices
 from polyschro.operators import NormOrder, weighted_norm
 from polyschro.symbols import SymbolField, adjoint_quantize_symbol, quantize_symbol
-from polyschro.twoparticle import PrimedNormOrder, weighted_norm_primed
 
 from conftest import band_limited_state
 
@@ -53,6 +52,12 @@ def test_make_grid_rejects_bad_parameters(d, L, N):
 def test_make_grid_rejects_sizes_that_are_not_whole_numbers(d, N, field):
     with pytest.raises(GridError, match=f"^{field} must be a whole number"):
         make_grid(d, 10.0, N)
+
+
+@pytest.mark.parametrize("L", [True, "x", None, float("nan"), -1.0])
+def test_make_grid_rejects_lengths_that_are_not_finite_positive_numbers(L):
+    with pytest.raises(GridError, match=rf"^L must be positive and finite, got {L!r}$"):
+        make_grid(1, L, 64)
 
 
 def test_make_grid_accepts_whole_floats():
@@ -266,8 +271,9 @@ _UNIT_SYMBOL = SymbolField(make_grid(1, 8.0, 16), np.ones((16, 16), dtype=comple
 RAW_VALUE_HELPERS = {
     "l2_norm": (1, l2_norm),
     "l2_inner_product": (1, lambda f, grid: l2_inner_product(f, f, grid)),
-    "weighted_norm": (1, lambda f, grid: weighted_norm(NormOrder(a=1, growth_order=0), f, grid)),
-    "weighted_norm_primed": (2, lambda f, grid: weighted_norm_primed(PrimedNormOrder(1, (0, 0)), f, grid)),
+    "weighted_norm": (1, lambda f, grid: weighted_norm(NormOrder(a=1, growth_orders=(0,)), f, grid)),
+    # the primed norm: the weighted norm of the composite grid of two particles
+    "weighted_norm_primed": (2, lambda f, grid: weighted_norm(NormOrder(1, (0, 0)), f, grid)),
     "spectral_derivative": (1, lambda f, grid: spectral_derivative(f, grid=grid)),
     "quantize_symbol": (1, lambda f, grid: quantize_symbol(_UNIT_SYMBOL, f)),
     "adjoint_quantize_symbol": (1, lambda f, grid: adjoint_quantize_symbol(_UNIT_SYMBOL, f)),

@@ -136,7 +136,7 @@ def test_mollified_apply_matches_the_dense_sandwich(quartic_handle, rng):
 
 def test_lambda_power_zero_is_identity(rng):
     g = make_grid(1, 8.0, 64)
-    order = NormOrder(a=0, growth_order=1)
+    order = NormOrder(a=0, growth_orders=(1,))
     f, _ = random_pair(g, rng)
     out = apply_lambdaM_power(order, f)
     np.testing.assert_array_equal(out.values, f.values)
@@ -145,22 +145,22 @@ def test_lambda_power_zero_is_identity(rng):
 def test_lambda_power_round_trip(rng):
     g = make_grid(1, 8.0, 64)
     f = band_limited_state(g, rng)
-    up = apply_lambdaM_power(NormOrder(a=1, growth_order=1), f)
-    back = apply_lambdaM_power(NormOrder(a=-1, growth_order=1), up)
+    up = apply_lambdaM_power(NormOrder(a=1, growth_orders=(1,)), f)
+    back = apply_lambdaM_power(NormOrder(a=-1, growth_orders=(1,)), up)
     assert np.max(np.abs(back.values - f.values)) <= 1e-8
 
 
 def test_lambda_inverse_on_constructed_rhs(rng):
     g = make_grid(1, 8.0, 64)
     target = band_limited_state(g, rng)
-    rhs = apply_lambdaM_power(NormOrder(a=1, growth_order=0), target)
-    recovered = apply_lambdaM_power(NormOrder(a=-1, growth_order=0), rhs)
+    rhs = apply_lambdaM_power(NormOrder(a=1, growth_orders=(0,)), target)
+    recovered = apply_lambdaM_power(NormOrder(a=-1, growth_orders=(0,)), rhs)
     assert np.max(np.abs(recovered.values - target.values)) <= 1e-8
 
 
 def test_lambda_positive_definite(rng):
     g = make_grid(1, 8.0, 64)
-    order = NormOrder(a=1, growth_order=1)
+    order = NormOrder(a=1, growth_orders=(1,))
     mu_p = resolve_mu_prime(order, g)
     assert mu_p > 0.0
     for _ in range(5):
@@ -191,27 +191,28 @@ def test_cg_zero_rhs_and_iteration_miss():
 
 def test_norm_order_validation():
     with pytest.raises(ConfigError):
-        NormOrder(a=4, growth_order=0)
+        NormOrder(a=4, growth_orders=(0,))
     with pytest.raises(ConfigError):
-        NormOrder(a=1, growth_order=-1)
+        NormOrder(a=1, growth_orders=(-1,))
     with pytest.raises(ConfigError):
-        NormOrder(a=1, growth_order=0, mass=0.0)
+        NormOrder(a=1, growth_orders=(0,), mass=0.0)
 
 
 def test_norm_order_takes_whole_growth_orders_and_finite_masses():
-    assert NormOrder(a=1, growth_order=2.0, mass=2).growth_order == 2.0
-    whole = NormOrder(a=2.0, growth_order=1).a
+    orders = NormOrder(a=1, growth_orders=[2.0], mass=2).growth_orders
+    assert orders == (2,) and type(orders[0]) is int
+    whole = NormOrder(a=2.0, growth_orders=(1,)).a
     assert whole == 2 and type(whole) is int
     for a in (True, "1", None):
         with pytest.raises(ConfigError, match="^order a must be an integer$"):
-            NormOrder(a=a, growth_order=1)
-    assert NormOrder(a=1, growth_order=np.int64(1), mass=np.float64(0.5)).mass == 0.5
+            NormOrder(a=a, growth_orders=(1,))
+    assert NormOrder(a=1, growth_orders=(np.int64(1),), mass=np.float64(0.5)).mass == 0.5
 
 
 def test_weighted_norm_zero_order_is_l2():
     g = make_grid(1, 10.0, 512)
     f = gaussian_packet(g, width=1.0)
-    assert weighted_norm(NormOrder(a=0, growth_order=0), f) == pytest.approx(1.0, abs=1e-10)
+    assert weighted_norm(NormOrder(a=0, growth_orders=(0,)), f) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_weighted_norm_gaussian_quadrature_oracle(ground_state_512):
@@ -219,22 +220,22 @@ def test_weighted_norm_gaussian_quadrature_oracle(ground_state_512):
     g, f = ground_state_512
     # ||f|| = 1, ||f'|| = sqrt(1/2), ||f''|| = sqrt(3)/2, ||<x>^2 f|| = sqrt(11)/2
     oracle = 1.0 + np.sqrt(0.5) + np.sqrt(3.0) / 2.0 + np.sqrt(11.0) / 2.0
-    val = weighted_norm(NormOrder(a=1, growth_order=0), f)
+    val = weighted_norm(NormOrder(a=1, growth_orders=(0,)), f)
     assert val == pytest.approx(oracle, abs=1e-6)
 
 
 def test_weighted_norm_nesting(rng):
     g = make_grid(1, 8.0, 64)
     f = band_limited_state(g, rng)
-    norms = [weighted_norm(NormOrder(a=a, growth_order=1), f) for a in (0, 1, 2)]
+    norms = [weighted_norm(NormOrder(a=a, growth_orders=(1,)), f) for a in (0, 1, 2)]
     assert norms[0] <= norms[1] <= norms[2]
 
 
 def test_negative_order_norm_uses_inverse(rng):
     g = make_grid(1, 8.0, 64)
     f = band_limited_state(g, rng)
-    direct = apply_lambdaM_power(NormOrder(a=-1, growth_order=1), f).norm()
-    assert weighted_norm(NormOrder(a=-1, growth_order=1), f) == pytest.approx(direct, rel=1e-8)
+    direct = apply_lambdaM_power(NormOrder(a=-1, growth_orders=(1,)), f).norm()
+    assert weighted_norm(NormOrder(a=-1, growth_orders=(1,)), f) == pytest.approx(direct, rel=1e-8)
 
 
 def dense_lambda_m(order, grid):
@@ -242,7 +243,7 @@ def dense_lambda_m(order, grid):
     eye = np.eye(grid.N)
     kin = grid.dual_radius_sq / (2.0 * order.mass)
     kinetic = np.fft.ifft(eye, axis=0) @ (kin[:, None] * np.fft.fft(eye, axis=0))
-    weight = grid.bracket_weight(2.0 * (order.growth_order + 1))
+    weight = grid.bracket_weight(2.0 * (order.growth_orders[0] + 1))
     return kinetic + np.diag(resolve_mu_prime(order, grid) + weight)
 
 
@@ -257,7 +258,7 @@ def test_lambda_inverse_matches_dense_solve(N, rng):
 
 
 def test_lambda_factor_cached_per_grid_value(rng):
-    order = NormOrder(a=-1, growth_order=1)
+    order = NormOrder(a=-1, growth_orders=(1,))
     factor = operators._lambda_m_factor
     factor.cache_clear()
     for L in (8.0, 8.0, 9.0):
@@ -272,9 +273,10 @@ def test_negative_orders_on_a_2d_grid_raise(a, rng):
     """Lambda_M is inverted on 1-D grids only; a 2-D grid gets a GridError
     naming the order and the grid, from the norm and from the power."""
     g = make_grid(2, 6.0, 16)
-    order = NormOrder(a=a, growth_order=1)
+    order = NormOrder(a=a, growth_orders=(1, 1))
     f = band_limited_state(g, rng)
-    message = rf"order a={a} is negative: .* not on SpatialGrid\(d=2, L=6.0, N=16\)"
+    message = (rf"^order a={a}: Lambda_M acts on 1-D grids with one growth order, "
+               rf"not on SpatialGrid\(d=2, L=6.0, N=16\) with \(1, 1\)$")
     with pytest.raises(GridError, match=message):
         weighted_norm(order, f)
     with pytest.raises(GridError, match=message):
@@ -456,7 +458,7 @@ def test_batched_norms_match_single_norms(d, rng):
     g = make_grid(d, 6.0, 64 if d == 1 else 16)
     stack = np.stack([band_limited_state(g, rng).values for _ in range(3)])
     for a in range(-1 if d == 1 else 0, 4):
-        order = NormOrder(a=a, growth_order=1)
+        order = NormOrder(a=a, growth_orders=(1,) * d)
         got = weighted_norm(order, stack, g)
         want = [weighted_norm(order, WaveFunction(g, f)) for f in stack]
         assert got.shape == (3,)
@@ -470,15 +472,17 @@ def test_handle_rejects_a_grid_of_another_dimension():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: NormOrder(a=1.5, growth_order=1), "order a must be an integer"),
-    (lambda: NormOrder(a=1, growth_order=0.5), "growth_order must be a whole number, got 0.5"),
-    (lambda: NormOrder(a=1, growth_order=True), "growth_order must be a whole number, got True"),
-    (lambda: NormOrder(a=1, growth_order=-1), "growth_order must be >= 0, got -1"),
-    (lambda: NormOrder(a=1, growth_order=1, mass=float("inf")),
+    (lambda: NormOrder(a=1.5, growth_orders=(1,)), "order a must be an integer"),
+    (lambda: NormOrder(a=1, growth_orders=(0.5,)), "growth_order must be a whole number, got 0.5"),
+    (lambda: NormOrder(a=1, growth_orders=(True,)), "growth_order must be a whole number, got True"),
+    (lambda: NormOrder(a=1, growth_orders=(-1,)), "growth_order must be >= 0, got -1"),
+    (lambda: NormOrder(a=1, growth_orders=1), "growth_orders must be a nonempty sequence, got 1"),
+    (lambda: NormOrder(a=1, growth_orders=()), "growth_orders must be a nonempty sequence, got ()"),
+    (lambda: NormOrder(a=1, growth_orders=(1,), mass=float("inf")),
      "mass must be a finite positive number, got inf"),
-    (lambda: NormOrder(a=1, growth_order=1, mass=float("nan")),
+    (lambda: NormOrder(a=1, growth_orders=(1,), mass=float("nan")),
      "mass must be a finite positive number, got nan"),
-    (lambda: NormOrder(a=1, growth_order=1, mass=True), "mass must be a finite positive number, got True"),
+    (lambda: NormOrder(a=1, growth_orders=(1,), mass=True), "mass must be a finite positive number, got True"),
 ])
 def test_operator_rejections_name_the_field(build, message):
     with pytest.raises(ConfigError) as caught:

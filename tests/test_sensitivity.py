@@ -135,7 +135,7 @@ def _two_pass_variational(handle, u0, cfg):
     base = propagate(replace(cfg, save_every=1, keep_states=True), handle, u0)
 
     def source(t_mid):
-        n = int(round((t_mid - cfg.t0) / cfg.dt - 0.5))
+        n = int(round(t_mid / cfg.dt - 0.5))
         return handle.apply_rho_derivative(t_mid, 0.5 * (base.states[n] + base.states[n + 1]))
 
     zero = WaveFunction(u0.grid, np.zeros(u0.grid.shape, dtype=complex))

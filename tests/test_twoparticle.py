@@ -13,12 +13,13 @@ from polyschro import operators
 from polyschro import (
     HamiltonianHandle,
     InteractionFamily,
+    NormOrder,
     PotentialFamily,
-    PrimedNormOrder,
     PropagatorConfig,
     TwoParticleHandle,
     TwoParticleSystem,
     WaveFunction,
+    apply_lambdaM_power,
     eval_potential,
     gaussian_packet,
     get_family,
@@ -26,7 +27,7 @@ from polyschro import (
     make_grid,
     product_state,
     propagate,
-    weighted_norm_primed,
+    weighted_norm,
 )
 from polyschro.errors import ConfigError, FamilyError, GridError
 from polyschro.propagator import propagate_variational
@@ -151,51 +152,60 @@ def test_primed_norm_product_gaussian_oracle():
     g1 = make_grid(1, 10.0, 128)
     phi = gaussian_packet(g1, width=1.0)
     prod = product_state(g2, phi, phi)
-    order = PrimedNormOrder(a=1, growth_orders=(0, 0))
+    order = NormOrder(a=1, growth_orders=(0, 0))
     assert order.norm(prod) == pytest.approx(7.962889160297372, abs=1e-6)
 
 
 def test_primed_norm_zero_order_is_plain_l2(pair_64, rng):
     g1, g2, system = pair_64
     f = band_limited_state(g2, rng)
-    order = PrimedNormOrder(a=0, growth_orders=system.growth_orders)
+    order = TwoParticleHandle(system).norm_order(0)
+    assert order == NormOrder(a=0, growth_orders=system.growth_orders)
     assert order.norm(f) == pytest.approx(f.norm(), abs=1e-14)
 
 
 def test_primed_norms_nest_monotonically(pair_64, rng):
     g1, g2, system = pair_64
     f = band_limited_state(g2, rng)
-    vals = [PrimedNormOrder(a=a, growth_orders=(0, 1)).norm(f) for a in (0, 1, 2)]
+    vals = [NormOrder(a=a, growth_orders=(0, 1)).norm(f) for a in (0, 1, 2)]
     assert vals[0] < vals[1] < vals[2]
 
 
 def test_primed_norm_validation():
     with pytest.raises(ConfigError):
-        PrimedNormOrder(a=-1, growth_orders=(0, 0))
+        NormOrder(a=0.5, growth_orders=(0, 0))
     with pytest.raises(ConfigError):
-        PrimedNormOrder(a=0.5, growth_orders=(0, 0))
-    with pytest.raises(ConfigError):
-        PrimedNormOrder(a=1, growth_orders=(-1, 0))
-    order = PrimedNormOrder(a=1, growth_orders=(0, 1))
+        NormOrder(a=1, growth_orders=(-1, 0))
+    order = NormOrder(a=1, growth_orders=(0, 1))
     assert order.weight_exponent(0) == 2.0
     assert order.weight_exponent(1) == 4.0
-    whole = PrimedNormOrder(a=2.0, growth_orders=[1.0, 0])
-    assert whole == PrimedNormOrder(a=2, growth_orders=(1, 0))
+    whole = NormOrder(a=2.0, growth_orders=[1.0, 0])
+    assert whole == NormOrder(a=2, growth_orders=(1, 0))
     assert type(whole.a) is int and all(type(m) is int for m in whole.growth_orders)
 
 
 @pytest.mark.parametrize("a, growth_orders, message", [
     (True, (0, 0), "order a must be an integer"),
     (0.5, (0, 0), "order a must be an integer"),
-    (1, (0.5, 1), "growth order must be a whole number, got 0.5"),
-    (1, (1, True), "growth order must be a whole number, got True"),
-    (1, (1,), "a primed norm takes two growth orders, got 1"),
-    (1, (1, 1, 1), "a primed norm takes two growth orders, got 3"),
+    (1, (0.5, 1), "growth_order must be a whole number, got 0.5"),
+    (1, (1, True), "growth_order must be a whole number, got True"),
 ])
 def test_primed_norm_orders_are_whole_numbers(a, growth_orders, message):
     with pytest.raises(ConfigError) as caught:
-        PrimedNormOrder(a=a, growth_orders=growth_orders)
+        NormOrder(a=a, growth_orders=growth_orders)
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("growth_orders", [(1,), (1, 1, 1)])
+def test_composite_norms_take_one_growth_order_per_particle(pair_64, growth_orders, rng):
+    """An order of another number of particles raises GridError rather
+    than weighting a composite state by the full radius."""
+    g1, g2, system = pair_64
+    f = band_limited_state(g2, rng)
+    message = (rf"^a norm order needs one growth order per axis: "
+               rf"got {len(growth_orders)} for SpatialGrid\(d=2, L=8.0, N=64\)$")
+    with pytest.raises(GridError, match=message):
+        NormOrder(a=1, growth_orders=growth_orders).norm(f)
 
 
 def test_product_state_rejects_off_axis_factors(pair_64):
@@ -414,17 +424,40 @@ def test_batched_primed_norms_match_single_norms(rng):
     g2 = make_grid(2, 8.0, 32)
     stack = np.stack([band_limited_state(g2, rng).values for _ in range(3)])
     for a in range(4):
-        order = PrimedNormOrder(a=a, growth_orders=(1, 0))
+        order = NormOrder(a=a, growth_orders=(1, 0))
         got = order.norm(stack, g2)
         want = [order.norm(WaveFunction(g2, f)) for f in stack]
         assert got.shape == (3,)
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
+def _composite_packet():
+    phi = gaussian_packet(make_grid(1, 10.0, 32))
+    return product_state(make_grid(2, 10.0, 32), phi, phi)
+
+
+def _harmonic_pair():
+    harm = get_family("harmonic")
+    return TwoParticleSystem(harm, harm, get_interaction("soft_pair"), make_grid(2, 10.0, 32))
+
+
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: weighted_norm_primed(PrimedNormOrder(a=1, growth_orders=(0, 0)),
-                                  gaussian_packet(make_grid(1, 10.0, 32))),
-     GridError, "primed norms are defined on composite grids"),
+    (lambda: weighted_norm(NormOrder(a=1, growth_orders=(0, 0)),
+                           gaussian_packet(make_grid(1, 10.0, 32))),
+     GridError, "a norm order needs one growth order per axis: "
+                "got 2 for SpatialGrid(d=1, L=10.0, N=32)"),
+    (lambda: weighted_norm(NormOrder(a=-1, growth_orders=(0, 0)), _composite_packet()),
+     GridError, "order a=-1: Lambda_M acts on 1-D grids with one growth order, "
+                "not on SpatialGrid(d=2, L=10.0, N=32) with (0, 0)"),
+    (lambda: apply_lambdaM_power(NormOrder(a=1, growth_orders=(0, 1)), _composite_packet()),
+     GridError, "order a=1: Lambda_M acts on 1-D grids with one growth order, "
+                "not on SpatialGrid(d=2, L=10.0, N=32) with (0, 1)"),
+    (lambda: apply_lambdaM_power(NormOrder(a=1, growth_orders=(0, 1)),
+                                 gaussian_packet(make_grid(1, 10.0, 32))),
+     GridError, "order a=1: Lambda_M acts on 1-D grids with one growth order, "
+                "not on SpatialGrid(d=1, L=10.0, N=32) with (0, 1)"),
+    (lambda: TwoParticleHandle(_harmonic_pair()).norm_order(-1),
+     ConfigError, "composite norm orders must be nonnegative, got -1"),
 ])
 def test_twoparticle_rejections_name_the_field(build, error, message):
     with pytest.raises(error) as caught:
