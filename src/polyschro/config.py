@@ -24,7 +24,8 @@ from .errors import ConfigError, FamilyError
 from .grid import SpatialGrid, make_grid
 from .potentials import InteractionFamily, PotentialFamily, get_family, get_interaction
 from .propagator import PropagatorConfig
-from .suites import _SUITE_PLANS, initial_packet, suite_function
+from .suites import (_SUITE_PLANS, INITIAL_STATE_KEYS, PROPAGATOR_KEYS, check_block,
+                     initial_packet, suite_function)
 
 
 def _keyword_defaults(fn) -> dict:
@@ -66,14 +67,6 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
-def _mapping_of(value, path: str, keys) -> dict:
-    """value as a mapping whose keys are all among keys."""
-    unknown = set(_require_mapping(value, path)) - set(keys)
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    return value
-
-
 def _checked(path: str, build, *args, **kwargs):
     """build(*args, **kwargs), with a rejected value reported under path."""
     try:
@@ -89,7 +82,7 @@ def _resolve_potential(value, path: str, cls, lookup, keys):
         return value
     if isinstance(value, str):
         return _checked(path, lookup, value)
-    kwargs = {"name": "custom", **_mapping_of(value, path, keys)}
+    kwargs = {"name": "custom", **_checked(path, check_block, value, keys)}
     try:
         return cls(**kwargs)
     except (FamilyError, TypeError, ValueError) as err:
@@ -97,7 +90,7 @@ def _resolve_potential(value, path: str, cls, lookup, keys):
 
 
 def _resolve_grid(value, path: str) -> SpatialGrid:
-    data = _mapping_of(value, path, {"L", "N"})
+    data = _checked(path, check_block, value, {"L", "N"})
     return _checked(path, make_grid, 1, data.get("L", 10.0), data.get("N", 512))
 
 
@@ -133,10 +126,11 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
                                      InteractionFamily, get_interaction, _INTERACTION_KEYS)
     grid = _resolve_grid(data.pop("grid", {}), "grid")
 
-    propagator = _require_mapping(data.pop("propagator", {}), "propagator")
+    propagator = _checked("propagator", check_block, data.pop("propagator", {}),
+                          PROPAGATOR_KEYS)
     _checked("propagator", PropagatorConfig, **propagator)
-    initial_state = _mapping_of(data.pop("initial_state", {}), "initial_state",
-                                _keyword_defaults(initial_packet))
+    initial_state = _checked("initial_state", check_block, data.pop("initial_state", {}),
+                             INITIAL_STATE_KEYS)
     _checked("initial_state", initial_packet, grid, **initial_state)
     rho = _checked("rho", family.check_rho, data.pop("rho", 0.0))
 
@@ -155,7 +149,7 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
     options = _require_mapping(data.pop("options", {}), "options")
     for name, section in options.items():
         _checked("options", suite_function, name)
-        _mapping_of(section, f"options.{name}", SUITE_OPTIONS[name])
+        _checked(f"options.{name}", check_block, section, SUITE_OPTIONS[name])
 
     if data:
         raise ConfigError(f"unknown top-level keys {sorted(data)}")

@@ -110,9 +110,9 @@ class SpatialGrid:
         """(1 + |x|^2)^(exponent/2): the polynomial weight <x>^exponent."""
         return (1.0 + self.radius_sq) ** (exponent / 2.0)
 
-    def boundary_mask(self, fraction: float = 0.1) -> np.ndarray:
-        """Nodes whose distance to the box edge is below fraction * L."""
-        cut = (1.0 - fraction) * self.L
+    def boundary_mask(self) -> np.ndarray:
+        """Nodes whose distance to the box edge is below L / 10."""
+        cut = 0.9 * self.L
         mask = np.zeros(self.shape, dtype=bool)
         for c in self.mesh:
             mask |= np.abs(c) >= cut
@@ -292,6 +292,9 @@ def gaussian_packet(grid: SpatialGrid, center=0.0, width: float = 1.0, momentum=
     """Normalized Gaussian wave packet; the default smooth test state."""
     if not (_finite(width) and width > 0):
         raise GridError(f"width must be a finite positive number, got {width!r}")
+    for name, value in (("center", center), ("momentum", momentum)):
+        if not all(_finite(v) for v in np.ravel(value)):
+            raise GridError(f"{name} must be a finite number, got {value!r}")
     centers = np.broadcast_to(np.atleast_1d(center), (grid.d,))
     momenta = np.broadcast_to(np.atleast_1d(momentum), (grid.d,))
     phase = np.zeros(grid.shape)

@@ -162,11 +162,10 @@ class HamiltonianHandle:
     """
 
     def __init__(self, fam: PotentialFamily, grid: SpatialGrid, rho: float = 0.0):
-        fam.check_rho(rho)
+        self.rho = fam.check_rho(rho)
         fam.check_grid(grid)
         self.fam = fam
         self.grid = grid
-        self.rho = rho
         self.mass = fam.mass
         self.time_dependent = fam.is_time_dependent
         self._fields = Memo(self._hamiltonian_fields)

@@ -33,12 +33,11 @@ def _as_expr(e):
 
 
 def _check_rho(rho, interval, owner: str) -> float:
-    """rho as a float; a FamilyError when it is no number or lies outside
-    the open interval (None: any number) of owner."""
-    try:
-        rho = float(rho)
-    except (TypeError, ValueError):
-        raise FamilyError(f"rho must be a number, got {rho!r} for {owner}") from None
+    """rho as a float; a FamilyError when it is no finite number (a bool is
+    none) or lies outside the open interval (None: any number) of owner."""
+    if not _finite(rho):
+        raise FamilyError(f"rho must be a number (finite, not a bool), got {rho!r} for {owner}")
+    rho = float(rho)
     if interval is not None:
         lo, hi = interval
         if not (lo < rho < hi):
@@ -484,9 +483,9 @@ def validate_assumption(
     grid: SpatialGrid,
     t_samples=None,
     rho_samples=None,
-    alpha_max: int = 4,
 ) -> ValidationReport:
-    """Empirically check the growth sandwich and all derivative bounds.
+    """Empirically check the growth sandwich and the derivative bounds up
+    to order 4.
 
     Every inequality |g| <= C <x>^p is scanned over (t, x, rho) samples;
     the reported constant is the max of |g| / <x>^p, and the check fails
@@ -498,8 +497,6 @@ def validate_assumption(
     samples x grid points: one (samples, N) array of floats per
     derivative.
     """
-    if alpha_max < 1 or alpha_max > 4:
-        raise FamilyError("alpha_max must be between 1 and 4")
     fam.check_grid(grid)
     p_full = fam.weight_exponent  # 2(M+1)
     p_mag = fam.growth_order + 1.0  # M+1
@@ -511,7 +508,7 @@ def validate_assumption(
         groups += [("Vrho", fam.v_rho, p_full, None, None),
                    ("A1rho", fam.a_rho, p_mag, None, None)]
     checks = _scan_bounds(
-        groups, alpha_max, _samples(t_samples, rho_samples, fam.rho_interval),
+        groups, 4, _samples(t_samples, rho_samples, fam.rho_interval),
         "x", grid.axis, np.sqrt(1.0 + grid.radius_sq), lower=True,
     )
     return ValidationReport(family=fam.name, checks=tuple(checks))
@@ -520,25 +517,22 @@ def validate_assumption(
 def validate_interaction(
     inter: InteractionFamily,
     L: float,
-    n: int = 512,
     t_samples=None,
     rho_samples=None,
-    alpha_max: int = 2,
 ) -> ValidationReport:
-    """Check the pair-interaction bounds on a relative-coordinate line.
+    """Check the pair-interaction bounds on 512 points of the relative
+    coordinate in [-2L, 2L], up to the r-derivative order 2.
 
     Order zero carries the margin: |W| <= C <r>^(2(M0+1)-delta); all
     r-derivatives and the t-/rho-partials only need the full exponent.
     """
-    if alpha_max < 0 or alpha_max > 4:
-        raise FamilyError("alpha_max must be between 0 and 4")
-    r = np.linspace(-2.0 * L, 2.0 * L, n)
+    r = np.linspace(-2.0 * L, 2.0 * L, 512)
     p_full = 2.0 * (inter.growth_order + 1)
     groups = [("W", inter.w, p_full, "W_size", p_full - inter.delta),
               ("Wt", inter.w_t, p_full, None, None),
               ("Wrho", inter.w_rho, p_full, None, None)]
     checks = _scan_bounds(
-        groups, alpha_max, _samples(t_samples, rho_samples, inter.rho_interval),
+        groups, 2, _samples(t_samples, rho_samples, inter.rho_interval),
         "r", r, np.sqrt(1.0 + r**2),
     )
     return ValidationReport(family=inter.name, checks=tuple(checks))

@@ -27,8 +27,8 @@ right-hand side, the split-step Cayley predictor (Lubich 2008), and
 iterates on the fused preconditioned operator, one apply and one
 transform pair an iteration.  Mollified flows, whose operator is
 bounded, run it unpreconditioned from the right-hand side.  Both solves
-check their true residual, and one that misses its tolerance raises
-SolverError; there is no fallback.
+check their true residual, and one that misses the module's SOLVER_TOL,
+or runs past MAX_SOLVER_ITER, raises SolverError; there is no fallback.
 """
 
 from __future__ import annotations
@@ -52,6 +52,12 @@ DIRECT_MAX_N = 512
 GMRES_RESTART = 40
 # records whose norms are taken in one batch: 16 N=512 states take 0.13 MB
 NORM_BATCH = 16
+# the relative residual target of a Cayley solve and of a Lanczos estimate
+SOLVER_TOL = 1e-11
+# inner GMRES iterations of one Cayley solve, summed over its restarts
+MAX_SOLVER_ITER = 4000
+# the share of a record's mass within a tenth of L of the box edge
+BOUNDARY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -60,24 +66,19 @@ class PropagatorConfig:
 
     A run starts at t = 0, and t_final must be an integer number of steps;
     eps switches the run to the mollified Hamiltonian with the given cutoff
-    strength.  solver_tol is the relative residual target of the Cayley
-    solve and the target of the Lanczos error estimate; a Cayley solve that
-    misses it raises SolverError.  max_solver_iter caps the inner GMRES
-    iterations of one Cayley solve, summed over its restarts.  krylov_dim
-    caps the Lanczos basis, and a step that reaches the cap keeps its
-    result and reports its estimate as the step residual.  A run whose step
-    residuals rise above solver_tol says so in one line of its warnings.
+    strength (and cutoff shift mu = 0).  krylov_dim caps the Lanczos basis,
+    and a step that reaches the cap keeps its result and reports its
+    estimate as the step residual.  The tolerances are the module's
+    SOLVER_TOL, MAX_SOLVER_ITER and BOUNDARY_TOL; a run whose step
+    residuals rise above SOLVER_TOL, or whose boundary mass rises above
+    BOUNDARY_TOL, says so in one line of its warnings.
     """
 
     scheme: str = "crank_nicolson_midpoint"
     dt: float = 1e-3
     t_final: float = 1.0
-    solver_tol: float = 1e-11
-    max_solver_iter: int = 4000
     krylov_dim: int = 24
     eps: float | None = None
-    cutoff_mu: float = 0.0
-    boundary_tol: float = 1e-6
     save_every: int = 1
     keep_states: bool = True
 
@@ -96,17 +97,10 @@ class PropagatorConfig:
             raise ConfigError(
                 f"t_final = {self.t_final} is not an integer multiple of dt = {self.dt}"
             )
-        for name in ("solver_tol", "boundary_tol"):
-            if not (_finite(getattr(self, name)) and getattr(self, name) > 0):
-                raise ConfigError(f"{name} must be finite and positive")
-        if not _finite(self.cutoff_mu):
-            raise ConfigError("cutoff_mu must be a finite number")
         if not isinstance(self.keep_states, bool):
             raise ConfigError("keep_states must be true or false")
-        for name in ("max_solver_iter", "save_every", "krylov_dim"):
+        for name in ("save_every", "krylov_dim"):
             object.__setattr__(self, name, _whole(getattr(self, name), name, ConfigError))
-        if self.max_solver_iter < 1:
-            raise ConfigError("max_solver_iter must be >= 1")
         if self.save_every < 1:
             raise ConfigError("save_every must be >= 1")
         if self.krylov_dim < 1:
@@ -121,7 +115,7 @@ class PropagatorConfig:
     def cutoff(self) -> CutoffSpec | None:
         if self.eps is None:
             return None
-        return CutoffSpec(eps=self.eps, mu=self.cutoff_mu)
+        return CutoffSpec(eps=self.eps)
 
 
 @dataclass
@@ -165,7 +159,7 @@ class _Operator:
     """The time-frozen operator of one run and its step rule, resolved
     once: ``apply`` (H, or X* H X when mollified) and the direct or the
     GMRES Cayley solve.  A direct run builds its dense inverse and the
-    inverse's defect delta here, and a delta above 50 solver_tol raises
+    inverse's defect delta here, and a delta above 50 SOLVER_TOL raises
     before the first step; each direct step then reports delta.  The
     inverse lives as long as the operator, that is, until the run returns."""
 
@@ -250,8 +244,8 @@ def _cayley_solve(op: _Operator, n: int, t_mid: float, rhs: np.ndarray) -> tuple
         iters += 1
 
     split = _Split(op, t_mid) if op.cutoff is None else None
-    x, info, res = gmres(a_matvec, b, split, rtol=cfg.solver_tol,
-                         maxiter=cfg.max_solver_iter, callback=count,
+    x, info, res = gmres(a_matvec, b, split, rtol=SOLVER_TOL,
+                         maxiter=MAX_SOLVER_ITER, callback=count,
                          pmatvec=None if split is None else split.fused)
     true_res = res / b_norm
     if not np.isfinite(true_res):
@@ -263,11 +257,11 @@ def _cayley_solve(op: _Operator, n: int, t_mid: float, rhs: np.ndarray) -> tuple
 
 def _check_cayley(residual: float, n: int, cfg: PropagatorConfig, converged: bool = True):
     """Raise SolverError for Cayley step n if it did not converge or its
-    relative residual is not within 50 solver_tol (a NaN one included)."""
-    if not (converged and residual <= 50 * cfg.solver_tol):
+    relative residual is not within 50 SOLVER_TOL (a NaN one included)."""
+    if not (converged and residual <= 50 * SOLVER_TOL):
         raise SolverError(
             f"Cayley solve stalled at relative residual {residual:.3e} "
-            f"(target {cfg.solver_tol:g}) at t_mid={_t_mid(cfg, n)} {_at_step(cfg, n)}"
+            f"(target {SOLVER_TOL:g}) at t_mid={_t_mid(cfg, n)} {_at_step(cfg, n)}"
         )
 
 
@@ -436,7 +430,7 @@ def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorCon
 
     Stops at the first k whose a-posteriori estimate
     beta_k |e_k^T exp(-i dt T_k) e_1| (Saad 1992; Hochbruck and Lubich
-    1997) is at most solver_tol, or at k = krylov_dim.  The estimate is
+    1997) is at most SOLVER_TOL, or at k = krylov_dim.  The estimate is
     relative to ||u|| and is returned as the step residual, also when the
     cap stops the recurrence first.  It costs a tridiagonal eigensolve, so
     it is first taken at the previous step's k - 2 (a run's steps need
@@ -468,7 +462,7 @@ def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorCon
             theta, S = eigh_tridiagonal(alphas[:k], betas[:j], check_finite=False)
             coeff = S @ (np.exp(-1j * cfg.dt * theta) * S[0, :])
             estimate = betas[j] * abs(coeff[-1])
-            if estimate <= cfg.solver_tol or k == m:
+            if estimate <= SOLVER_TOL or k == m:
                 break
         np.multiply(w, 1.0 / betas[j], out=basis[k])
     op.krylov_k = k
@@ -487,8 +481,8 @@ class PropagationRun:
     data: dict = field(default_factory=dict)
     states: np.ndarray = None  # (records, *grid.shape) when cfg.keep_states
     final: WaveFunction = None
-    flags: list = field(default_factory=list)  # records above boundary_tol
-    solver_flags: list = field(default_factory=list)  # steps whose residual is above solver_tol
+    flags: list = field(default_factory=list)  # records above BOUNDARY_TOL
+    solver_flags: list = field(default_factory=list)  # steps whose residual is above SOLVER_TOL
 
     def norm_series(self, a: int) -> np.ndarray:
         recorded = [0] + [o.a for o in self.norm_orders]
@@ -562,9 +556,9 @@ class _Recorder:
     def record(self, t, u_vals):
         """One row.  Its solver columns sum the iterations and keep the
         worst residual of the steps since the previous row; a step whose
-        residual is above solver_tol is flagged."""
+        residual is above SOLVER_TOL is flagged."""
         run, i = self.run, self.count
-        tol, iterations, residual = run.cfg.solver_tol, 0, 0.0
+        tol, iterations, residual = SOLVER_TOL, 0, 0.0
         for rep, t_step in self.steps:
             iterations += rep.iterations
             residual = max(residual, rep.residual)
@@ -580,8 +574,8 @@ class _Recorder:
         run.data["solver_iterations"][i] = iterations
         run.data["solver_residual"][i] = residual
         self.count += 1
-        if edge > run.cfg.boundary_tol:
-            run.flags.append(f"boundary mass {edge:.3e} above {run.cfg.boundary_tol:g} at t={t:.6g}")
+        if edge > BOUNDARY_TOL:
+            run.flags.append(f"boundary mass {edge:.3e} above {BOUNDARY_TOL:g} at t={t:.6g}")
         if self.count - self.filled == self.batch:
             self._fill_norms()
 

@@ -1,10 +1,10 @@
 """Verification suites behind the CLI: each one checks a stability or
 convergence property of the solver stack, writes its curves as CSV, and
 returns a verdict.  Every verdict carries ``warnings``: one line for each
-propagation whose boundary mass rose above its ``boundary_tol``, naming
-the first such record, and one for each whose step residual rose above
-its ``solver_tol``, naming the first such step; a suite that propagates
-nothing reports none.
+propagation whose boundary mass rose above ``propagator.BOUNDARY_TOL``,
+naming the first such record, and one for each whose step residual rose
+above ``propagator.SOLVER_TOL``, naming the first such step; a suite
+that propagates nothing reports none.
 
 A suite is a plan and a run.  Its options are the keyword-only
 parameters of ``plan_<name>``, whose defaults reproduce the acceptance
@@ -21,8 +21,9 @@ gives byte-identical artifacts.
 
 from __future__ import annotations
 
+import inspect
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -75,6 +76,21 @@ def initial_packet(grid: SpatialGrid, *, center=1.0, width=0.8,
     return gaussian_packet(grid, center=center, width=width, momentum=momentum)
 
 
+# the keys of a propagator block and of an initial_state block (all but grid)
+PROPAGATOR_KEYS = tuple(f.name for f in fields(PropagatorConfig))
+INITIAL_STATE_KEYS = tuple(inspect.signature(initial_packet).parameters)[1:]
+
+
+def check_block(value, keys) -> dict:
+    """value as a mapping whose keys are all among keys; a ConfigError otherwise."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"expected a mapping, got {type(value).__name__}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)}")
+    return value
+
+
 def _finite_number(value, name: str) -> float:
     """value as a float; a ConfigError unless it is a finite real number."""
     if not _finite(value):
@@ -101,10 +117,11 @@ def plan_propagate(cfg: ExperimentConfig, *, propagator=None, initial_state=None
     ``propagator`` and ``initial_state`` are merged over the config's
     top-level blocks of the same names.
     """
-    prop = PropagatorConfig(**{"save_every": 20, "keep_states": False,
-                               **cfg.propagator, **(propagator or {})})
+    prop = PropagatorConfig(**{"save_every": 20, "keep_states": False, **cfg.propagator,
+                               **check_block(propagator or {}, PROPAGATOR_KEYS)})
     half_prop = replace(prop, dt=prop.dt / 2.0)
-    u0 = initial_packet(cfg.grid, **{**cfg.initial_state, **(initial_state or {})})
+    u0 = initial_packet(cfg.grid, **{**cfg.initial_state,
+                                     **check_block(initial_state or {}, INITIAL_STATE_KEYS)})
     handle = HamiltonianHandle(cfg.family, cfg.grid, rho=cfg.rho)
     orders = tuple(handle.norm_order(a) for a in norm_orders)
 
@@ -145,7 +162,7 @@ def plan_propagate(cfg: ExperimentConfig, *, propagator=None, initial_state=None
 
 def plan_eps_sweep(cfg: ExperimentConfig, *, family="harmonic", L=10.0, N=256,
                    width=1.0, dt=2.5e-3, t_final=0.125,
-                   eps_values=(1.0, 0.5, 0.25, 0.125, 0.0625), cutoff_mu=0.0):
+                   eps_values=(1.0, 0.5, 0.25, 0.125, 0.0625)):
     """Mollified-flow convergence: the gap to the plain flow shrinks in eps."""
     fam = get_family(family)
     grid = make_grid(1, L, N)
@@ -153,7 +170,7 @@ def plan_eps_sweep(cfg: ExperimentConfig, *, family="harmonic", L=10.0, N=256,
     handle = HamiltonianHandle(fam, grid)
     prop = PropagatorConfig(dt=dt, t_final=t_final, save_every=10**9, keep_states=False)
     eps_values = _sweep(eps_values, "eps_values")
-    mollified = [replace(prop, eps=eps, cutoff_mu=cutoff_mu) for eps in eps_values]
+    mollified = [replace(prop, eps=eps) for eps in eps_values]
 
     def run(out_dir: str) -> dict:
         ref = propagate(prop, handle, u0)

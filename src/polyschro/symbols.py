@@ -258,25 +258,21 @@ def parametrix_residual(
     grid: SpatialGrid,
     t: float = 0.0,
     rho: float = 0.0,
-    mu_values=None,
 ) -> ParametrixResult:
     """Operator 2-norm of (mu + H) Op(1/(mu + h_s)) - I over a range of mu.
 
-    Each residual is the exact 2-norm of the dense N x N residual
-    matrix; its decay against (mu - c1) is fitted on a log-log scale.
-    First-order symbol calculus predicts a -1/2 slope.  A
-    non-finite residual matrix raises SolverError naming its mu.
+    The 8 mu span one decade of mu - c1, starting where the maximizing
+    phase-space shell still fits well inside the grid.  Each residual is
+    the exact 2-norm of the dense N x N residual matrix; its decay
+    against (mu - c1) is fitted on a log-log scale.  First-order symbol
+    calculus predicts a -1/2 slope.  A non-finite residual matrix raises
+    SolverError naming its mu.
     """
     from .operators import HamiltonianHandle
 
     scan = ellipticity_constants(fam, grid, (t,), rho)
-    if mu_values is None:
-        # one decade, starting where the maximizing phase-space shell
-        # still fits well inside the grid
-        lo = 0.01 * scan.c0 * scan.theta_max
-        lo = max(lo, scan.mu_min - scan.c1 + scan.c0)
-        mu_values = scan.c1 + np.geomspace(lo, 10.0 * lo, 8)
-    mu_values = np.asarray(mu_values, dtype=float)
+    lo = max(0.01 * scan.c0 * scan.theta_max, scan.mu_min - scan.c1 + scan.c0)
+    mu_values = scan.c1 + np.geomspace(lo, 10.0 * lo, 8)
 
     h_mat = HamiltonianHandle(fam, grid, rho=rho).matrix(t)
     diag = np.arange(grid.N)

@@ -93,10 +93,9 @@ class TwoParticleHandle:
         second = (first if system.fam2 == system.fam1
                   else HamiltonianHandle(system.fam2, line, rho=rho))
         self.particles = (first, second)
-        system.interaction.check_rho(rho)
+        self.rho = system.interaction.check_rho(rho)
         self.system = system
         self.grid = system.grid
-        self.rho = rho
         self.time_dependent = (any(h.time_dependent for h in self.particles)
                                or system.interaction.is_time_dependent)
         self._fields = Memo(self._hamiltonian_fields)

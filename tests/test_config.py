@@ -1,5 +1,7 @@
 """YAML experiment configuration: defaults, validation, round trips."""
 
+import re
+
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -8,6 +10,7 @@ from polyschro import load_config
 from polyschro.cli import main, run_experiment
 from polyschro.config import SUITE_NAMES, from_mapping
 from polyschro.errors import ConfigError
+from polyschro.propagator import PropagatorConfig
 
 
 def test_defaults():
@@ -68,11 +71,11 @@ def test_grid_sizes_accept_whole_floats():
 @pytest.mark.parametrize("block", [
     {"dtt": 1.0e-3},                  # misspelled field
     {"use_preconditioner": False},    # a field that no longer exists
-    {"solver_tol": 0},
+    {"solver_tol": 0},                # tolerances are propagator constants, not keys
     {"dt": 1.0e-3, "t_final": 1.0005},
     {"save_every": 2.5},
     {"krylov_dim": 2.5},
-    {"max_solver_iter": 2.5},         # would lift the iteration cap
+    {"max_solver_iter": 2.5},
     {"save_every": True},
     {"boundary_tol": "x"},
     {"boundary_tol": 0.0},
@@ -81,7 +84,10 @@ def test_grid_sizes_accept_whole_floats():
     {"t0": 0.5},                      # runs start at t = 0
 ])
 def test_bad_propagator_block_rejected_at_load(block):
-    with pytest.raises(ConfigError, match="^propagator: "):
+    """A key that is not a PropagatorConfig field is an unknown key."""
+    unknown = sorted(set(block) - set(PropagatorConfig.__dataclass_fields__))
+    message = re.escape(f"unknown keys {unknown}") + "$" if unknown else ""
+    with pytest.raises(ConfigError, match=f"^propagator: {message}"):
         from_mapping({"propagator": block})
 
 
@@ -145,6 +151,9 @@ def test_inline_interaction_block():
     ({"family": "parametric_quartic"}, r"rho=0.0 outside the open interval \(0.4, 8.0\)"),
     ({"family": "parametric_quartic", "rho": 8.0}, "rho=8.0 outside the open interval"),
     ({"rho": "one"}, "rho must be a number"),
+    ({"rho": True}, r"rho must be a number \(finite, not a bool\), got True"),
+    ({"rho": float("inf")}, r"rho must be a number \(finite, not a bool\), got inf"),
+    ({"rho": "1.5"}, r"rho must be a number \(finite, not a bool\), got '1.5'"),
 ])
 def test_top_level_rho_checked_against_family_at_load(doc, message):
     with pytest.raises(ConfigError, match=f"^rho: {message}"):
@@ -185,6 +194,11 @@ def test_initial_state_keys_validated():
         with pytest.raises(ConfigError, match=rf"^initial_state: width must be a finite "
                                               rf"positive number, got {width!r}$"):
             from_mapping({"initial_state": {"width": width}})
+    for name in ("center", "momentum"):
+        for bad in (float("inf"), float("nan"), True, "1.0"):
+            with pytest.raises(ConfigError, match=rf"^initial_state: {name} must be a finite "
+                                                  rf"number, got {bad!r}$"):
+                from_mapping({"initial_state": {name: bad}})
 
 
 def test_suite_options_sections_validated():
@@ -223,7 +237,7 @@ def test_unknown_suite_option_keys_rejected():
     ({"commutator": {"t": "noon"}}, "options.commutator.t"),
     ({"commutator": {"mu": [0.5]}}, "options.commutator.mu"),
     ({"parametrix": {"family": "harmonic", "rho": "one"}}, "options.parametrix.rho"),
-    ({"eps_sweep": {"cutoff_mu": "a"}}, "options.eps_sweep.cutoff_mu"),
+    ({"eps_sweep": {"dt": 0.0}}, "options.eps_sweep.dt"),
     ({"eps_sweep": {"width": -1.0}}, "options.eps_sweep.width"),
 ])
 def test_bad_suite_option_values_rejected_at_load(options, field):
@@ -255,6 +269,27 @@ def test_suite_option_values_are_checked_together():
 def test_bad_propagate_propagator_override_rejected_at_load(override):
     with pytest.raises(ConfigError, match="^options.propagate.propagator: "):
         from_mapping({"options": {"propagate": {"propagator": override}}})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"propagator": {"t0": 0.5, "solver_tol": 1e-12}},
+     "propagator: unknown keys ['solver_tol', 't0']"),
+    ({"options": {"propagate": {"propagator": {"dt": 1e-3, "boundary_tol": 1e-6}}}},
+     "options.propagate.propagator: unknown keys ['boundary_tol']"),
+    ({"options": {"propagate": {"initial_state": {"wavelength": 2.0}}}},
+     "options.propagate.initial_state: unknown keys ['wavelength']"),
+    ({"options": {"eps_sweep": {"cutoff_mu": 0.5}}}, "options.eps_sweep: unknown keys ['cutoff_mu']"),
+])
+def test_unknown_propagator_keys_exit_2(tmp_path, doc, message):
+    """A key that no propagator, initial-state or suite block takes, such
+    as a removed stepper tolerance, exits 2 naming its path."""
+    path = tmp_path / "exp.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    result = CliRunner().invoke(main, ["propagate", "--config", str(path),
+                                       "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert (result.stderr or result.output) == f"config error: {message}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_propagate_overrides_merge_over_the_top_level_blocks():

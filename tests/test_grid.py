@@ -309,6 +309,11 @@ _LINE = make_grid(1, 10.0, 32)
      "axis 1 out of range for d=1"),
     (lambda: spectral_derivative(gaussian_packet(_LINE), order=-1),
      "derivative order must be >= 0"),
+    (lambda: gaussian_packet(_LINE, center=True), "center must be a finite number, got True"),
+    (lambda: gaussian_packet(_LINE, momentum=float("inf")),
+     "momentum must be a finite number, got inf"),
+    (lambda: gaussian_packet(make_grid(2, 10.0, 16), center=(0.0, float("nan"))),
+     "center must be a finite number, got (0.0, nan)"),
 ])
 def test_grid_rejections_name_the_field(build, message):
     with pytest.raises(GridError) as caught:

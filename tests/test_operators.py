@@ -61,6 +61,15 @@ def test_harmonic_ground_state_eigenvalue(ground_state_512):
     assert np.max(np.abs(out - 0.5 * f.values)) <= 1e-8
 
 
+def test_handle_stores_rho_as_a_float():
+    g = make_grid(1, 10.0, 32)
+    handle = HamiltonianHandle(get_family("confined_quartic"), g, rho=1)
+    assert type(handle.rho) is float and handle.rho == 1.0
+    for bad in (True, float("inf"), float("nan"), "1.5"):
+        with pytest.raises(FamilyError, match=r"^rho must be a number \(finite, not a bool\)"):
+            HamiltonianHandle(get_family("confined_quartic"), g, rho=bad)
+
+
 def test_hamiltonian_hermitian(quartic_handle, rng):
     g = quartic_handle.grid
     for t in (0.0, 0.7):

@@ -185,12 +185,6 @@ def test_validate_interaction_pins_labels():
     assert [c.exponent for c in report.checks] == [2.0] + [4.0] * 8
 
 
-@pytest.mark.parametrize("alpha_max", [-1, 5])
-def test_validate_interaction_rejects_alpha_max_out_of_range(alpha_max):
-    with pytest.raises(FamilyError, match="alpha_max"):
-        validate_interaction(get_interaction("soft_pair"), L=10.0, alpha_max=alpha_max)
-
-
 def test_partial_rho_closed_form():
     fam = get_family("parametric_quartic")
     g = make_grid(1, 6.0, 64)
@@ -281,8 +275,6 @@ def test_nonfinite_family_rejected():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: validate_assumption(get_family("harmonic"), make_grid(1, 10.0, 32), alpha_max=5),
-     "alpha_max must be between 1 and 4"),
     (lambda: validate_assumption(get_family("harmonic"), make_grid(2, 10.0, 16)),
      "family 'harmonic' is 1-dimensional, grid is 2-dimensional"),
 ])

@@ -65,11 +65,6 @@ def test_config_validation():
         PropagatorConfig(scheme="strang_split")
     with pytest.raises(ConfigError, match="krylov_dim"):
         PropagatorConfig(krylov_dim=0)
-    for tol in (0.0, -1e-11, float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="solver_tol"):
-            PropagatorConfig(solver_tol=tol)
-    with pytest.raises(ConfigError, match="max_solver_iter"):
-        PropagatorConfig(max_solver_iter=0)
     for name, bad in (("dt", "x"), ("t_final", None), ("t_final", "1"),
                       ("t_final", float("inf")), ("dt", float("nan"))):
         with pytest.raises(ConfigError, match=f"^{name} must be a finite number"):
@@ -77,7 +72,7 @@ def test_config_validation():
     for bad in ("a", float("nan")):
         with pytest.raises(ConfigError, match="eps"):
             PropagatorConfig(eps=bad)
-    for name in ("max_solver_iter", "save_every", "krylov_dim"):
+    for name in ("save_every", "krylov_dim"):
         for bad in (2.5, True):
             with pytest.raises(ConfigError, match=f"^{name} must be a whole number"):
                 PropagatorConfig(**{name: bad})
@@ -135,7 +130,7 @@ def test_per_step_drift_bounded_by_solver_tolerance(quartic_reference_run):
     u0, run = quartic_reference_run
     l2 = run.norm_series(0)
     per_step = np.max(np.abs(np.diff(l2))) / run.cfg.save_every
-    assert per_step <= 10 * run.cfg.solver_tol
+    assert per_step <= 10 * propagator.SOLVER_TOL
 
 
 def test_eps_family_converges_monotonically(harmonic_256):
@@ -376,8 +371,8 @@ def test_lanczos_stops_early_on_a_smooth_packet(quartic_256, quartic_dense_step)
     cfg, out, rep = _krylov_step(handle, u, t_mid, dt, krylov_dim=40)
     err = np.linalg.norm(out - exact @ u) / np.linalg.norm(u)
     assert rep.iterations < cfg.krylov_dim
-    assert rep.residual <= cfg.solver_tol
-    assert err <= 10 * cfg.solver_tol
+    assert rep.residual <= propagator.SOLVER_TOL
+    assert err <= 10 * propagator.SOLVER_TOL
 
 
 def test_lanczos_cap_reports_its_miss(quartic_256, quartic_dense_step):
@@ -389,19 +384,19 @@ def test_lanczos_cap_reports_its_miss(quartic_256, quartic_dense_step):
     cfg, out, rep = _krylov_step(handle, u, t_mid, dt, krylov_dim=24)
     err = np.linalg.norm(out - exact @ u) / np.linalg.norm(u)
     assert rep.iterations == cfg.krylov_dim
-    assert rep.residual > cfg.solver_tol
+    assert rep.residual > propagator.SOLVER_TOL
     assert rep.residual >= err / 10
 
 
 def test_capped_lanczos_run_warns_of_its_solver_misses(quartic_256):
-    """Steps whose estimate misses solver_tol add one warning line:
+    """Steps whose estimate misses SOLVER_TOL add one warning line:
     the first such step, and how many followed."""
     g, handle = quartic_256
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
     cfg = PropagatorConfig(scheme="lanczos_expmid", dt=1e-3, t_final=3e-3, krylov_dim=4,
                            keep_states=False)
     run = propagate(cfg, handle, u0)
-    assert run.data["solver_residual"].max() > cfg.solver_tol
+    assert run.data["solver_residual"].max() > propagator.SOLVER_TOL
     (line,) = run.warnings
     assert line.startswith("solver residual")
     largest = run.data["solver_residual"].max()
@@ -411,12 +406,12 @@ def test_capped_lanczos_run_warns_of_its_solver_misses(quartic_256):
 
 @pytest.mark.parametrize("name", ["confined_quartic", "harmonic"])
 def test_cayley_run_carries_no_solver_warning(name):
-    """GMRES and the dense inverse both meet solver_tol: no warning line."""
+    """GMRES and the dense inverse both meet SOLVER_TOL: no warning line."""
     g = make_grid(1, 10.0, 256)
     handle = HamiltonianHandle(get_family(name), g)
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
     run = propagate(PropagatorConfig(dt=1e-3, t_final=0.02, keep_states=False), handle, u0)
-    assert run.data["solver_residual"].max() <= run.cfg.solver_tol
+    assert run.data["solver_residual"].max() <= propagator.SOLVER_TOL
     assert run.warnings == []
 
 
@@ -558,14 +553,14 @@ def test_run_frees_its_handle_without_the_cycle_collector(scheme, eps, name, mon
         gc.enable()
 
 
-def test_direct_run_warns_of_its_solver_misses(quartic_direct_128):
-    """A solver_tol just below the dense inverse's residuals, within the
+def test_direct_run_warns_of_its_solver_misses(quartic_direct_128, monkeypatch):
+    """A SOLVER_TOL just below the dense inverse's residuals, within the
     factor 50 that raises, flags the steps in one warning line."""
     g, handle, u0 = quartic_direct_128
-    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, save_every=10, keep_states=False,
-                           solver_tol=1e-16)
+    monkeypatch.setattr(propagator, "SOLVER_TOL", 1e-16)
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, save_every=10, keep_states=False)
     run = propagate(cfg, handle, u0)
-    assert cfg.solver_tol < run.data["solver_residual"].max() <= 50 * cfg.solver_tol
+    assert 1e-16 < run.data["solver_residual"].max() <= 50 * 1e-16
     (line,) = run.warnings
     assert line.startswith("solver residual")
     assert "above solver_tol 1e-16 at t=0.001" in line
@@ -584,14 +579,16 @@ def test_solver_columns_cover_the_save_interval(quartic_256):
     assert coarse.data["solver_iterations"][1:].tolist() == iters.sum(axis=1).tolist()
     assert coarse.data["solver_residual"][1:].tolist() == resid.max(axis=1).tolist()
     # the Krylov estimate, not a placeholder zero
-    assert 0.0 < coarse.data["solver_residual"].max() <= cfg.solver_tol
+    assert 0.0 < coarse.data["solver_residual"].max() <= propagator.SOLVER_TOL
 
 
-def test_solver_failure_names_step_and_time():
+def test_solver_failure_names_step_and_time(monkeypatch):
     """A Cayley solve that misses its tolerance says which step and time it was."""
     g = make_grid(1, 10.0, 128)
     handle = HamiltonianHandle(get_family("confined_quartic"), g)
-    cfg = PropagatorConfig(dt=1e-3, t_final=5e-3, max_solver_iter=1, solver_tol=1e-16)
+    monkeypatch.setattr(propagator, "MAX_SOLVER_ITER", 1)
+    monkeypatch.setattr(propagator, "SOLVER_TOL", 1e-16)
+    cfg = PropagatorConfig(dt=1e-3, t_final=5e-3)
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
     with pytest.raises(SolverError,
                        match=r"Cayley solve stalled .* at step 1 \(t=0\.001\)"):
@@ -625,7 +622,7 @@ def test_blow_up_names_step_and_time(scheme):
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_gmres_blow_up_stops_at_the_non_finite_residual(monkeypatch):
     """A time-dependent flow blows up inside GMRES, which returns at once
-    instead of iterating on NaN up to max_solver_iter."""
+    instead of iterating on NaN up to MAX_SOLVER_ITER."""
     estimates = []
     solve = propagator.gmres
 
@@ -670,7 +667,7 @@ def test_time_free_flow_matches_dense_cayley_recursion(parametric_128):
     assert np.max(np.abs(run.final.values - oracle)) <= 1e-9
     assert run.data["solver_iterations"][1:].tolist() == [1] * cfg.n_steps
     resid = run.data["solver_residual"][1:]
-    assert 0.0 < resid.max() <= 50 * cfg.solver_tol
+    assert 0.0 < resid.max() <= 50 * propagator.SOLVER_TOL
 
 
 def test_time_free_inhomogeneous_flow_matches_dense_cayley_recursion(parametric_128):

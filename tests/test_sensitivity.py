@@ -21,6 +21,7 @@ from polyschro import (
     sensitivity_sweep,
     solve_variational,
 )
+from polyschro import propagator
 from polyschro.errors import ConfigError, SolverError
 from conftest import RHO_MAGNETIC
 
@@ -169,9 +170,10 @@ def test_lockstep_variational_matches_two_pass_solve(case, bound):
     assert np.max(gap / scale) <= bound
 
 
-def test_solver_error_in_the_base_step_names_step_and_time():
+def test_solver_error_in_the_base_step_names_step_and_time(monkeypatch):
     _, u0, rho, _ = _gmres_case()
-    cfg = PropagatorConfig(dt=2e-3, t_final=0.02, save_every=5, max_solver_iter=1)
+    monkeypatch.setattr(propagator, "MAX_SOLVER_ITER", 1)
+    cfg = PropagatorConfig(dt=2e-3, t_final=0.02, save_every=5)
     with pytest.raises(SolverError, match=r"t_mid=0\.001 at step 1 \(t=0\.002\)"):
         solve_variational(RHO_MAGNETIC, u0, rho, cfg)
 

@@ -55,6 +55,9 @@ def test_system_guards(pair_64):
         TwoParticleSystem(harm, harm, soft, make_grid(2, 10.0, 300))
     with pytest.raises(FamilyError):
         TwoParticleHandle(system, rho=5.0)
+    with pytest.raises(FamilyError, match="rho must be a number"):
+        TwoParticleHandle(system, rho=True)
+    assert type(TwoParticleHandle(system, rho=0).rho) is float
     param = get_family("parametric_quartic")
     mixed = TwoParticleSystem(param, harm, soft, g2)
     with pytest.raises(FamilyError):
