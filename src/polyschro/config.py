@@ -152,7 +152,7 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
         _checked(f"options.{name}", check_block, section, SUITE_OPTIONS[name])
 
     if data:
-        raise ConfigError(f"unknown top-level keys {sorted(data)}")
+        raise ConfigError(f"unknown top-level keys {sorted(data, key=str)}")
 
     cfg = ExperimentConfig(
         family=family,

@@ -295,6 +295,9 @@ def gaussian_packet(grid: SpatialGrid, center=0.0, width: float = 1.0, momentum=
     for name, value in (("center", center), ("momentum", momentum)):
         if not all(_finite(v) for v in np.ravel(value)):
             raise GridError(f"{name} must be a finite number, got {value!r}")
+        if np.ndim(value) > 1 or np.size(value) not in (1, grid.d):
+            raise GridError(f"{name} must be one number or one per axis ({grid.d}), "
+                            f"got {value!r}")
     centers = np.broadcast_to(np.atleast_1d(center), (grid.d,))
     momenta = np.broadcast_to(np.atleast_1d(momentum), (grid.d,))
     phase = np.zeros(grid.shape)

@@ -177,6 +177,16 @@ def test_bad_suite_options_exit_2(tmp_path, options, field):
     assert not (out / "report.json").exists()
 
 
+def test_mixed_key_types_exit_2(tmp_path):
+    """Unknown keys of mixed int and str type are a config error, not a crash."""
+    cfg = tmp_path / "exp.yaml"
+    cfg.write_text("1: 2\nx: 3\n")
+    result = CliRunner().invoke(main, ["all", "--config", str(cfg),
+                                       "--output-dir", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "config error: unknown top-level keys [1, 'x']" in (result.stderr or result.output)
+
+
 def test_failing_suite_exits_1(tmp_path):
     # reversed offsets make the continuity curve non-decreasing on purpose
     doc = {

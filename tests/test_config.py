@@ -199,6 +199,10 @@ def test_initial_state_keys_validated():
             with pytest.raises(ConfigError, match=rf"^initial_state: {name} must be a finite "
                                                   rf"number, got {bad!r}$"):
                 from_mapping({"initial_state": {name: bad}})
+        for bad in ([1.0, 2.0], [], [[1.0]]):
+            message = f"initial_state: {name} must be one number or one per axis (1), got {bad!r}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                from_mapping({"initial_state": {name: bad}})
 
 
 def test_suite_options_sections_validated():
@@ -218,13 +222,25 @@ def test_unknown_suite_option_keys_rejected():
         from_mapping({"options": {"validate": {"N": 128, "dt": 1e-3}}})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({1: 2, "x": 3}, "unknown top-level keys [1, 'x']"),
+    ({"grid": {1: 2, "x": 3}}, "grid: unknown keys [1, 'x']"),
+    ({"options": {"validate": {2: 0, "N": 64, "L2": 1}}},
+     "options.validate: unknown keys [2, 'L2']"),
+])
+def test_mixed_int_and_str_keys_listed_as_unknown(doc, message):
+    """A YAML mapping may mix int and str keys; the unknown ones are sorted as text."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        from_mapping(doc)
+
+
 @pytest.mark.parametrize("options, field", [
     ({"eps_sweep": {"family": "coulomb"}}, "options.eps_sweep.family"),
     ({"commutator": {"L": -1.0, "N": 64}}, "options.commutator.L"),
     ({"parametrix": {"N": 7}}, "options.parametrix.N"),
     ({"continuity": {"t_final": 0.35, "dt": 0.1}}, "options.continuity.dt"),
-    ({"two_particle": {"t_final": 0.0015, "dt": 5.0e-4}}, "options.two_particle.t_final"),
-    ({"two_particle": {"factorization_dt": 0.3}}, "options.two_particle.factorization_dt"),
+    ({"two_particle": {"t_final": 0.003, "dt": 2.0e-3}}, "options.two_particle.t_final"),
+    ({"two_particle": {"factorization_dt": 1.0e-3}}, "options.two_particle"),  # unknown key
     ({"sensitivity": {"width": 0}}, "options.sensitivity.width"),
     ({"eps_sweep": {"eps_values": [2.0]}}, "options.eps_sweep.eps_values"),
     ({"two_particle": {"krylov_dim": 0}}, "options.two_particle.krylov_dim"),

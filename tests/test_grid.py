@@ -314,6 +314,10 @@ _LINE = make_grid(1, 10.0, 32)
      "momentum must be a finite number, got inf"),
     (lambda: gaussian_packet(make_grid(2, 10.0, 16), center=(0.0, float("nan"))),
      "center must be a finite number, got (0.0, nan)"),
+    (lambda: gaussian_packet(_LINE, momentum=[0.5, 0.5]),
+     "momentum must be one number or one per axis (1), got [0.5, 0.5]"),
+    (lambda: gaussian_packet(make_grid(2, 10.0, 16), center=(1.0, 2.0, 3.0)),
+     "center must be one number or one per axis (2), got (1.0, 2.0, 3.0)"),
 ])
 def test_grid_rejections_name_the_field(build, message):
     with pytest.raises(GridError) as caught:

@@ -3,11 +3,13 @@
 import csv
 import dataclasses
 import math
+import re
 
 import pytest
 
 from polyschro.config import from_mapping
 from polyschro.errors import GridError
+from polyschro.propagator import BOUNDARY_TOL, SOLVER_TOL
 from polyschro.suites import run_suite
 
 CASES = {
@@ -20,7 +22,8 @@ CASES = {
     "two_particle": (
         {"N": 32, "t_final": 0.02},
         {"suite", "passed", "family", "interaction", "rho", "max_norm_drift",
-         "factorization_error", "primed_norm_growth_ratio", "warnings", "files"},
+         "factorization_error", "primed_norm_growth_ratio", "max_wrap_mass", "warnings",
+         "files"},
         ["max_norm_drift", "factorization_error", "primed_norm_growth_ratio"],
         ["two_particle_run.csv"],
     ),
@@ -79,4 +82,36 @@ def test_propagate_takes_a_dt_override(tmp_path):
         rows = (tmp_path / name).read_text().splitlines()[1:]
         assert len(rows) == steps + 1, name
         assert float(rows[-1].split(",")[0]) == pytest.approx(0.02)
+    assert verdict["passed"] is True
+
+
+def _two_particle(tmp_path, **options):
+    """The two_particle verdict and its CSV rows, for options over the defaults."""
+    verdict = run_suite("two_particle", from_mapping({"options": {"two_particle": options}}),
+                        str(tmp_path))
+    with open(tmp_path / "two_particle_run.csv") as fh:
+        return verdict, list(csv.DictReader(fh))
+
+
+def test_two_particle_default_box_warns_of_nothing(tmp_path):
+    """On the default L=6, N=128 box neither flow wraps, nears the edge
+    or caps a Lanczos step."""
+    verdict, rows = _two_particle(tmp_path, t_final=0.02)
+    assert verdict["passed"] is True
+    assert verdict["warnings"] == []
+    assert 0.0 < verdict["max_wrap_mass"] < BOUNDARY_TOL
+    assert [float(row["t"]) for row in rows] == [0.0, 0.02]
+    assert all(float(row["solver_residual"]) <= SOLVER_TOL for row in rows)
+
+
+def test_two_particle_small_box_warns_of_wrap_mass(tmp_path):
+    """At L=4 the packets' relative coordinate reaches the wrap at |x1 - x2| = L."""
+    verdict, rows = _two_particle(tmp_path, L=4.0, N=32, t_final=0.1)
+    wrap_lines = [w for w in verdict["warnings"] if w.startswith("wrap mass")]
+    assert verdict["max_wrap_mass"] > BOUNDARY_TOL
+    assert len(wrap_lines) == 1
+    assert re.fullmatch(r"wrap mass \d\.\d{3}e-\d\d above 1e-06 at t=0 \(and 2 later records\)",
+                        wrap_lines[0])
+    # one record every 25 steps of the default dt
+    assert [float(row["t"]) for row in rows] == pytest.approx([0.0, 0.05, 0.1])
     assert verdict["passed"] is True
