@@ -91,7 +91,7 @@ def _resolve_potential(value, path: str, cls, lookup, keys):
 
 def _resolve_grid(value, path: str) -> SpatialGrid:
     data = _checked(path, check_block, value, {"L", "N"})
-    return _checked(path, make_grid, 1, data.get("L", 10.0), data.get("N", 512))
+    return _checked(path, make_grid, 1, data.get("L", 6.0), data.get("N", 256))
 
 
 def check_plan(cfg: ExperimentConfig, name: str) -> None:

@@ -17,7 +17,7 @@ def test_defaults():
     cfg = load_config(None)
     assert cfg.family.name == "confined_quartic"
     assert cfg.interaction.name == "soft_pair"
-    assert cfg.grid.d == 1 and cfg.grid.L == 10.0 and cfg.grid.N == 512
+    assert cfg.grid.d == 1 and cfg.grid.L == 6.0 and cfg.grid.N == 256
     assert cfg.suites == SUITE_NAMES
     assert len(cfg.suites) == 8
     assert cfg.rho == 0.0

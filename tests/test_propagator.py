@@ -908,12 +908,13 @@ def test_initial_state_must_share_the_handle_grid():
 
 @pytest.mark.parametrize("dt", [1e-3, 4e-3])
 def test_propagate_time_error_estimate_tracks_the_dt_over_4_gap(dt, tmp_path):
-    """The Richardson estimate from the dt and dt/2 runs lies within 2x of
-    the gap between the dt run and a dt/4 run."""
+    """The Richardson estimate from the dt and dt/2 Crank-Nicolson runs lies
+    within 2x of the gap between the dt run and a dt/4 run."""
     packet = {"center": 1.0, "width": 0.8, "momentum": 0.5}
     cfg = from_mapping({
         "family": "confined_quartic", "grid": {"L": 10.0, "N": 128},
-        "propagator": {"dt": dt, "t_final": 0.1, "save_every": 5},
+        "propagator": {"scheme": "crank_nicolson_midpoint", "dt": dt, "t_final": 0.1,
+                       "save_every": 5},
         "initial_state": packet, "suites": ["propagate"],
     })
     estimate = run_suite("propagate", cfg, str(tmp_path))["time_error_estimate"]
@@ -923,6 +924,21 @@ def test_propagate_time_error_estimate_tracks_the_dt_over_4_gap(dt, tmp_path):
                               handle, u0).final for step_dt in (dt, dt / 4))
     gap = (coarse - fine).norm() / fine.norm()
     assert 0.5 <= estimate / gap <= 2.0
+
+
+def test_default_propagate_time_error_estimate_tracks_the_dt_over_4_gap(tmp_path):
+    """The same holds for the suite's default flow, the exponential midpoint
+    rule at dt = 4e-3 on the L=6, N=256 box: a clean second order puts the
+    ratio at 16/15."""
+    cfg = from_mapping({"propagator": {"t_final": 0.1}, "suites": ["propagate"]})
+    estimate = run_suite("propagate", cfg, str(tmp_path))["time_error_estimate"]
+    handle = HamiltonianHandle(cfg.family, cfg.grid)
+    u0 = gaussian_packet(cfg.grid, center=1.0, width=0.8, momentum=0.5)
+    coarse, fine = (propagate(PropagatorConfig(scheme="lanczos_expmid", dt=step_dt,
+                                               t_final=0.1, krylov_dim=40), handle, u0).final
+                    for step_dt in (4e-3, 1e-3))
+    gap = (coarse - fine).norm() / fine.norm()
+    assert estimate / gap == pytest.approx(16 / 15, rel=1e-2)
 
 
 def test_gauge_split_takes_the_field_into_the_kinetic_term():

@@ -85,6 +85,68 @@ def test_propagate_takes_a_dt_override(tmp_path):
     assert verdict["passed"] is True
 
 
+def _propagate(tmp_path, mapping=None):
+    """The propagate verdict and the rows of its dt and half-dt CSVs."""
+    verdict = run_suite("propagate", from_mapping(mapping), str(tmp_path))
+    tables = []
+    for name in ("propagate_run.csv", "propagate_run_half_dt.csv"):
+        with open(tmp_path / name) as fh:
+            tables.append(list(csv.DictReader(fh)))
+    return verdict, tables
+
+
+def test_propagate_default_flow(tmp_path):
+    """The default L=6, N=256 exponential midpoint flow: no warnings, a time
+    error far below Crank-Nicolson's 3e-2, growth ratios that agree at
+    dt/2, and one record every 0.02."""
+    verdict, (full, half) = _propagate(tmp_path)
+    assert verdict["passed"] is True
+    assert verdict["warnings"] == []
+    assert verdict["time_error_estimate"] <= 1e-4
+    ratios, ratios_half = verdict["norm_growth_ratios"], verdict["norm_growth_ratios_half_dt"]
+    assert sorted(ratios) == sorted(ratios_half) == ["a1", "a2"]
+    for key, ratio in ratios.items():
+        assert abs(ratios_half[key] - ratio) <= 1e-4, key
+    assert all(float(row["solver_residual"]) <= SOLVER_TOL for row in full + half)
+    assert (len(full), len(half)) == (51, 101)
+    assert float(full[1]["t"]) == pytest.approx(0.02)
+
+
+def test_propagate_boundary_mass_covers_both_runs(tmp_path):
+    """max_boundary_mass is the larger of the two runs', like the warnings.
+    Here the half-dt run records the packet nearer the edge than the dt run."""
+    verdict, tables = _propagate(tmp_path, {
+        "family": "harmonic", "grid": {"L": 5.0, "N": 64},
+        "propagator": {"scheme": "lanczos_expmid", "dt": 0.1, "t_final": 0.2,
+                       "save_every": 1},
+        "initial_state": {"center": 4.0, "momentum": 0.5}})
+    full, half = (max(float(row["boundary_mass"]) for row in rows) for rows in tables)
+    assert half > full
+    assert verdict["max_boundary_mass"] == max(full, half)
+    assert len(verdict["warnings"]) == 2
+
+
+@pytest.mark.parametrize("block", ["top-level", "options"])
+def test_propagate_config_scheme_overrides_default(block, tmp_path):
+    """A propagator block's scheme replaces the suite's exponential midpoint
+    rule: a t-free family's Crank-Nicolson steps go through one dense
+    Cayley inverse, so each row's step counts 1 and reports its defect."""
+    prop = {"scheme": "crank_nicolson_midpoint", "dt": 1.0e-2, "t_final": 0.05,
+            "save_every": 1}
+    mapping = {"family": "harmonic", "grid": {"N": 64}}
+    if block == "top-level":
+        mapping["propagator"] = prop
+    else:
+        mapping["options"] = {"propagate": {"propagator": prop}}
+    verdict, tables = _propagate(tmp_path, mapping)
+    assert verdict["passed"] is True
+    for rows in tables:
+        assert [int(row["solver_iterations"]) for row in rows[1:]] == [1] * (len(rows) - 1)
+        defects = {row["solver_residual"] for row in rows[1:]}
+        assert len(defects) == 1 and 0.0 < float(defects.pop()) <= SOLVER_TOL
+    assert (len(tables[0]), len(tables[1])) == (6, 11)
+
+
 def _two_particle(tmp_path, **options):
     """The two_particle verdict and its CSV rows, for options over the defaults."""
     verdict = run_suite("two_particle", from_mapping({"options": {"two_particle": options}}),
