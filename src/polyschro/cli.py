@@ -18,7 +18,7 @@ import click
 from .config import SUITE_NAMES, ExperimentConfig, check_plan, load_config
 from .errors import ConfigError
 from .report import emit_report
-from .suites import run_suite, suite_function
+from .suites import run_suite, suite_plan
 
 
 def run_experiment(cfg: ExperimentConfig, suites=None, out_dir=None,
@@ -32,7 +32,7 @@ def run_experiment(cfg: ExperimentConfig, suites=None, out_dir=None,
     """
     chosen = tuple(suites) if suites else cfg.suites
     for name in chosen:  # an unknown name or a rejected plan raises before any suite runs
-        suite_function(name)
+        suite_plan(name)
         if name not in cfg.suites:  # loading built the plans of cfg.suites only
             check_plan(cfg, name)
     out_dir = out_dir if out_dir is not None else cfg.output_dir

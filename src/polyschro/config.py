@@ -2,9 +2,11 @@
 
 The file is a nested key/value mapping.  Families may be named from the
 builtin catalog or written inline with the small expression grammar; every
-validation error names the offending field path.  The options of a suite
-are the keyword parameters of its ``suites.plan_<name>`` function.  The
-plan of every selected suite, and of every given ``options.<suite>``
+validation error names the offending field path.  The top-level family,
+grid and rho are the ``propagate`` suite's inputs, and its stepper and
+initial state are set only in ``options.propagate``.  The options of a
+suite are the keyword parameters of its ``suites.plan_<name>`` function.
+The plan of every selected suite, and of every given ``options.<suite>``
 section, is built at load, so every option, default or given, passes the
 constructor its suite builds it with, and a rejected value is reported
 under ``options.<suite>.<key>`` (or ``options.<suite>`` for a default).
@@ -23,9 +25,7 @@ import yaml
 from .errors import ConfigError, FamilyError
 from .grid import SpatialGrid, make_grid
 from .potentials import InteractionFamily, PotentialFamily, get_family, get_interaction
-from .propagator import PropagatorConfig
-from .suites import (_SUITE_PLANS, INITIAL_STATE_KEYS, PROPAGATOR_KEYS, check_block,
-                     initial_packet, suite_function)
+from .suites import _SUITE_PLANS, check_block, suite_plan
 
 
 def _keyword_defaults(fn) -> dict:
@@ -49,8 +49,6 @@ class ExperimentConfig:
     family: PotentialFamily
     interaction: InteractionFamily
     grid: SpatialGrid
-    propagator: dict
-    initial_state: dict
     rho: float
     suites: tuple
     output_dir: str
@@ -125,13 +123,6 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
     interaction = _resolve_potential(data.pop("interaction", "soft_pair"), "interaction",
                                      InteractionFamily, get_interaction, _INTERACTION_KEYS)
     grid = _resolve_grid(data.pop("grid", {}), "grid")
-
-    propagator = _checked("propagator", check_block, data.pop("propagator", {}),
-                          PROPAGATOR_KEYS)
-    _checked("propagator", PropagatorConfig, **propagator)
-    initial_state = _checked("initial_state", check_block, data.pop("initial_state", {}),
-                             INITIAL_STATE_KEYS)
-    _checked("initial_state", initial_packet, grid, **initial_state)
     rho = _checked("rho", family.check_rho, data.pop("rho", 0.0))
 
     suites = data.pop("suites", list(SUITE_NAMES))
@@ -140,7 +131,7 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
     if not suites:
         raise ConfigError("suites: the selection must be nonempty")
     for name in suites:
-        _checked("suites", suite_function, name)
+        _checked("suites", suite_plan, name)
     seen = set()
     suites = tuple(s for s in suites if not (s in seen or seen.add(s)))
 
@@ -148,7 +139,7 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
 
     options = _require_mapping(data.pop("options", {}), "options")
     for name, section in options.items():
-        _checked("options", suite_function, name)
+        _checked("options", suite_plan, name)
         _checked(f"options.{name}", check_block, section, SUITE_OPTIONS[name])
 
     if data:
@@ -158,8 +149,6 @@ def from_mapping(data: dict | None) -> ExperimentConfig:
         family=family,
         interaction=interaction,
         grid=grid,
-        propagator=dict(propagator),
-        initial_state=dict(initial_state),
         rho=rho,
         suites=suites,
         output_dir=output_dir,

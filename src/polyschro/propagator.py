@@ -42,7 +42,7 @@ from scipy.linalg import eigh_tridiagonal, inv
 
 from .errors import ConfigError, SolverError
 from .grid import WaveFunction, _check_same_grid, _finite, _values_of, _whole, l2_norm
-from .operators import solve_hermitian_cg  # unused here; perfbench/tracer.py wraps this name
+from .operators import NormOrder, solve_hermitian_cg  # the latter only for perfbench/tracer.py
 from .report import write_csv
 from .symbols import CutoffSpec, dense_matrix
 
@@ -470,6 +470,22 @@ def _lanczos_expm(op: _Operator, t_mid: float, u: np.ndarray, cfg: PropagatorCon
     return out.reshape(shape), StepReport(iterations=k, residual=float(estimate))
 
 
+def flag_lines(flags: list, unit: str) -> list:
+    """flags as at most one warning line: the first, and how many later units followed."""
+    later = len(flags) - 1
+    return [flags[0] + (f" (and {later} later {unit})" if later else "")] if flags else []
+
+
+def resolve_norm_orders(handle, norm_orders) -> tuple:
+    """handle's NormOrders for norm_orders, each one or its order a; an order
+    given twice, which would write its CSV column twice, raises ConfigError."""
+    orders = tuple(o if isinstance(o, NormOrder) else handle.norm_order(o) for o in norm_orders)
+    repeated = [o.a for i, o in enumerate(orders) if o.a in [p.a for p in orders[:i]]]
+    if repeated:
+        raise ConfigError(f"norm order {repeated[0]} is given more than once")
+    return orders
+
+
 @dataclass
 class PropagationRun:
     """Recorded trajectory: norms, boundary mass, solver effort, states."""
@@ -501,17 +517,12 @@ class PropagationRun:
 
     @property
     def warnings(self) -> list:
-        """The boundary and the solver flags as at most one line each: the
-        first flag, and how many followed; the solver line then also names
-        the largest residual."""
-        lines = []
+        """The boundary and the solver flags as at most one line each
+        (``flag_lines``); the solver line also names the largest residual."""
         largest = (f", largest {self.data['solver_residual'].max():.3e}"
                    if self.solver_flags else "")
-        for flags, unit in ((self.flags, "records"), (self.solver_flags, "steps" + largest)):
-            if flags:
-                later = len(flags) - 1
-                lines.append(flags[0] + (f" (and {later} later {unit})" if later else ""))
-        return lines
+        return (flag_lines(self.flags, "records")
+                + flag_lines(self.solver_flags, "steps" + largest))
 
     def to_csv(self, path):
         """The trajectory table: t, the norms, boundary mass, solver columns."""
@@ -628,9 +639,7 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
     if tangent and not hasattr(handle, "apply_rho_derivative"):
         raise ConfigError(f"the parameter derivative is single-particle only, "
                           f"not for a {type(handle).__name__}")
-    norm_orders = tuple(
-        o if hasattr(o, "a") else handle.norm_order(int(o)) for o in norm_orders
-    )
+    norm_orders = resolve_norm_orders(handle, norm_orders)
     op = _Operator(handle, cfg)
     mask = handle.grid.boundary_mask()
     u = u0.values.astype(complex)

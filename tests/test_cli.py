@@ -140,13 +140,26 @@ def test_run_experiment_checks_a_suite_outside_the_selection(tmp_path):
 
 
 def test_unknown_propagator_key_exits_2(tmp_path):
-    cfg = _write_yaml(tmp_path, {"propagator": {"dtt": 1.0e-3}, "suites": ["propagate"]})
+    cfg = _write_yaml(tmp_path, {"options": {"propagate": {"propagator": {"dtt": 1.0e-3}}},
+                                 "suites": ["propagate"]})
     out = tmp_path / "o"
     result = CliRunner().invoke(main, ["all", "--config", cfg, "--output-dir", str(out)])
     assert result.exit_code == 2
     err_text = result.stderr if result.stderr else result.output
-    assert "propagator: " in err_text and "dtt" in err_text
+    assert "config error: options.propagate.propagator: unknown keys ['dtt']" in err_text
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("key", ["propagator", "initial_state"])
+def test_retired_top_level_blocks_exit_2(tmp_path, key):
+    """A top-level stepper or packet block is an unknown key, also when no
+    selected suite propagates."""
+    cfg = _write_yaml(tmp_path, {key: {}, "suites": ["validate"]})
+    out = tmp_path / "o"
+    result = CliRunner().invoke(main, ["all", "--config", cfg, "--output-dir", str(out)])
+    assert result.exit_code == 2
+    assert (result.stderr or result.output) == f"config error: unknown top-level keys ['{key}']\n"
+    assert not out.exists()
 
 
 def test_top_level_rho_outside_family_interval_exits_2(tmp_path):
@@ -273,10 +286,10 @@ def test_verdicts_surface_boundary_warnings(tmp_path):
     def propagate_warnings(center, out):
         cfg = load_config(_write_yaml(tmp_path, {
             "family": "harmonic", "grid": {"L": 5.0, "N": 128},
-            "propagator": {"dt": 1e-2, "t_final": 0.1, "save_every": 2},
-            "initial_state": {"center": center, "width": 0.8, "momentum": 0.5},
             "suites": ["propagate", "parametrix"],
-            "options": {"parametrix": {"N": 64}},
+            "options": {"parametrix": {"N": 64}, "propagate": {
+                "propagator": {"dt": 1e-2, "t_final": 0.1, "save_every": 2},
+                "initial_state": {"center": center, "width": 0.8, "momentum": 0.5}}},
         }))
         _, report = run_experiment(cfg, out_dir=str(tmp_path / out))
         assert report["suites"]["parametrix"]["warnings"] == []

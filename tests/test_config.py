@@ -22,6 +22,8 @@ def test_defaults():
     assert len(cfg.suites) == 8
     assert cfg.rho == 0.0
     assert cfg.output_dir == "polyschro_out"
+    # the stepper and the packet are set only in options.propagate
+    assert not hasattr(cfg, "propagator") and not hasattr(cfg, "initial_state")
 
 
 def test_unknown_family_names_the_field():
@@ -87,8 +89,8 @@ def test_bad_propagator_block_rejected_at_load(block):
     """A key that is not a PropagatorConfig field is an unknown key."""
     unknown = sorted(set(block) - set(PropagatorConfig.__dataclass_fields__))
     message = re.escape(f"unknown keys {unknown}") + "$" if unknown else ""
-    with pytest.raises(ConfigError, match=f"^propagator: {message}"):
-        from_mapping({"propagator": block})
+    with pytest.raises(ConfigError, match=f"^options.propagate.propagator: {message}"):
+        from_mapping({"options": {"propagate": {"propagator": block}}})
 
 
 _PLANAR = {"name": "planar", "v": "x^2", "a": ["0"], "growth_order": 0, "delta": 1.0}
@@ -185,24 +187,28 @@ def test_seed_key_is_rejected():
 
 
 def test_initial_state_keys_validated():
-    cfg = from_mapping({"initial_state": {"center": 1.0, "width": 0.8,
-                                          "momentum": 0.5}})
-    assert cfg.initial_state["width"] == 0.8
-    with pytest.raises(ConfigError, match="initial_state"):
-        from_mapping({"initial_state": {"wavelength": 2.0}})
+    def initial_state(block):
+        return from_mapping({"options": {"propagate": {"initial_state": block}}})
+
+    path = re.escape("options.propagate.initial_state")
+    cfg = initial_state({"center": 1.0, "width": 0.8, "momentum": 0.5})
+    assert cfg.suite_options("propagate")["initial_state"]["width"] == 0.8
+    with pytest.raises(ConfigError, match=f"^{path}: unknown keys"):
+        initial_state({"wavelength": 2.0})
     for width in (0, -1.0, float("inf"), True):
-        with pytest.raises(ConfigError, match=rf"^initial_state: width must be a finite "
+        with pytest.raises(ConfigError, match=rf"^{path}: width must be a finite "
                                               rf"positive number, got {width!r}$"):
-            from_mapping({"initial_state": {"width": width}})
+            initial_state({"width": width})
     for name in ("center", "momentum"):
         for bad in (float("inf"), float("nan"), True, "1.0"):
-            with pytest.raises(ConfigError, match=rf"^initial_state: {name} must be a finite "
+            with pytest.raises(ConfigError, match=rf"^{path}: {name} must be a finite "
                                                   rf"number, got {bad!r}$"):
-                from_mapping({"initial_state": {name: bad}})
+                initial_state({name: bad})
         for bad in ([1.0, 2.0], [], [[1.0]]):
-            message = f"initial_state: {name} must be one number or one per axis (1), got {bad!r}"
+            message = (f"options.propagate.initial_state: {name} must be one number or "
+                       f"one per axis (1), got {bad!r}")
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
-                from_mapping({"initial_state": {name: bad}})
+                initial_state({name: bad})
 
 
 def test_suite_options_sections_validated():
@@ -255,6 +261,8 @@ def test_mixed_int_and_str_keys_listed_as_unknown(doc, message):
     ({"parametrix": {"family": "harmonic", "rho": "one"}}, "options.parametrix.rho"),
     ({"eps_sweep": {"dt": 0.0}}, "options.eps_sweep.dt"),
     ({"eps_sweep": {"width": -1.0}}, "options.eps_sweep.width"),
+    ({"propagate": {"norm_orders": [1, 1]}}, "options.propagate.norm_orders"),  # one column each
+    ({"propagate": {"norm_orders": [2, 1, 2.0]}}, "options.propagate.norm_orders"),
 ])
 def test_bad_suite_option_values_rejected_at_load(options, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):
@@ -281,20 +289,25 @@ def test_suite_option_values_are_checked_together():
     {"dtt": 1.0e-3},
     {"solver_tol": -1.0},
     {"dt": 3.0e-4},                   # 1.0 is no whole number of these steps
+    {"t_final": 0.002},               # nor is 0.002 of the suite's dt = 4e-3
 ])
 def test_bad_propagate_propagator_override_rejected_at_load(override):
+    """The propagator block is named, not the valid norm_orders beside it."""
     with pytest.raises(ConfigError, match="^options.propagate.propagator: "):
-        from_mapping({"options": {"propagate": {"propagator": override}}})
+        from_mapping({"options": {"propagate": {"norm_orders": [1], "propagator": override}}})
 
 
 @pytest.mark.parametrize("doc, message", [
-    ({"propagator": {"t0": 0.5, "solver_tol": 1e-12}},
-     "propagator: unknown keys ['solver_tol', 't0']"),
+    ({"options": {"propagate": {"propagator": {"t0": 0.5, "solver_tol": 1e-12}}}},
+     "options.propagate.propagator: unknown keys ['solver_tol', 't0']"),
     ({"options": {"propagate": {"propagator": {"dt": 1e-3, "boundary_tol": 1e-6}}}},
      "options.propagate.propagator: unknown keys ['boundary_tol']"),
     ({"options": {"propagate": {"initial_state": {"wavelength": 2.0}}}},
      "options.propagate.initial_state: unknown keys ['wavelength']"),
     ({"options": {"eps_sweep": {"cutoff_mu": 0.5}}}, "options.eps_sweep: unknown keys ['cutoff_mu']"),
+    ({"propagator": {"t_final": 0.002}, "options": {"propagate": {"norm_orders": [1]}}},
+     "unknown top-level keys ['propagator']"),
+    ({"initial_state": {"width": 0.5}}, "unknown top-level keys ['initial_state']"),
 ])
 def test_unknown_propagator_keys_exit_2(tmp_path, doc, message):
     """A key that no propagator, initial-state or suite block takes, such
@@ -308,15 +321,14 @@ def test_unknown_propagator_keys_exit_2(tmp_path, doc, message):
     assert not (tmp_path / "o").exists()
 
 
-def test_propagate_overrides_merge_over_the_top_level_blocks():
-    # valid only together: the override's dt divides the top-level t_final
-    cfg = from_mapping({"propagator": {"t_final": 0.3},
-                        "options": {"propagate": {"propagator": {"dt": 1.0e-1},
+def test_propagate_overrides_merge_over_the_suite_defaults():
+    # valid only together: the default t_final = 1.0 is no whole number of 0.3 steps
+    prop = {"dt": 0.3, "t_final": 0.9}
+    cfg = from_mapping({"options": {"propagate": {"propagator": prop,
                                                   "initial_state": {"width": 0.5}}}})
-    assert cfg.suite_options("propagate")["propagator"] == {"dt": 1.0e-1}
+    assert cfg.suite_options("propagate")["propagator"] == prop
     with pytest.raises(ConfigError, match="^options.propagate.propagator: "):
-        from_mapping({"propagator": {"t_final": 0.35},
-                      "options": {"propagate": {"propagator": {"dt": 1.0e-1}}}})
+        from_mapping({"options": {"propagate": {"propagator": {"dt": 0.3}}}})
     with pytest.raises(ConfigError, match="^options.propagate.initial_state: "):
         from_mapping({"options": {"propagate": {"initial_state": {"wavelength": 2.0}}}})
 
@@ -351,17 +363,18 @@ def test_yaml_file_round_trip(tmp_path):
     doc = {
         "family": "harmonic",
         "grid": {"L": 8.0, "N": 64},
-        "propagator": {"dt": 2.0e-3, "t_final": 0.1},
-        "initial_state": {"center": 0.5},
         "suites": ["propagate", "validate"],
         "output_dir": "out_here",
+        "options": {"propagate": {"propagator": {"dt": 2.0e-3, "t_final": 0.1},
+                                  "initial_state": {"center": 0.5}}},
     }
     path = tmp_path / "exp.yaml"
     path.write_text(yaml.safe_dump(doc))
     cfg = load_config(str(path))
     assert cfg.family.name == "harmonic"
     assert cfg.grid.N == 64
-    assert cfg.propagator == {"dt": 2.0e-3, "t_final": 0.1}
+    assert cfg.suite_options("propagate") == {"propagator": {"dt": 2.0e-3, "t_final": 0.1},
+                                              "initial_state": {"center": 0.5}}
     assert cfg.suites == ("propagate", "validate")
     assert cfg.output_dir == "out_here"
 

@@ -301,6 +301,18 @@ def test_unrecorded_norm_order_names_the_recorded_ones(quartic_reference_run):
         run.norm_series(missing)
 
 
+def test_repeated_norm_order_is_rejected(quartic_256):
+    """A run records each order once: a repeated one would write its
+    norm_a<a> CSV column twice."""
+    g, handle = quartic_256
+    cfg = PropagatorConfig(dt=1e-2, t_final=2e-2, keep_states=False)
+    u0 = gaussian_packet(g)
+    with pytest.raises(ConfigError, match=r"^norm order 1 is given more than once$"):
+        propagate(cfg, handle, u0, norm_orders=(1, handle.norm_order(1)))
+    with pytest.raises(ConfigError, match="order a must be an integer"):
+        propagate(cfg, handle, u0, norm_orders=(1.5,))
+
+
 def test_energy_estimate_stable_under_refinement(quartic_256):
     g, handle = quartic_256
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
@@ -912,10 +924,11 @@ def test_propagate_time_error_estimate_tracks_the_dt_over_4_gap(dt, tmp_path):
     within 2x of the gap between the dt run and a dt/4 run."""
     packet = {"center": 1.0, "width": 0.8, "momentum": 0.5}
     cfg = from_mapping({
-        "family": "confined_quartic", "grid": {"L": 10.0, "N": 128},
-        "propagator": {"scheme": "crank_nicolson_midpoint", "dt": dt, "t_final": 0.1,
-                       "save_every": 5},
-        "initial_state": packet, "suites": ["propagate"],
+        "family": "confined_quartic", "grid": {"L": 10.0, "N": 128}, "suites": ["propagate"],
+        "options": {"propagate": {
+            "propagator": {"scheme": "crank_nicolson_midpoint", "dt": dt, "t_final": 0.1,
+                           "save_every": 5},
+            "initial_state": packet}},
     })
     estimate = run_suite("propagate", cfg, str(tmp_path))["time_error_estimate"]
     handle = HamiltonianHandle(cfg.family, cfg.grid)
@@ -930,7 +943,8 @@ def test_default_propagate_time_error_estimate_tracks_the_dt_over_4_gap(tmp_path
     """The same holds for the suite's default flow, the exponential midpoint
     rule at dt = 4e-3 on the L=6, N=256 box: a clean second order puts the
     ratio at 16/15."""
-    cfg = from_mapping({"propagator": {"t_final": 0.1}, "suites": ["propagate"]})
+    cfg = from_mapping({"suites": ["propagate"],
+                        "options": {"propagate": {"propagator": {"t_final": 0.1}}}})
     estimate = run_suite("propagate", cfg, str(tmp_path))["time_error_estimate"]
     handle = HamiltonianHandle(cfg.family, cfg.grid)
     u0 = gaussian_packet(cfg.grid, center=1.0, width=0.8, momentum=0.5)

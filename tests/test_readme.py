@@ -26,5 +26,6 @@ def test_quick_start_runs(tmp_path, monkeypatch):
 def test_config_example_loads():
     (block,) = _blocks("yaml")
     cfg = from_mapping(yaml.safe_load(block))
-    assert cfg.propagator == {"scheme": "lanczos_expmid", "dt": 4.0e-3, "t_final": 1.0}
+    assert cfg.suite_options("propagate")["propagator"] == {
+        "scheme": "lanczos_expmid", "dt": 4.0e-3, "t_final": 1.0}
     assert cfg.suites == ("propagate", "validate")

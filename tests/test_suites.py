@@ -75,8 +75,8 @@ def test_suite_grid_size_must_be_a_whole_number(tmp_path):
 
 def test_propagate_takes_a_dt_override(tmp_path):
     """options.propagate.propagator.dt sets the run's step; the half-dt run halves it."""
-    cfg = from_mapping({"grid": {"N": 64}, "propagator": {"t_final": 0.02},
-                        "options": {"propagate": {"propagator": {"dt": 1.0e-2, "save_every": 1}}}})
+    cfg = from_mapping({"grid": {"N": 64}, "options": {"propagate": {
+        "propagator": {"dt": 1.0e-2, "t_final": 0.02, "save_every": 1}}}})
     verdict = run_suite("propagate", cfg, str(tmp_path))
     for name, steps in (("propagate_run.csv", 2), ("propagate_run_half_dt.csv", 4)):
         rows = (tmp_path / name).read_text().splitlines()[1:]
@@ -116,29 +116,24 @@ def test_propagate_boundary_mass_covers_both_runs(tmp_path):
     """max_boundary_mass is the larger of the two runs', like the warnings.
     Here the half-dt run records the packet nearer the edge than the dt run."""
     verdict, tables = _propagate(tmp_path, {
-        "family": "harmonic", "grid": {"L": 5.0, "N": 64},
-        "propagator": {"scheme": "lanczos_expmid", "dt": 0.1, "t_final": 0.2,
-                       "save_every": 1},
-        "initial_state": {"center": 4.0, "momentum": 0.5}})
+        "family": "harmonic", "grid": {"L": 5.0, "N": 64}, "options": {"propagate": {
+            "propagator": {"scheme": "lanczos_expmid", "dt": 0.1, "t_final": 0.2,
+                           "save_every": 1},
+            "initial_state": {"center": 4.0, "momentum": 0.5}}}})
     full, half = (max(float(row["boundary_mass"]) for row in rows) for rows in tables)
     assert half > full
     assert verdict["max_boundary_mass"] == max(full, half)
     assert len(verdict["warnings"]) == 2
 
 
-@pytest.mark.parametrize("block", ["top-level", "options"])
-def test_propagate_config_scheme_overrides_default(block, tmp_path):
-    """A propagator block's scheme replaces the suite's exponential midpoint
+def test_propagate_config_scheme_overrides_default(tmp_path):
+    """A propagator option's scheme replaces the suite's exponential midpoint
     rule: a t-free family's Crank-Nicolson steps go through one dense
     Cayley inverse, so each row's step counts 1 and reports its defect."""
     prop = {"scheme": "crank_nicolson_midpoint", "dt": 1.0e-2, "t_final": 0.05,
             "save_every": 1}
-    mapping = {"family": "harmonic", "grid": {"N": 64}}
-    if block == "top-level":
-        mapping["propagator"] = prop
-    else:
-        mapping["options"] = {"propagate": {"propagator": prop}}
-    verdict, tables = _propagate(tmp_path, mapping)
+    verdict, tables = _propagate(tmp_path, {"family": "harmonic", "grid": {"N": 64},
+                                            "options": {"propagate": {"propagator": prop}}})
     assert verdict["passed"] is True
     for rows in tables:
         assert [int(row["solver_iterations"]) for row in rows[1:]] == [1] * (len(rows) - 1)
