@@ -7,8 +7,9 @@ which would contaminate comparisons that are exact for smooth data.
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from polyschro import PotentialFamily, WaveFunction, gaussian_packet, make_grid
+from polyschro import PotentialFamily, WaveFunction, gaussian_packet, make_grid, propagator
 
 ACCEPTANCE_LINES = []
 
@@ -77,6 +78,23 @@ def band_limited_state(grid, rng, keep=0.25):
     values = np.fft.ifftn(spectrum)
     wf = WaveFunction(grid, values)
     return wf.with_values(values / wf.norm())
+
+
+def lanczos_bound_ratios(handle, u, cfg):
+    """rep.residual / err of each Lanczos step of cfg's flow from u, err the
+    step's relative error against dense expm of the operator at the step's
+    midpoint, applied to the same input."""
+    op, ratios = propagator._Operator(handle, cfg), []
+    u = u.astype(complex)
+    stack = np.eye(u.size, dtype=complex).reshape((u.size,) + u.shape)
+    for n in range(cfg.n_steps):
+        t_mid = propagator._t_mid(cfg, n)
+        dense = handle.apply(t_mid, stack).reshape(u.size, u.size).T
+        exact = expm(-1j * cfg.dt * dense) @ u.ravel()
+        out, rep = propagator._lanczos_expm(op, t_mid, u, cfg)
+        ratios.append(rep.residual * np.linalg.norm(u) / np.linalg.norm(out.ravel() - exact))
+        u = out
+    return np.array(ratios)
 
 
 @pytest.fixture(scope="session")

@@ -32,7 +32,7 @@ from polyschro.errors import ConfigError, SolverError
 from polyschro.suites import run_suite
 from polyschro.twoparticle import TwoParticleHandle, TwoParticleSystem
 
-from conftest import band_limited_state
+from conftest import band_limited_state, lanczos_bound_ratios
 
 
 @pytest.fixture(scope="module")
@@ -383,12 +383,11 @@ def test_lanczos_stops_early_on_a_smooth_packet(quartic_256, quartic_dense_step)
     cfg, out, rep = _krylov_step(handle, u, t_mid, dt, krylov_dim=40)
     err = np.linalg.norm(out - exact @ u) / np.linalg.norm(u)
     assert rep.iterations < cfg.krylov_dim
-    assert rep.residual <= propagator.SOLVER_TOL
-    assert err <= 10 * propagator.SOLVER_TOL
+    assert err <= rep.residual <= propagator.SOLVER_TOL
 
 
 def test_lanczos_cap_reports_its_miss(quartic_256, quartic_dense_step):
-    """A rough state needs more than the cap; the estimate says so."""
+    """A rough state needs more than the cap; the error bound says so."""
     g, handle = quartic_256
     t_mid, dt, exact = quartic_dense_step
     rng = np.random.default_rng(5)
@@ -397,11 +396,23 @@ def test_lanczos_cap_reports_its_miss(quartic_256, quartic_dense_step):
     err = np.linalg.norm(out - exact @ u) / np.linalg.norm(u)
     assert rep.iterations == cfg.krylov_dim
     assert rep.residual > propagator.SOLVER_TOL
-    assert rep.residual >= err / 10
+    assert rep.residual >= err
+
+
+def test_lanczos_bound_is_a_tight_upper_bound():
+    """On the propagate suite's default flow every step's reported residual
+    bounds its true error from above, and by at most half again."""
+    g = make_grid(1, 6.0, 256)
+    handle = HamiltonianHandle(get_family("confined_quartic"), g)
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5).values
+    cfg = PropagatorConfig(scheme="lanczos_expmid", dt=4e-3, t_final=0.08, krylov_dim=40)
+    ratios = lanczos_bound_ratios(handle, u0, cfg)
+    assert ratios.size == 20
+    assert np.all((1.0 <= ratios) & (ratios <= 1.5)), ratios
 
 
 def test_capped_lanczos_run_warns_of_its_solver_misses(quartic_256):
-    """Steps whose estimate misses SOLVER_TOL add one warning line:
+    """Steps whose error bound misses SOLVER_TOL add one warning line:
     the first such step, and how many followed."""
     g, handle = quartic_256
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)

@@ -110,6 +110,8 @@ def test_propagate_default_flow(tmp_path):
     assert all(float(row["solver_residual"]) <= SOLVER_TOL for row in full + half)
     assert (len(full), len(half)) == (51, 101)
     assert float(full[1]["t"]) == pytest.approx(0.02)
+    # Krylov applies a step of the dt run, 20.6 with the error bound's stop
+    assert sum(int(row["solver_iterations"]) for row in full) / 250 <= 22
 
 
 def test_propagate_boundary_mass_covers_both_runs(tmp_path):
@@ -152,13 +154,25 @@ def _two_particle(tmp_path, **options):
 
 def test_two_particle_default_box_warns_of_nothing(tmp_path):
     """On the default L=6, N=128 box neither flow wraps, nears the edge
-    or caps a Lanczos step."""
+    or caps a Lanczos step.  The exponential midpoint step of a tensor
+    sum factorizes exactly and every step is unitary, so the factorization
+    error is at most the summed step bounds of the free flow and the
+    particles' own flows: 3 runs of 10 steps, each at most SOLVER_TOL."""
     verdict, rows = _two_particle(tmp_path, t_final=0.02)
     assert verdict["passed"] is True
     assert verdict["warnings"] == []
     assert 0.0 < verdict["max_wrap_mass"] < BOUNDARY_TOL
     assert [float(row["t"]) for row in rows] == [0.0, 0.02]
     assert all(float(row["solver_residual"]) <= SOLVER_TOL for row in rows)
+    assert verdict["factorization_error"] <= 3 * 10 * SOLVER_TOL + 1e-13
+
+
+def test_two_particle_coupled_flow_krylov_size(tmp_path):
+    """The default coupled flow's first record sums 25 steps' Krylov
+    applies: 14.6 a step with the error bound's stop."""
+    _, rows = _two_particle(tmp_path, t_final=0.05)
+    assert float(rows[1]["t"]) == pytest.approx(0.05)
+    assert int(rows[1]["solver_iterations"]) / 25 <= 16
 
 
 def test_two_particle_small_box_warns_of_wrap_mass(tmp_path):

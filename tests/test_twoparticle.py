@@ -31,7 +31,7 @@ from polyschro import (
 )
 from polyschro.errors import ConfigError, FamilyError, GridError
 from polyschro.propagator import propagate_variational
-from conftest import RHO_MAGNETIC, band_limited_state
+from conftest import RHO_MAGNETIC, band_limited_state, lanczos_bound_ratios
 
 
 @pytest.fixture(scope="module")
@@ -244,6 +244,22 @@ def test_zero_interaction_factorizes(pair_64):
     f2 = propagate(cfg, h1, p2).final.values
     gap = np.max(np.abs(composite.final.values - np.outer(f1, f2)))
     assert gap <= 1e-8
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.0])
+def test_composite_lanczos_bound_is_a_tight_upper_bound(rho):
+    """The two_particle suite's coupled and free flows on a 16x16 grid: every
+    step's reported residual bounds its true error from above, and by at
+    most half again."""
+    g1, g2 = make_grid(1, 6.0, 16), make_grid(2, 6.0, 16)
+    fam = get_family("confined_quartic")
+    system = TwoParticleSystem(fam, fam, get_interaction("soft_pair"), g2)
+    u0 = product_state(g2, gaussian_packet(g1, center=1.0, width=0.8, momentum=0.5),
+                       gaussian_packet(g1, center=-1.0, width=0.8, momentum=-0.5)).values
+    cfg = PropagatorConfig(scheme="lanczos_expmid", dt=2e-3, t_final=0.01, krylov_dim=40)
+    ratios = lanczos_bound_ratios(TwoParticleHandle(system, rho=rho), u0, cfg)
+    assert ratios.size == 5
+    assert np.all((1.0 <= ratios) & (ratios <= 1.5)), ratios
 
 
 HEAVY_MAGNETIC = PotentialFamily(name="heavy_magnetic", v="(1 + x^2)^2",
