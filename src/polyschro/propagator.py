@@ -4,20 +4,25 @@ Two schemes share the record-keeping harness:
 
 * crank_nicolson_midpoint: the Cayley step
   (I + i dt/2 H(t_mid)) u_next = (I - i dt/2 H(t_mid)) u, solved
-  iteratively; exactly norm-preserving up to the solver tolerance.
+  iteratively or in closed form; exactly norm-preserving up to the
+  solver tolerance.
 * lanczos_expmid: Krylov approximation of exp(-i dt H(t_mid)) u, sized
   by a computable upper bound of its error.
 
 On a 1-D grid of at most DIRECT_MAX_N points, a family without t has
-one Cayley matrix for the whole run, plain or mollified.  Its step is a
-matvec with the dense inverse, which the run builds once, with its
-defect delta = ||(I + i tau Op) inv - I||_F measured by the operator
-kernel, and frees when it returns.  delta bounds the relative residual
-of every step taken with the inverse, so it is each such step's
-residual, and the run's operator checks it once, before the first step.
-Every other Cayley step (time-dependent, composite or larger grids) is
-one solve by the module's restarted GMRES (Saad and Schultz 1986), which
-keeps scipy's stopping rule.  Plain flows precondition it with the
+one Hermitian operator Op for the whole run, plain or mollified, and its
+Crank-Nicolson flow is a function of Op: U^n = Q diag(c^n) Q^H with
+Op = Q diag(lam) Q^H and c = (1 - i tau lam) / (1 + i tau lam).  The run
+takes that eigendecomposition once, with its defect delta measured by
+the operator kernel, and moves from one record to the next in closed
+form (``_EigenFlow``); a variational run's tangent is the exact
+rho-derivative of the discrete flow, by the Daleckii-Krein formula
+(Higham, Functions of Matrices, 2008, Sec. 3.2).  delta bounds the
+relative residual of every step the closed form stands for, so it is
+each such step's residual, and the run checks it once, before the first
+step.  Every other Cayley step (time-dependent, composite or larger
+grids) is one solve by the module's restarted GMRES (Saad and Schultz
+1986), which keeps scipy's stopping rule.  Plain flows precondition it with the
 gauge-twisted split: the exact inverses of the potential-only Cayley
 factor and of the kinetic-only one conjugated by the gauge factor
 e^{i phi}, phi' = A, which takes the magnetic term into the kinetic
@@ -38,7 +43,8 @@ from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, inv
+from numpy.linalg import eigh
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, SolverError
 from .grid import WaveFunction, _check_same_grid, _finite, _values_of, _whole, l2_norm
@@ -47,7 +53,8 @@ from .report import write_csv
 from .symbols import CutoffSpec, dense_matrix
 
 SCHEMES = ("crank_nicolson_midpoint", "lanczos_expmid")
-# the largest 1-D grid in use; its dense Cayley inverse takes 4 MB
+# the largest 1-D grid whose t-free runs take the closed form; its
+# eigenvectors take 2 MB real, or 4 MB complex, at N=512
 DIRECT_MAX_N = 512
 GMRES_RESTART = 40
 # records whose norms are taken in one batch: 16 N=512 states take 0.13 MB
@@ -124,44 +131,103 @@ class StepReport:
     residual: float = 0.0
 
 
-def _cayley_inverse(handle, t: float, tau: float, cutoff: CutoffSpec | None) -> tuple:
-    """(inv, delta): the dense inv = (I + i tau Op)^-1, Op = H or X* H X, of a
-    family without t, and its defect delta = ||(I + i tau Op) inv - I||_F,
-    which bounds ||(I + i tau Op) inv b - b|| / ||b|| for every b, up to
-    the rounding of inv b.
+def _cayley_eigen(handle, tau: float, cutoff: CutoffSpec | None) -> tuple:
+    """(lam, Q, delta): Op = Q diag(lam) Q^H, Op = H or X* H X of a family
+    without t, and the defect delta of the closed form built on it.
 
-    inv comes from Op's dense matrix at time t (``handle.matrix`` for H,
-    one identity-stack call for X* H X).  Op inv is the kernel's action on
-    inv's columns: one ``handle.apply`` on their stack for H, which checks
-    ``matrix`` against the FFT kernel, and the product with X* H X's
-    matrix, itself the kernel's image of the identity stack.
+    Op's dense matrix comes from ``handle.matrix`` for H and from one
+    identity-stack call for X* H X.  A matrix with no imaginary part, as
+    every field-free H has, is split by the real symmetric eigh.  R =
+    Op Q - Q diag(lam) is the kernel's action on Q's columns: one
+    ``handle.apply`` on their stack for H, which checks ``matrix`` against
+    the FFT kernel, and the product with X* H X's matrix, itself the
+    kernel's image of the identity stack.  With E = Q^H Q - I,
+
+        delta = ||E||_F + 2 tau ||R||_F (1 + ||E||_F).
+
+    For ||E|| <= 1/2 it bounds, up to the rounding of the products that
+    apply the closed form (D = (I + i tau Lam)^-1, |D| <= 1, and Q's
+    singular values lie within sqrt(1 +- ||E||)):
+
+    * the relative residual of every homogeneous step u = Q y -> Q c y,
+      whose midpoint x = Q D y leaves (I + i tau Op) x - u = i tau R D y;
+    * the residual of a forced step, relative to ||u|| + tau ||f||, which
+      adds i tau (I - Q Q^H) f, of norm at most tau ||E|| ||f||;
+    * the distance n delta ||u0|| of the n-th state from the exact Cayley
+      flow of u0 under the Hermitian Op: the start Q Q^H u0 is within
+      ||E|| ||u0|| of u0, and each step adds at most 2 tau ||R|| ||y||,
+      y = Q^H u0; a forced step adds at most dt delta ||f|| more.
+
+    A non-finite matrix returns delta = NaN, which the caller rejects.
     """
     grid = handle.grid
-    size, itau = grid.size, 1j * tau
-    mat = handle.matrix(t) if cutoff is None else dense_matrix(
-        partial(handle.apply_mollified, t, cutoff=cutoff), grid)
-    cayley = mat * itau
-    cayley.flat[:: size + 1] += 1.0
-    inverse = inv(cayley, overwrite_a=True, check_finite=False, assume_a="general")
+    mat = handle.matrix(0.0) if cutoff is None else dense_matrix(
+        partial(handle.apply_mollified, 0.0, cutoff=cutoff), grid)
+    if not np.isfinite(mat).all():
+        return None, None, math.nan
+    # LAPACK's divide and conquer (syevd, heevd): 6 ms real and 16 ms
+    # complex at N = 256, with Q orthonormal to about 3e-14
+    lam, vecs = eigh(mat.real if not mat.imag.any() else mat)
     if cutoff is None:
-        # the rows of inverse.T are inv's columns
-        op_inv = handle.apply(t, inverse.T.reshape((size,) + grid.shape))
-        op_inv = op_inv.reshape(size, size).T
+        # the rows of vecs.T are Q's columns
+        resid = handle.apply(0.0, vecs.T).T
     else:
-        op_inv = mat @ inverse
-    op_inv *= itau
-    op_inv += inverse
-    op_inv.flat[:: size + 1] -= 1.0
-    return inverse, float(np.linalg.norm(op_inv))
+        resid = mat @ vecs
+    del mat
+    resid -= vecs * lam
+    r = float(np.linalg.norm(resid))
+    del resid
+    defect = vecs.conj().T @ vecs
+    defect.flat[:: grid.N + 1] -= 1.0
+    e = float(np.linalg.norm(defect))
+    return lam, vecs, e + 2.0 * tau * r * (1.0 + e)
+
+
+def _divided_powers(lam: np.ndarray, tau: float, s: int) -> np.ndarray:
+    """Delta_s[j, l] = (c_j^s - c_l^s) / (lam_j - lam_l), the divided
+    differences of c^s, c = (1 - i tau lam) / (1 + i tau lam) = e^{i theta},
+    theta = -2 arctan(tau lam); on ties, the derivative s c^(s-1) c'.
+
+    The quotient cancels for close pairs, so it is taken in the form
+
+        2i e^{i s (theta_j + theta_l) / 2} s sinc(s x / pi) (-tau / q) arctan(z) / z,
+
+    q = 1 + tau^2 lam_j lam_l, z = tau (lam_j - lam_l) / q, x = -arctan z
+    = (theta_j - theta_l) / 2, and arctan(z) / z = 1 at z = 0.  It needs
+    q > 0, which holds for every pair closer than 2 / tau.  A pair with
+    q <= 0 lies further apart, takes x = -arctan2(tau (lam_j - lam_l), q),
+    the same half-difference off arctan's branch, and the plain quotient
+    x / (lam_j - lam_l) for the last two factors.
+    """
+    t_lam = tau * lam
+    theta = -2.0 * np.arctan(t_lam)
+    diff = np.subtract.outer(t_lam, t_lam)  # tau (lam_j - lam_l) = z q
+    q = np.multiply.outer(t_lam, t_lam)
+    q += 1.0
+    x = np.arctan2(diff, q)
+    np.negative(x, out=x)
+    # the N x N temporaries are built in place, a few at a time
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.divide(diff, q)  # z
+        np.divide(np.arctan(scale), scale, out=scale)
+        scale[diff == 0.0] = 1.0
+        scale *= -tau
+        scale /= q
+        far = q <= 0.0
+        scale[far] = tau * x[far] / diff[far]
+    del diff, q, far
+    scale *= np.sinc(x * (s / np.pi))
+    scale *= s
+    out = np.exp(0.5j * s * np.add.outer(theta, theta))
+    out *= scale
+    out *= 2j
+    return out
 
 
 class _Operator:
     """The time-frozen operator of one run and its step rule, resolved
-    once: ``apply`` (H, or X* H X when mollified) and the direct or the
-    GMRES Cayley solve.  A direct run builds its dense inverse and the
-    inverse's defect delta here, and a delta above 50 SOLVER_TOL raises
-    before the first step; each direct step then reports delta.  The
-    inverse lives as long as the operator, that is, until the run returns."""
+    once: ``apply`` (H, or X* H X when mollified) and the GMRES Cayley
+    solve or the Lanczos step."""
 
     def __init__(self, handle, cfg: PropagatorConfig):
         self.handle, self.grid, self.cfg = handle, handle.grid, cfg
@@ -174,15 +240,9 @@ class _Operator:
         else:
             raise ConfigError(f"mollified propagation is single-particle only, "
                               f"not for a {type(handle).__name__}")
-        direct = (cfg.scheme == "crank_nicolson_midpoint" and self.grid.d == 1
-                  and self.grid.N <= DIRECT_MAX_N and not handle.time_dependent)
-        # a function, not a bound method: a cycle through self would keep
-        # the handle and its dense inverse until the cycle collector runs
-        self._solve = _Operator._direct if direct else _cayley_solve
-        if direct:
-            self.inverse, self.delta = _cayley_inverse(handle, _t_mid(cfg, 0), self.tau,
-                                                       self.cutoff)
-            _check_cayley(self.delta, 0, cfg)
+        # the flow is a function of one matrix: the closed form takes it
+        self.closed_form = (cfg.scheme == "crank_nicolson_midpoint" and self.grid.d == 1
+                            and self.grid.N <= DIRECT_MAX_N and not handle.time_dependent)
         # (1 + i tau K)^-1 on the dual grid, the split's kinetic factor
         self.inv_kin = 1.0 / (1.0 + 1j * self.tau * handle.kinetic_multiplier)
         self.krylov_k = 0  # the Lanczos basis size of the run's last step
@@ -194,15 +254,8 @@ class _Operator:
         if self.cfg.scheme == "lanczos_expmid":
             return _lanczos_expm(self, t_mid, u, self.cfg)
         rhs = u if source_mid is None else u - 1j * self.tau * source_mid
-        v, rep = self._solve(self, n, t_mid, rhs)
+        v, rep = _cayley_solve(self, n, t_mid, rhs)
         return 2.0 * v - u, rep
-
-    def _direct(self, n: int, t_mid: float, rhs: np.ndarray) -> tuple:
-        """Direct step n: x = (I + i tau Op)^-1 rhs by the dense inverse,
-        one iteration with residual delta; a zero rhs reports none."""
-        if not rhs.any():
-            return np.zeros_like(rhs), StepReport()
-        return self.inverse @ rhs, StepReport(1, self.delta)
 
 
 def _t_mid(cfg: PropagatorConfig, n: int) -> float:
@@ -218,8 +271,8 @@ def _at_step(cfg: PropagatorConfig, n: int) -> str:
 def _cayley_solve(op: _Operator, n: int, t_mid: float, rhs: np.ndarray) -> tuple:
     """Solve (I + i tau Op(t_mid)) x = rhs for Cayley step n by gmres.
 
-    This is every Cayley step but the direct ones, which ``_Operator``
-    takes with the dense inverse.  gmres runs from x0 = M b.  For plain
+    This is every Cayley step but those of the closed form
+    (``_EigenFlow``).  gmres runs from x0 = M b.  For plain
     flows M is the gauge-twisted ``_Split``, so x0 is the split-step
     Cayley predictor, and the inner iterations run on the fused operator
     M A, one apply and one transform pair each.  Mollified flows iterate
@@ -639,21 +692,141 @@ def propagate_inhomogeneous(cfg: PropagatorConfig, handle, u0: WaveFunction,
 
 
 def propagate_variational(cfg: PropagatorConfig, handle, u0: WaveFunction) -> tuple:
-    """The runs (u, w) of the flow of u0 and of w = du/drho, stepped in lockstep.
+    """The runs (u, w) of the flow of u0 and of w = du/drho.
 
-    w solves i dw/dt = H w + (dH/drho) u, w(0) = 0.  Each step takes u_n
-    to u_{n+1}, then w with the same frozen operator and the source
-    (dH/drho)(u_n + u_{n+1})/2, so w is the exact rho-derivative of the
-    discrete flow.  Only w's run keeps its states (if cfg.keep_states).
+    w solves i dw/dt = H w + (dH/drho) u, w(0) = 0, as the exact
+    rho-derivative of the discrete flow: each step takes u_n to u_{n+1},
+    then w with the same frozen operator and the source
+    (dH/drho)(u_n + u_{n+1})/2.  A t-free flow on the closed form has it
+    advanced record to record by the Daleckii-Krein formula for the
+    derivative of a matrix function (Higham, Functions of Matrices, 2008,
+    Sec. 3.2; ``_EigenFlow``), which those steps compose to.  Only w's run
+    keeps its states (if cfg.keep_states).
     """
     return tuple(_propagate_impl(cfg, handle, u0, (), tangent=True))
 
 
+def _times(vecs: np.ndarray, v: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Q v, or Q^H v with adjoint, for a complex vector v and Q = vecs,
+    without a copy of Q: a real Q multiplies v's real and imaginary parts
+    as the two columns of one real product."""
+    if np.isrealobj(vecs):
+        mat = vecs.T if adjoint else vecs
+        return (mat @ v.view(float).reshape(-1, 2)).view(complex).ravel()
+    return (v.conj() @ vecs).conj() if adjoint else vecs @ v
+
+
+class _StepFlow:
+    """A run stepped one step at a time by ``_Operator.step``.  The tangent
+    of a variational run steps in lockstep, forced by
+    (dH/drho)(u_n + u_{n+1})/2."""
+
+    def __init__(self, op: _Operator, u0: np.ndarray, tangent: bool):
+        self.op = op
+        self.states = [u0] + ([np.zeros_like(u0)] if tangent else [])
+
+    def grid_states(self) -> list:
+        return list(self.states)
+
+    def advance(self, n: int, m: int, source) -> list:
+        """Steps n to m; each run's (StepReport, t) per step.  A non-finite
+        state raises SolverError naming its step."""
+        op, cfg, handle = self.op, self.op.cfg, self.op.handle
+        done = [[] for _ in self.states]
+        for k in range(n, m):
+            t_mid = _t_mid(cfg, k)
+            f = None if source is None else _values_of(source(t_mid), handle.grid)[0]
+            u = self.states[0]
+            u_next, rep = op.step(k, u, f)
+            reps = [rep]
+            if len(self.states) == 2:
+                w, rep = op.step(k, self.states[1],
+                                 handle.apply_rho_derivative(t_mid, 0.5 * (u + u_next)))
+                self.states[1] = w
+                reps.append(rep)
+            self.states[0] = u_next
+            for x, rep, steps in zip(self.states, reps, done):
+                if not np.isfinite(x).all():
+                    raise SolverError(f"state became non-finite {_at_step(cfg, k)}")
+                steps.append((rep, (k + 1) * cfg.dt))
+        return done
+
+
+class _EigenFlow:
+    """The closed form of a t-free 1-D Crank-Nicolson run (``_cayley_eigen``).
+
+    The states live in Op's eigen coordinates y = Q^H u and go back to the
+    grid, Q y, only at records.  s steps multiply y by c^s, c = e^{i theta},
+    and the tangent of a variational run moves by
+
+        y_w <- c^s y_w + G_s y,   G_s = (Q^H (dH/drho) Q) o Delta_s,
+
+    y taken at the interval's start: the Daleckii-Krein derivative of
+    c(Op)^s (Higham 2008, Sec. 3.2), with Delta_s from ``_divided_powers``
+    and one G_s per interval length.  A forced run steps one at a time,
+    y <- c y - 2 i tau (I + i tau Lam)^-1 Q^H f, and carries no tangent:
+    no entry point asks for both.  Each step reports one iteration and
+    delta; a step whose state and forcing are zero reports none.
+    """
+
+    def __init__(self, op: _Operator, u0: np.ndarray, tangent: bool):
+        handle, self.cfg, tau = op.handle, op.cfg, op.tau
+        lam, self.vecs, self.delta = _cayley_eigen(handle, tau, op.cutoff)
+        _check_cayley(self.delta, 0, self.cfg)
+        self.grid, self.lam, self.tau = op.grid, lam, tau
+        self.theta = -2.0 * np.arctan(tau * lam)
+        self.kick = -2j * tau / (1.0 + 1j * tau * lam)  # a source's weight in a step
+        self.y = _times(self.vecs, u0, adjoint=True)
+        self.d_rho, self.gains = None, {}
+        if tangent:
+            self.y_w = np.zeros_like(self.y)
+            # the rows of vecs.T are Q's columns, so these are (dH/drho) Q's
+            rows = handle.apply_rho_derivative(0.0, self.vecs.T)
+            self.d_rho = (rows @ self.vecs.conj()).T
+
+    def grid_states(self) -> list:
+        ys = [self.y] if self.d_rho is None else [self.y, self.y_w]
+        return [_times(self.vecs, y).reshape(self.grid.shape) for y in ys]
+
+    def _gain(self, s: int) -> np.ndarray:
+        if s not in self.gains:
+            self.gains[s] = self.d_rho * _divided_powers(self.lam, self.tau, s)
+        return self.gains[s]
+
+    def advance(self, n: int, m: int, source) -> list:
+        """Steps n to m in one span, or one at a time with a source; each
+        run's (StepReport, t) per step.  A non-finite state raises
+        SolverError naming its step."""
+        cfg, live, idle = self.cfg, StepReport(1, self.delta), StepReport()
+        spans = [(n, m)] if source is None else [(k, k + 1) for k in range(n, m)]
+        done = [[], []] if self.d_rho is not None else [[]]
+        for a, b in spans:
+            turn = np.exp(1j * (b - a) * self.theta)
+            moving = [self.y.any()]
+            if self.d_rho is not None:
+                forcing = self._gain(b - a) @ self.y
+                moving.append(self.y_w.any() or forcing.any())
+                self.y_w *= turn
+                self.y_w += forcing
+            self.y *= turn
+            if source is not None:
+                f = _values_of(source(_t_mid(cfg, a)), self.grid)[0].astype(complex).ravel()
+                moving[0] = moving[0] or f.any()
+                self.y += self.kick * _times(self.vecs, f, adjoint=True)
+                if not np.isfinite(self.y).all():
+                    raise SolverError(f"state became non-finite {_at_step(cfg, a)}")
+            for steps, on in zip(done, moving):
+                rep = live if on else idle
+                steps += [(rep, (k + 1) * cfg.dt) for k in range(a, b)]
+        return done
+
+
 def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) -> list:
-    """The one stepping loop: the run of u0's flow, forced by source(t_mid)
-    if given, and with tangent the run of w (``propagate_variational``).
-    It steps, checks that each new state is finite, and records each
-    saved step."""
+    """The one run loop: the run of u0's flow, forced by source(t_mid) if
+    given, and with tangent the run of w (``propagate_variational``).  It
+    advances the flow from one record to the next, by the closed form
+    where the operator allows it (``_EigenFlow``) and else step by step,
+    and records each record's states."""
     _check_same_grid(u0.grid, handle.grid, error=ConfigError)
     if (source is not None or tangent) and cfg.scheme != "crank_nicolson_midpoint":
         raise ConfigError("inhomogeneous runs need the crank_nicolson_midpoint scheme")
@@ -662,31 +835,22 @@ def _propagate_impl(cfg, handle, u0, norm_orders, source=None, tangent=False) ->
                           f"not for a {type(handle).__name__}")
     norm_orders = resolve_norm_orders(handle, norm_orders)
     op = _Operator(handle, cfg)
-    mask = handle.grid.boundary_mask()
     u = u0.values.astype(complex)
-    w = np.zeros_like(u) if tangent else None
+    flow = (_EigenFlow if op.closed_form else _StepFlow)(op, u, tangent)
+    mask = handle.grid.boundary_mask()
     cfgs = (replace(cfg, keep_states=False), cfg) if tangent else (cfg,)
     recs = [_Recorder(PropagationRun(handle.grid, c, norm_orders), mask) for c in cfgs]
-    for rec, x in zip(recs, (u, w)):
+    states = [u, np.zeros_like(u)] if tangent else [u]
+    for rec, x in zip(recs, states):
         rec.record(0.0, x)
-    for n in range(cfg.n_steps):
-        t_mid = _t_mid(cfg, n)
-        f = None if source is None else _values_of(source(t_mid), handle.grid)[0]
-        u_next, rep = op.step(n, u, f)
-        reps = [rep]
-        if tangent:
-            w, rep = op.step(n, w, handle.apply_rho_derivative(t_mid, 0.5 * (u + u_next)))
-            reps.append(rep)
-        u = u_next
-        t_next = (n + 1) * cfg.dt
-        for rec, x, rep in zip(recs, (u, w), reps):
-            if not np.isfinite(x).all():
-                raise SolverError(f"state became non-finite {_at_step(cfg, n)}")
-            rec.steps.append((rep, t_next))
-        if (n + 1) % cfg.save_every == 0 or n + 1 == cfg.n_steps:
-            for rec, x in zip(recs, (u, w)):
-                rec.record(t_next, x)
-    for rec, x in zip(recs, (u, w)):
+    for n in range(0, cfg.n_steps, cfg.save_every):
+        m = min(n + cfg.save_every, cfg.n_steps)
+        done = flow.advance(n, m, source)
+        states = flow.grid_states()
+        for rec, steps, x in zip(recs, done, states):
+            rec.steps += steps
+            rec.record(m * cfg.dt, x)
+    for rec, x in zip(recs, states):
         rec.finalize(x)
     return [rec.run for rec in recs]
 

@@ -9,8 +9,9 @@ approached from two independent sides:
 * central difference quotients (u(rho + tau) - u(rho - tau)) / (2 tau)
   of full propagations at shifted parameters,
 * the variational equation i dw/dt = H(t) w + (dH/drho) u(t), w(0) = 0,
-  stepped in lockstep with its base flow on the same Crank-Nicolson
-  schedule.
+  on the same Crank-Nicolson schedule as its base flow: the exact
+  rho-derivative of the discrete flow, advanced record to record
+  (Higham, Functions of Matrices, 2008, Sec. 3.2).
 
 Their discrepancy, maximized over the recorded times, is the quantity
 the convergence checks fit against the offset tau.  Both sides are a
@@ -122,10 +123,10 @@ def solve_variational(fam: PotentialFamily, u0: WaveFunction, rho: float,
                       cfg: PropagatorConfig, a: int = 0) -> Trajectory:
     """Integrate i dw/dt = H w + (dH/drho) u(t), w(0) = 0.
 
-    The base state u(t; rho) steps in lockstep with w
-    (``propagate_variational``): the source of each step is the parameter
-    derivative of the operator applied to the mean of the step's two base
-    states, so w is the rho-derivative of the discrete flow, and the
+    w is the exact rho-derivative of the discrete flow of u(t; rho),
+    advanced record to record (``propagate_variational``): the source of
+    each of its steps is the parameter derivative of the operator applied
+    to the mean of the step's two base states, and the
     comparison against difference quotients is floor-limited only by the
     scheme order.  Only w's states are kept, at the record times.
     """

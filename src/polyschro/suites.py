@@ -278,8 +278,9 @@ def plan_sensitivity(cfg: ExperimentConfig, *, family="parametric_quartic", L=10
                      taus=(1e-1, 1e-2, 1e-3), rho_values=(0.5, 1.0, 2.0)):
     """Difference quotients versus the variational equation, plus constants."""
     taus, rho_values = _sweep(taus, "taus"), _sweep(rho_values, "rho_values")
-    if 0 in taus:
-        raise ConfigError("taus must be nonzero")
+    # the observed orders take log(tau_i / tau_{i+1}): a zero, a sign change or a repeat breaks it
+    if not all(tau > 0 for tau in taus) or len(set(taus)) < len(taus):
+        raise ConfigError(f"taus must be positive and distinct, got {list(taus)}")
     shifted = (r for tau in taus for r in (rho + tau, rho - tau))
     fam, u0, prop = _parameter_flow(family, L, N, center, width, dt, t_final,
                                     (rho, *shifted, *rho_values))

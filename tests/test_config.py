@@ -263,6 +263,8 @@ def test_mixed_int_and_str_keys_listed_as_unknown(doc, message):
     ({"eps_sweep": {"width": -1.0}}, "options.eps_sweep.width"),
     ({"propagate": {"norm_orders": [1, 1]}}, "options.propagate.norm_orders"),  # one column each
     ({"propagate": {"norm_orders": [2, 1, 2.0]}}, "options.propagate.norm_orders"),
+    ({"sensitivity": {"taus": [1e-2, 1e-2]}}, "options.sensitivity.taus"),  # a NaN order
+    ({"sensitivity": {"taus": [1e-2, -1e-3]}}, "options.sensitivity.taus"),
 ])
 def test_bad_suite_option_values_rejected_at_load(options, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):

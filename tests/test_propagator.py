@@ -216,7 +216,7 @@ def test_zero_data_stays_at_solver_floor(harmonic_256):
     cfg = PropagatorConfig(dt=2e-3, t_final=0.1, save_every=10**9, keep_states=False)
     run = propagate(cfg, handle, zero)
     assert run.final.norm() <= 1e-12
-    # the dense inverse's zero-data steps: residual 0, no iteration, no flag
+    # the closed form's zero-data steps: residual 0, no iteration, no flag
     assert np.array_equal(run.data["solver_residual"], np.zeros(2))
     assert run.data["solver_iterations"].tolist() == [0, 0]
     assert run.solver_flags == []
@@ -429,7 +429,7 @@ def test_capped_lanczos_run_warns_of_its_solver_misses(quartic_256):
 
 @pytest.mark.parametrize("name", ["confined_quartic", "harmonic"])
 def test_cayley_run_carries_no_solver_warning(name):
-    """GMRES and the dense inverse both meet SOLVER_TOL: no warning line."""
+    """GMRES and the closed form both meet SOLVER_TOL: no warning line."""
     g = make_grid(1, 10.0, 256)
     handle = HamiltonianHandle(get_family(name), g)
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
@@ -458,20 +458,24 @@ def _counted_applies(handle, monkeypatch) -> list:
 
 
 def test_direct_residuals_are_bounded_by_the_inverse_defect(quartic_direct_128, monkeypatch):
-    """Every step taken with the dense inverse has a kernel residual of at
-    most the inverse's defect delta, which each record reports; the run
-    makes one apply, on the stack of the inverse's columns, for delta."""
+    """The direct path is the closed form, whose implicit inverse is
+    Q (I + i tau Lam)^-1 Q^H.  Every step it stands for has a kernel
+    residual of at most its defect delta, which each record reports; the
+    run makes one apply, on the stack of the eigenvectors, for delta."""
     g, handle, u0 = quartic_direct_128
     cfg = PropagatorConfig(dt=1e-3, t_final=0.2, save_every=50, keep_states=False)
     tau = 0.5 * cfg.dt
-    inverse, delta = propagator._cayley_inverse(handle, 0.0, tau, None)
-    u, residuals = u0.values.astype(complex), []
+    lam, vecs, delta = propagator._cayley_eigen(handle, tau, None)
+    assert vecs.dtype == float  # a field-free H has a real matrix
+    c, half = (1 - 1j * tau * lam) / (1 + 1j * tau * lam), 1 / (1 + 1j * tau * lam)
+    y, residuals = vecs.T @ u0.values, []
     for _ in range(cfg.n_steps):
-        x = inverse @ u
+        # the step u = Q y -> Q c y and its midpoint x = Q (I + i tau Lam)^-1 y
+        u, x = vecs @ y, vecs @ (half * y)
         residuals.append(np.linalg.norm(x + 1j * tau * handle.apply(0.0, x) - u)
                          / np.linalg.norm(u))
-        u = 2.0 * x - u
-    # 1e-15 covers the rounding of the product inverse @ u
+        y = c * y
+    # 1e-15 covers the rounding of the products with vecs
     assert max(residuals) <= delta + 1e-15
     applies = _counted_applies(handle, monkeypatch)
     run = propagate(cfg, handle, u0)
@@ -482,41 +486,55 @@ def test_direct_residuals_are_bounded_by_the_inverse_defect(quartic_direct_128, 
 
 @pytest.mark.parametrize("run", [propagate, propagator.propagate_variational])
 def test_direct_step_failure_names_its_own_step(quartic_direct_128, monkeypatch, run):
-    """A dense inverse whose defect misses raises before the first step,
-    and the error names that step."""
+    """Eigenvectors whose defect misses, and a non-finite matrix, raise
+    before the first step of the closed form, and the error names that
+    step."""
     g, handle, u0 = quartic_direct_128
-    inv = propagator.inv
-    monkeypatch.setattr(propagator, "inv", lambda *args, **kw: inv(*args, **kw) * (1 + 1e-9))
     cfg = PropagatorConfig(dt=1e-3, t_final=0.02, save_every=10)
-    with pytest.raises(SolverError, match=r"Cayley solve stalled .* at step 1 \(t=0\.001\)"):
+    stalled = r"Cayley solve stalled .* at step 1 \(t=0\.001\)"
+    eigh = propagator.eigh
+
+    def perturbed(*args, **kwargs):
+        lam, vecs = eigh(*args, **kwargs)
+        return lam, vecs * (1 + 1e-9)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(propagator, "eigh", perturbed)
+        with pytest.raises(SolverError, match=stalled):
+            run(cfg, handle, u0)
+    monkeypatch.setattr(handle, "matrix", lambda t: np.full((g.N, g.N), np.nan + 0j))
+    with pytest.raises(SolverError, match=stalled):
         run(cfg, handle, u0)
 
 
 def test_lockstep_direct_residuals_are_bounded_by_the_inverse_defect(quartic_direct_128,
                                                                       monkeypatch):
-    """The lockstep variational run takes a u and a w step with the dense
-    inverse for each step: each of the 2 n_steps kernel residuals is at
-    most its defect delta, both runs' records report delta, and the run
-    makes one apply, on the stack of the inverse's columns, for delta."""
+    """The variational run's closed form stands for a u and a w step at
+    each step: a u step's kernel residual is at most delta ||u||, a w
+    step's, forced by f = (dH/drho)(u_n + u_{n+1})/2, at most
+    delta (||w|| + tau ||f||).  Both runs' records report delta, and the
+    run makes one apply, on the stack of the eigenvectors, for delta."""
     g, handle, u0 = quartic_direct_128
     cfg = PropagatorConfig(dt=1e-3, t_final=0.05, save_every=20, keep_states=False)
     tau = 0.5 * cfg.dt
-    inverse, delta = propagator._cayley_inverse(handle, 0.0, tau, None)
+    lam, vecs, delta = propagator._cayley_eigen(handle, tau, None)
+    c, half = (1 - 1j * tau * lam) / (1 + 1j * tau * lam), 1 / (1 + 1j * tau * lam)
+    d_rho = vecs.T @ handle.apply_rho_derivative(0.0, vecs.T).T
+    gain = d_rho * propagator._divided_powers(lam, tau, 1)
 
-    def direct_step(state, b):
-        x = inverse @ b
-        residual = np.linalg.norm(x + 1j * tau * handle.apply(0.0, x) - b) / np.linalg.norm(b)
-        return 2.0 * x - state, residual
+    def residual(x, b):
+        return np.linalg.norm(x + 1j * tau * handle.apply(0.0, x) - b)
 
-    u, w, residuals = u0.values.astype(complex), np.zeros(g.shape, dtype=complex), []
-    for n in range(cfg.n_steps):
-        u_next, res_u = direct_step(u, u)
-        t_mid = n * cfg.dt + 0.5 * cfg.dt
-        f = handle.apply_rho_derivative(t_mid, 0.5 * (u + u_next))
-        w, res_w = direct_step(w, w - 1j * tau * f)
-        u = u_next
-        residuals += [res_u, res_w]
-    assert max(residuals) <= delta + 1e-15
+    y, y_w = vecs.T @ u0.values, np.zeros(g.N, dtype=complex)
+    for _ in range(cfg.n_steps):
+        u, w = vecs @ y, vecs @ y_w
+        y_next, y_w_next = c * y, c * y_w + gain @ y
+        assert residual(vecs @ (half * y), u) <= (delta + 1e-15) * np.linalg.norm(u)
+        f = handle.apply_rho_derivative(0.0, 0.5 * (u + vecs @ y_next))
+        x_w = 0.5 * (w + vecs @ y_w_next)
+        bound = np.linalg.norm(w) + tau * np.linalg.norm(f)
+        assert residual(x_w, w - 1j * tau * f) <= (delta + 1e-15) * bound
+        y, y_w = y_next, y_w_next
     applies = _counted_applies(handle, monkeypatch)
     run_u, run_w = propagator.propagate_variational(cfg, handle, u0)
     assert applies == [(g.N, g.N)]
@@ -529,47 +547,49 @@ def test_lockstep_direct_residuals_are_bounded_by_the_inverse_defect(quartic_dir
 @given(seed=st.integers(0, 2**32 - 1), tau=st.sampled_from([5e-4, 5e-3]),
        eps=st.sampled_from([None, 1 / 16]))
 def test_inverse_defect_bounds_every_kernel_residual(parametric_128, seed, tau, eps):
-    """For any b, x = inv b solves (I + i tau Op) x = b to within the
-    inverse's defect delta, Op the kernel's H or X* H X."""
+    """For any b, x = Q (I + i tau Lam)^-1 Q^H b solves (I + i tau Op) x = b
+    to within the defect delta, Op the kernel's H or X* H X; so does the
+    midpoint of a homogeneous step from any u = Q y, relative to ||u||."""
     g, handle, _ = parametric_128
     cutoff = PropagatorConfig(eps=eps).cutoff()
-    inverse, delta = propagator._cayley_inverse(handle, 0.0, tau, cutoff)
+    lam, vecs, delta = propagator._cayley_eigen(handle, tau, cutoff)
     op = handle.apply if cutoff is None else partial(handle.apply_mollified, cutoff=cutoff)
+    half = 1 / (1 + 1j * tau * lam)
     rng = np.random.default_rng(seed)
-    b = rng.standard_normal(g.N) + 1j * rng.standard_normal(g.N)
-    x = inverse @ b
-    residual = np.linalg.norm(x + 1j * tau * op(0.0, x) - b) / np.linalg.norm(b)
-    assert residual <= delta + 1e-15
+    b, y = rng.standard_normal((2, g.N)) + 1j * rng.standard_normal((2, g.N))
+    for x, rhs in [(vecs @ (half * (vecs.conj().T @ b)), b), (vecs @ (half * y), vecs @ y)]:
+        residual = np.linalg.norm(x + 1j * tau * op(0.0, x) - rhs) / np.linalg.norm(rhs)
+        assert residual <= delta + 1e-15
 
 
 @pytest.mark.parametrize("scheme, eps, name", [
-    ("crank_nicolson_midpoint", None, "parametric_quartic"),   # direct
-    ("crank_nicolson_midpoint", 0.5, "parametric_quartic"),    # direct, mollified
+    ("crank_nicolson_midpoint", None, "parametric_quartic"),   # closed form
+    ("crank_nicolson_midpoint", 0.5, "parametric_quartic"),    # closed form, mollified
     ("crank_nicolson_midpoint", None, "confined_quartic"),     # GMRES
     ("lanczos_expmid", None, "confined_quartic"),
 ])
 def test_run_frees_its_handle_without_the_cycle_collector(scheme, eps, name, monkeypatch):
-    """The run's operator holds no reference cycle, so a direct run's dense
-    inverse goes when the run returns, and a handle as soon as its last
-    user drops it."""
+    """The run holds no reference cycle, so a closed-form run's
+    eigenvectors go when the run returns, and a handle as soon as its
+    last user drops it."""
     g = make_grid(1, 10.0, 64)
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
     cfg = PropagatorConfig(scheme=scheme, dt=1e-3, t_final=0.02, eps=eps)
-    inverses, build = [], propagator._cayley_inverse
+    vectors, build = [], propagator._cayley_eigen
 
     def watched(*args):
-        inverse, delta = build(*args)
-        inverses.append(weakref.ref(inverse))
-        return inverse, delta
+        lam, vecs, delta = build(*args)
+        vectors.append(weakref.ref(vecs))
+        return lam, vecs, delta
 
-    monkeypatch.setattr(propagator, "_cayley_inverse", watched)
+    monkeypatch.setattr(propagator, "_cayley_eigen", watched)
     gc.disable()
     try:
         handle = HamiltonianHandle(get_family(name), g, rho=1.0)
         ref = weakref.ref(handle)
         propagate(cfg, handle, u0)
-        assert len(inverses) == (name == "parametric_quartic")
-        assert all(inverse() is None for inverse in inverses)
+        assert len(vectors) == (name == "parametric_quartic")
+        assert all(vecs() is None for vecs in vectors)
         del handle
         assert ref() is None
     finally:
@@ -577,16 +597,17 @@ def test_run_frees_its_handle_without_the_cycle_collector(scheme, eps, name, mon
 
 
 def test_direct_run_warns_of_its_solver_misses(quartic_direct_128, monkeypatch):
-    """A SOLVER_TOL just below the dense inverse's residuals, within the
-    factor 50 that raises, flags the steps in one warning line."""
+    """A SOLVER_TOL just below the closed form's defect, within the factor
+    50 that raises, flags the steps in one warning line."""
     g, handle, u0 = quartic_direct_128
-    monkeypatch.setattr(propagator, "SOLVER_TOL", 1e-16)
     cfg = PropagatorConfig(dt=1e-3, t_final=0.05, save_every=10, keep_states=False)
+    tol = 0.5 * propagator._cayley_eigen(handle, 0.5 * cfg.dt, None)[2]
+    monkeypatch.setattr(propagator, "SOLVER_TOL", tol)
     run = propagate(cfg, handle, u0)
-    assert 1e-16 < run.data["solver_residual"].max() <= 50 * 1e-16
+    assert tol < run.data["solver_residual"].max() <= 50 * tol
     (line,) = run.warnings
     assert line.startswith("solver residual")
-    assert "above solver_tol 1e-16 at t=0.001" in line
+    assert f"above solver_tol {tol:g} at t=0.001" in line
 
 
 def test_solver_columns_cover_the_save_interval(quartic_256):
@@ -670,15 +691,25 @@ def parametric_128():
 
 
 def _dense_cayley_run(H, u, dt, n_steps, source=None):
-    """u <- solve(I + i tau H, (I - i tau H) u - i dt f(t_mid)), tau = dt/2."""
+    """The states u_0 .. u_n of u <- solve(I + i tau H, (I - i tau H) u - i dt f(t_mid)),
+    tau = dt/2, as rows."""
     eye = np.eye(len(u))
     lhs, rhs = eye + 0.5j * dt * H, eye - 0.5j * dt * H
+    states = [u]
     for n in range(n_steps):
-        b = rhs @ u
+        b = rhs @ states[-1]
         if source is not None:
             b -= 1j * dt * source((n + 0.5) * dt)
-        u = np.linalg.solve(lhs, b)
-    return u
+        states.append(np.linalg.solve(lhs, b))
+    return np.array(states)
+
+
+def _lockstep_tangent(H, dH, states, dt):
+    """The lockstep tangent of the states of ``_dense_cayley_run``, as rows:
+    w <- solve(I + i tau H, (I - i tau H) w - i dt dH (u_n + u_{n+1})/2), w_0 = 0."""
+    forcing = [dH @ (0.5 * (a + b)) for a, b in zip(states[:-1], states[1:])]
+    return _dense_cayley_run(H, np.zeros_like(states[0]), dt, len(forcing),
+                             lambda t: forcing[int(t / dt)])
 
 
 def test_time_free_flow_matches_dense_cayley_recursion(parametric_128):
@@ -686,7 +717,7 @@ def test_time_free_flow_matches_dense_cayley_recursion(parametric_128):
     u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
     cfg = PropagatorConfig(dt=1e-3, t_final=0.2, keep_states=False)
     run = propagate(cfg, handle, u0)
-    oracle = _dense_cayley_run(H, u0.values, cfg.dt, cfg.n_steps)
+    oracle = _dense_cayley_run(H, u0.values, cfg.dt, cfg.n_steps)[-1]
     assert np.max(np.abs(run.final.values - oracle)) <= 1e-9
     assert run.data["solver_iterations"][1:].tolist() == [1] * cfg.n_steps
     resid = run.data["solver_residual"][1:]
@@ -700,9 +731,69 @@ def test_time_free_inhomogeneous_flow_matches_dense_cayley_recursion(parametric_
     source = lambda t: np.cos(3 * t) * bump
     cfg = PropagatorConfig(dt=1e-3, t_final=0.2, keep_states=False)
     run = propagate_inhomogeneous(cfg, handle, u0, source)
-    oracle = _dense_cayley_run(H, u0.values, cfg.dt, cfg.n_steps, source)
+    oracle = _dense_cayley_run(H, u0.values, cfg.dt, cfg.n_steps, source)[-1]
     assert np.max(np.abs(run.final.values - oracle)) <= 1e-9
     assert run.data["solver_iterations"][1:].tolist() == [1] * cfg.n_steps
+
+
+# a t-free family with a field: its Hamiltonian's matrix is complex
+MAGNETIC_QUARTIC = PotentialFamily(name="magnetic_quartic", v="x^2 / 2 + rho * x^4 / 4",
+                                   a=("rho * (1 + x^2)^(1/2)",), growth_order=1, delta=1.0,
+                                   rho_interval=(0.4, 8.0))
+
+
+@pytest.mark.parametrize("save_every", [1, 7, 10**9])
+@pytest.mark.parametrize("kind", ["plain", "mollified", "tangent", "source"])
+@pytest.mark.parametrize("family", ["parametric_quartic", "magnetic_quartic"])
+def test_closed_form_matches_the_step_by_step_oracle(family, kind, save_every):
+    """Each record of a closed-form run, plain, mollified, variational or
+    forced, on a real matrix and on a complex one, against the dense
+    Cayley recursion: a record after n steps lies within n delta ||u0||
+    of it, and a forced one within delta (n ||u0|| + dt sum_k ||f_k||).
+    The tangent w inherits the error of the u it is forced by, so its
+    bound adds delta dt ||dH|| ||u0|| (n^2/2 + n).  The slack n 1e-14
+    ||u0|| covers the rounding of both sides; 50 steps end on an uneven
+    interval of 7."""
+    g = make_grid(1, 10.0, 64)
+    fam = MAGNETIC_QUARTIC if family == "magnetic_quartic" else get_family(family)
+    handle = HamiltonianHandle(fam, g, rho=1.0)
+    cfg = PropagatorConfig(dt=1e-3, t_final=0.05, save_every=save_every,
+                           eps=1 / 16 if kind == "mollified" else None)
+    op = handle.apply if cfg.eps is None else partial(handle.apply_mollified,
+                                                      cutoff=cfg.cutoff())
+    eye = np.eye(g.N, dtype=complex)
+    H = np.column_stack([op(0.0, e) for e in eye])
+    u0 = gaussian_packet(g, center=1.0, width=0.8, momentum=0.5)
+    bump = gaussian_packet(g, center=-1.0, width=0.7).values
+    source = (lambda t: np.cos(3 * t) * bump) if kind == "source" else None
+    _, vecs, delta = propagator._cayley_eigen(handle, 0.5 * cfg.dt, cfg.cutoff())
+    assert np.iscomplexobj(vecs) == (family == "magnetic_quartic" or kind == "mollified")
+    n = np.array(list(range(0, cfg.n_steps, save_every)) + [cfg.n_steps])
+    states = _dense_cayley_run(H, u0.values, cfg.dt, cfg.n_steps, source)
+    norm_u0 = np.linalg.norm(u0.values)
+    if kind == "tangent":
+        dH = np.column_stack([handle.apply_rho_derivative(0.0, e) for e in eye])
+        oracle = _lockstep_tangent(H, dH, states, cfg.dt)
+        run_u, run = propagator.propagate_variational(cfg, handle, u0)
+        assert np.linalg.norm(run_u.final.values - states[-1]) <= (
+            cfg.n_steps * (delta + 1e-14) * norm_u0)
+        f_norms = np.linalg.norm(0.5 * (states[:-1] + states[1:]) @ dH.T, axis=1)
+        drift = cfg.dt * np.linalg.norm(dH, 2) * norm_u0 * (n**2 / 2 + n)
+    else:
+        oracle = states
+        run = (propagate(cfg, handle, u0) if source is None
+               else propagate_inhomogeneous(cfg, handle, u0, source))
+        f_norms = np.zeros(cfg.n_steps)
+        if source is not None:
+            f_norms = np.array([np.linalg.norm(source((k + 0.5) * cfg.dt))
+                                for k in range(cfg.n_steps)])
+        drift = n * norm_u0
+    forced = np.concatenate([[0.0], np.cumsum(cfg.dt * f_norms)])
+    bound = delta * (drift + forced[n])
+    errors = np.linalg.norm(run.states - oracle[n], axis=1)
+    assert np.all(errors <= bound + n * 1e-14 * norm_u0)
+    assert run.data["solver_iterations"][1:].tolist() == np.diff(n).tolist()
+    assert set(run.data["solver_residual"][1:]) == {delta}
 
 
 def _counted(monkeypatch, name) -> list:
@@ -718,25 +809,28 @@ def _counted(monkeypatch, name) -> list:
     ("parametric_quartic", 2 * propagator.DIRECT_MAX_N),  # above the cap
 ])
 def test_gmres_still_steps_other_flows(name, N, monkeypatch):
-    calls, inverses = _counted(monkeypatch, "gmres"), _counted(monkeypatch, "_cayley_inverse")
+    calls, eigens = _counted(monkeypatch, "gmres"), _counted(monkeypatch, "_cayley_eigen")
     g = make_grid(1, 10.0, N)
     fam = get_family(name)
     handle = HamiltonianHandle(fam, g, rho=1.0 if fam.rho_interval else 0.0)
     cfg = PropagatorConfig(dt=1e-3, t_final=5e-3, keep_states=False)
     propagate(cfg, handle, gaussian_packet(g, center=1.0, width=0.8))
     assert len(calls) == cfg.n_steps
-    assert len(inverses) == 0
+    assert len(eigens) == 0
 
 
 @pytest.mark.parametrize("run", [propagate, propagator.propagate_variational])
 def test_direct_run_builds_one_inverse(quartic_direct_128, monkeypatch, run):
-    """A direct run, plain or lockstep, builds its dense inverse once and
-    takes no GMRES step."""
+    """A closed-form run, plain or variational, builds its implicit inverse
+    from one real eigh of its operator and takes no GMRES step."""
     g, handle, u0 = quartic_direct_128
-    calls, inverses = _counted(monkeypatch, "gmres"), _counted(monkeypatch, "_cayley_inverse")
+    calls, eighs = _counted(monkeypatch, "gmres"), []
+    eigh = propagator.eigh
+    monkeypatch.setattr(propagator, "eigh",
+                        lambda a, **kwargs: eighs.append(a.dtype) or eigh(a, **kwargs))
     run(PropagatorConfig(dt=1e-3, t_final=5e-3, keep_states=False), handle, u0)
     assert len(calls) == 0
-    assert len(inverses) == 1
+    assert eighs == [np.dtype(float)]
 
 
 @pytest.mark.parametrize("tau, precondition", [
@@ -1028,3 +1122,46 @@ def test_propagator_rejections_name_the_field(build, message):
     with pytest.raises(ConfigError) as caught:
         build()
     assert str(caught.value) == message
+
+
+def test_divided_powers_keep_their_digits_on_a_close_pair():
+    """Delta_s on a constructed Hermitian matrix with the eigenvalue pair
+    1, 1 + 1e-9: the stable form matches the derivative of c^s at the
+    pair's midpoint, and the tangent of 100 lockstep steps, to rounding,
+    where the plain quotient (c_j^s - c_l^s) / (lam_j - lam_l) keeps only
+    7 digits and misses the tangent by 1e4 times more."""
+    tau, s = 5e-4, 100
+    lam = np.array([1.0, 1.0 + 1e-9, 3.0, 40.0, 700.0, 2500.0])
+    c_s = np.exp(-2j * s * np.arctan(tau * lam))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        naive = np.subtract.outer(c_s, c_s) / np.subtract.outer(lam, lam)
+    stable = propagator._divided_powers(lam, tau, s)
+    # the diagonal and the close pair: s c^(s-1) c' = -2i tau s c^s / (1 + tau^2 lam^2)
+    mid = np.append(0.5 * (lam[0] + lam[1]), lam)
+    slope = -2j * tau * s * np.exp(-2j * s * np.arctan(tau * mid)) / (1 + (tau * mid) ** 2)
+    assert np.allclose(np.diag(stable), slope[1:], rtol=1e-15, atol=0)
+    assert abs(stable[0, 1] / slope[0] - 1) <= 1e-15
+    assert abs(naive[0, 1] / slope[0] - 1) >= 1e-8
+    far = ~np.eye(6, dtype=bool)
+    far[0, 1] = far[1, 0] = False
+    assert np.allclose(stable[far], naive[far], rtol=1e-12, atol=0)
+
+    rng = np.random.default_rng(7)
+    basis, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    H = (basis * lam) @ basis.conj().T
+    H = 0.5 * (H + H.conj().T)
+    dH = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    dH += dH.conj().T
+    u0 = basis[:, 0] + basis[:, 1] + 0.1 * basis[:, 3]
+    oracle = _lockstep_tangent(H, dH, _dense_cayley_run(H, u0, 2 * tau, s), 2 * tau)[-1]
+    lam_h, vecs = propagator.eigh(H)
+    d_hat = vecs.conj().T @ dH @ vecs
+    stable = propagator._divided_powers(lam_h, tau, s)
+    c_s = np.exp(-2j * s * np.arctan(tau * lam_h))
+    naive = np.subtract.outer(c_s, c_s) / np.where(np.eye(6, dtype=bool), 1.0,
+                                                   np.subtract.outer(lam_h, lam_h))
+    np.fill_diagonal(naive, np.diag(stable))
+    errors = [np.linalg.norm(vecs @ ((d_hat * delta) @ (vecs.conj().T @ u0)) - oracle)
+              for delta in (stable, naive)]
+    assert errors[0] <= 1e-12 * np.linalg.norm(oracle)
+    assert errors[1] >= 1e4 * errors[0]

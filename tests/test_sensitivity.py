@@ -156,7 +156,7 @@ def _gmres_case():
 
 
 @pytest.mark.parametrize("case, bound", [
-    (_dense_case, 1e-12),      # the dense Cayley inverse
+    (_dense_case, 1e-12),      # the closed form
     (_gmres_case, 1e-9),       # time-dependent and magnetic: GMRES
 ])
 def test_lockstep_variational_matches_two_pass_solve(case, bound):
@@ -180,8 +180,9 @@ def test_solver_error_in_the_base_step_names_step_and_time(monkeypatch):
 
 def test_variational_solve_keeps_no_step_dense_states(setup):
     """2,000 steps at N=128 hold 4 MB of base states if every step is kept;
-    the lockstep solve keeps only w's 21 records (1.2 MB peak, with the
-    0.25 MB dense inverse and its build; 5.1 MB for a step-dense base run)."""
+    the variational solve keeps only w's 21 records (1.5 MB peak, with the
+    closed form's eigendecomposition and its N x N temporaries; 5.1 MB for
+    a step-dense base run)."""
     g, fam, u0, _ = setup
     solve_variational(fam, u0, 1.0, PropagatorConfig(dt=1e-3, t_final=0.01))
     cfg = PropagatorConfig(dt=1e-3, t_final=2.0, save_every=100, keep_states=False)

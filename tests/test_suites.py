@@ -5,9 +5,10 @@ import dataclasses
 import math
 import re
 
+import numpy as np
 import pytest
 
-from polyschro.config import from_mapping
+from polyschro.config import SUITE_OPTIONS, from_mapping
 from polyschro.errors import GridError
 from polyschro.propagator import BOUNDARY_TOL, SOLVER_TOL
 from polyschro.suites import run_suite
@@ -130,8 +131,8 @@ def test_propagate_boundary_mass_covers_both_runs(tmp_path):
 
 def test_propagate_config_scheme_overrides_default(tmp_path):
     """A propagator option's scheme replaces the suite's exponential midpoint
-    rule: a t-free family's Crank-Nicolson steps go through one dense
-    Cayley inverse, so each row's step counts 1 and reports its defect."""
+    rule: a t-free family's Crank-Nicolson run takes the closed form of one
+    eigendecomposition, so each row's step counts 1 and reports its defect."""
     prop = {"scheme": "crank_nicolson_midpoint", "dt": 1.0e-2, "t_final": 0.05,
             "save_every": 1}
     verdict, tables = _propagate(tmp_path, {"family": "harmonic", "grid": {"N": 64},
@@ -186,3 +187,59 @@ def test_two_particle_small_box_warns_of_wrap_mass(tmp_path):
     # one record every 25 steps of the default dt
     assert [float(row["t"]) for row in rows] == pytest.approx([0.0, 0.05, 0.1])
     assert verdict["passed"] is True
+
+
+# the largest relative shift of each gated number under 2N, dt/2 and L+2,
+# about 3x the largest measured: dt/2 moves the sensitivity discrepancies
+# by 3.2e-3, the observed orders by 1.5e-4, the constants by 1.7e-4, the
+# quotient ratio by 1.3e-9, the continuity moduli by 2.7e-5 and the
+# eps_sweep gaps by 2.7e-6; 2N moves the commutator ratio by 1.6e-6.
+# validate gates only booleans.
+REFINED_SHIFTS = {
+    "sensitivity": {"discrepancies": 1e-2, "observed_orders": 5e-4,
+                    "quotient_to_variational_ratio": 5e-9, "constants": 5e-4,
+                    "constant_spread": 5e-4},
+    "continuity": {"moduli": 1e-4},
+    "eps_sweep": {"gaps": 1e-5, "final_gap": 1e-5},
+    "commutator": {"max_min_ratio": 5e-6},
+    "validate": {},
+}
+# L+2 moves the commutator ratio from 1.605 to 2.871 (0.79), and its sup
+# bound from 1.37 to 2.68, still under the ratio's limit of 10
+REFINED_SHIFT_EXCEPTIONS = {("commutator", "L+2", "max_min_ratio"): 1.0}
+
+
+def _booleans(verdict) -> dict:
+    """Every boolean of a verdict, nested ones under their dotted path."""
+    flat = {}
+    for key, value in verdict.items():
+        if isinstance(value, bool):
+            flat[key] = value
+        elif isinstance(value, dict):
+            flat.update({f"{key}.{k}": v for k, v in _booleans(value).items()})
+    return flat
+
+
+@pytest.mark.parametrize("name", sorted(REFINED_SHIFTS))
+def test_verdicts_hold_under_refinement(name, tmp_path):
+    """Each 1-D suite this covers, rerun at 2N, at dt/2 (where it has a dt)
+    and at L+2, keeps every boolean of its default verdict, and each gated
+    number moves by at most its REFINED_SHIFTS bound.  The closed-form
+    Crank-Nicolson runs make the 13 extra runs cost about 3 s with one
+    BLAS thread; parametrix (its slope drifts with N) and two_particle (a
+    256x256 run) stay out."""
+    defaults = SUITE_OPTIONS[name]
+    refinements = {"2N": {"N": 2 * defaults["N"]}, "L+2": {"L": defaults["L"] + 2}}
+    if "dt" in defaults:
+        refinements["dt/2"] = {"dt": defaults["dt"] / 2}
+    base = run_suite(name, from_mapping({}), str(tmp_path))
+    assert base["passed"] is True
+    for case, options in refinements.items():
+        out = tmp_path / case.replace("/", "_")
+        out.mkdir()
+        verdict = run_suite(name, from_mapping({"options": {name: options}}), str(out))
+        assert _booleans(verdict) == _booleans(base), case
+        for key, bound in REFINED_SHIFTS[name].items():
+            bound = REFINED_SHIFT_EXCEPTIONS.get((name, case, key), bound)
+            shift = np.max(np.abs(np.divide(verdict[key], base[key]) - 1))
+            assert shift <= bound, (case, key, shift)
